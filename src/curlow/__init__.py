@@ -2,107 +2,5 @@
 entries, plus an empirical lab for the error and concentration bounds
 that govern when the recovery works.
 """
-from .bounds import (
-    BoundReport,
-    HPair,
-    build_h_pair,
-    check_combine,
-    check_delta,
-    check_delta_triangle,
-    check_full_rank_recovery,
-    check_h_sandwich,
-    check_halko,
-    check_mu_hat_bound,
-    check_omega1_spectrum,
-    check_projection,
-    check_sin_theta_perturbation,
-    check_strong_convexity,
-    optimal_d,
-    sample_size_full_rank,
-    sample_size_low_rank,
-    total_observations,
-)
-from .coherence import (
-    CoherenceReport,
-    NumericalRankReport,
-    basis_incoherence,
-    mu_hat,
-    mu_lambda,
-    mu_r,
-    numerical_rank,
-    sin_theta,
-)
-from .config import ExperimentConfig, config_from_mapping, read_config
-from .cur import CurErrorReport, CurFactors, cur_decompose, cur_error_ratio
-from .io import (
-    ParseError,
-    read_index,
-    read_matrix,
-    read_omega,
-    write_index,
-    write_matrix,
-    write_omega,
-)
-from .linalg import (
-    SvdConvergenceError,
-    SvdFactors,
-    SvdPartition,
-    eigh_descending,
-    frobenius_norm,
-    partition_svd,
-    projector,
-    pseudo_inverse,
-    spectral_norm,
-    svd,
-    top_r_eigvecs,
-)
-from .recovery import (
-    Bases,
-    DesignSystem,
-    IllPosedError,
-    RecoveryInputs,
-    RecoveryResult,
-    assemble_design,
-    build_bases,
-    recover,
-    solve_core,
-    strong_convexity_gamma,
-)
-from .sampling import (
-    IndexSet,
-    OmegaSet,
-    RngStream,
-    densify,
-    restrict,
-    sample_columns,
-    sample_entries,
-    sample_rows,
-)
-from .synth import SynthSpec, generate, measured_properties
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundReport", "HPair", "build_h_pair", "check_combine", "check_delta",
-    "check_delta_triangle", "check_full_rank_recovery", "check_h_sandwich",
-    "check_halko", "check_mu_hat_bound", "check_omega1_spectrum",
-    "check_projection", "check_sin_theta_perturbation",
-    "check_strong_convexity", "optimal_d", "sample_size_full_rank",
-    "sample_size_low_rank", "total_observations",
-    "CoherenceReport", "NumericalRankReport", "basis_incoherence", "mu_hat",
-    "mu_lambda", "mu_r", "numerical_rank", "sin_theta",
-    "ExperimentConfig", "config_from_mapping", "read_config",
-    "CurErrorReport", "CurFactors", "cur_decompose", "cur_error_ratio",
-    "ParseError", "read_index", "read_matrix", "read_omega", "write_index",
-    "write_matrix", "write_omega",
-    "SvdConvergenceError", "SvdFactors", "SvdPartition", "eigh_descending",
-    "frobenius_norm", "partition_svd", "projector", "pseudo_inverse",
-    "spectral_norm", "svd", "top_r_eigvecs",
-    "Bases", "DesignSystem", "IllPosedError", "RecoveryInputs",
-    "RecoveryResult", "assemble_design", "build_bases", "recover",
-    "solve_core", "strong_convexity_gamma",
-    "IndexSet", "OmegaSet", "RngStream", "densify", "restrict",
-    "sample_columns", "sample_entries", "sample_rows",
-    "SynthSpec", "generate", "measured_properties",
-    "__version__",
-]

@@ -482,7 +482,7 @@ def check_full_rank_recovery(M, result, r: int, d: int,
     omega_gate = min(omega_formula, n * m)
     lhs = spectral_norm(A - result.reconstruct()) ** 2
     rhs = 24.0 * s_next**2 * (1.0 + (m + n) / d)
-    premises = (s_r >= math.sqrt(2.0) * s_next and d >= min(d_gate, m)
+    premises = (s_r >= math.sqrt(2.0) * s_next and d >= min(d_gate, n, m)
                 and omega_size >= omega_gate)
     params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": lam,
               "omega_size": omega_size, "mu_lambda": rep.mu_lambda,

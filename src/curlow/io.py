@@ -1,10 +1,9 @@
-"""Matrix and index-set file formats.
+"""Dense-matrix file formats.
 
-Two dense-matrix formats: the MatrixMarket array convention and a small
-CSV dialect with a `# rows=R cols=C` header. Entry sets use a CSV with an
-`i,j,value` header, index sets one index per line. All writers serialize
-doubles with 17 significant digits so a write/read round trip is
-bit-exact, and identical inputs always produce identical bytes.
+The MatrixMarket array convention and a small CSV dialect with a
+`# rows=R cols=C` header. The writer serializes doubles with 17
+significant digits so a write/read round trip is bit-exact, and identical
+inputs always produce identical bytes.
 """
 from __future__ import annotations
 
@@ -13,7 +12,6 @@ import os
 import numpy as np
 
 from .linalg import as_matrix
-from .sampling import IndexSet, OmegaSet
 
 DENSE_BANNER = "%%MatrixMarket matrix array real general"
 
@@ -134,80 +132,6 @@ def read_matrix(path) -> np.ndarray:
     if lines[0].startswith("#"):
         return _read_csv_matrix(lines, path)
     raise ParseError(path, 1, "unrecognized matrix header")
-
-
-def write_omega(omega: OmegaSet, path) -> None:
-    n, m = omega.shape
-    lines = [f"# shape={n},{m}", "i,j,value"]
-    for i, j, v in zip(omega.rows, omega.cols, omega.values):
-        lines.append(f"{i},{j},{_fmt(v)}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_omega(path) -> OmegaSet:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#") or "shape=" not in lines[0]:
-        raise ParseError(path, 1, "first line must be '# shape=n,m'")
-    dims = lines[0].split("shape=", 1)[1].split(",")
-    if len(dims) != 2:
-        raise ParseError(path, 1, "shape must be 'n,m'")
-    n = _parse_int(dims[0].strip(), path, 1, "n")
-    m = _parse_int(dims[1].strip(), path, 1, "m")
-    if len(lines) < 2 or lines[1].strip() != "i,j,value":
-        raise ParseError(path, 2, "missing 'i,j,value' header")
-    seen = set()
-    rows, cols, values = [], [], []
-    for k, ln in enumerate(lines[2:], start=3):
-        text = ln.strip()
-        if not text:
-            continue
-        cells = text.split(",")
-        if len(cells) != 3:
-            raise ParseError(path, k, f"expected 3 fields, found {len(cells)}")
-        i = _parse_int(cells[0], path, k, "row index")
-        j = _parse_int(cells[1], path, k, "column index")
-        if not (0 <= i < n and 0 <= j < m):
-            raise ParseError(path, k, f"index ({i},{j}) outside shape ({n},{m})")
-        if (i, j) in seen:
-            raise ParseError(path, k, f"duplicate pair ({i},{j})")
-        seen.add((i, j))
-        rows.append(i)
-        cols.append(j)
-        values.append(_parse_float(cells[2], path, k))
-    if not rows:
-        raise ParseError(path, len(lines), "entry set is empty")
-    order = sorted(range(len(rows)), key=lambda t: (rows[t], cols[t]))
-    return OmegaSet(shape=(n, m),
-                    rows=np.asarray([rows[t] for t in order], dtype=np.int64),
-                    cols=np.asarray([cols[t] for t in order], dtype=np.int64),
-                    values=np.asarray([values[t] for t in order]))
-
-
-def write_index(index: IndexSet, path) -> None:
-    # draw order on disk: sorting it back recovers `indices`, so nothing is lost
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(str(int(i)) for i in index.draw_order) + "\n")
-
-
-def read_index(path, kind: str, bound: int) -> IndexSet:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    drawn = []
-    for k, ln in enumerate(lines, start=1):
-        text = ln.strip()
-        if not text:
-            continue
-        value = _parse_int(text, path, k, "index")
-        if not 0 <= value < bound:
-            raise ParseError(path, k, f"index {value} out of range [0, {bound})")
-        drawn.append(value)
-    if not drawn:
-        raise ParseError(path, 1, "index set is empty")
-    order = np.asarray(drawn, dtype=np.int64)
-    return IndexSet(kind=kind, indices=np.sort(order), bound=bound,
-                    draw_order=order)
 
 
 def ensure_dir(path) -> None:

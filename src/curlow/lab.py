@@ -1,8 +1,12 @@
-"""Seeded Monte-Carlo harness behind the CLI: generates instances,
-resolves "auto" sample budgets from measured coherence, runs the
-configured inequality checks over independent trials, and aggregates
-holds-rates. Trials run in parallel keyed by trial index, so results are
-independent of thread count.
+"""Seeded Monte-Carlo harness behind the CLI, built on one
+sample-and-recover path: `load_instance` generates an instance from
+stream.derive(0) (or takes a supplied matrix) and resolves its "auto"
+sample budgets from measured coherence; a `Draw` samples it from
+derive(1), (2) and (3) of its own stream and builds the bases, design and
+recovery. `recover` draws from the base stream, each `verify` trial from
+base.derive(trial), and `sweep` loads each trial's instance once and draws
+from base.derive(trial).derive(1 + d) per grid point d. Trials run in
+parallel keyed by trial index, so results are independent of thread count.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from .recovery import (
     build_bases,
     recover,
 )
-from .sampling import sample_columns, sample_entries, sample_rows
+from .sampling import RngStream, sample_columns, sample_entries, sample_rows
 from .synth import generate
 
 
@@ -64,7 +68,7 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
                               * (cfg.t + math.log(n)))
         details.update({"lam": lam, "mu_lambda": rep.mu_lambda,
                         "numerical_rank": rep.value, "regime": "full-rank"})
-    d = cfg.d if isinstance(cfg.d, int) else min(d_formula, m)
+    d = cfg.d if isinstance(cfg.d, int) else min(d_formula, n, m)
     d = max(d, r)
     if cfg.kind != "exact-low-rank":
         _, omega_formula = bounds.sample_size_full_rank(
@@ -76,136 +80,148 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
     return Budget(d=d, omega=min(omega, n * m), details=details)
 
 
-class TrialContext:
-    """One generated instance plus lazily drawn samples, shared by every
-    check that runs in the same trial."""
+def load_instance(cfg: ExperimentConfig, stream: RngStream,
+                  M: np.ndarray | None = None,
+                  sigma: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, Budget]:
+    """The instance M, its singular values and its budget. Without a
+    supplied M the instance is generated from stream.derive(0)."""
+    if M is None:
+        M, factors = generate(cfg.synth_spec(stream.derive(0)))
+        sigma = factors.sigma
+    elif sigma is None:
+        sigma = svd(M).sigma
+    return M, sigma, resolve_budgets(cfg, M, sigma)
 
-    def __init__(self, cfg: ExperimentConfig, trial: int):
+
+class Draw:
+    """d columns, d rows and omega entries of one instance, drawn lazily
+    from stream.derive(1), (2) and (3), and the bases, design and recovery
+    built on them; each is computed once and shared by all its readers."""
+
+    def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
+                 sigma: np.ndarray, d: int, omega: int, stream: RngStream):
         self.cfg = cfg
-        self.trial = trial
-        self.stream = cfg.base_stream().derive(trial)
-        self.M, self.factors = generate(cfg.synth_spec(self.stream.derive(0)))
-        self.budget = resolve_budgets(cfg, self.M, self.factors.sigma)
+        self.M = M
+        self.sigma = sigma
+        self.d = d
+        self.omega = omega
+        self.stream = stream
+        self.n, self.m = M.shape
+        # a plain dict: functools.cached_property serializes pool threads
+        # on one lock per attribute before Python 3.12
         self._cache: dict = {}
 
     @property
-    def n(self) -> int:
-        return self.M.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.M.shape[1]
-
-    @property
     def lam(self) -> float:
-        sig = self.factors.sigma
-        return float(sig[self.cfg.r - 1]) ** 2 / (self.n * self.m)
+        return float(self.sigma[self.cfg.r - 1]) ** 2 / (self.n * self.m)
 
     def _get(self, key, build):
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
 
-    def col_sample(self):
+    def cols(self):
         return self._get("cols", lambda: sample_columns(
-            self.M, self.budget.d, self.stream.derive(1)))
+            self.M, self.d, self.stream.derive(1)))
 
-    def row_sample(self):
+    def rows(self):
         return self._get("rows", lambda: sample_rows(
-            self.M, self.budget.d, self.stream.derive(2)))
+            self.M, self.d, self.stream.derive(2)))
 
-    def entry_sample(self):
-        return self._get("omega", lambda: sample_entries(
-            self.M, self.budget.omega, self.stream.derive(3)))
+    def entries(self):
+        return self._get("entries", lambda: sample_entries(
+            self.M, self.omega, self.stream.derive(3)))
 
     def bases(self):
-        def build():
-            _, A = self.col_sample()
-            _, B = self.row_sample()
-            return build_bases(A, B, self.cfg.r)
-        return self._get("bases", build)
+        return self._get("bases", lambda: build_bases(
+            self.cols()[1], self.rows()[1], self.cfg.r))
 
     def design(self):
         return self._get("design", lambda: assemble_design(
-            self.bases(), self.entry_sample()))
+            self.bases(), self.entries()))
 
     def recovery(self):
-        def build():
-            _, A = self.col_sample()
-            _, B = self.row_sample()
-            inputs = RecoveryInputs(A=A, B=B, omega=self.entry_sample(),
-                                    r=self.cfg.r)
-            return recover(inputs, ridge=self.cfg.ridge)
-        return self._get("recovery", build)
+        return self._get("recovery", lambda: recover(RecoveryInputs(
+            A=self.cols()[1], B=self.rows()[1], omega=self.entries(),
+            r=self.cfg.r), ridge=self.cfg.ridge))
 
     def h_pair(self):
-        def build():
-            _, A = self.col_sample()
-            return bounds.build_h_pair(self.M, A, "A", self.lam)
-        return self._get("h_pair", build)
+        return self._get("h_pair", lambda: bounds.build_h_pair(
+            self.M, self.cols()[1], "A", self.lam))
+
+    def recovery_bound(self) -> BoundReport:
+        return self._get("bound", lambda: bounds.check_full_rank_recovery(
+            self.M, self.recovery()[0], self.cfg.r, self.d,
+            {"omega_size": self.entries().size, "t": self.cfg.t}))
+
+    def score(self) -> tuple[float, np.ndarray]:
+        """Relative Frobenius error of the recovery and the residual
+        M - M_hat."""
+        diff = self.M - self.recovery()[1]
+        denom = frobenius_norm(self.M)
+        rel = 0.0 if denom == 0 else float(frobenius_norm(diff) / denom)
+        return rel, diff
 
 
-def _run_projection(ctx: TrialContext) -> list[BoundReport]:
+def _run_projection(ctx: Draw) -> list[BoundReport]:
     b = ctx.bases()
     rep_v, rep_u = bounds.check_projection(ctx.M, b.V_hat, b.U_hat,
-                                           ctx.cfg.r, ctx.budget.d, ctx.cfg.t)
+                                           ctx.cfg.r, ctx.d, ctx.cfg.t)
     return [rep_v, rep_u]
 
 
-def _run_delta(ctx: TrialContext) -> list[BoundReport]:
+def _run_delta(ctx: Draw) -> list[BoundReport]:
     full = ctx.cfg.kind != "exact-low-rank"
-    return [bounds.check_delta(ctx.M, ctx.bases(), ctx.cfg.r, ctx.budget.d,
+    return [bounds.check_delta(ctx.M, ctx.bases(), ctx.cfg.r, ctx.d,
                                ctx.cfg.t, full_rank=full)]
 
 
-def _run_delta_triangle(ctx: TrialContext) -> list[BoundReport]:
+def _run_delta_triangle(ctx: Draw) -> list[BoundReport]:
     return [bounds.check_delta_triangle(ctx.M, ctx.bases())]
 
 
-def _run_combine(ctx: TrialContext) -> list[BoundReport]:
+def _run_combine(ctx: Draw) -> list[BoundReport]:
     result, M_hat = ctx.recovery()
     full = ctx.cfg.kind != "exact-low-rank"
     delta_rep = bounds.check_delta(ctx.M, result.bases, ctx.cfg.r,
-                                   ctx.budget.d, ctx.cfg.t, full_rank=full)
-    gamma = result.lambda_min_KtK * ctx.n * ctx.m / ctx.entry_sample().size
+                                   ctx.d, ctx.cfg.t, full_rank=full)
+    gamma = result.lambda_min_KtK * ctx.n * ctx.m / ctx.entries().size
     return [bounds.check_combine(ctx.M, M_hat, delta_rep.lhs, gamma)]
 
 
-def _run_halko(ctx: TrialContext) -> list[BoundReport]:
-    idx, _ = ctx.col_sample()
+def _run_halko(ctx: Draw) -> list[BoundReport]:
+    idx, _ = ctx.cols()
     return [bounds.check_halko(ctx.M, idx, ctx.cfg.r)]
 
 
-def _run_omega1(ctx: TrialContext) -> list[BoundReport]:
-    idx, _ = ctx.col_sample()
-    return [bounds.check_omega1_spectrum(ctx.M, idx, ctx.cfg.r, ctx.budget.d)]
+def _run_omega1(ctx: Draw) -> list[BoundReport]:
+    idx, _ = ctx.cols()
+    return [bounds.check_omega1_spectrum(ctx.M, idx, ctx.cfg.r, ctx.d)]
 
 
-def _run_strong_convexity(ctx: TrialContext) -> list[BoundReport]:
+def _run_strong_convexity(ctx: Draw) -> list[BoundReport]:
     return [bounds.check_strong_convexity(ctx.design(), ctx.n, ctx.m,
                                           bases=ctx.bases(), t=ctx.cfg.t)]
 
 
-def _run_h_sandwich(ctx: TrialContext) -> list[BoundReport]:
+def _run_h_sandwich(ctx: Draw) -> list[BoundReport]:
     return [bounds.check_h_sandwich(ctx.h_pair(), ctx.cfg.sandwich_delta,
                                     ctx.cfg.t)]
 
 
-def _run_mu_hat(ctx: TrialContext) -> list[BoundReport]:
+def _run_mu_hat(ctx: Draw) -> list[BoundReport]:
     return [bounds.check_mu_hat_bound(ctx.M, ctx.bases(), ctx.cfg.r, ctx.lam,
-                                      ctx.budget.d, ctx.cfg.t)]
+                                      ctx.d, ctx.cfg.t)]
 
 
-def _run_sin_theta(ctx: TrialContext) -> list[BoundReport]:
+def _run_sin_theta(ctx: Draw) -> list[BoundReport]:
     pair = ctx.h_pair()
     return [bounds.check_sin_theta_perturbation(pair.H, pair.H_hat, ctx.cfg.r)]
 
 
-def _run_full_rank_recovery(ctx: TrialContext) -> list[BoundReport]:
-    result, _ = ctx.recovery()
-    params = {"omega_size": ctx.entry_sample().size, "t": ctx.cfg.t}
-    return [bounds.check_full_rank_recovery(ctx.M, result, ctx.cfg.r,
-                                            ctx.budget.d, params)]
+def _run_full_rank_recovery(ctx: Draw) -> list[BoundReport]:
+    return [ctx.recovery_bound()]
 
 
 _RUNNERS = {
@@ -224,11 +240,13 @@ _RUNNERS = {
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
-    ctx = TrialContext(cfg, trial)
+    stream = cfg.base_stream().derive(trial)
+    M, sigma, budget = load_instance(cfg, stream)
+    ctx = Draw(cfg, M, sigma, budget.d, budget.omega, stream)
     reports: list[BoundReport] = []
     for name in cfg.checks:
         reports.extend(_RUNNERS[name](ctx))
-    return {"trial": trial, "d": ctx.budget.d, "omega": ctx.budget.omega,
+    return {"trial": trial, "d": budget.d, "omega": budget.omega,
             "reports": [r.to_dict() for r in reports]}
 
 
@@ -273,66 +291,50 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None,
     """One full sample-and-recover pass; returns the report dict and the
     recovered matrix under key "_M_hat" (stripped before serialization)."""
     stream = cfg.base_stream()
-    if M is None:
-        M, factors = generate(cfg.synth_spec(stream.derive(0)))
-        sigma = factors.sigma
-    elif sigma is None:
-        sigma = svd(M).sigma
-    budget = resolve_budgets(cfg, M, sigma)
-    col_idx, A = sample_columns(M, budget.d, stream.derive(1))
-    row_idx, B = sample_rows(M, budget.d, stream.derive(2))
-    omega = sample_entries(M, budget.omega, stream.derive(3))
-    result, M_hat = recover(RecoveryInputs(A=A, B=B, omega=omega, r=cfg.r),
-                            ridge=cfg.ridge)
-    n, m = M.shape
-    diff = M - M_hat
-    denom = frobenius_norm(M)
-    bound_rep = bounds.check_full_rank_recovery(
-        M, result, cfg.r, budget.d, {"omega_size": omega.size, "t": cfg.t})
+    M, sigma, budget = load_instance(cfg, stream, M, sigma)
+    draw = Draw(cfg, M, sigma, budget.d, budget.omega, stream)
+    result, M_hat = draw.recovery()
+    rel, diff = draw.score()
+    omega_size = draw.entries().size
     return {
         "config": cfg.to_flat(),
         "budget": budget.details,
-        "col_indices": [int(i) for i in col_idx.indices],
-        "row_indices": [int(i) for i in row_idx.indices],
-        "omega_size": omega.size,
+        "col_indices": [int(i) for i in draw.cols()[0].indices],
+        "row_indices": [int(i) for i in draw.rows()[0].indices],
+        "omega_size": omega_size,
         "lambda_min_gram": result.lambda_min_KtK,
-        "gamma": result.lambda_min_KtK * n * m / omega.size,
+        "gamma": result.lambda_min_KtK * draw.n * draw.m / omega_size,
         "residual": result.residual,
         "metrics": {
-            "rel_frobenius": 0.0 if denom == 0 else
-                             float(frobenius_norm(diff) / denom),
+            "rel_frobenius": rel,
             "spectral_sq": float(spectral_norm(diff) ** 2),
-            "recovery_bound": bound_rep.to_dict(),
+            "recovery_bound": draw.recovery_bound().to_dict(),
         },
         "_M_hat": M_hat,
     }
 
 
-def _union_count(n: int, m: int, d: int, omega, col_idx, row_idx) -> int:
-    in_cols = np.isin(omega.cols, col_idx.indices)
-    in_rows = np.isin(omega.rows, row_idx.indices)
+def _union_count(draw: Draw) -> int:
+    omega, d = draw.entries(), draw.d
+    in_cols = np.isin(omega.cols, draw.cols()[0].indices)
+    in_rows = np.isin(omega.rows, draw.rows()[0].indices)
     overlap = int(np.count_nonzero(in_cols | in_rows))
-    return d * n + d * m - d * d + omega.size - overlap
+    return d * draw.n + d * draw.m - d * d + omega.size - overlap
 
 
-def _sweep_point(cfg: ExperimentConfig, d: int, trial: int) -> dict:
+def _sweep_point(cfg: ExperimentConfig, trial: int,
+                 grid: list[int]) -> dict[int, dict]:
+    """One sweep trial: the instance and its budget once, then a draw from
+    stream.derive(1 + d) for each grid point d in order."""
     stream = cfg.base_stream().derive(trial)
-    M, factors = generate(cfg.synth_spec(stream.derive(0)))
-    n, m = M.shape
-    point_stream = stream.derive(1 + d)
-    budget = resolve_budgets(cfg, M, factors.sigma)
-    omega_size = budget.omega
-    col_idx, A = sample_columns(M, d, point_stream.derive(1))
-    row_idx, B = sample_rows(M, d, point_stream.derive(2))
-    omega = sample_entries(M, omega_size, point_stream.derive(3))
-    result, M_hat = recover(RecoveryInputs(A=A, B=B, omega=omega, r=cfg.r),
-                            ridge=cfg.ridge)
-    rel = frobenius_norm(M - M_hat) / frobenius_norm(M)
-    rep = bounds.check_full_rank_recovery(
-        M, result, cfg.r, d, {"omega_size": omega.size, "t": cfg.t})
-    return {"rel_error": float(rel), "omega": omega.size,
-            "holds": bool(rep.holds),
-            "union": _union_count(n, m, d, omega, col_idx, row_idx)}
+    M, sigma, budget = load_instance(cfg, stream)
+    outs = {}
+    for d in grid:
+        draw = Draw(cfg, M, sigma, d, budget.omega, stream.derive(1 + d))
+        outs[d] = {"rel_error": draw.score()[0], "omega": draw.entries().size,
+                   "holds": bool(draw.recovery_bound().holds),
+                   "union": _union_count(draw)}
+    return outs
 
 
 def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
@@ -343,21 +345,24 @@ def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
     if not grid:
         raise ValueError("d grid is empty")
     workers = threads if threads is not None else thread_count()
+    if grid[0] < 1:
+        raise ValueError(f"grid entries must be >= 1, got {grid[0]}")
+    live = [d for d in grid if cfg.r <= d <= min(cfg.m, cfg.n)]
+    trials = []
+    if live:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            trials = list(pool.map(lambda k: _sweep_point(cfg, k, live),
+                                   range(cfg.trials)))
     rows = []
-    limit = min(cfg.m, cfg.n)
     for d in grid:
-        if d < 1:
-            raise ValueError(f"grid entries must be >= 1, got {d}")
         row = {"d": d, "analytic_total": bounds.total_observations(cfg.n, d)}
-        if d < cfg.r or d > limit:
+        if d not in live:
             row.update({"omega": None, "observed_total": None, "union": None,
                         "rel_error": None, "bound_rate": None,
                         "skipped": "d outside [r, min(n, m)]"})
             rows.append(row)
             continue
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(lambda k: _sweep_point(cfg, d, k),
-                                 range(cfg.trials)))
+        outs = [t[d] for t in trials]
         omega_mean = float(np.mean([o["omega"] for o in outs]))
         row.update({
             "omega": omega_mean,

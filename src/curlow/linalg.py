@@ -1,5 +1,5 @@
 """Dense linear algebra kernels: SVD, spectral partitions, eigenbases,
-pseudo-inverses, projectors, and norms.
+pseudo-inverses, and norms.
 
 Matrices are plain 2-d float64 numpy arrays throughout (row-major). All
 factorizations apply a deterministic sign convention so repeated runs on
@@ -57,13 +57,6 @@ class SvdFactors:
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-
-    @property
-    def rank_numerical(self) -> int:
-        """Count of singular values above the relative zero cutoff."""
-        if self.sigma.size == 0 or self.sigma[0] == 0.0:
-            return 0
-        return int(np.sum(self.sigma > PINV_RTOL * self.sigma[0]))
 
     def reconstruct(self) -> DenseMatrix:
         return (self.U * self.sigma) @ self.V.T
@@ -149,15 +142,6 @@ def eigh_descending(G) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def top_r_eigvecs(G, r: int) -> np.ndarray:
-    """Orthonormal eigenvectors of symmetric G for its r largest eigenvalues."""
-    A = as_matrix(G, "G")
-    if not 1 <= r <= A.shape[0]:
-        raise ValueError(f"r must be in [1, {A.shape[0]}], got {r}")
-    _, V = eigh_descending(A)
-    return V[:, :r]
-
-
 def pseudo_inverse(M, tol: float = PINV_RTOL) -> DenseMatrix:
     """Moore-Penrose pseudo-inverse via SVD.
 
@@ -171,21 +155,6 @@ def pseudo_inverse(M, tol: float = PINV_RTOL) -> DenseMatrix:
     keep = f.sigma > cutoff
     inv[keep] = 1.0 / f.sigma[keep]
     return (f.V * inv) @ f.U.T
-
-
-def projector(Q) -> DenseMatrix:
-    """Orthogonal projector Q @ Q.T onto the column span of an orthonormal Q."""
-    A = np.asarray(Q, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError(f"Q must be 2-d, got ndim={A.ndim}")
-    if A.shape[1] == 0:
-        return np.zeros((A.shape[0], A.shape[0]))
-    gram_err = float(np.linalg.norm(A.T @ A - np.eye(A.shape[1])))
-    if gram_err > ORTHONORMAL_TOL:
-        raise ValueError(
-            f"Q does not have orthonormal columns: ||Q^T Q - I||_F = {gram_err:.3e}"
-        )
-    return A @ A.T
 
 
 def spectral_norm(M) -> float:

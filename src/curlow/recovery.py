@@ -60,17 +60,6 @@ class DesignSystem:
     r: int
     shape: tuple[int, int]  # grid shape the observations came from
 
-    def column_of(self, i: int, j: int) -> int:
-        """Column index of core coefficient (i, j)."""
-        if not (0 <= i < self.r and 0 <= j < self.r):
-            raise ValueError(f"coefficient ({i}, {j}) outside [0, {self.r})^2")
-        return i * self.r + j
-
-    def pair_of(self, col: int) -> tuple[int, int]:
-        if not 0 <= col < self.r * self.r:
-            raise ValueError(f"column {col} outside [0, {self.r * self.r})")
-        return divmod(col, self.r)
-
 
 @dataclass(frozen=True)
 class RecoveryInputs:

@@ -121,19 +121,3 @@ def sample_entries(M, s: int, stream: RngStream) -> OmegaSet:
     flat = np.sort(flat.astype(np.int64))
     rows, cols = np.divmod(flat, m)
     return OmegaSet(shape=(n, m), rows=rows, cols=cols, values=A[rows, cols].copy())
-
-
-def restrict(M, omega: OmegaSet) -> OmegaSet:
-    """Re-read the observed positions from M, keeping the index pattern."""
-    A = as_matrix(M)
-    if A.shape != omega.shape:
-        raise ValueError(f"shape mismatch: M is {A.shape}, omega is {omega.shape}")
-    return OmegaSet(shape=omega.shape, rows=omega.rows, cols=omega.cols,
-                    values=A[omega.rows, omega.cols].copy())
-
-
-def densify(omega: OmegaSet) -> DenseMatrix:
-    """Dense n x m matrix holding the observed values, zero elsewhere."""
-    out = np.zeros(omega.shape)
-    out[omega.rows, omega.cols] = omega.values
-    return out

@@ -31,7 +31,6 @@ from curlow.recovery import RecoveryInputs, assemble_design, build_bases, recove
 from curlow.sampling import (
     IndexSet,
     RngStream,
-    restrict,
     sample_columns,
     sample_entries,
     sample_rows,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curlow.cli import main, write_csv, write_json
-from curlow.io import read_matrix
+from curlow.io import read_matrix, write_matrix
 from curlow.linalg import frobenius_norm
 
 
@@ -65,6 +65,20 @@ def test_recover_metrics_match_written_matrix(tmp_path):
     # serialized at 17 significant digits, so recomputation agrees tightly
     assert report["metrics"]["rel_frobenius"] == pytest.approx(rel, abs=1e-12)
     assert report["config"]["synth.n"] == 30
+
+
+def test_recover_wide_matrix_file(tmp_path):
+    # auto d is capped at min(n, m): sample_rows draws from the 30 rows
+    g = np.random.default_rng(3)
+    U, _ = np.linalg.qr(g.standard_normal((30, 3)))
+    V, _ = np.linalg.qr(g.standard_normal((80, 3)))
+    path = tmp_path / "w.mtx"
+    write_matrix((U * [5.0, 2.0, 1.0]) @ V.T, path)
+    out = tmp_path / "rec"
+    assert run("recover", "--matrix", str(path), "--out", str(out),
+               "--set", "r=3") == 0
+    report = json.loads((out / "recovery.json").read_text())
+    assert report["metrics"]["rel_frobenius"] <= 1e-8
 
 
 def test_recover_csv_output(tmp_path):

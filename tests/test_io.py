@@ -4,14 +4,9 @@ import pytest
 from curlow.io import (
     DENSE_BANNER,
     ParseError,
-    read_index,
     read_matrix,
-    read_omega,
-    write_index,
     write_matrix,
-    write_omega,
 )
-from curlow.sampling import RngStream, sample_columns, sample_entries
 
 
 def test_identity_round_trip_dense(tmp_path):
@@ -96,99 +91,6 @@ def test_csv_dimension_mismatch_rejected(tmp_path):
     path.write_text("# rows=3 cols=2\n1,2\n3,4\n")
     with pytest.raises(ParseError):
         read_matrix(path)
-
-
-def test_omega_round_trip_small(tmp_path):
-    M = np.arange(12, dtype=float).reshape(3, 4) / 7.0
-    omega = sample_entries(M, 3, RngStream(seed=4))
-    path = tmp_path / "omega.csv"
-    write_omega(omega, path)
-    back = read_omega(path)
-    assert back.shape == omega.shape
-    assert np.array_equal(back.rows, omega.rows)
-    assert np.array_equal(back.cols, omega.cols)
-    assert np.array_equal(back.values, omega.values)
-
-
-def test_omega_round_trip_large_bitwise(tmp_path):
-    g = np.random.default_rng(5)
-    M = g.standard_normal((120, 100))
-    omega = sample_entries(M, 10_000, RngStream(seed=6))
-    path = tmp_path / "omega.csv"
-    write_omega(omega, path)
-    write_omega(omega, tmp_path / "omega2.csv")
-    assert path.read_bytes() == (tmp_path / "omega2.csv").read_bytes()
-    back = read_omega(path)
-    assert np.array_equal(back.values, omega.values)
-    assert np.array_equal(back.rows, omega.rows)
-
-
-def test_omega_sorted_by_position(tmp_path):
-    M = np.arange(30, dtype=float).reshape(5, 6)
-    omega = sample_entries(M, 20, RngStream(seed=7))
-    path = tmp_path / "omega.csv"
-    write_omega(omega, path)
-    body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
-    assert body[0] == "i,j,value"
-    pairs = [tuple(map(int, ln.split(",")[:2])) for ln in body[1:]]
-    assert pairs == sorted(pairs)
-
-
-def test_omega_duplicate_pair_rejected(tmp_path):
-    path = tmp_path / "dup.csv"
-    path.write_text("# shape=3,3\ni,j,value\n0,1,2.0\n0,1,3.0\n")
-    with pytest.raises(ParseError) as err:
-        read_omega(path)
-    assert "duplicate" in str(err.value)
-
-
-def test_omega_empty_body_rejected(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("# shape=3,3\ni,j,value\n")
-    with pytest.raises(ParseError):
-        read_omega(path)
-
-
-def test_omega_out_of_bounds_rejected(tmp_path):
-    path = tmp_path / "oob.csv"
-    path.write_text("# shape=3,3\ni,j,value\n0,5,2.0\n")
-    with pytest.raises(ParseError):
-        read_omega(path)
-
-
-def test_omega_malformed_header_rejected(tmp_path):
-    path = tmp_path / "hdr.csv"
-    path.write_text("# shape=3,3\nrow,col,val\n0,1,2.0\n")
-    with pytest.raises(ParseError) as err:
-        read_omega(path)
-    assert err.value.line_no == 2
-
-
-def test_index_round_trip_preserves_draw_order(tmp_path):
-    M = np.arange(56, dtype=float).reshape(7, 8)
-    idx, _ = sample_columns(M, 5, RngStream(seed=8))
-    path = tmp_path / "cols.txt"
-    write_index(idx, path)
-    back = read_index(path, kind="col-indices", bound=8)
-    assert np.array_equal(back.draw_order, idx.draw_order)
-    assert np.array_equal(back.indices, idx.indices)
-    assert back.bound == 8
-
-
-def test_index_one_entry_per_line(tmp_path):
-    M = np.arange(20, dtype=float).reshape(4, 5)
-    idx, _ = sample_columns(M, 3, RngStream(seed=9))
-    path = tmp_path / "cols.txt"
-    write_index(idx, path)
-    body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
-    assert [int(x) for x in body] == list(idx.draw_order)
-
-
-def test_index_out_of_bounds_rejected(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0\n9\n")
-    with pytest.raises(ParseError):
-        read_index(path, kind="col-indices", bound=5)
 
 
 def test_missing_file_raises_oserror(tmp_path):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from curlow import lab
 from curlow.bounds import sample_size_low_rank, total_observations
 from curlow.coherence import mu_r
 from curlow.config import ExperimentConfig
 from curlow.lab import (
-    TrialContext,
+    Draw,
     aggregate_reports,
+    load_instance,
     resolve_budgets,
     run_recovery,
     run_sweep,
@@ -14,6 +16,9 @@ from curlow.lab import (
     run_verify,
     thread_count,
 )
+from curlow.linalg import frobenius_norm
+from curlow.recovery import RecoveryInputs, recover
+from curlow.sampling import sample_columns, sample_entries, sample_rows
 from curlow.synth import generate
 
 
@@ -68,9 +73,11 @@ def test_resolve_budgets_full_rank_regime():
 def test_trial_context_caches_samples():
     cfg = ExperimentConfig(n=32, m=32, kind="exact-low-rank", synth_r=2, r=2,
                            checks=("delta", "combine"))
-    ctx = TrialContext(cfg, trial=0)
-    idx1, _ = ctx.col_sample()
-    idx2, _ = ctx.col_sample()
+    stream = cfg.base_stream().derive(0)
+    M, sigma, budget = load_instance(cfg, stream)
+    ctx = Draw(cfg, M, sigma, budget.d, budget.omega, stream)
+    idx1, _ = ctx.cols()
+    idx2, _ = ctx.cols()
     assert idx1 is idx2
     assert ctx.bases() is ctx.bases()
 
@@ -160,9 +167,67 @@ def test_run_sweep_rows_and_skips():
 
 
 def test_run_sweep_thread_invariance():
+    # more trials than workers, several live points and a skipped one
+    cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
+                           synth_r=2, r=2, omega_count=250, trials=5)
+    grid = [1, 6, 8, 12]
+    assert run_sweep(cfg, grid, threads=1) == run_sweep(cfg, grid, threads=3)
+
+
+def _compose(cfg, M, sigma, stream, d=None):
+    # the draw layout spelled out by hand: samples from stream.derive(1..3)
+    budget = resolve_budgets(cfg, M, sigma)
+    d = budget.d if d is None else d
+    col_idx, A = sample_columns(M, d, stream.derive(1))
+    row_idx, B = sample_rows(M, d, stream.derive(2))
+    omega = sample_entries(M, budget.omega, stream.derive(3))
+    _, M_hat = recover(RecoveryInputs(A=A, B=B, omega=omega, r=cfg.r),
+                       ridge=cfg.ridge)
+    return col_idx, row_idx, omega, M_hat
+
+
+def test_run_recovery_stream_layout():
+    cfg = ExperimentConfig(n=40, m=40, kind="geometric-spectrum", decay=0.5,
+                           synth_r=3, r=3, d=14, omega_count=700)
+    base = cfg.base_stream()
+    M, factors = generate(cfg.synth_spec(base.derive(0)))
+    col_idx, row_idx, omega, M_hat = _compose(cfg, M, factors.sigma, base)
+    out = run_recovery(cfg)
+    assert out["col_indices"] == col_idx.indices.tolist()
+    assert out["row_indices"] == row_idx.indices.tolist()
+    assert out["omega_size"] == omega.size
+    assert np.array_equal(out["_M_hat"], M_hat)
+
+
+def test_run_sweep_stream_layout():
     cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2, omega_count=250, trials=3)
-    assert run_sweep(cfg, [6, 12], threads=1) == run_sweep(cfg, [6, 12], threads=3)
+    d = 8
+    errors = []
+    for trial in range(cfg.trials):
+        stream = cfg.base_stream().derive(trial)
+        M, factors = generate(cfg.synth_spec(stream.derive(0)))
+        *_, M_hat = _compose(cfg, M, factors.sigma, stream.derive(1 + d), d)
+        errors.append(frobenius_norm(M - M_hat) / frobenius_norm(M))
+    row, = run_sweep(cfg, [d])
+    assert row["rel_error"] == float(np.mean(errors))
+
+
+def test_run_sweep_loads_each_instance_once(monkeypatch):
+    calls = []
+    for name in ("generate", "resolve_budgets"):
+        def counted(*args, _fn=getattr(lab, name), _name=name, **kwargs):
+            calls.append(_name)  # list.append is atomic across pool threads
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lab, name, counted)
+    cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
+                           omega_count=250, trials=2)
+    rows = run_sweep(cfg, [1, 4, 8, 12, 30], threads=2)
+    assert sum("skipped" not in row for row in rows) == 3
+    assert sorted(calls) == ["generate"] * 2 + ["resolve_budgets"] * 2
+    calls.clear()
+    run_sweep(cfg, [1, 30])
+    assert calls == []
 
 
 def test_run_sweep_validation():

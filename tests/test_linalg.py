@@ -6,11 +6,9 @@ from curlow.linalg import (
     eigh_descending,
     frobenius_norm,
     partition_svd,
-    projector,
     pseudo_inverse,
     spectral_norm,
     svd,
-    top_r_eigvecs,
 )
 
 
@@ -124,11 +122,12 @@ def test_partition_rejects_bad_rank():
             partition_svd(f, r)
 
 
-# --- top_r_eigvecs ------------------------------------------------------
+# --- top eigenvectors ----------------------------------------------------
 
 
 def test_top_eigvecs_diagonal():
-    Q = top_r_eigvecs(np.diag([3.0, 2.0, 1.0]), 2)
+    _, Q = eigh_descending(np.diag([3.0, 2.0, 1.0]))
+    Q = Q[:, :2]
     assert np.allclose(np.abs(Q), np.eye(3)[:, :2], atol=1e-12)
 
 
@@ -137,7 +136,7 @@ def test_top_eigvecs_recovers_planted_subspace():
     Q0 = random_orthonormal(n, n, seed=7)
     lam = np.concatenate([[9.0, 8.0, 7.0], np.linspace(1.0, 0.1, n - r)])
     G = (Q0 * lam) @ Q0.T
-    Q = top_r_eigvecs(G, r)
+    Q = eigh_descending(G)[1][:, :r]
     # sin-theta distance via projector difference
     gap = np.linalg.norm(Q0[:, :r] @ Q0[:, :r].T - Q @ Q.T, 2)
     assert gap < 1e-10
@@ -146,15 +145,14 @@ def test_top_eigvecs_recovers_planted_subspace():
 def test_top_eigvecs_full_rank_reconstructs():
     G0 = rng(8).standard_normal((5, 5))
     G = G0 @ G0.T
-    Q = top_r_eigvecs(G, 5)
-    w, _ = eigh_descending(G)
+    w, Q = eigh_descending(G)
     assert np.allclose((Q * w) @ Q.T, G, atol=1e-10)
 
 
 def test_top_eigvecs_rejects_asymmetric():
     G = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        top_r_eigvecs(G, 1)
+        eigh_descending(G)
 
 
 def test_eigh_descending_order():
@@ -197,32 +195,6 @@ def test_pinv_drops_tiny_singular_values():
     M = np.diag([1.0, 1e-14])
     P = pseudo_inverse(M)
     assert P[1, 1] == 0.0
-
-
-# --- projector ----------------------------------------------------------
-
-
-def test_projector_canonical_axis():
-    q = np.zeros((3, 1))
-    q[0, 0] = 1.0
-    assert np.array_equal(projector(q), np.diag([1.0, 0.0, 0.0]))
-
-
-def test_projector_square_orthonormal_is_identity():
-    Q = random_orthonormal(4, 4, seed=12)
-    assert np.allclose(projector(Q), np.eye(4), atol=1e-12)
-
-
-def test_projector_idempotent():
-    Q = random_orthonormal(9, 3, seed=13)
-    P = projector(Q)
-    assert np.allclose(P @ P, P, atol=1e-10)
-    assert np.allclose(P, P.T, atol=1e-12)
-
-
-def test_projector_rejects_non_orthonormal():
-    with pytest.raises(ValueError):
-        projector(np.ones((3, 2)))
 
 
 # --- norms --------------------------------------------------------------

@@ -5,8 +5,6 @@ from curlow.sampling import (
     IndexSet,
     OmegaSet,
     RngStream,
-    densify,
-    restrict,
     sample_columns,
     sample_entries,
     sample_rows,
@@ -141,7 +139,9 @@ def test_full_grid_entries():
     M = planted(3, 4)
     omega = sample_entries(M, 12, RngStream(seed=3))
     assert omega.size == 12
-    assert np.array_equal(densify(omega), M)
+    dense = np.zeros_like(M)
+    dense[omega.rows, omega.cols] = omega.values
+    assert np.array_equal(dense, M)
 
 
 def test_entry_inclusion_frequencies_hypergeometric():
@@ -165,47 +165,6 @@ def test_entries_sorted_and_valued():
     assert np.allclose(omega.values, M[omega.rows, omega.cols])
 
 
-# --- restrict / densify ---------------------------------------------------
-
-
-def test_restrict_full_grid_round_trip():
-    M = planted(3, 3)
-    omega = sample_entries(M, 9, RngStream(seed=10))
-    assert np.array_equal(densify(restrict(M, omega)), M)
-
-
-def test_restrict_refreshes_values():
-    M = planted(4, 4)
-    omega = sample_entries(np.zeros_like(M), 6, RngStream(seed=11))
-    refreshed = restrict(M, omega)
-    assert np.allclose(refreshed.values, M[omega.rows, omega.cols])
-    assert np.all(omega.values == 0.0)
-
-
-def test_restricted_frobenius_square_is_sampled_energy():
-    M = planted(6, 5)
-    omega = sample_entries(M, 14, RngStream(seed=12))
-    dense = densify(restrict(M, omega))
-    assert abs(np.sum(dense**2) - np.sum(omega.values**2)) < 1e-12
-
-
-def test_restrict_shape_mismatch():
-    M = planted(3, 3)
-    omega = sample_entries(M, 4, RngStream(seed=13))
-    with pytest.raises(ValueError):
-        restrict(planted(4, 3), omega)
-
-
-def test_densify_zero_off_support():
-    M = planted(4, 6)
-    omega = sample_entries(M, 5, RngStream(seed=14))
-    dense = densify(omega)
-    mask = np.zeros((4, 6), dtype=bool)
-    mask[omega.rows, omega.cols] = True
-    assert np.all(dense[~mask] == 0.0)
-    assert np.allclose(dense[mask], M[mask])
-
-
 # --- independence of derived streams ---------------------------------------
 
 
@@ -223,10 +182,3 @@ def test_disjoint_streams_uncorrelated():
         y[t] = 1.0 if 0 in idx2.indices else 0.0
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 0.05
-
-
-def test_restrict_densify_idempotent():
-    M = planted(5, 5)
-    omega = sample_entries(M, 10, RngStream(seed=15))
-    once = densify(restrict(densify(omega), omega))
-    assert np.array_equal(once, densify(omega))
