@@ -97,6 +97,7 @@ def _matrix_ext(fmt: str) -> tuple[str, str]:
 
 def cmd_gen(args) -> int:
     cfg = load_experiment_config(args)
+    lab.check_range("r", cfg.r, 1, min(cfg.n, cfg.m), "[1, min(n, m)]")
     ensure_dir(args.out)
     M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
     ext, mfmt = _matrix_ext(args.format)

@@ -13,7 +13,7 @@ comment. Command-line overrides use the same `key = value` keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .io import ParseError
 from .sampling import RngStream
@@ -143,17 +143,9 @@ class ExperimentConfig:
         return RngStream(seed=self.seed)
 
     def to_flat(self) -> dict:
-        return {
-            "synth.n": self.n, "synth.m": self.m, "synth.kind": self.kind,
-            "synth.r": self.synth_r, "synth.decay": self.decay,
-            "synth.coherence": self.coherence,
-            "synth.spike_index": self.spike_index,
-            "synth.spike_weight": self.spike_weight,
-            "r": self.r, "d": self.d, "omega": self.omega_count,
-            "t": self.t, "trials": self.trials, "ridge": self.ridge,
-            "seed": self.seed, "sandwich_delta": self.sandwich_delta,
-            "checks": ",".join(self.checks),
-        }
+        flat = {key: getattr(self, name) for key, name in _KEY_TO_FIELD.items()}
+        flat["checks"] = ",".join(self.checks)
+        return flat
 
 
 _KEY_TO_FIELD = {
@@ -190,10 +182,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 def apply_overrides(config: ExperimentConfig, mapping: dict) -> ExperimentConfig:
     if not mapping:
         return config
-    merged = dict(config.to_flat())
-    had_synth_r = "synth.r" in mapping
+    merged = config.to_flat()
+    if "r" in mapping and "synth.r" not in mapping:
+        del merged["synth.r"]  # synth.r follows the new r
     merged.update(mapping)
-    rebuilt = config_from_mapping(merged)
-    if not had_synth_r and "r" in mapping:
-        rebuilt = replace(rebuilt, synth_r=mapping["r"])
-    return rebuilt
+    return config_from_mapping(merged)

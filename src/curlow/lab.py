@@ -1,12 +1,14 @@
 """Seeded Monte-Carlo harness behind the CLI, built on one
 sample-and-recover path: `load_instance` generates an instance from
-stream.derive(0) (or takes a supplied matrix) and resolves its "auto"
-sample budgets from measured coherence; a `Draw` samples it from
-derive(1), (2) and (3) of its own stream and builds the bases, design and
-recovery. `recover` draws from the base stream, each `verify` trial from
-base.derive(trial), and `sweep` loads each trial's instance once and draws
-from base.derive(trial).derive(1 + d) per grid point d. Trials run in
-parallel keyed by trial index, so results are independent of thread count.
+stream.derive(0) (or takes a supplied matrix), forms its
+lam = sigma_r^2 / (n m) once and resolves its "auto" sample budgets from
+measured coherence; a `Draw` samples it from derive(1), (2) and (3) of its
+own stream and builds the bases, the design, the fit on both and the Delta
+report once each, for every check that reads them. `recover` draws from
+the base stream, each `verify` trial from base.derive(trial), and `sweep`
+loads each trial's instance once and draws from
+base.derive(trial).derive(1 + d) per grid point d. Trials run in parallel
+keyed by trial index, so results are independent of thread count.
 """
 from __future__ import annotations
 
@@ -22,12 +24,7 @@ from .bounds import BoundReport
 from .config import ExperimentConfig
 from .coherence import mu_r, numerical_rank
 from .linalg import frobenius_norm, spectral_norm, svd
-from .recovery import (
-    RecoveryInputs,
-    assemble_design,
-    build_bases,
-    recover,
-)
+from .recovery import assemble_design, build_bases, fit
 from .sampling import RngStream, sample_columns, sample_entries, sample_rows
 from .synth import generate
 
@@ -52,24 +49,34 @@ class Budget:
     details: dict
 
 
+def check_range(key: str, value: int, low: int, high: int, rule: str) -> None:
+    """Refuse a user-set size that the instance cannot hold."""
+    if not low <= value <= high:
+        raise ValueError(f"{key}={value} is outside {rule} = [{low}, {high}]")
+
+
 def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
-                    sigma: np.ndarray) -> Budget:
+                    lam: float) -> Budget:
+    """Budgets from the formulas, capped at the instance; a budget set in
+    the config is used as given, or refused if the instance cannot hold it."""
     n, m = M.shape
     r = cfg.r
+    if isinstance(cfg.d, int):
+        check_range("d", cfg.d, r, min(n, m), "[r, min(n, m)]")
+    if isinstance(cfg.omega_count, int):
+        check_range("omega", cfg.omega_count, 1, n * m, "[1, n*m]")
     details: dict = {}
     if cfg.kind == "exact-low-rank":
         mu = mu_r(M, r).mu
         d_formula, omega_formula = bounds.sample_size_low_rank(mu, r, cfg.t)
         details.update({"mu_r": mu, "regime": "low-rank"})
     else:
-        lam = float(sigma[r - 1]) ** 2 / (m * n)
         rep = numerical_rank(M, lam)
         d_formula = math.ceil(16.0 * (rep.mu_lambda * rep.value + 1.0)
                               * (cfg.t + math.log(n)))
         details.update({"lam": lam, "mu_lambda": rep.mu_lambda,
                         "numerical_rank": rep.value, "regime": "full-rank"})
-    d = cfg.d if isinstance(cfg.d, int) else min(d_formula, n, m)
-    d = max(d, r)
+    d = cfg.d if isinstance(cfg.d, int) else max(min(d_formula, n, m), r)
     if cfg.kind != "exact-low-rank":
         _, omega_formula = bounds.sample_size_full_rank(
             details["mu_lambda"], details["numerical_rank"], cfg.t, n, d, r)
@@ -77,33 +84,36 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
         else min(omega_formula, n * m)
     details.update({"d_formula": d_formula, "omega_formula": omega_formula,
                     "d": d, "omega": omega})
-    return Budget(d=d, omega=min(omega, n * m), details=details)
+    return Budget(d=d, omega=omega, details=details)
 
 
 def load_instance(cfg: ExperimentConfig, stream: RngStream,
-                  M: np.ndarray | None = None,
-                  sigma: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, Budget]:
-    """The instance M, its singular values and its budget. Without a
-    supplied M the instance is generated from stream.derive(0)."""
+                  M: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, float, Budget]:
+    """The instance M, its lam = sigma_r^2 / (n m) and its budget. Without
+    a supplied M the instance is generated from stream.derive(0)."""
+    n, m = (cfg.n, cfg.m) if M is None else M.shape
+    check_range("r", cfg.r, 1, min(n, m), "[1, min(n, m)]")
     if M is None:
         M, factors = generate(cfg.synth_spec(stream.derive(0)))
         sigma = factors.sigma
-    elif sigma is None:
+    else:
         sigma = svd(M).sigma
-    return M, sigma, resolve_budgets(cfg, M, sigma)
+    lam = float(sigma[cfg.r - 1]) ** 2 / (n * m)
+    return M, lam, resolve_budgets(cfg, M, lam)
 
 
 class Draw:
     """d columns, d rows and omega entries of one instance, drawn lazily
-    from stream.derive(1), (2) and (3), and the bases, design and recovery
-    built on them; each is computed once and shared by all its readers."""
+    from stream.derive(1), (2) and (3), and the bases, design, fit and
+    Delta report built on them; each is computed once and shared by all
+    its readers."""
 
-    def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
-                 sigma: np.ndarray, d: int, omega: int, stream: RngStream):
+    def __init__(self, cfg: ExperimentConfig, M: np.ndarray, lam: float,
+                 d: int, omega: int, stream: RngStream):
         self.cfg = cfg
         self.M = M
-        self.sigma = sigma
+        self.lam = lam
         self.d = d
         self.omega = omega
         self.stream = stream
@@ -111,10 +121,6 @@ class Draw:
         # a plain dict: functools.cached_property serializes pool threads
         # on one lock per attribute before Python 3.12
         self._cache: dict = {}
-
-    @property
-    def lam(self) -> float:
-        return float(self.sigma[self.cfg.r - 1]) ** 2 / (self.n * self.m)
 
     def _get(self, key, build):
         if key not in self._cache:
@@ -142,9 +148,13 @@ class Draw:
             self.bases(), self.entries()))
 
     def recovery(self):
-        return self._get("recovery", lambda: recover(RecoveryInputs(
-            A=self.cols()[1], B=self.rows()[1], omega=self.entries(),
-            r=self.cfg.r), ridge=self.cfg.ridge))
+        return self._get("recovery", lambda: fit(
+            self.bases(), self.design(), self.cfg.ridge))
+
+    def delta(self) -> BoundReport:
+        return self._get("delta", lambda: bounds.check_delta(
+            self.M, self.bases(), self.cfg.r, self.d, self.cfg.t,
+            full_rank=self.cfg.kind != "exact-low-rank"))
 
     def h_pair(self):
         return self._get("h_pair", lambda: bounds.build_h_pair(
@@ -172,9 +182,7 @@ def _run_projection(ctx: Draw) -> list[BoundReport]:
 
 
 def _run_delta(ctx: Draw) -> list[BoundReport]:
-    full = ctx.cfg.kind != "exact-low-rank"
-    return [bounds.check_delta(ctx.M, ctx.bases(), ctx.cfg.r, ctx.d,
-                               ctx.cfg.t, full_rank=full)]
+    return [ctx.delta()]
 
 
 def _run_delta_triangle(ctx: Draw) -> list[BoundReport]:
@@ -183,11 +191,8 @@ def _run_delta_triangle(ctx: Draw) -> list[BoundReport]:
 
 def _run_combine(ctx: Draw) -> list[BoundReport]:
     result, M_hat = ctx.recovery()
-    full = ctx.cfg.kind != "exact-low-rank"
-    delta_rep = bounds.check_delta(ctx.M, result.bases, ctx.cfg.r,
-                                   ctx.d, ctx.cfg.t, full_rank=full)
     gamma = result.lambda_min_KtK * ctx.n * ctx.m / ctx.entries().size
-    return [bounds.check_combine(ctx.M, M_hat, delta_rep.lhs, gamma)]
+    return [bounds.check_combine(ctx.M, M_hat, ctx.delta().lhs, gamma)]
 
 
 def _run_halko(ctx: Draw) -> list[BoundReport]:
@@ -241,8 +246,8 @@ _RUNNERS = {
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     stream = cfg.base_stream().derive(trial)
-    M, sigma, budget = load_instance(cfg, stream)
-    ctx = Draw(cfg, M, sigma, budget.d, budget.omega, stream)
+    M, lam, budget = load_instance(cfg, stream)
+    ctx = Draw(cfg, M, lam, budget.d, budget.omega, stream)
     reports: list[BoundReport] = []
     for name in cfg.checks:
         reports.extend(_RUNNERS[name](ctx))
@@ -286,13 +291,12 @@ def run_verify(cfg: ExperimentConfig, threads: int | None = None) -> dict:
 # single recovery runs and budget sweeps
 
 
-def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None,
-                 sigma: np.ndarray | None = None) -> dict:
+def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
     """One full sample-and-recover pass; returns the report dict and the
     recovered matrix under key "_M_hat" (stripped before serialization)."""
     stream = cfg.base_stream()
-    M, sigma, budget = load_instance(cfg, stream, M, sigma)
-    draw = Draw(cfg, M, sigma, budget.d, budget.omega, stream)
+    M, lam, budget = load_instance(cfg, stream, M)
+    draw = Draw(cfg, M, lam, budget.d, budget.omega, stream)
     result, M_hat = draw.recovery()
     rel, diff = draw.score()
     omega_size = draw.entries().size
@@ -327,10 +331,10 @@ def _sweep_point(cfg: ExperimentConfig, trial: int,
     """One sweep trial: the instance and its budget once, then a draw from
     stream.derive(1 + d) for each grid point d in order."""
     stream = cfg.base_stream().derive(trial)
-    M, sigma, budget = load_instance(cfg, stream)
+    M, lam, budget = load_instance(cfg, stream)
     outs = {}
     for d in grid:
-        draw = Draw(cfg, M, sigma, d, budget.omega, stream.derive(1 + d))
+        draw = Draw(cfg, M, lam, d, budget.omega, stream.derive(1 + d))
         outs[d] = {"rel_error": draw.score()[0], "omega": draw.entries().size,
                    "holds": bool(draw.recovery_bound().holds),
                    "union": _union_count(draw)}

@@ -165,15 +165,21 @@ def solve_core(system: DesignSystem, ridge: float = 0.0):
     return z.reshape(r, r), lambda_min, residual
 
 
-def recover(inputs: RecoveryInputs, ridge: float = 0.0):
-    """Full pipeline: bases from A and B, core fit over the observations.
+def fit(bases: Bases, system: DesignSystem, ridge: float = 0.0):
+    """Core fit over the design built on `bases`.
 
     Returns (RecoveryResult, M_hat).
     """
-    bases = build_bases(inputs.A, inputs.B, inputs.r)
-    system = assemble_design(bases, inputs.omega)
     Z_star, lambda_min, residual = solve_core(system, ridge)
     result = RecoveryResult(Z_star=Z_star, bases=bases,
                             lambda_min_KtK=lambda_min, residual=residual,
                             ridge=ridge)
     return result, result.reconstruct()
+
+
+def recover(inputs: RecoveryInputs, ridge: float = 0.0):
+    """Full pipeline: bases from A and B, the design over the observations,
+    then `fit`. Returns (RecoveryResult, M_hat).
+    """
+    bases = build_bases(inputs.A, inputs.B, inputs.r)
+    return fit(bases, assemble_design(bases, inputs.omega), ridge)

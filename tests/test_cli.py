@@ -238,6 +238,26 @@ def test_exit_code_bad_sweep_grid(tmp_path):
     assert run("sweep", "--d-grid", "a,b", "--out", str(tmp_path)) == 1
 
 
+def test_exit_code_sizes_the_instance_cannot_hold(tmp_path, capsys):
+    # a budget set by the user is refused, never rewritten; r above
+    # min(n, m) is refused before the spectrum is indexed
+    small = ("--set", "synth.n=20", "--set", "synth.m=20",
+             "--set", "synth.kind=exact-low-rank")
+    tiny = ("--set", "synth.n=10", "--set", "synth.m=10",
+            "--set", "synth.r=3", "--set", "r=12")
+    cases = [("recover", *small, "--set", "r=2", "--set", "d=10",
+              "--set", "omega=5000"),
+             ("recover", *small, "--set", "r=5", "--set", "d=3"),
+             ("gen", *tiny), ("recover", *tiny),
+             ("verify", *tiny, "--set", "checks=delta")]
+    for argv in cases:
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path)) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 # --- serialization helpers --------------------------------------------------------
 
 

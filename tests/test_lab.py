@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curlow import lab
+from curlow import bounds, lab, recovery
 from curlow.bounds import sample_size_low_rank, total_observations
 from curlow.coherence import mu_r
 from curlow.config import ExperimentConfig
@@ -34,10 +34,14 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() >= 1
 
 
+def _lam(cfg, sigma):
+    return float(sigma[cfg.r - 1]) ** 2 / (cfg.n * cfg.m)
+
+
 def test_resolve_budgets_low_rank_formula():
     cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=2, r=2)
     M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
-    budget = resolve_budgets(cfg, M, factors.sigma)
+    budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
     mu = mu_r(M, 2).mu
     d_formula, omega_formula = sample_size_low_rank(mu, 2, 3.0)
     assert budget.details["regime"] == "low-rank"
@@ -50,19 +54,20 @@ def test_resolve_budgets_explicit_and_floor():
     cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=3, r=3,
                            d=10, omega_count=500)
     M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
-    budget = resolve_budgets(cfg, M, factors.sigma)
+    lam = _lam(cfg, factors.sigma)
+    budget = resolve_budgets(cfg, M, lam)
     assert budget.d == 10 and budget.omega == 500
     floor_cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank",
                                  synth_r=3, r=3, d=1)
-    budget = resolve_budgets(floor_cfg, M, factors.sigma)
-    assert budget.d == 3  # never below the target rank
+    with pytest.raises(ValueError):
+        resolve_budgets(floor_cfg, M, lam)  # never rewritten up to r
 
 
 def test_resolve_budgets_full_rank_regime():
     cfg = ExperimentConfig(n=48, m=48, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2)
     M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
-    budget = resolve_budgets(cfg, M, factors.sigma)
+    budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
     assert budget.details["regime"] == "full-rank"
     assert budget.d <= 48
     assert budget.omega <= 48 * 48
@@ -74,12 +79,35 @@ def test_trial_context_caches_samples():
     cfg = ExperimentConfig(n=32, m=32, kind="exact-low-rank", synth_r=2, r=2,
                            checks=("delta", "combine"))
     stream = cfg.base_stream().derive(0)
-    M, sigma, budget = load_instance(cfg, stream)
-    ctx = Draw(cfg, M, sigma, budget.d, budget.omega, stream)
+    M, lam, budget = load_instance(cfg, stream)
+    ctx = Draw(cfg, M, lam, budget.d, budget.omega, stream)
     idx1, _ = ctx.cols()
     idx2, _ = ctx.cols()
     assert idx1 is idx2
     assert ctx.bases() is ctx.bases()
+
+
+def test_trial_builds_each_stage_once(monkeypatch):
+    calls = []
+    targets = [(lab, "build_bases"), (lab, "assemble_design"),
+               (recovery, "build_bases"), (recovery, "assemble_design"),
+               (bounds, "check_delta")]
+    for ns, name in targets:
+        def counted(*args, _fn=getattr(ns, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ns, name, counted)
+    cfg = ExperimentConfig(n=40, m=40, kind="geometric-spectrum", synth_r=3,
+                           r=3, d=16, omega_count=600,
+                           checks=("delta", "combine", "strong_convexity",
+                                   "full_rank_recovery"))
+    record = run_trial(cfg, 0)
+    assert len(record["reports"]) == 4
+    assert sorted(calls) == ["assemble_design", "build_bases", "check_delta"]
+    stream = cfg.base_stream().derive(0)
+    M, lam, budget = load_instance(cfg, stream)
+    ctx = Draw(cfg, M, lam, budget.d, budget.omega, stream)
+    assert ctx.recovery()[0].bases is ctx.bases()
 
 
 def test_run_trial_report_names():
@@ -174,9 +202,9 @@ def test_run_sweep_thread_invariance():
     assert run_sweep(cfg, grid, threads=1) == run_sweep(cfg, grid, threads=3)
 
 
-def _compose(cfg, M, sigma, stream, d=None):
+def _compose(cfg, M, lam, stream, d=None):
     # the draw layout spelled out by hand: samples from stream.derive(1..3)
-    budget = resolve_budgets(cfg, M, sigma)
+    budget = resolve_budgets(cfg, M, lam)
     d = budget.d if d is None else d
     col_idx, A = sample_columns(M, d, stream.derive(1))
     row_idx, B = sample_rows(M, d, stream.derive(2))
@@ -191,7 +219,8 @@ def test_run_recovery_stream_layout():
                            synth_r=3, r=3, d=14, omega_count=700)
     base = cfg.base_stream()
     M, factors = generate(cfg.synth_spec(base.derive(0)))
-    col_idx, row_idx, omega, M_hat = _compose(cfg, M, factors.sigma, base)
+    col_idx, row_idx, omega, M_hat = _compose(
+        cfg, M, _lam(cfg, factors.sigma), base)
     out = run_recovery(cfg)
     assert out["col_indices"] == col_idx.indices.tolist()
     assert out["row_indices"] == row_idx.indices.tolist()
@@ -207,7 +236,8 @@ def test_run_sweep_stream_layout():
     for trial in range(cfg.trials):
         stream = cfg.base_stream().derive(trial)
         M, factors = generate(cfg.synth_spec(stream.derive(0)))
-        *_, M_hat = _compose(cfg, M, factors.sigma, stream.derive(1 + d), d)
+        *_, M_hat = _compose(cfg, M, _lam(cfg, factors.sigma),
+                             stream.derive(1 + d), d)
         errors.append(frobenius_norm(M - M_hat) / frobenius_norm(M))
     row, = run_sweep(cfg, [d])
     assert row["rel_error"] == float(np.mean(errors))

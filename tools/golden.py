@@ -1,0 +1,77 @@
+"""Golden outputs of a fixed command set, for byte-identity checks.
+
+Runs each command in-process through `curlow.cli.main` into its own
+directory under a temporary root, then prints one `command file sha256`
+line per output file, sorted. Exits 1 if any command exits nonzero.
+Imports curlow from the `src/` of the checkout this file lives in, so
+running the copy in another checkout hashes that checkout's outputs:
+
+    python tools/golden.py > golden.txt
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from curlow.cli import main  # noqa: E402
+
+ALL_CHECKS = ("checks=projection,delta,delta_triangle,combine,halko,"
+              "omega1_spectrum,strong_convexity,h_sandwich,mu_hat,sin_theta,"
+              "full_rank_recovery")
+
+
+def commands(root: str) -> list[tuple[str, list[str]]]:
+    """(name, argv) pairs; `recover-matrix` reads what `gen` wrote."""
+    def sets(*pairs):
+        return [a for p in pairs for a in ("--set", p)]
+
+    small_verify = ["verify", *sets("synth.n=40", "synth.m=40", "r=2", "d=16",
+                                    "omega=600", "trials=4", ALL_CHECKS)]
+    return [
+        ("recover", ["recover", "--save-matrix", *sets(
+            "synth.n=200", "synth.m=200", "synth.kind=exact-low-rank", "r=5")]),
+        ("gen", ["gen", *sets("synth.n=120", "synth.m=120", "r=4")]),
+        ("recover-matrix", ["recover", "--save-matrix", "--matrix",
+                            os.path.join(root, "gen", "M.mtx"), *sets("r=4")]),
+        ("verify-json", small_verify + ["--format", "json"]),
+        ("verify-csv", small_verify + ["--format", "csv"]),
+        ("sweep-ac7", ["sweep", "--d-grid", "2,4,8,16,32", "--seed", "10700",
+                       *sets("synth.n=512", "synth.m=512",
+                             "synth.kind=exact-low-rank", "r=2", "trials=3")]),
+        ("verify-n200", ["verify", *sets("synth.n=200", "synth.m=200", "r=4",
+                                         "trials=20", ALL_CHECKS)]),
+    ]
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run() -> int:
+    failed = False
+    lines = []
+    with tempfile.TemporaryDirectory() as root:
+        for name, argv in commands(root):
+            out = os.path.join(root, name)
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(argv + ["--out", out])
+            if rc != 0:
+                print(f"{name}: exit {rc}", file=sys.stderr)
+                failed = True
+                continue
+            lines += [f"{name} {f} {sha256(os.path.join(out, f))}"
+                      for f in os.listdir(out)]
+    print("\n".join(sorted(lines)))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(run())
