@@ -153,13 +153,17 @@ def cmd_verify(args) -> int:
     cfg = load_experiment_config(args)
     ensure_dir(args.out)
     result = lab.run_verify(cfg)
+    failed = [record for record in result["trials"] if "error" in record]
     if args.format == "csv":
         trial_rows = []
         for record in result["trials"]:
             for rep in record["reports"]:
                 trial_rows.append({"trial": record["trial"], **rep})
-        write_csv(trial_rows, _TRIAL_COLUMNS,
-                  os.path.join(args.out, "verify.csv"))
+            if "error" in record:
+                trial_rows.append({"trial": record["trial"],
+                                   "error": record["error"]})
+        columns = _TRIAL_COLUMNS + ["error"] if failed else _TRIAL_COLUMNS
+        write_csv(trial_rows, columns, os.path.join(args.out, "verify.csv"))
         agg_rows = [{"name": name, **slot}
                     for name, slot in sorted(result["aggregate"].items())]
         write_csv(agg_rows, _AGG_COLUMNS,
@@ -172,6 +176,10 @@ def cmd_verify(args) -> int:
         print(f"{name}: holds_rate={shown} "
               f"({slot['holds_given_premises']}/{slot['premises_met']} "
               f"premise-satisfying of {slot['count']})")
+    if failed:
+        print(f"failed trials: {len(failed)} of {len(result['trials'])} "
+              f"(first: {failed[0]['error']})")
+        return 2
     return 0
 
 

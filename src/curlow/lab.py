@@ -7,8 +7,9 @@ own stream and builds the bases, the design, the fit on both and the Delta
 report once each, for every check that reads them. `recover` draws from
 the base stream, each `verify` trial from base.derive(trial), and `sweep`
 loads each trial's instance once and draws from
-base.derive(trial).derive(1 + d) per grid point d. Trials run in parallel
-keyed by trial index, so results are independent of thread count.
+base.derive(trial).derive(1 + d) per grid point d. Trials run in one
+thread pool keyed by trial index, with BLAS on one thread per trial, so
+results are independent of both thread counts.
 """
 from __future__ import annotations
 
@@ -23,20 +24,32 @@ from . import bounds
 from .bounds import BoundReport
 from .config import ExperimentConfig
 from .coherence import mu_r, numerical_rank
-from .linalg import frobenius_norm, spectral_norm, svd
-from .recovery import assemble_design, build_bases, fit
+from .linalg import blas_threads, frobenius_norm, spectral_norm, svd
+from .recovery import IllPosedError, assemble_design, build_bases, fit
 from .sampling import RngStream, sample_columns, sample_entries, sample_rows
 from .synth import generate
 
 
 def thread_count() -> int:
+    """Trial-pool workers: CURLOW_THREADS, else the CPUs this process may
+    run on."""
     env = os.environ.get("CURLOW_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"CURLOW_THREADS must be an integer, got {env!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
+
+
+def _trial_pool(workers: int, fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)] on `workers` threads. BLAS runs on one
+    thread meanwhile: the pool is the parallelism, and BLAS threads on top
+    of it would oversubscribe the cores and change the summation order."""
+    with blas_threads(1), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(count)))
 
 
 @dataclass(frozen=True)
@@ -245,14 +258,19 @@ _RUNNERS = {
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
+    """One verify trial's reports; an ill-posed fit leaves the trial with
+    its "error" message and no reports."""
     stream = cfg.base_stream().derive(trial)
     M, lam, budget = load_instance(cfg, stream)
     ctx = Draw(cfg, M, lam, budget.d, budget.omega, stream)
+    record = {"trial": trial, "d": budget.d, "omega": budget.omega}
     reports: list[BoundReport] = []
-    for name in cfg.checks:
-        reports.extend(_RUNNERS[name](ctx))
-    return {"trial": trial, "d": budget.d, "omega": budget.omega,
-            "reports": [r.to_dict() for r in reports]}
+    try:
+        for name in cfg.checks:
+            reports.extend(_RUNNERS[name](ctx))
+    except IllPosedError as exc:
+        return {**record, "error": str(exc), "reports": []}
+    return {**record, "reports": [r.to_dict() for r in reports]}
 
 
 def aggregate_reports(trial_records: list[dict]) -> dict:
@@ -275,16 +293,18 @@ def aggregate_reports(trial_records: list[dict]) -> dict:
 
 
 def run_verify(cfg: ExperimentConfig, threads: int | None = None) -> dict:
+    """Every trial's reports and their aggregate; "failed_trials" counts the
+    trials with an ill-posed fit and is present only when there are any."""
     workers = threads if threads is not None else thread_count()
-    if cfg.checks:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda k: run_trial(cfg, k),
-                                    range(cfg.trials)))
-    else:
-        records = []
-    return {"config": cfg.to_flat(),
-            "aggregate": aggregate_reports(records),
-            "trials": records}
+    records = _trial_pool(workers, lambda k: run_trial(cfg, k),
+                          cfg.trials) if cfg.checks else []
+    result = {"config": cfg.to_flat(),
+              "aggregate": aggregate_reports(records),
+              "trials": records}
+    failed = sum("error" in record for record in records)
+    if failed:
+        result["failed_trials"] = failed
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +372,8 @@ def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
     if grid[0] < 1:
         raise ValueError(f"grid entries must be >= 1, got {grid[0]}")
     live = [d for d in grid if cfg.r <= d <= min(cfg.m, cfg.n)]
-    trials = []
-    if live:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(lambda k: _sweep_point(cfg, k, live),
-                                   range(cfg.trials)))
+    trials = _trial_pool(workers, lambda k: _sweep_point(cfg, k, live),
+                         cfg.trials) if live else []
     rows = []
     for d in grid:
         row = {"d": d, "analytic_total": bounds.total_observations(cfg.n, d)}

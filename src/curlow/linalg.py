@@ -1,5 +1,5 @@
 """Dense linear algebra kernels: SVD, spectral partitions, eigenbases,
-pseudo-inverses, and norms.
+pseudo-inverses, and norms, and the BLAS thread count they run under.
 
 Matrices are plain 2-d float64 numpy arrays throughout (row-major). All
 factorizations apply a deterministic sign convention so repeated runs on
@@ -7,6 +7,12 @@ identical input produce identical factors.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,3 +172,49 @@ def spectral_norm(M) -> float:
 def frobenius_norm(M) -> float:
     A = as_matrix(M)
     return float(np.linalg.norm(A))
+
+
+@dataclass(frozen=True)
+class OpenBlas:
+    """numpy's bundled OpenBLAS, opened through ctypes: the same library
+    numpy calls, so a thread count set here governs numpy's kernels."""
+
+    path: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+@functools.cache
+def openblas() -> OpenBlas | None:
+    """The bundled OpenBLAS, opened once; None when numpy links another
+    BLAS or the thread-count symbols are missing."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return OpenBlas(path=os.path.realpath(path), get_threads=get,
+                        set_threads=put)
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(k: int):
+    """Run the block with BLAS limited to k threads and restore the previous
+    count on exit. The count is process-wide, so enter it from one thread
+    at a time. Does nothing when the library cannot be found."""
+    blas = openblas()
+    if blas is None:
+        yield
+        return
+    previous = blas.get_threads()
+    blas.set_threads(k)
+    try:
+        yield
+    finally:
+        blas.set_threads(previous)

@@ -227,6 +227,40 @@ def test_exit_code_ill_posed(tmp_path):
                "--set", "d=10", "--set", "omega=9") == 2
 
 
+def test_verify_ill_posed_trials_are_written_and_exit_2(tmp_path, capsys):
+    out = tmp_path / "ver"
+    rc = run("verify", "--out", str(out), "--set", "synth.n=30",
+             "--set", "synth.m=30", "--set", "r=3", "--set", "d=5",
+             "--set", "omega=4", "--set", "checks=combine,delta_triangle",
+             "--set", "trials=4")
+    assert rc == 2
+    result = json.loads((out / "verify.json").read_text())
+    assert result["failed_trials"] == 4
+    assert [rec["trial"] for rec in result["trials"]] == [0, 1, 2, 3]
+    assert all(rec["reports"] == [] and rec["error"] for rec in result["trials"])
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("failed trials: 4 of 4 (first: design matrix is "
+                           "rank-deficient")
+
+
+def test_verify_csv_keeps_trials_around_an_ill_posed_one(tmp_path, capsys):
+    out = tmp_path / "ver"
+    rc = run("verify", "--format", "csv", "--out", str(out),
+             "--set", "synth.n=12", "--set", "synth.m=12",
+             "--set", "synth.kind=exact-low-rank", "--set", "r=2",
+             "--set", "d=4", "--set", "omega=8", "--set", "trials=6",
+             "--set", "checks=delta_triangle,combine")
+    assert rc == 2
+    lines = (out / "verify.csv").read_text().splitlines()
+    assert lines[0] == "trial,name,lhs,rhs,sense,holds,premises_met,error"
+    failed = [ln for ln in lines[1:] if ln.endswith("positive ridge")]
+    reported = [ln for ln in lines[1:] if not ln.endswith("positive ridge")]
+    assert failed and reported
+    assert len(reported) == 2 * (6 - len(failed))
+    assert (out / "verify_aggregate.csv").exists()
+    assert f"failed trials: {len(failed)} of 6 (first: " in capsys.readouterr().out
+
+
 def test_exit_code_missing_files(tmp_path):
     assert run("verify", "--config", str(tmp_path / "none.cfg"),
                "--out", str(tmp_path)) == 3

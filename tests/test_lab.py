@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from curlow import bounds, lab, recovery
+from curlow import bounds, lab, linalg, recovery
 from curlow.bounds import sample_size_low_rank, total_observations
 from curlow.coherence import mu_r
 from curlow.config import ExperimentConfig
@@ -16,7 +21,7 @@ from curlow.lab import (
     run_verify,
     thread_count,
 )
-from curlow.linalg import frobenius_norm
+from curlow.linalg import blas_threads, frobenius_norm
 from curlow.recovery import RecoveryInputs, recover
 from curlow.sampling import sample_columns, sample_entries, sample_rows
 from curlow.synth import generate
@@ -32,6 +37,20 @@ def test_thread_count_env(monkeypatch):
         thread_count()
     monkeypatch.delenv("CURLOW_THREADS")
     assert thread_count() >= 1
+
+
+def test_thread_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("CURLOW_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7})
+    assert thread_count() == 3
+    monkeypatch.setenv("CURLOW_THREADS", "5")
+    assert thread_count() == 5
+    monkeypatch.delenv("CURLOW_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert thread_count() == 1
 
 
 def _lam(cfg, sigma):
@@ -147,6 +166,41 @@ def test_run_verify_thread_invariance():
     assert len(one["trials"]) == 4
     assert set(one["aggregate"]) == {"delta_triangle", "selection_spectrum"}
     assert one["aggregate"]["delta_triangle"]["holds_rate"] == 1.0
+
+
+def _ill_posed_cfg():
+    # 8 entries against a 2x2 core on 12x12: some trials' designs are singular
+    return ExperimentConfig(n=12, m=12, kind="exact-low-rank", synth_r=2, r=2,
+                            d=4, omega_count=8, trials=6,
+                            checks=("delta_triangle", "combine"))
+
+
+def test_run_verify_keeps_trials_around_an_ill_posed_one():
+    cfg = _ill_posed_cfg()
+    out = run_verify(cfg, threads=2)
+    failed = [rec for rec in out["trials"] if "error" in rec]
+    kept = [rec for rec in out["trials"] if "error" not in rec]
+    assert len(out["trials"]) == 6 and failed and kept
+    assert out["failed_trials"] == len(failed)
+    for rec in failed:
+        assert rec["reports"] == []
+        assert rec["error"].startswith("design matrix is rank-deficient")
+        assert (rec["d"], rec["omega"]) == (4, 8)
+    for rec in kept:
+        assert rec == run_trial(cfg, rec["trial"])
+        assert len(rec["reports"]) == 2
+    assert out["aggregate"]["delta_triangle"]["count"] == len(kept)
+    assert out == run_verify(cfg, threads=1)
+
+
+def test_run_verify_without_failures_has_no_failure_fields():
+    cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.5,
+                           synth_r=2, r=2, d=12, omega_count=200, trials=3,
+                           checks=("combine",))
+    out = run_verify(cfg)
+    assert set(out) == {"config", "aggregate", "trials"}
+    assert all(set(rec) == {"trial", "d", "omega", "reports"}
+               for rec in out["trials"])
 
 
 def test_run_verify_no_checks():
@@ -266,3 +320,84 @@ def test_run_sweep_validation():
         run_sweep(cfg, [])
     with pytest.raises(ValueError):
         run_sweep(cfg, [0, 4])
+
+
+def _blas():
+    blas = linalg.openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is not available")
+    return blas
+
+
+_SMALL_VERIFY = ExperimentConfig(n=24, m=24, kind="geometric-spectrum",
+                                 decay=0.5, synth_r=2, r=2, d=12,
+                                 omega_count=200, trials=3,
+                                 checks=("delta_triangle", "combine"))
+_SMALL_SWEEP = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2,
+                                r=2, omega_count=250, trials=3)
+
+
+def test_trial_pools_run_one_blas_thread_and_restore_the_count(monkeypatch):
+    blas = _blas()
+    seen = []
+    for name in ("run_trial", "_sweep_point"):
+        def spy(*args, _fn=getattr(lab, name), **kwargs):
+            seen.append(blas.get_threads())
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lab, name, spy)
+    with blas_threads(2):
+        run_verify(_SMALL_VERIFY, threads=2)
+        run_sweep(_SMALL_SWEEP, [4, 8], threads=2)
+        assert blas.get_threads() == 2
+    assert seen == [1] * 6
+
+
+def test_trial_pools_restore_blas_threads_when_a_trial_raises(monkeypatch):
+    blas = _blas()
+    before = blas.get_threads()
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("trial failed")
+    monkeypatch.setattr(lab, "run_trial", boom)
+    monkeypatch.setattr(lab, "_sweep_point", boom)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_verify(_SMALL_VERIFY, threads=2)
+    assert blas.get_threads() == before
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_sweep(_SMALL_SWEEP, [4, 8], threads=2)
+    assert blas.get_threads() == before
+
+
+def test_run_verify_without_a_blas_library(monkeypatch):
+    expected = run_verify(_SMALL_VERIFY, threads=2)
+    monkeypatch.setattr(linalg, "openblas", lambda: None)
+    assert run_verify(_SMALL_VERIFY, threads=2) == expected
+
+
+def _golden_argv(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
+    sys.path.insert(0, str(path.parent))
+    try:
+        import golden
+    finally:
+        sys.path.remove(str(path.parent))
+    return dict(golden.commands(""))[name]
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # AC7's sweep in fresh interpreters whose BLAS starts with 1 and 2 threads
+    src = str(Path(lab.__file__).resolve().parents[1])
+    code = ("import sys; from curlow.cli import main; "
+            "raise SystemExit(main(sys.argv[1:]))")
+    argv = _golden_argv("sweep-ac7")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code, *argv,
+                               "--out", str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append((out / "sweep.csv").read_bytes())
+    assert outs[0] == outs[1]

@@ -3,6 +3,8 @@
 Runs each command in-process through `curlow.cli.main` into its own
 directory under a temporary root, then prints one `command file sha256`
 line per output file, sorted. Exits 1 if any command exits nonzero.
+One stderr line names the BLAS library and its thread count, so a saved
+table says which thread plan it was taken under.
 Imports curlow from the `src/` of the checkout this file lives in, so
 running the copy in another checkout hashes that checkout's outputs:
 
@@ -21,6 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from curlow.cli import main  # noqa: E402
+from curlow.linalg import openblas  # noqa: E402
 
 ALL_CHECKS = ("checks=projection,delta,delta_triangle,combine,halko,"
               "omega1_spectrum,strong_convexity,h_sandwich,mu_hat,sin_theta,"
@@ -55,7 +58,15 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def blas_line() -> str:
+    blas = openblas()
+    if blas is None:
+        return "blas: bundled OpenBLAS not found, thread count unknown"
+    return f"blas: {blas.path} threads={blas.get_threads()}"
+
+
 def run() -> int:
+    print(blas_line(), file=sys.stderr)
     failed = False
     lines = []
     with tempfile.TemporaryDirectory() as root:
