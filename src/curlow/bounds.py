@@ -79,15 +79,20 @@ def sample_size_low_rank(mu: float, r: int, t: float) -> tuple[int, int]:
     return d_min, omega_min
 
 
+def d_full_rank(mu_l: float, r_num: float, t: float, n: int) -> int:
+    """Column budget 16 (mu_l r_num + 1)(t + ln n) for numerically low-rank
+    inputs with weighted coherence mu_l and regularized rank r_num."""
+    return math.ceil(16.0 * (mu_l * r_num + 1.0) * (t + math.log(n)))
+
+
 def sample_size_full_rank(mu_l: float, r_num: float, t: float, n: int,
                           d: int, r: int) -> tuple[int, int]:
-    """Budgets for numerically low-rank inputs, driven by the weighted
-    coherence mu_l and the regularized rank r_num; the entry budget depends
-    on the column budget d actually used."""
+    """`d_full_rank` and the entry budget, which depends on the column
+    budget d actually used."""
     if min(mu_l, r_num, t, n, d, r) <= 0:
         raise ValueError("all arguments must be positive")
     core = mu_l * r_num
-    d_min = math.ceil(16.0 * (core + 1.0) * (t + math.log(n)))
+    d_min = d_full_rank(mu_l, r_num, t, n)
     inner = 2.0 * core + 72.0 * (n / d) * (core + 1.0) * (t + math.log(n))
     omega_min = math.ceil(7.0 * inner**2 * (t + 2.0 * math.log(r)))
     return d_min, omega_min
@@ -125,7 +130,7 @@ def check_projection(M, V_hat, U_hat, r: int, d: int, t: float = 3.0):
     A = as_matrix(M)
     n, m = A.shape
     s_tail = _sigma_tail(A, r)
-    mu = mu_r(A, r).mu
+    mu = mu_r(A, r)
     d_gate, _ = sample_size_low_rank(mu, r, t)
     premises = d >= d_gate
     params = {"n": n, "m": m, "r": r, "d": d, "t": t, "mu_r": mu,
@@ -159,7 +164,7 @@ def check_delta(M, bases: Bases, r: int, d: int, t: float = 3.0,
         params.update({"lam": lam, "mu_lambda": rep.mu_lambda,
                        "numerical_rank": rep.value, "d_gate": d_gate})
     else:
-        mu = mu_r(A, r).mu
+        mu = mu_r(A, r)
         d_gate, _ = sample_size_low_rank(mu, r, t)
         params.update({"mu_r": mu, "d_gate": d_gate})
     proj = A - bases.U_hat @ (bases.U_hat.T @ A @ bases.V_hat) @ bases.V_hat.T
@@ -248,7 +253,7 @@ def check_omega1_spectrum(M, col_idx: IndexSet, r: int, d: int) -> BoundReport:
     _, omega1, _ = _selection_blocks(A, col_idx, r)
     gram = omega1 @ omega1.T
     lhs = float(np.linalg.eigvalsh(gram)[0]) if gram.size else 0.0
-    mu = mu_r(A, r).mu
+    mu = mu_r(A, r)
     fail_prob = r * math.exp(-d / (7.0 * mu * r))
     params = {"r": r, "d": d, "m": m, "mu_r": mu, "fail_prob": fail_prob}
     return make_report("selection_spectrum", lhs, d / (2.0 * m), True,
@@ -273,25 +278,21 @@ def mean_selection_gram(M, r: int, d: int, trials: int,
 # strong convexity of the core fit
 
 
-def check_strong_convexity(system: DesignSystem, n: int, m: int,
-                           bases: Bases | None = None,
+def check_strong_convexity(system: DesignSystem, n: int, m: int, bases: Bases,
                            t: float = 3.0) -> BoundReport:
     """lambda_min(K^T K) >= |Omega|/(2mn), gated by the entry budget
-    |Omega| >= 7 mu_hat^2 r^2 (t + 2 ln r) when bases are supplied."""
+    |Omega| >= 7 mu_hat^2 r^2 (t + 2 ln r) of the bases the design is
+    built on."""
     size = len(system.y)
     lhs = strong_convexity_gamma(system)
     rhs = size / (2.0 * m * n)
-    params = {"omega_size": size, "n": n, "m": m, "r": system.r, "t": t}
-    if bases is None:
-        premises = False
-        params["omega_gate"] = None
-    else:
-        muh = mu_hat(bases.U_hat, bases.V_hat).mu
-        gate = math.ceil(7.0 * muh**2 * system.r**2
-                         * (t + 2.0 * math.log(system.r)))
-        premises = size >= gate
-        params.update({"mu_hat": muh, "omega_gate": gate})
-    return make_report("strong_convexity", lhs, rhs, premises, params, sense="ge")
+    muh = mu_hat(bases.U_hat, bases.V_hat)
+    gate = math.ceil(7.0 * muh**2 * system.r**2
+                     * (t + 2.0 * math.log(system.r)))
+    params = {"omega_size": size, "n": n, "m": m, "r": system.r, "t": t,
+              "mu_hat": muh, "omega_gate": gate}
+    return make_report("strong_convexity", lhs, rhs, size >= gate, params,
+                       sense="ge")
 
 
 def mean_design_gram(bases: Bases, M, s: int, trials: int,
@@ -397,9 +398,9 @@ def check_mu_hat_bound(M, bases: Bases, r: int, lam: float, d: int,
     rep = numerical_rank(A, lam)
     core = rep.mu_lambda * rep.value
     delta_sq = 4.0 / d * (core + 1.0) * (t + math.log(n))
-    lhs = mu_hat(bases.U_hat, bases.V_hat).mu
+    lhs = mu_hat(bases.U_hat, bases.V_hat)
     rhs = 2.0 * rep.value / r * rep.mu_lambda + 18.0 * n * delta_sq / r
-    d_gate = math.ceil(16.0 * (core + 1.0) * (t + math.log(n)))
+    d_gate = d_full_rank(rep.mu_lambda, rep.value, t, n)
     lam_target = s_r**2 / (m * n)
     premises = (s_r >= math.sqrt(2.0) * s_next and d >= d_gate
                 and abs(lam - lam_target) <= 1e-9 * max(lam_target, 1e-300))

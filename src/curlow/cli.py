@@ -9,6 +9,7 @@ parse errors, 2 ill-posed solve, 3 I/O errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -19,7 +20,6 @@ import numpy as np
 from . import lab
 from .bounds import optimal_d, total_observations
 from .config import (
-    AUTO,
     ExperimentConfig,
     apply_overrides,
     config_from_mapping,
@@ -70,11 +70,10 @@ def _csv_cell(value) -> str:
 
 
 def write_csv(rows: list[dict], columns: list[str], path) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([_csv_cell(row.get(c)) for c in columns] for row in rows)
 
 
 def load_experiment_config(args) -> ExperimentConfig:
@@ -97,14 +96,12 @@ def _matrix_ext(fmt: str) -> tuple[str, str]:
 
 def cmd_gen(args) -> int:
     cfg = load_experiment_config(args)
-    lab.check_range("r", cfg.r, 1, min(cfg.n, cfg.m), "[1, min(n, m)]")
+    M, sigma, lam = lab.instance(cfg, cfg.base_stream())
     ensure_dir(args.out)
-    M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
     ext, mfmt = _matrix_ext(args.format)
     write_matrix(M, os.path.join(args.out, f"M.{ext}"), format=mfmt)
-    write_matrix(factors.sigma.reshape(-1, 1),
+    write_matrix(sigma.reshape(-1, 1),
                  os.path.join(args.out, "spectrum.csv"), format="csv")
-    lam = float(factors.sigma[cfg.r - 1]) ** 2 / (cfg.n * cfg.m)
     props = measured_properties(M, cfg.r, lam)
     props["config"] = cfg.to_flat()
     write_json(props, os.path.join(args.out, "properties.json"))
@@ -196,10 +193,17 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--d-grid expects comma-separated integers, "
                          f"got {args.d_grid!r}")
     rows = lab.run_sweep(cfg, grid)
-    write_csv(rows, _SWEEP_COLUMNS, os.path.join(args.out, "sweep.csv"))
+    failed = [row for row in rows if "failed" in row]
+    columns = _SWEEP_COLUMNS + ["failed"] if failed else _SWEEP_COLUMNS
+    write_csv(rows, columns, os.path.join(args.out, "sweep.csv"))
     best = optimal_d(cfg.n)
     print(f"swept {len(rows)} grid points; analytic optimum near d={best} "
           f"(total {total_observations(cfg.n, best):.0f})")
+    if failed:
+        draws = cfg.trials * sum("skipped" not in row for row in rows)
+        print(f"failed draws: {sum(row['failed'] for row in failed)} of "
+              f"{draws} (first: d={failed[0]['d']}, {failed[0]['error']})")
+        return 2
     return 0
 
 

@@ -21,32 +21,14 @@ from .linalg import (
 
 
 @dataclass(frozen=True)
-class CoherenceReport:
-    """Coherence value with the row indices attaining it.
-
-    arg_row indexes the left basis scan; arg_col indexes the right basis
-    scan and is None for single-basis reports.
-    """
-
-    mu: float
-    arg_row: int
-    arg_col: int | None
-    r_used: int
-
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "arg_row": self.arg_row,
-                "arg_col": self.arg_col, "r": self.r_used}
-
-
-@dataclass(frozen=True)
 class NumericalRankReport:
     """Regularized rank sum_i sigma_i^2 / (sigma_i^2 + m*n*lam) with the
-    shifted spectrum and the matching coherence measure."""
+    matching weighted coherence mu_lambda: left rows scale by n / r(M, lam),
+    right rows by m / r(M, lam), and at lam = 0 with full-rank bases it
+    reduces to the top-r coherence."""
 
-    lam: float
     value: float
     mu_lambda: float
-    s_diag: np.ndarray  # sigma_i^2 + m*n*lam
 
 
 def _check_orthonormal(Q, name: str) -> np.ndarray:
@@ -68,15 +50,13 @@ def _leverage(Q: np.ndarray) -> np.ndarray:
     return np.sum(Q * Q, axis=1)
 
 
-def basis_incoherence(Q) -> CoherenceReport:
+def basis_incoherence(Q) -> float:
     """Coherence of one orthonormal basis."""
     A = _check_orthonormal(Q, "Q")
     N, r = A.shape
-    lev = _leverage(A)
-    arg = int(np.argmax(lev))
-    mu = float(N / r * lev[arg])
+    mu = float(N / r * np.max(_leverage(A)))
     _assert_mu_range(mu, N, r)
-    return CoherenceReport(mu=mu, arg_row=arg, arg_col=None, r_used=r)
+    return mu
 
 
 def _assert_mu_range(mu: float, N: int, r: int) -> None:
@@ -84,27 +64,19 @@ def _assert_mu_range(mu: float, N: int, r: int) -> None:
         raise AssertionError(f"coherence {mu} outside [1, {N}/{r}]")
 
 
-def _combine(Qu, Qv, r: int) -> CoherenceReport:
-    rep_u = basis_incoherence(Qu)
-    rep_v = basis_incoherence(Qv)
-    return CoherenceReport(mu=max(rep_u.mu, rep_v.mu), arg_row=rep_u.arg_row,
-                           arg_col=rep_v.arg_row, r_used=r)
-
-
-def mu_r(M, r: int) -> CoherenceReport:
+def mu_r(M, r: int) -> float:
     """Coherence of the top-r singular bases of M."""
-    A = as_matrix(M)
-    part = partition_svd(svd(A), r)
-    return _combine(part.U1, part.V1, r)
+    part = partition_svd(svd(as_matrix(M)), r)
+    return max(basis_incoherence(part.U1), basis_incoherence(part.V1))
 
 
-def mu_hat(U_hat, V_hat) -> CoherenceReport:
+def mu_hat(U_hat, V_hat) -> float:
     """Coherence of an estimated basis pair."""
     Qu = _check_orthonormal(U_hat, "U_hat")
     Qv = _check_orthonormal(V_hat, "V_hat")
     if Qu.shape[1] != Qv.shape[1]:
         raise ValueError("U_hat and V_hat must have the same column count")
-    return _combine(Qu, Qv, Qu.shape[1])
+    return max(basis_incoherence(Qu), basis_incoherence(Qv))
 
 
 def _weights(sigma: np.ndarray, n: int, m: int, lam: float):
@@ -125,7 +97,7 @@ def _weights(sigma: np.ndarray, n: int, m: int, lam: float):
     else:
         w = sigma / np.sqrt(s_diag)
         contrib = sigma**2 / s_diag
-    return w, contrib, s_diag
+    return w, contrib
 
 
 def numerical_rank(M, lam: float) -> NumericalRankReport:
@@ -133,12 +105,12 @@ def numerical_rank(M, lam: float) -> NumericalRankReport:
     A = as_matrix(M)
     n, m = A.shape
     f = svd(A)
-    w, contrib, s_diag = _weights(f.sigma, n, m, lam)
+    w, contrib = _weights(f.sigma, n, m, lam)
     value = float(np.sum(contrib))
     if value <= 0.0:
         raise ValueError("numerical rank is zero; M has no usable spectrum")
     mul = _mu_lambda_from(f.U, f.V, w, value, n, m)
-    return NumericalRankReport(lam=lam, value=value, mu_lambda=mul, s_diag=s_diag)
+    return NumericalRankReport(value=value, mu_lambda=mul)
 
 
 def _mu_lambda_from(U, V, w, rank_value: float, n: int, m: int) -> float:
@@ -149,16 +121,6 @@ def _mu_lambda_from(U, V, w, rank_value: float, n: int, m: int) -> float:
     if mu < 1.0 - 1e-9:
         raise AssertionError(f"weighted coherence {mu} below 1")
     return mu
-
-
-def mu_lambda(M, lam: float) -> float:
-    """Weighted coherence of M's singular bases under regularization lam.
-
-    Left rows scale by n / r(M, lam), right rows by m / r(M, lam), matching
-    the unweighted coherence convention; at lam = 0 with full-rank bases it
-    reduces to the top-r coherence.
-    """
-    return numerical_rank(M, lam).mu_lambda
 
 
 def sin_theta(Q1, Q2) -> float:

@@ -1,19 +1,18 @@
 """Seeded Monte-Carlo harness behind the CLI, built on one
-sample-and-recover path: `load_instance` generates an instance from
-stream.derive(0) (or takes a supplied matrix), forms its
-lam = sigma_r^2 / (n m) once and resolves its "auto" sample budgets from
-measured coherence; a `Draw` samples it from derive(1), (2) and (3) of its
-own stream and builds the bases, the design, the fit on both and the Delta
-report once each, for every check that reads them. `recover` draws from
-the base stream, each `verify` trial from base.derive(trial), and `sweep`
-loads each trial's instance once and draws from
-base.derive(trial).derive(1 + d) per grid point d. Trials run in one
-thread pool keyed by trial index, with BLAS on one thread per trial, so
-results are independent of both thread counts.
+sample-and-recover path: `instance` generates an instance from
+stream.derive(0) (or takes a supplied matrix) and forms its
+lam = sigma_r^2 / (n m) once, and `load_instance` resolves its "auto"
+sample budgets from measured coherence; a `Draw` samples it from
+derive(1), (2) and (3) of its own stream and builds the bases, the design,
+the fit on both and the Delta report once each, for every check in
+`CHECKS` that reads them. `recover` draws from the base stream, each
+`verify` trial from base.derive(trial), and `sweep` loads each trial's
+instance once and draws from base.derive(trial).derive(1 + d) per grid
+point d. Trials run in one thread pool keyed by trial index, with BLAS on
+one thread per trial, so results are independent of both thread counts.
 """
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,13 +79,12 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
         check_range("omega", cfg.omega_count, 1, n * m, "[1, n*m]")
     details: dict = {}
     if cfg.kind == "exact-low-rank":
-        mu = mu_r(M, r).mu
+        mu = mu_r(M, r)
         d_formula, omega_formula = bounds.sample_size_low_rank(mu, r, cfg.t)
         details.update({"mu_r": mu, "regime": "low-rank"})
     else:
         rep = numerical_rank(M, lam)
-        d_formula = math.ceil(16.0 * (rep.mu_lambda * rep.value + 1.0)
-                              * (cfg.t + math.log(n)))
+        d_formula = bounds.d_full_rank(rep.mu_lambda, rep.value, cfg.t, n)
         details.update({"lam": lam, "mu_lambda": rep.mu_lambda,
                         "numerical_rank": rep.value, "regime": "full-rank"})
     d = cfg.d if isinstance(cfg.d, int) else max(min(d_formula, n, m), r)
@@ -100,11 +98,12 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
     return Budget(d=d, omega=omega, details=details)
 
 
-def load_instance(cfg: ExperimentConfig, stream: RngStream,
-                  M: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, float, Budget]:
-    """The instance M, its lam = sigma_r^2 / (n m) and its budget. Without
-    a supplied M the instance is generated from stream.derive(0)."""
+def instance(cfg: ExperimentConfig, stream: RngStream,
+             M: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The instance M, its singular values and lam = sigma_r^2 / (n m),
+    once r is checked against its shape. Without a supplied M the instance
+    is generated from stream.derive(0) and sigma is the planted spectrum."""
     n, m = (cfg.n, cfg.m) if M is None else M.shape
     check_range("r", cfg.r, 1, min(n, m), "[1, min(n, m)]")
     if M is None:
@@ -112,7 +111,14 @@ def load_instance(cfg: ExperimentConfig, stream: RngStream,
         sigma = factors.sigma
     else:
         sigma = svd(M).sigma
-    lam = float(sigma[cfg.r - 1]) ** 2 / (n * m)
+    return M, sigma, float(sigma[cfg.r - 1]) ** 2 / (n * m)
+
+
+def load_instance(cfg: ExperimentConfig, stream: RngStream,
+                  M: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, float, Budget]:
+    """The `instance` M and lam, and the budget resolved from them."""
+    M, _, lam = instance(cfg, stream, M)
     return M, lam, resolve_budgets(cfg, M, lam)
 
 
@@ -164,6 +170,11 @@ class Draw:
         return self._get("recovery", lambda: fit(
             self.bases(), self.design(), self.cfg.ridge))
 
+    def gamma(self) -> float:
+        """Grid-normalized strong convexity mn lambda_min(K^T K) / |Omega|."""
+        return (self.recovery()[0].lambda_min_KtK * self.n * self.m
+                / self.entries().size)
+
     def delta(self) -> BoundReport:
         return self._get("delta", lambda: bounds.check_delta(
             self.M, self.bases(), self.cfg.r, self.d, self.cfg.t,
@@ -187,73 +198,28 @@ class Draw:
         return rel, diff
 
 
-def _run_projection(ctx: Draw) -> list[BoundReport]:
-    b = ctx.bases()
-    rep_v, rep_u = bounds.check_projection(ctx.M, b.V_hat, b.U_hat,
-                                           ctx.cfg.r, ctx.d, ctx.cfg.t)
-    return [rep_v, rep_u]
-
-
-def _run_delta(ctx: Draw) -> list[BoundReport]:
-    return [ctx.delta()]
-
-
-def _run_delta_triangle(ctx: Draw) -> list[BoundReport]:
-    return [bounds.check_delta_triangle(ctx.M, ctx.bases())]
-
-
-def _run_combine(ctx: Draw) -> list[BoundReport]:
-    result, M_hat = ctx.recovery()
-    gamma = result.lambda_min_KtK * ctx.n * ctx.m / ctx.entries().size
-    return [bounds.check_combine(ctx.M, M_hat, ctx.delta().lhs, gamma)]
-
-
-def _run_halko(ctx: Draw) -> list[BoundReport]:
-    idx, _ = ctx.cols()
-    return [bounds.check_halko(ctx.M, idx, ctx.cfg.r)]
-
-
-def _run_omega1(ctx: Draw) -> list[BoundReport]:
-    idx, _ = ctx.cols()
-    return [bounds.check_omega1_spectrum(ctx.M, idx, ctx.cfg.r, ctx.d)]
-
-
-def _run_strong_convexity(ctx: Draw) -> list[BoundReport]:
-    return [bounds.check_strong_convexity(ctx.design(), ctx.n, ctx.m,
-                                          bases=ctx.bases(), t=ctx.cfg.t)]
-
-
-def _run_h_sandwich(ctx: Draw) -> list[BoundReport]:
-    return [bounds.check_h_sandwich(ctx.h_pair(), ctx.cfg.sandwich_delta,
-                                    ctx.cfg.t)]
-
-
-def _run_mu_hat(ctx: Draw) -> list[BoundReport]:
-    return [bounds.check_mu_hat_bound(ctx.M, ctx.bases(), ctx.cfg.r, ctx.lam,
-                                      ctx.d, ctx.cfg.t)]
-
-
-def _run_sin_theta(ctx: Draw) -> list[BoundReport]:
-    pair = ctx.h_pair()
-    return [bounds.check_sin_theta_perturbation(pair.H, pair.H_hat, ctx.cfg.r)]
-
-
-def _run_full_rank_recovery(ctx: Draw) -> list[BoundReport]:
-    return [ctx.recovery_bound()]
-
-
-_RUNNERS = {
-    "projection": _run_projection,
-    "delta": _run_delta,
-    "delta_triangle": _run_delta_triangle,
-    "combine": _run_combine,
-    "halko": _run_halko,
-    "omega1_spectrum": _run_omega1,
-    "strong_convexity": _run_strong_convexity,
-    "h_sandwich": _run_h_sandwich,
-    "mu_hat": _run_mu_hat,
-    "sin_theta": _run_sin_theta,
-    "full_rank_recovery": _run_full_rank_recovery,
+# each verify check's reports from one draw, in config.CHECK_NAMES order
+CHECKS = {
+    "projection": lambda ctx: list(bounds.check_projection(
+        ctx.M, ctx.bases().V_hat, ctx.bases().U_hat, ctx.cfg.r, ctx.d,
+        ctx.cfg.t)),
+    "delta": lambda ctx: [ctx.delta()],
+    "delta_triangle": lambda ctx: [bounds.check_delta_triangle(
+        ctx.M, ctx.bases())],
+    "combine": lambda ctx: [bounds.check_combine(
+        ctx.M, ctx.recovery()[1], ctx.delta().lhs, ctx.gamma())],
+    "halko": lambda ctx: [bounds.check_halko(ctx.M, ctx.cols()[0], ctx.cfg.r)],
+    "omega1_spectrum": lambda ctx: [bounds.check_omega1_spectrum(
+        ctx.M, ctx.cols()[0], ctx.cfg.r, ctx.d)],
+    "strong_convexity": lambda ctx: [bounds.check_strong_convexity(
+        ctx.design(), ctx.n, ctx.m, ctx.bases(), ctx.cfg.t)],
+    "h_sandwich": lambda ctx: [bounds.check_h_sandwich(
+        ctx.h_pair(), ctx.cfg.sandwich_delta, ctx.cfg.t)],
+    "mu_hat": lambda ctx: [bounds.check_mu_hat_bound(
+        ctx.M, ctx.bases(), ctx.cfg.r, ctx.lam, ctx.d, ctx.cfg.t)],
+    "sin_theta": lambda ctx: [bounds.check_sin_theta_perturbation(
+        ctx.h_pair().H, ctx.h_pair().H_hat, ctx.cfg.r)],
+    "full_rank_recovery": lambda ctx: [ctx.recovery_bound()],
 }
 
 
@@ -267,7 +233,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     reports: list[BoundReport] = []
     try:
         for name in cfg.checks:
-            reports.extend(_RUNNERS[name](ctx))
+            reports.extend(CHECKS[name](ctx))
     except IllPosedError as exc:
         return {**record, "error": str(exc), "reports": []}
     return {**record, "reports": [r.to_dict() for r in reports]}
@@ -327,7 +293,7 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
         "row_indices": [int(i) for i in draw.rows()[0].indices],
         "omega_size": omega_size,
         "lambda_min_gram": result.lambda_min_KtK,
-        "gamma": result.lambda_min_KtK * draw.n * draw.m / omega_size,
+        "gamma": draw.gamma(),
         "residual": result.residual,
         "metrics": {
             "rel_frobenius": rel,
@@ -349,22 +315,51 @@ def _union_count(draw: Draw) -> int:
 def _sweep_point(cfg: ExperimentConfig, trial: int,
                  grid: list[int]) -> dict[int, dict]:
     """One sweep trial: the instance and its budget once, then a draw from
-    stream.derive(1 + d) for each grid point d in order."""
+    stream.derive(1 + d) for each grid point d in order; an ill-posed fit
+    leaves that draw with its "error" message only."""
     stream = cfg.base_stream().derive(trial)
     M, lam, budget = load_instance(cfg, stream)
     outs = {}
     for d in grid:
         draw = Draw(cfg, M, lam, d, budget.omega, stream.derive(1 + d))
-        outs[d] = {"rel_error": draw.score()[0], "omega": draw.entries().size,
+        try:
+            rel = draw.score()[0]
+        except IllPosedError as exc:
+            outs[d] = {"error": str(exc)}
+            continue
+        outs[d] = {"rel_error": rel, "omega": draw.entries().size,
                    "holds": bool(draw.recovery_bound().holds),
                    "union": _union_count(draw)}
     return outs
 
 
+def _measured(cfg: ExperimentConfig, d: int, outs: list[dict]) -> dict:
+    """A live grid point's fields: means over the draws whose fit
+    succeeded and, if any draw was ill-posed, their count in "failed" and
+    the first one's trial and message in "error"."""
+    ok = [o for o in outs if "error" not in o]
+    row = {}
+    if ok:
+        omega_mean = float(np.mean([o["omega"] for o in ok]))
+        row = {
+            "omega": omega_mean,
+            "observed_total": d * cfg.n + d * cfg.m + omega_mean,
+            "union": float(np.mean([o["union"] for o in ok])),
+            "rel_error": float(np.mean([o["rel_error"] for o in ok])),
+            "bound_rate": float(np.mean([o["holds"] for o in ok])),
+        }
+    failed = [(k, o["error"]) for k, o in enumerate(outs) if "error" in o]
+    if failed:
+        row.update(failed=len(failed),
+                   error=f"trial={failed[0][0]}: {failed[0][1]}")
+    return row
+
+
 def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
               threads: int | None = None) -> list[dict]:
     """One table row per grid point: budgets, measured error, bound rate,
-    and the analytic observation-count curve."""
+    and the analytic observation-count curve; measured fields are None at a
+    skipped point or where every draw was ill-posed."""
     grid = sorted(set(d_grid))
     if not grid:
         raise ValueError("d grid is empty")
@@ -376,21 +371,12 @@ def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
                          cfg.trials) if live else []
     rows = []
     for d in grid:
-        row = {"d": d, "analytic_total": bounds.total_observations(cfg.n, d)}
-        if d not in live:
-            row.update({"omega": None, "observed_total": None, "union": None,
-                        "rel_error": None, "bound_rate": None,
-                        "skipped": "d outside [r, min(n, m)]"})
-            rows.append(row)
-            continue
-        outs = [t[d] for t in trials]
-        omega_mean = float(np.mean([o["omega"] for o in outs]))
-        row.update({
-            "omega": omega_mean,
-            "observed_total": d * cfg.n + d * cfg.m + omega_mean,
-            "union": float(np.mean([o["union"] for o in outs])),
-            "rel_error": float(np.mean([o["rel_error"] for o in outs])),
-            "bound_rate": float(np.mean([o["holds"] for o in outs])),
-        })
+        row = {"d": d, "analytic_total": bounds.total_observations(cfg.n, d),
+               "omega": None, "observed_total": None, "union": None,
+               "rel_error": None, "bound_rate": None}
+        if d in live:
+            row.update(_measured(cfg, d, [t[d] for t in trials]))
+        else:
+            row["skipped"] = "d outside [r, min(n, m)]"
         rows.append(row)
     return rows

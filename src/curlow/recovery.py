@@ -92,7 +92,6 @@ class RecoveryResult:
     bases: Bases
     lambda_min_KtK: float
     residual: float
-    ridge: float
 
     def reconstruct(self) -> DenseMatrix:
         return self.bases.U_hat @ self.Z_star @ self.bases.V_hat.T
@@ -172,8 +171,7 @@ def fit(bases: Bases, system: DesignSystem, ridge: float = 0.0):
     """
     Z_star, lambda_min, residual = solve_core(system, ridge)
     result = RecoveryResult(Z_star=Z_star, bases=bases,
-                            lambda_min_KtK=lambda_min, residual=residual,
-                            ridge=ridge)
+                            lambda_min_KtK=lambda_min, residual=residual)
     return result, result.reconstruct()
 
 

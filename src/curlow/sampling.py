@@ -22,11 +22,6 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
-    algorithm: str = "philox"
-
-    def __post_init__(self):
-        if self.algorithm != "philox":
-            raise ValueError(f"unknown rng algorithm {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         key = (np.uint64(self.seed % 2**64), np.uint64(self.stream_id % 2**64))
@@ -42,14 +37,11 @@ class RngStream:
 class IndexSet:
     """Distinct sorted indices into one axis, with the draw order retained."""
 
-    kind: str  # "col-indices" or "row-indices"
     indices: np.ndarray  # sorted, strictly increasing
     bound: int  # axis length; all indices lie in [0, bound)
     draw_order: np.ndarray  # same values in the order they were drawn
 
     def __post_init__(self):
-        if self.kind not in ("col-indices", "row-indices"):
-            raise ValueError(f"unknown index kind {self.kind!r}")
         idx = np.asarray(self.indices)
         if idx.size and (idx.min() < 0 or idx.max() >= self.bound):
             raise ValueError("indices out of bounds")
@@ -98,8 +90,7 @@ def sample_columns(M, d: int, stream: RngStream) -> tuple[IndexSet, DenseMatrix]
     n x d matrix of those columns in draw order."""
     A = as_matrix(M)
     drawn = _draw_without_replacement(stream.generator(), A.shape[1], d)
-    idx = IndexSet(kind="col-indices", indices=np.sort(drawn),
-                   bound=A.shape[1], draw_order=drawn)
+    idx = IndexSet(indices=np.sort(drawn), bound=A.shape[1], draw_order=drawn)
     return idx, A[:, drawn].copy()
 
 
@@ -108,8 +99,7 @@ def sample_rows(M, d: int, stream: RngStream) -> tuple[IndexSet, DenseMatrix]:
     m x d matrix holding the transposed rows in draw order."""
     A = as_matrix(M)
     drawn = _draw_without_replacement(stream.generator(), A.shape[0], d)
-    idx = IndexSet(kind="row-indices", indices=np.sort(drawn),
-                   bound=A.shape[0], draw_order=drawn)
+    idx = IndexSet(indices=np.sort(drawn), bound=A.shape[0], draw_order=drawn)
     return idx, A[drawn, :].T.copy()
 
 

@@ -111,7 +111,7 @@ def measured_properties(M, r: int, lam: float) -> dict:
     """Coherence, regularized rank, and spectrum-gap summary for M."""
     A = as_matrix(M)
     sig = svd(A).sigma
-    rep = mu_r(A, r)
+    mu = mu_r(A, r)
     rank_rep = numerical_rank(A, lam)
     sigma_r = float(sig[r - 1])
     sigma_next = float(sig[r]) if r < sig.size else 0.0
@@ -120,7 +120,7 @@ def measured_properties(M, r: int, lam: float) -> dict:
         "m": A.shape[1],
         "r": r,
         "lam": lam,
-        "mu_r": rep.mu,
+        "mu_r": mu,
         "mu_lambda": rank_rep.mu_lambda,
         "numerical_rank": rank_rep.value,
         "sigma_r": sigma_r,

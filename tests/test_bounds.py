@@ -290,7 +290,7 @@ def test_halko_rank_deficient_selection_flagged():
 
 def test_halko_bound_requires_matching_selection():
     M = low_rank(12, 10, 3, seed=16)
-    idx = IndexSet(kind="col-indices", indices=np.array([0, 1]), bound=9,
+    idx = IndexSet(indices=np.array([0, 1]), bound=9,
                    draw_order=np.array([1, 0]))
     with pytest.raises(ValueError):
         check_halko(M, idx, 3)
@@ -347,16 +347,6 @@ def test_strong_convexity_full_grid():
     assert rep.holds
     assert rep.premises_met  # basis cross-coherence is 1, so the gate is ~123
     assert rep.params["omega_gate"] <= 256
-
-
-def test_strong_convexity_without_bases_is_ungated():
-    M = low_rank(10, 8, 2, seed=21)
-    bases = build_bases(M.copy(), M.T.copy(), 2)
-    system = assemble_design(bases, full_grid(M))
-    rep = check_strong_convexity(system, 10, 8)
-    assert not rep.premises_met
-    assert rep.params["omega_gate"] is None
-    assert rep.holds
 
 
 def test_strong_convexity_starved_sample_fails_honestly():

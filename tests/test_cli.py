@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -156,6 +157,42 @@ def test_sweep_table(tmp_path, capsys):
     last = lines[4].split(",")
     assert last[0] == "99" and last[-1] != ""  # out-of-range row is marked
     assert "analytic optimum" in capsys.readouterr().out
+
+
+def test_sweep_skipped_rows_have_as_many_fields_as_the_header(tmp_path):
+    out = tmp_path / "swp"
+    assert run("sweep", "--d-grid", "1,8", "--out", str(out),
+               "--set", "synth.n=24", "--set", "synth.m=24", "--set", "r=2",
+               "--set", "trials=2") == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [8, 8, 8]
+    assert rows[1][0] == "1" and rows[1][-1] == "d outside [r, min(n, m)]"
+
+
+def test_sweep_ill_posed_draws_are_written_and_exit_2(tmp_path, capsys):
+    out = tmp_path / "swp"
+    rc = run("sweep", "--d-grid", "4,8", "--out", str(out),
+             "--set", "synth.n=12", "--set", "synth.m=12",
+             "--set", "synth.kind=exact-low-rank", "--set", "r=2",
+             "--set", "omega=6", "--set", "trials=4")
+    assert rc == 2
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["d", "omega", "observed_total", "union",
+                             "analytic_total", "rel_error", "bound_rate",
+                             "skipped", "failed"]
+    assert [row["d"] for row in rows] == ["4", "8"]
+    failed = sum(int(row["failed"] or 0) for row in rows)
+    assert 0 < failed <= 8
+    for row in rows:
+        measured = [row[k] for k in ("omega", "observed_total", "union",
+                                     "rel_error", "bound_rate")]
+        all_failed = row["failed"] == "4"
+        assert all((v == "") == all_failed for v in measured), row
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"failed draws: {failed} of 8 (first: d=")
+    assert ", trial=" in last and "design matrix is rank-deficient" in last
 
 
 def test_sweep_error_improves_with_budget(tmp_path):

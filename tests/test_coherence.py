@@ -4,7 +4,6 @@ import pytest
 from curlow.coherence import (
     basis_incoherence,
     mu_hat,
-    mu_lambda,
     mu_r,
     numerical_rank,
     sin_theta,
@@ -37,28 +36,26 @@ def random_orthonormal(n, r, seed=0):
 
 def test_canonical_basis_is_maximally_coherent():
     N, r = 12, 3
-    rep = basis_incoherence(np.eye(N)[:, :r])
-    assert abs(rep.mu - N / r) < 1e-12
-    assert rep.arg_row in (0, 1, 2)
+    mu = basis_incoherence(np.eye(N)[:, :r])
+    assert abs(mu - N / r) < 1e-12
 
 
 def test_flat_basis_has_unit_coherence():
-    rep = basis_incoherence(hadamard_cols(64, 4))
-    assert abs(rep.mu - 1.0) < 1e-12
+    mu = basis_incoherence(hadamard_cols(64, 4))
+    assert abs(mu - 1.0) < 1e-12
 
 
 def test_incoherence_matches_row_scan_oracle():
     Q = random_orthonormal(64, 4, seed=1)
-    rep = basis_incoherence(Q)
+    mu = basis_incoherence(Q)
     lev = (64 / 4) * np.sum(Q**2, axis=1)
-    assert abs(rep.mu - lev.max()) < 1e-12
-    assert rep.arg_row == int(np.argmax(lev))
+    assert abs(mu - lev.max()) < 1e-12
 
 
 def test_incoherence_rotation_invariant():
     Q = random_orthonormal(40, 3, seed=2)
     R = np.linalg.qr(rng(3).standard_normal((3, 3)))[0]
-    assert abs(basis_incoherence(Q).mu - basis_incoherence(Q @ R).mu) < 1e-10
+    assert abs(basis_incoherence(Q) - basis_incoherence(Q @ R)) < 1e-10
 
 
 def test_incoherence_rejects_non_orthonormal():
@@ -69,7 +66,7 @@ def test_incoherence_rejects_non_orthonormal():
 def test_mu_range_invariant():
     for seed in range(8):
         Q = random_orthonormal(30, 5, seed=seed)
-        mu = basis_incoherence(Q).mu
+        mu = basis_incoherence(Q)
         assert 1.0 - 1e-9 <= mu <= (30 / 5) * (1 + 1e-9)
 
 
@@ -85,7 +82,7 @@ def flat_low_rank(n, m, r):
 
 def test_mu_r_flat_factors():
     M = flat_low_rank(64, 32, 4)
-    assert mu_r(M, 4).mu <= 1.0 + 1e-8
+    assert mu_r(M, 4) <= 1.0 + 1e-8
 
 
 def test_mu_r_planted_spike():
@@ -96,26 +93,25 @@ def test_mu_r_planted_spike():
     U[1:, 1:] = random_orthonormal(n - 1, r - 1, seed=4)
     V = hadamard_cols(m, r)
     M = (U * np.array([3.0, 2.0, 1.0])) @ V.T
-    rep = mu_r(M, r)
-    assert abs(rep.mu - n / r) < 1e-10
-    assert rep.arg_row == 0
+    mu = mu_r(M, r)
+    assert abs(mu - n / r) < 1e-10
 
 
 def test_mu_r_matches_factor_scan():
     M = flat_low_rank(32, 32, 2) + 0.0
     f = svd(M)
     U1, V1 = f.U[:, :2], f.V[:, :2]
-    expect = max(basis_incoherence(U1).mu, basis_incoherence(V1).mu)
-    assert abs(mu_r(M, 2).mu - expect) < 1e-12
+    expect = max(basis_incoherence(U1), basis_incoherence(V1))
+    assert abs(mu_r(M, 2) - expect) < 1e-12
 
 
 def test_mu_hat_patterns():
-    assert abs(mu_hat(np.eye(10)[:, :2], hadamard_cols(16, 2)).mu - 5.0) < 1e-12
-    assert abs(mu_hat(hadamard_cols(16, 2), hadamard_cols(16, 2)).mu - 1.0) < 1e-12
+    assert abs(mu_hat(np.eye(10)[:, :2], hadamard_cols(16, 2)) - 5.0) < 1e-12
+    assert abs(mu_hat(hadamard_cols(16, 2), hadamard_cols(16, 2)) - 1.0) < 1e-12
     U = random_orthonormal(20, 3, seed=5)
     V = random_orthonormal(30, 3, seed=6)
-    expect = max(basis_incoherence(U).mu, basis_incoherence(V).mu)
-    assert abs(mu_hat(U, V).mu - expect) < 1e-12
+    expect = max(basis_incoherence(U), basis_incoherence(V))
+    assert abs(mu_hat(U, V) - expect) < 1e-12
 
 
 # --- numerical rank ---------------------------------------------------------
@@ -163,17 +159,17 @@ def test_numerical_rank_rejects_negative_lambda():
 
 def test_mu_lambda_zero_matches_mu_r():
     M = flat_low_rank(32, 16, 4)
-    assert abs(mu_lambda(M, 0.0) - mu_r(M, 4).mu) < 1e-10
+    assert abs(numerical_rank(M, 0.0).mu_lambda - mu_r(M, 4)) < 1e-10
     M2 = (random_orthonormal(20, 3, seed=10) * np.array([5.0, 2.0, 1.0])) \
         @ random_orthonormal(15, 3, seed=11).T
-    assert abs(mu_lambda(M2, 0.0) - mu_r(M2, 3).mu) < 1e-10
+    assert abs(numerical_rank(M2, 0.0).mu_lambda - mu_r(M2, 3)) < 1e-10
 
 
 def test_mu_lambda_flat_equal_spectrum_is_one():
     # square flat orthogonal matrix: all sigma equal, all leverages equal
     n = 16
     M = hadamard_cols(n, n) * np.sqrt(n) * 2.0
-    assert abs(mu_lambda(M, 0.37) - 1.0) < 1e-8
+    assert abs(numerical_rank(M, 0.37).mu_lambda - 1.0) < 1e-8
 
 
 def test_mu_lambda_matches_direct_formula():
@@ -186,13 +182,13 @@ def test_mu_lambda_matches_direct_formula():
     rank_value = float(np.sum(f.sigma**2 / (f.sigma**2 + n * m * lam)))
     lev_u = np.sum((f.U * w) ** 2, axis=1).max() * n / rank_value
     lev_v = np.sum((f.V * w) ** 2, axis=1).max() * m / rank_value
-    assert abs(mu_lambda(M, lam) - max(lev_u, lev_v)) < 1e-10
+    assert abs(numerical_rank(M, lam).mu_lambda - max(lev_u, lev_v)) < 1e-10
 
 
 def test_mu_lambda_at_least_one():
     for seed in range(6):
         M = rng(20 + seed).standard_normal((10, 8))
-        assert mu_lambda(M, 10.0 ** -(seed + 2)) >= 1.0 - 1e-9
+        assert numerical_rank(M, 10.0 ** -(seed + 2)).mu_lambda >= 1.0 - 1e-9
 
 
 # --- sin_theta ---------------------------------------------------------------
@@ -248,7 +244,7 @@ def test_mu_r_bounded_by_weighted_coherence():
         assert f.sigma[r - 1] >= np.sqrt(2.0) * f.sigma[r]
         lam = float(f.sigma[r - 1]) ** 2 / (48 * 40)
         rep = numerical_rank(M, lam)
-        lhs = mu_r(M, r).mu
+        lhs = mu_r(M, r)
         rhs = 2.0 * rep.value / r * rep.mu_lambda
         assert lhs <= rhs + 1e-9 * rhs
         hits += 1

@@ -9,7 +9,7 @@ import pytest
 from curlow import bounds, lab, linalg, recovery
 from curlow.bounds import sample_size_low_rank, total_observations
 from curlow.coherence import mu_r
-from curlow.config import ExperimentConfig
+from curlow.config import CHECK_NAMES, ExperimentConfig
 from curlow.lab import (
     Draw,
     aggregate_reports,
@@ -61,7 +61,7 @@ def test_resolve_budgets_low_rank_formula():
     cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=2, r=2)
     M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
     budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
-    mu = mu_r(M, 2).mu
+    mu = mu_r(M, 2)
     d_formula, omega_formula = sample_size_low_rank(mu, 2, 3.0)
     assert budget.details["regime"] == "low-rank"
     assert budget.details["d_formula"] == d_formula
@@ -130,14 +130,24 @@ def test_trial_builds_each_stage_once(monkeypatch):
 
 
 def test_run_trial_report_names():
+    assert tuple(lab.CHECKS) == CHECK_NAMES
     cfg = ExperimentConfig(n=32, m=32, kind="geometric-spectrum", decay=0.5,
                            synth_r=2, r=2, d=16, omega_count=300,
-                           checks=("projection", "delta_triangle", "sin_theta"))
+                           checks=CHECK_NAMES)
     record = run_trial(cfg, 0)
     names = [rep["name"] for rep in record["reports"]]
     assert names == ["projection_error_cols", "projection_error_rows",
-                     "delta_triangle", "subspace_perturbation"]
+                     "delta_bound", "delta_triangle", "error_combine",
+                     "column_space_capture", "selection_spectrum",
+                     "strong_convexity", "gram_sandwich", "basis_coherence",
+                     "subspace_perturbation", "recovery_error"]
     assert record["d"] == 16 and record["omega"] == 300
+    one = ExperimentConfig(n=32, m=32, kind="geometric-spectrum", decay=0.5,
+                           synth_r=2, r=2, d=16, omega_count=300,
+                           checks=("sin_theta", "projection"))
+    assert [rep["name"] for rep in run_trial(one, 0)["reports"]] == [
+        "subspace_perturbation", "projection_error_cols",
+        "projection_error_rows"]
 
 
 def test_aggregate_reports_counts():
@@ -246,6 +256,31 @@ def test_run_sweep_rows_and_skips():
     assert live["rel_error"] <= 1e-6
     assert live["observed_total"] == pytest.approx(8 * 24 * 2 + live["omega"])
     assert live["union"] <= live["observed_total"]
+
+
+def test_run_sweep_keeps_points_around_an_ill_posed_draw():
+    # 6 entries against a 2x2 core on 12x12: most draws are singular
+    cfg = ExperimentConfig(n=12, m=12, kind="exact-low-rank", synth_r=2, r=2,
+                           omega_count=6, trials=4)
+    rows = run_sweep(cfg, [4, 8], threads=2)
+    assert rows == run_sweep(cfg, [4, 8], threads=1)
+    points = [lab._sweep_point(cfg, k, [4, 8]) for k in range(cfg.trials)]
+    for row in rows:
+        outs = [p[row["d"]] for p in points]
+        ok = [o for o in outs if "error" not in o]
+        failed = [k for k, o in enumerate(outs) if "error" in o]
+        assert failed and row["failed"] == len(failed)
+        assert row["error"] == f"trial={failed[0]}: " + outs[failed[0]]["error"]
+        assert row["error"].split(": ", 1)[1].startswith(
+            "design matrix is rank-deficient")
+        if ok:
+            assert row["rel_error"] == float(np.mean([o["rel_error"] for o in ok]))
+            assert row["omega"] == 6.0
+        else:
+            assert all(row[k] is None for k in ("omega", "observed_total",
+                                                "union", "rel_error",
+                                                "bound_rate"))
+    assert any(row["rel_error"] is None for row in rows)
 
 
 def test_run_sweep_thread_invariance():

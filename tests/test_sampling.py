@@ -32,29 +32,21 @@ def test_derive_is_deterministic_and_distinct():
     assert s.derive(5) == s.derive(5)
 
 
-def test_unknown_algorithm_rejected():
-    with pytest.raises(ValueError):
-        RngStream(seed=1, algorithm="mt19937")
-
-
 # --- IndexSet / OmegaSet validation --------------------------------------
 
 
 def test_index_set_validation():
-    ok = IndexSet(kind="col-indices", indices=np.array([0, 2]), bound=3,
+    ok = IndexSet(indices=np.array([0, 2]), bound=3,
                   draw_order=np.array([2, 0]))
     assert ok.bound == 3
     with pytest.raises(ValueError):
-        IndexSet(kind="col-indices", indices=np.array([2, 0]), bound=3,
+        IndexSet(indices=np.array([2, 0]), bound=3,
                  draw_order=np.array([2, 0]))
     with pytest.raises(ValueError):
-        IndexSet(kind="col-indices", indices=np.array([0, 3]), bound=3,
+        IndexSet(indices=np.array([0, 3]), bound=3,
                  draw_order=np.array([3, 0]))
     with pytest.raises(ValueError):
-        IndexSet(kind="diagonal", indices=np.array([0]), bound=3,
-                 draw_order=np.array([0]))
-    with pytest.raises(ValueError):
-        IndexSet(kind="col-indices", indices=np.array([0, 1]), bound=3,
+        IndexSet(indices=np.array([0, 1]), bound=3,
                  draw_order=np.array([0, 2]))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curlow.coherence import mu_lambda, mu_r, numerical_rank
+from curlow.coherence import mu_r, numerical_rank
 from curlow.linalg import frobenius_norm, svd
 from curlow.sampling import RngStream
 from curlow.synth import SynthSpec, generate, measured_properties
@@ -50,7 +50,7 @@ def test_spiky_coherence_plants_leverage():
     s = spec(seed=5, n=100, m=64, r=2, coherence="spiky", spike_index=0,
              spike_weight=0.9)
     M, _ = generate(s)
-    mu = mu_r(M, 2).mu
+    mu = mu_r(M, 2)
     target = 0.81 * (100 / 2)
     assert mu >= target * 0.95
 
@@ -61,7 +61,7 @@ def test_full_spike_weight_is_canonical():
     M, f = generate(s)
     col = np.abs(f.U[:, 0])
     assert col[3] > 1.0 - 1e-12
-    assert mu_r(M, 2).mu >= 50 / 2 - 1e-6
+    assert mu_r(M, 2) >= 50 / 2 - 1e-6
 
 
 def test_flat_coherence_stays_small():
@@ -69,7 +69,7 @@ def test_flat_coherence_stays_small():
     bad = 0
     for seed in range(100):
         M, _ = generate(spec(seed=1000 + seed, n=64, m=64, r=8))
-        if mu_r(M, 8).mu > 5.0:
+        if mu_r(M, 8) > 5.0:
             bad += 1
     assert bad <= 1
 
@@ -104,8 +104,8 @@ def test_measured_properties_cross_checks():
                          n=32, m=32, r=4))
     lam = float(f.sigma[3]) ** 2 / (32 * 32)
     props = measured_properties(M, 4, lam)
-    assert abs(props["mu_r"] - mu_r(M, 4).mu) < 1e-12
-    assert abs(props["mu_lambda"] - mu_lambda(M, lam)) < 1e-12
+    assert abs(props["mu_r"] - mu_r(M, 4)) < 1e-12
+    assert abs(props["mu_lambda"] - numerical_rank(M, lam).mu_lambda) < 1e-12
     assert abs(props["numerical_rank"] - numerical_rank(M, lam).value) < 1e-12
     assert props["gap_ok"] == (props["sigma_r"] >= np.sqrt(2) * props["sigma_r_plus_1"])
     assert props["gap_ok"]  # decay 0.5 has exactly a factor-2 gap
