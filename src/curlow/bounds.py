@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherence import mu_hat, mu_r, numerical_rank, sin_theta
+from .coherence import (
+    NumericalRankReport,
+    mu_hat,
+    mu_r,
+    numerical_rank,
+    sin_theta,
+)
 from .linalg import (
     PINV_RTOL,
     as_matrix,
@@ -460,10 +466,37 @@ def check_sin_theta_perturbation(H, H_tilde, r: int) -> BoundReport:
     return make_report("subspace_perturbation", lhs, rhs, premises, params)
 
 
-def check_full_rank_recovery(M, result, r: int, d: int,
+@dataclass(frozen=True)
+class RecoverySpectrum:
+    """The part of the end-to-end recovery bound that depends only on the
+    instance M and the rank r: sigma_r, sigma_{r+1}, lam = sigma_r^2 / (mn)
+    and the regularized numerical rank of M at that lam."""
+
+    r: int
+    sigma_r: float
+    sigma_r_plus_1: float
+    lam: float
+    rank: NumericalRankReport
+
+
+def recovery_spectrum(M, r: int) -> RecoverySpectrum:
+    """The instance's side of `check_full_rank_recovery`, to be computed
+    once per instance and shared by every draw from it."""
+    A = as_matrix(M)
+    n, m = A.shape
+    sig = svd(A).sigma
+    s_r = float(sig[r - 1])
+    s_next = float(sig[r]) if r < sig.size else 0.0
+    lam = s_r**2 / (m * n)
+    return RecoverySpectrum(r=r, sigma_r=s_r, sigma_r_plus_1=s_next, lam=lam,
+                            rank=numerical_rank(A, lam))
+
+
+def check_full_rank_recovery(spectrum: RecoverySpectrum, M, result, d: int,
                              run_params: dict) -> BoundReport:
     """End-to-end spectral recovery error against
-    24 sigma_{r+1}^2 (1 + (m+n)/d).
+    24 sigma_{r+1}^2 (1 + (m+n)/d), with sigma and the gates read from the
+    instance's `recovery_spectrum`.
 
     run_params must carry omega_size and may carry t (default 3). Premises:
     the spectral-gap and d gates, plus the entry budget capped at the grid
@@ -471,13 +504,10 @@ def check_full_rank_recovery(M, result, r: int, d: int,
     """
     A = as_matrix(M)
     n, m = A.shape
+    r, s_r, s_next = spectrum.r, spectrum.sigma_r, spectrum.sigma_r_plus_1
+    rep = spectrum.rank
     omega_size = int(run_params["omega_size"])
     t = float(run_params.get("t", 3.0))
-    sig = svd(A).sigma
-    s_r = float(sig[r - 1])
-    s_next = float(sig[r]) if r < sig.size else 0.0
-    lam = s_r**2 / (m * n)
-    rep = numerical_rank(A, lam)
     d_gate, omega_formula = sample_size_full_rank(rep.mu_lambda, rep.value,
                                                   t, n, d, r)
     omega_gate = min(omega_formula, n * m)
@@ -485,7 +515,7 @@ def check_full_rank_recovery(M, result, r: int, d: int,
     rhs = 24.0 * s_next**2 * (1.0 + (m + n) / d)
     premises = (s_r >= math.sqrt(2.0) * s_next and d >= min(d_gate, n, m)
                 and omega_size >= omega_gate)
-    params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": lam,
+    params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": spectrum.lam,
               "omega_size": omega_size, "mu_lambda": rep.mu_lambda,
               "numerical_rank": rep.value, "d_gate": d_gate,
               "omega_formula": omega_formula, "omega_gate": omega_gate,

@@ -20,6 +20,7 @@ import numpy as np
 from . import lab
 from .bounds import optimal_d, total_observations
 from .config import (
+    AUTO,
     ExperimentConfig,
     apply_overrides,
     config_from_mapping,
@@ -137,6 +138,12 @@ def cmd_recover(args) -> int:
         write_json(report, os.path.join(args.out, "recovery.json"))
     rel = report["metrics"]["rel_frobenius"]
     print(f"recovered: rel_frobenius={rel:.3e}, omega={report['omega_size']}")
+    budget = report["budget"]
+    capped = [f"{key}_formula={budget[key + '_formula']} -> {key}={budget[key]}"
+              for key, value in (("d", cfg.d), ("omega", cfg.omega_count))
+              if value == AUTO and budget[key + "_formula"] > budget[key]]
+    if capped:
+        print(f"capped auto budgets at the instance: {', '.join(capped)}")
     return 0
 
 
@@ -194,13 +201,20 @@ def cmd_sweep(args) -> int:
                          f"got {args.d_grid!r}")
     rows = lab.run_sweep(cfg, grid)
     failed = [row for row in rows if "failed" in row]
-    columns = _SWEEP_COLUMNS + ["failed"] if failed else _SWEEP_COLUMNS
+    degenerate = [row for row in rows if "degenerate" in row]
+    columns = (_SWEEP_COLUMNS + ["failed"] * bool(failed)
+               + ["degenerate"] * bool(degenerate))
     write_csv(rows, columns, os.path.join(args.out, "sweep.csv"))
     best = optimal_d(cfg.n)
     print(f"swept {len(rows)} grid points; analytic optimum near d={best} "
           f"(total {total_observations(cfg.n, best):.0f})")
+    draws = cfg.trials * sum("skipped" not in row for row in rows)
+    if degenerate:
+        print(f"degenerate basis splits: "
+              f"{sum(row['degenerate'] for row in degenerate)} of {draws} "
+              f"draws (first: d={degenerate[0]['d']}, "
+              f"trial={degenerate[0]['degenerate_trial']})")
     if failed:
-        draws = cfg.trials * sum("skipped" not in row for row in rows)
         print(f"failed draws: {sum(row['failed'] for row in failed)} of "
               f"{draws} (first: d={failed[0]['d']}, {failed[0]['error']})")
         return 2

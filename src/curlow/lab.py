@@ -7,9 +7,10 @@ derive(1), (2) and (3) of its own stream and builds the bases, the design,
 the fit on both and the Delta report once each, for every check in
 `CHECKS` that reads them. `recover` draws from the base stream, each
 `verify` trial from base.derive(trial), and `sweep` loads each trial's
-instance once and draws from base.derive(trial).derive(1 + d) per grid
-point d. Trials run in one thread pool keyed by trial index, with BLAS on
-one thread per trial, so results are independent of both thread counts.
+instance, with its recovery-bound spectrum, once and draws from
+base.derive(trial).derive(1 + d) per grid point d. Trials run in one
+thread pool keyed by trial index, with BLAS on one thread per trial, so
+results are independent of both thread counts.
 """
 from __future__ import annotations
 
@@ -114,12 +115,31 @@ def instance(cfg: ExperimentConfig, stream: RngStream,
     return M, sigma, float(sigma[cfg.r - 1]) ** 2 / (n * m)
 
 
+class Instance:
+    """One loaded instance: M, its lam, its resolved budget and, computed
+    on first use, the spectrum its recovery bound reads. The spectrum is
+    the same for every draw from M, so a sweep trial computes it once for
+    all its grid points; an instance is read by one trial thread only."""
+
+    def __init__(self, cfg: ExperimentConfig, M: np.ndarray, lam: float,
+                 budget: Budget):
+        self.cfg = cfg
+        self.M = M
+        self.lam = lam
+        self.budget = budget
+        self._spectrum: bounds.RecoverySpectrum | None = None
+
+    def recovery_spectrum(self) -> bounds.RecoverySpectrum:
+        if self._spectrum is None:
+            self._spectrum = bounds.recovery_spectrum(self.M, self.cfg.r)
+        return self._spectrum
+
+
 def load_instance(cfg: ExperimentConfig, stream: RngStream,
-                  M: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, float, Budget]:
+                  M: np.ndarray | None = None) -> Instance:
     """The `instance` M and lam, and the budget resolved from them."""
     M, _, lam = instance(cfg, stream, M)
-    return M, lam, resolve_budgets(cfg, M, lam)
+    return Instance(cfg, M, lam, resolve_budgets(cfg, M, lam))
 
 
 class Draw:
@@ -128,15 +148,16 @@ class Draw:
     Delta report built on them; each is computed once and shared by all
     its readers."""
 
-    def __init__(self, cfg: ExperimentConfig, M: np.ndarray, lam: float,
-                 d: int, omega: int, stream: RngStream):
-        self.cfg = cfg
-        self.M = M
-        self.lam = lam
+    def __init__(self, inst: Instance, d: int, omega: int,
+                 stream: RngStream):
+        self.instance = inst
+        self.cfg = inst.cfg
+        self.M = inst.M
+        self.lam = inst.lam
         self.d = d
         self.omega = omega
         self.stream = stream
-        self.n, self.m = M.shape
+        self.n, self.m = inst.M.shape
         # a plain dict: functools.cached_property serializes pool threads
         # on one lock per attribute before Python 3.12
         self._cache: dict = {}
@@ -186,8 +207,8 @@ class Draw:
 
     def recovery_bound(self) -> BoundReport:
         return self._get("bound", lambda: bounds.check_full_rank_recovery(
-            self.M, self.recovery()[0], self.cfg.r, self.d,
-            {"omega_size": self.entries().size, "t": self.cfg.t}))
+            self.instance.recovery_spectrum(), self.M, self.recovery()[0],
+            self.d, {"omega_size": self.entries().size, "t": self.cfg.t}))
 
     def score(self) -> tuple[float, np.ndarray]:
         """Relative Frobenius error of the recovery and the residual
@@ -227,9 +248,9 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     """One verify trial's reports; an ill-posed fit leaves the trial with
     its "error" message and no reports."""
     stream = cfg.base_stream().derive(trial)
-    M, lam, budget = load_instance(cfg, stream)
-    ctx = Draw(cfg, M, lam, budget.d, budget.omega, stream)
-    record = {"trial": trial, "d": budget.d, "omega": budget.omega}
+    inst = load_instance(cfg, stream)
+    ctx = Draw(inst, inst.budget.d, inst.budget.omega, stream)
+    record = {"trial": trial, "d": ctx.d, "omega": ctx.omega}
     reports: list[BoundReport] = []
     try:
         for name in cfg.checks:
@@ -281,14 +302,14 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
     """One full sample-and-recover pass; returns the report dict and the
     recovered matrix under key "_M_hat" (stripped before serialization)."""
     stream = cfg.base_stream()
-    M, lam, budget = load_instance(cfg, stream, M)
-    draw = Draw(cfg, M, lam, budget.d, budget.omega, stream)
+    inst = load_instance(cfg, stream, M)
+    draw = Draw(inst, inst.budget.d, inst.budget.omega, stream)
     result, M_hat = draw.recovery()
     rel, diff = draw.score()
     omega_size = draw.entries().size
     return {
         "config": cfg.to_flat(),
-        "budget": budget.details,
+        "budget": inst.budget.details,
         "col_indices": [int(i) for i in draw.cols()[0].indices],
         "row_indices": [int(i) for i in draw.rows()[0].indices],
         "omega_size": omega_size,
@@ -314,29 +335,34 @@ def _union_count(draw: Draw) -> int:
 
 def _sweep_point(cfg: ExperimentConfig, trial: int,
                  grid: list[int]) -> dict[int, dict]:
-    """One sweep trial: the instance and its budget once, then a draw from
-    stream.derive(1 + d) for each grid point d in order; an ill-posed fit
-    leaves that draw with its "error" message only."""
+    """One sweep trial: the instance, its budget and its recovery-bound
+    spectrum once, then a draw from stream.derive(1 + d) for each grid
+    point d in order. Each draw says whether its basis split is
+    degenerate; an ill-posed fit leaves it with its "error" message and no
+    measured fields."""
     stream = cfg.base_stream().derive(trial)
-    M, lam, budget = load_instance(cfg, stream)
+    inst = load_instance(cfg, stream)
     outs = {}
     for d in grid:
-        draw = Draw(cfg, M, lam, d, budget.omega, stream.derive(1 + d))
+        draw = Draw(inst, d, inst.budget.omega, stream.derive(1 + d))
+        out = outs[d] = {"degenerate": draw.bases().degenerate_gap}
         try:
             rel = draw.score()[0]
         except IllPosedError as exc:
-            outs[d] = {"error": str(exc)}
+            out["error"] = str(exc)
             continue
-        outs[d] = {"rel_error": rel, "omega": draw.entries().size,
-                   "holds": bool(draw.recovery_bound().holds),
-                   "union": _union_count(draw)}
+        out.update(rel_error=rel, omega=draw.entries().size,
+                   holds=bool(draw.recovery_bound().holds),
+                   union=_union_count(draw))
     return outs
 
 
 def _measured(cfg: ExperimentConfig, d: int, outs: list[dict]) -> dict:
     """A live grid point's fields: means over the draws whose fit
-    succeeded and, if any draw was ill-posed, their count in "failed" and
-    the first one's trial and message in "error"."""
+    succeeded; if any draw was ill-posed, their count in "failed" and the
+    first one's trial and message in "error"; if any draw's basis split
+    was degenerate, their count in "degenerate" and the first one's trial
+    in "degenerate_trial"."""
     ok = [o for o in outs if "error" not in o]
     row = {}
     if ok:
@@ -352,6 +378,9 @@ def _measured(cfg: ExperimentConfig, d: int, outs: list[dict]) -> dict:
     if failed:
         row.update(failed=len(failed),
                    error=f"trial={failed[0][0]}: {failed[0][1]}")
+    degenerate = [k for k, o in enumerate(outs) if o["degenerate"]]
+    if degenerate:
+        row.update(degenerate=len(degenerate), degenerate_trial=degenerate[0])
     return row
 
 

@@ -21,6 +21,7 @@ from curlow.bounds import (
     mean_design_gram,
     mean_selection_gram,
     optimal_d,
+    recovery_spectrum,
     sample_size_full_rank,
     sample_size_low_rank,
     total_observations,
@@ -560,7 +561,8 @@ def test_full_rank_recovery_exact_case():
     M = low_rank(20, 20, 3, seed=33)
     inputs = RecoveryInputs(A=M.copy(), B=M.T.copy(), omega=full_grid(M), r=3)
     result, _ = recover(inputs)
-    rep = check_full_rank_recovery(M, result, 3, 20, {"omega_size": 400})
+    rep = check_full_rank_recovery(recovery_spectrum(M, 3), M, result, 20,
+                                   {"omega_size": 400})
     assert rep.premises_met  # full grid meets the capped entry gate
     assert rep.holds
     assert rep.lhs <= 1e-12
@@ -578,10 +580,12 @@ def test_full_rank_recovery_rhs_and_gates():
     _, B = sample_rows(M, 12, base.derive(2))
     omega = sample_entries(M, 200, base.derive(3))
     result, _ = recover(RecoveryInputs(A=A, B=B, omega=omega, r=2))
-    rep = check_full_rank_recovery(M, result, 2, 12, {"omega_size": 200})
+    spectrum = recovery_spectrum(M, 2)
+    rep = check_full_rank_recovery(spectrum, M, result, 12, {"omega_size": 200})
     sig = svd(M).sigma
     assert rep.rhs == pytest.approx(24 * sig[2] ** 2 * (1 + 48 / 12), rel=1e-12)
     assert not rep.premises_met  # 200 entries sit below the capped gate of 576
     assert rep.params["omega_gate"] == 576
-    full = check_full_rank_recovery(M, result, 2, 24, {"omega_size": 576})
+    full = check_full_rank_recovery(spectrum, M, result, 24,
+                                    {"omega_size": 576})
     assert full.premises_met

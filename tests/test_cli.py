@@ -82,6 +82,21 @@ def test_recover_wide_matrix_file(tmp_path):
     assert report["metrics"]["rel_frobenius"] <= 1e-8
 
 
+def test_recover_says_when_it_capped_an_auto_budget(tmp_path, capsys):
+    # power-law n=m=100: the formulas ask for d=1552 and ~1.8e9 entries
+    args = ("recover", "--out", str(tmp_path / "rec"), "--set", "synth.n=100",
+            "--set", "synth.m=100", "--set", "synth.kind=power-law-spectrum",
+            "--set", "r=3")
+    assert run(*args) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "recovered: rel_frobenius=8.041e-01, omega=10000",
+        "capped auto budgets at the instance: d_formula=1552 -> d=100, "
+        "omega_formula=1785833132 -> omega=10000"]
+    assert run(*args, "--set", "d=100", "--set", "omega=10000") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "recovered: rel_frobenius=8.041e-01, omega=10000"]
+
+
 def test_recover_csv_output(tmp_path):
     out = tmp_path / "rec"
     assert run("recover", "--format", "csv", "--out", str(out),
@@ -152,11 +167,18 @@ def test_sweep_table(tmp_path, capsys):
              "--set", "omega=250", "--set", "trials=3")
     assert rc == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "d,omega,observed_total,union,analytic_total,rel_error,bound_rate,skipped"
+    # d=2=r samples of a rank-2 instance can be rank 1: a degenerate split
+    assert lines[0] == ("d,omega,observed_total,union,analytic_total,"
+                        "rel_error,bound_rate,skipped,degenerate")
     assert len(lines) == 5
-    last = lines[4].split(",")
-    assert last[0] == "99" and last[-1] != ""  # out-of-range row is marked
-    assert "analytic optimum" in capsys.readouterr().out
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[3]["d"] == "99" and rows[3]["skipped"] != ""  # out of range
+    assert rows[0]["d"] == "2" and rows[0]["degenerate"] == "2"
+    assert all(row["degenerate"] == "" for row in rows[1:])
+    stdout = capsys.readouterr().out.splitlines()
+    assert "analytic optimum" in stdout[0]
+    assert stdout[1] == "degenerate basis splits: 2 of 9 draws (first: d=2, trial=0)"
 
 
 def test_sweep_skipped_rows_have_as_many_fields_as_the_header(tmp_path):
@@ -181,7 +203,7 @@ def test_sweep_ill_posed_draws_are_written_and_exit_2(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["d", "omega", "observed_total", "union",
                              "analytic_total", "rel_error", "bound_rate",
-                             "skipped", "failed"]
+                             "skipped", "failed", "degenerate"]
     assert [row["d"] for row in rows] == ["4", "8"]
     failed = sum(int(row["failed"] or 0) for row in rows)
     assert 0 < failed <= 8

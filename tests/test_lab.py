@@ -98,8 +98,8 @@ def test_trial_context_caches_samples():
     cfg = ExperimentConfig(n=32, m=32, kind="exact-low-rank", synth_r=2, r=2,
                            checks=("delta", "combine"))
     stream = cfg.base_stream().derive(0)
-    M, lam, budget = load_instance(cfg, stream)
-    ctx = Draw(cfg, M, lam, budget.d, budget.omega, stream)
+    inst = load_instance(cfg, stream)
+    ctx = Draw(inst, inst.budget.d, inst.budget.omega, stream)
     idx1, _ = ctx.cols()
     idx2, _ = ctx.cols()
     assert idx1 is idx2
@@ -124,8 +124,8 @@ def test_trial_builds_each_stage_once(monkeypatch):
     assert len(record["reports"]) == 4
     assert sorted(calls) == ["assemble_design", "build_bases", "check_delta"]
     stream = cfg.base_stream().derive(0)
-    M, lam, budget = load_instance(cfg, stream)
-    ctx = Draw(cfg, M, lam, budget.d, budget.omega, stream)
+    inst = load_instance(cfg, stream)
+    ctx = Draw(inst, inst.budget.d, inst.budget.omega, stream)
     assert ctx.recovery()[0].bases is ctx.bases()
 
 
@@ -280,7 +280,13 @@ def test_run_sweep_keeps_points_around_an_ill_posed_draw():
             assert all(row[k] is None for k in ("omega", "observed_total",
                                                 "union", "rel_error",
                                                 "bound_rate"))
+        degenerate = [k for k, o in enumerate(outs) if o["degenerate"]]
+        assert row.get("degenerate") == (len(degenerate) or None)
+        assert row.get("degenerate_trial") == (degenerate[0] if degenerate
+                                               else None)
     assert any(row["rel_error"] is None for row in rows)
+    # the d=4 row averages its one surviving draw, whose split is degenerate
+    assert rows[0]["degenerate"] and rows[0]["rel_error"] is not None
 
 
 def test_run_sweep_thread_invariance():
@@ -347,6 +353,47 @@ def test_run_sweep_loads_each_instance_once(monkeypatch):
     calls.clear()
     run_sweep(cfg, [1, 30])
     assert calls == []
+
+
+def test_run_sweep_computes_each_recovery_spectrum_once(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=bounds.recovery_spectrum, **kwargs):
+        calls.append(args[1])  # list.append is atomic across pool threads
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(bounds, "recovery_spectrum", counted)
+    cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
+                           synth_r=2, r=2, omega_count=250, trials=3)
+    rows = run_sweep(cfg, [4, 6, 8, 12, 16], threads=2)
+    assert all(row["rel_error"] is not None for row in rows)
+    assert calls == [2, 2, 2]
+
+
+def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
+    seen = []
+    check = bounds.check_full_rank_recovery
+
+    def recorded(*args, **kwargs):
+        report = check(*args, **kwargs)
+        seen.append((args[3], report))
+        return report
+    monkeypatch.setattr(bounds, "check_full_rank_recovery", recorded)
+    cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
+                           synth_r=2, r=2, omega_count=250, trials=2)
+    grid = [4, 8, 12]
+    for trial in range(cfg.trials):
+        seen.clear()
+        outs = lab._sweep_point(cfg, trial, grid)
+        assert [d for d, _ in seen] == grid
+        stream = cfg.base_stream().derive(trial)
+        for d, report in seen:
+            inst = load_instance(cfg, stream)
+            draw = Draw(inst, d, inst.budget.omega, stream.derive(1 + d))
+            oracle = check(bounds.recovery_spectrum(draw.M, cfg.r), draw.M,
+                           draw.recovery()[0], d,
+                           {"omega_size": draw.entries().size, "t": cfg.t})
+            assert report.to_dict() == oracle.to_dict()
+            assert outs[d]["holds"] == oracle.holds
 
 
 def test_run_sweep_validation():

@@ -9,9 +9,15 @@ Imports curlow from the `src/` of the checkout this file lives in, so
 running the copy in another checkout hashes that checkout's outputs:
 
     python tools/golden.py > golden.txt
+    python tools/golden.py --compare golden.txt
+
+With --compare FILE it prints, in place of the table, the lines that
+differ from the saved table FILE ("-" saved, "+" this run) and one summary
+line, and exits 1 on any difference.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -65,7 +71,9 @@ def blas_line() -> str:
     return f"blas: {blas.path} threads={blas.get_threads()}"
 
 
-def run() -> int:
+def table() -> tuple[list[str], bool]:
+    """The sorted `command file sha256` lines, and whether every command
+    exited 0."""
     print(blas_line(), file=sys.stderr)
     failed = False
     lines = []
@@ -80,8 +88,37 @@ def run() -> int:
                 continue
             lines += [f"{name} {f} {sha256(os.path.join(out, f))}"
                       for f in os.listdir(out)]
-    print("\n".join(sorted(lines)))
-    return 1 if failed else 0
+    return sorted(lines), not failed
+
+
+def compare(saved: list[str], lines: list[str]) -> list[str]:
+    """"- line" for each saved line this run lacks and "+ line" for each
+    line of this run the saved table lacks, by command and file, "-"
+    first."""
+    old, new = set(saved), set(lines)
+    return sorted([f"- {ln}" for ln in old - new]
+                  + [f"+ {ln}" for ln in new - old],
+                  key=lambda d: (d[2:].rsplit(" ", 1)[0], d[0] == "+"))
+
+
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Hash the outputs of a fixed command set.")
+    parser.add_argument("--compare", metavar="FILE",
+                        help="diff this run against a saved table")
+    args = parser.parse_args(argv)
+    lines, ok = table()
+    if args.compare is None:
+        print("\n".join(lines))
+        return 0 if ok else 1
+    with open(args.compare, encoding="ascii") as fh:
+        saved = sorted(ln.strip() for ln in fh if ln.strip())
+    diff = compare(saved, lines)
+    if diff:
+        print("\n".join(diff))
+    print(f"{len(set(saved) & set(lines))} of {len(saved)} saved lines "
+          "identical")
+    return 0 if ok and not diff else 1
 
 
 if __name__ == "__main__":
