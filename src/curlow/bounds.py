@@ -26,6 +26,7 @@ from .linalg import (
     eigh_descending,
     partition_svd,
     pseudo_inverse,
+    singular_values,
     spectral_norm,
     svd,
 )
@@ -123,7 +124,7 @@ def total_observations(n: int, d: int) -> float:
 
 
 def _sigma_tail(M: np.ndarray, r: int) -> float:
-    sig = svd(M).sigma
+    sig = singular_values(M)
     return float(sig[r]) if r < sig.size else 0.0
 
 
@@ -159,7 +160,7 @@ def check_delta(M, bases: Bases, r: int, d: int, t: float = 3.0,
     """
     A = as_matrix(M)
     n, m = A.shape
-    sig = svd(A).sigma
+    sig = singular_values(A)
     s_tail = float(sig[r]) if r < sig.size else 0.0
     params = {"n": n, "m": m, "r": r, "d": d, "t": t,
               "sigma_r_plus_1": s_tail, "full_rank": full_rank}
@@ -233,7 +234,7 @@ def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
         raise ValueError(f"selection bound {col_idx.bound} does not match m={m}")
     part, omega1, omega2 = _selection_blocks(A, col_idx, r)
     d = len(col_idx.indices)
-    sv1 = np.linalg.svd(omega1, compute_uv=False) if omega1.size else np.array([])
+    sv1 = singular_values(omega1) if omega1.size else np.array([])
     full_rank = sv1.size == r and float(sv1[-1]) > PINV_RTOL * max(float(sv1[0]), 1.0)
     Y = A[:, np.asarray(col_idx.indices)]
     fy = svd(Y)
@@ -398,7 +399,7 @@ def check_mu_hat_bound(M, bases: Bases, r: int, lam: float, d: int,
     """
     A = as_matrix(M)
     n, m = A.shape
-    sig = svd(A).sigma
+    sig = singular_values(A)
     s_r = float(sig[r - 1])
     s_next = float(sig[r]) if r < sig.size else 0.0
     rep = numerical_rank(A, lam)
@@ -484,7 +485,7 @@ def recovery_spectrum(M, r: int) -> RecoverySpectrum:
     once per instance and shared by every draw from it."""
     A = as_matrix(M)
     n, m = A.shape
-    sig = svd(A).sigma
+    sig = singular_values(A)
     s_r = float(sig[r - 1])
     s_next = float(sig[r]) if r < sig.size else 0.0
     lam = s_r**2 / (m * n)

@@ -16,6 +16,7 @@ from .linalg import (
     PINV_RTOL,
     as_matrix,
     partition_svd,
+    singular_values,
     svd,
 )
 
@@ -130,6 +131,6 @@ def sin_theta(Q1, Q2) -> float:
     B = _check_orthonormal(Q2, "Q2")
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    cos = np.linalg.svd(B.T @ A, compute_uv=False)
+    cos = singular_values(B.T @ A)
     c = float(np.clip(np.min(cos), 0.0, 1.0))
     return float(np.sqrt(max(0.0, 1.0 - c * c)))

@@ -24,7 +24,7 @@ from . import bounds
 from .bounds import BoundReport
 from .config import ExperimentConfig
 from .coherence import mu_r, numerical_rank
-from .linalg import blas_threads, frobenius_norm, spectral_norm, svd
+from .linalg import blas_threads, frobenius_norm, singular_values, spectral_norm
 from .recovery import IllPosedError, assemble_design, build_bases, fit
 from .sampling import RngStream, sample_columns, sample_entries, sample_rows
 from .synth import generate
@@ -111,7 +111,7 @@ def instance(cfg: ExperimentConfig, stream: RngStream,
         M, factors = generate(cfg.synth_spec(stream.derive(0)))
         sigma = factors.sigma
     else:
-        sigma = svd(M).sigma
+        sigma = singular_values(M)
     return M, sigma, float(sigma[cfg.r - 1]) ** 2 / (n * m)
 
 
@@ -315,6 +315,9 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
         "omega_size": omega_size,
         "lambda_min_gram": result.lambda_min_KtK,
         "gamma": draw.gamma(),
+        "bases": {"degenerate_gap": result.bases.degenerate_gap,
+                  "left_sigma": result.bases.left_sigma.tolist(),
+                  "right_sigma": result.bases.right_sigma.tolist()},
         "residual": result.residual,
         "metrics": {
             "rel_frobenius": rel,

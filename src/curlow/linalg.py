@@ -1,5 +1,6 @@
-"""Dense linear algebra kernels: SVD, spectral partitions, eigenbases,
-pseudo-inverses, and norms, and the BLAS thread count they run under.
+"""Dense linear algebra kernels: SVD, singular values, spectral partitions,
+eigenbases, pseudo-inverses, and norms, and the BLAS thread count they run
+under.
 
 Matrices are plain 2-d float64 numpy arrays throughout (row-major). All
 factorizations apply a deterministic sign convention so repeated runs on
@@ -163,10 +164,15 @@ def pseudo_inverse(M, tol: float = PINV_RTOL) -> DenseMatrix:
     return (f.V * inv) @ f.U.T
 
 
+def singular_values(M) -> np.ndarray:
+    """Singular values, nonincreasing, without the singular vectors: for a
+    caller that reads only sigma this skips forming U and V."""
+    return np.linalg.svd(as_matrix(M), compute_uv=False)
+
+
 def spectral_norm(M) -> float:
     """Largest singular value."""
-    A = as_matrix(M)
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    return float(singular_values(M)[0])
 
 
 def frobenius_norm(M) -> float:

@@ -1,10 +1,14 @@
-"""Core low-rank recovery: estimate bases from sampled columns and rows,
-then fit the r x r core by least squares over the observed entries.
+"""Core low-rank recovery: estimate bases as the top-r left singular
+vectors of the sampled columns and rows, then fit the r x r core by least
+squares over the observed entries.
 
-The design matrix K has one row per observed entry (a, b) and one column
-per core coefficient (i, j), holding U_hat[a, i] * V_hat[b, j]; the fit
-solves the r^2 x r^2 normal equations, whose smallest eigenvalue doubles
-as the measured strong convexity of the objective.
+The bases come from a thin SVD of the n x d and m x d samples, never from
+their n x n Gram matrices, which would cost O(n^3) and square the
+condition number. The design matrix K has one row per observed entry
+(a, b) and one column per core coefficient (i, j), holding
+U_hat[a, i] * V_hat[b, j]; one eigendecomposition of the r^2 x r^2 normal
+matrix K^T K solves the fit, and its smallest eigenvalue doubles as the
+measured strong convexity of the objective.
 """
 from __future__ import annotations
 
@@ -12,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseMatrix, as_matrix, eigh_descending
+from .linalg import DenseMatrix, as_matrix, svd
 from .sampling import OmegaSet
 
-# eigen-gap below this (relative to the top eigenvalue) marks a degenerate
-# basis split; recovery proceeds but flags it
+# sigma_r - sigma_{r+1} at or below this times max(sigma_1, 1) marks a
+# degenerate basis split, the scale at which an SVD resolves singular
+# values; recovery proceeds but flags it
 GAP_TOL = 1e-12
 
 # lambda_min below 1e-12 * |Omega| / (n * m) marks an ill-posed fit
@@ -38,12 +43,15 @@ class IllPosedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Bases:
-    """Estimated left and right top-r bases with their eigenvalue heads."""
+    """Estimated bases: the top-r left singular vectors of the sampled
+    columns A (U_hat) and of the transposed sampled rows B (V_hat), with the
+    top r+1 singular values of each, zero-padded when a sample has only r
+    (d = r)."""
 
     U_hat: np.ndarray
     V_hat: np.ndarray
-    left_eigvals: np.ndarray  # top r+1 eigenvalues of A A^T (padded if short)
-    right_eigvals: np.ndarray
+    left_sigma: np.ndarray
+    right_sigma: np.ndarray
     degenerate_gap: bool
 
     @property
@@ -97,28 +105,31 @@ class RecoveryResult:
         return self.bases.U_hat @ self.Z_star @ self.bases.V_hat.T
 
 
-def _top_basis(G: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    w, V = eigh_descending(G)
-    head = w[: min(r + 1, w.size)]
-    scale = max(abs(float(w[0])), 1.0)
-    degenerate = w.size > r and (w[r - 1] - w[r]) <= GAP_TOL * scale
-    return V[:, :r], head, degenerate
+def _top_basis(S: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    f = svd(S)
+    head = np.zeros(r + 1)
+    k = min(r + 1, f.sigma.size)
+    head[:k] = f.sigma[:k]
+    degenerate = head[r - 1] - head[r] <= GAP_TOL * max(float(head[0]), 1.0)
+    return f.U[:, :r], head, bool(degenerate)
 
 
 def build_bases(A, B, r: int) -> Bases:
-    """Top-r eigenbases of A A^T and B B^T.
+    """Top-r left singular vectors of the samples A (n x d) and B (m x d),
+    from their thin SVDs.
 
-    A closed eigen-gap at position r only raises the degenerate flag; the
-    fit is still defined, just not uniquely oriented.
+    A closed singular-value gap at position r, or samples of rank below r,
+    only raise the degenerate flag; the fit is still defined, just not
+    uniquely oriented.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
     if not 1 <= r <= min(A.shape[1], B.shape[1]):
         raise ValueError(f"r must be in [1, {min(A.shape[1], B.shape[1])}], got {r}")
-    U_hat, wl, deg_l = _top_basis(A @ A.T, r)
-    V_hat, wr, deg_r = _top_basis(B @ B.T, r)
-    return Bases(U_hat=U_hat, V_hat=V_hat, left_eigvals=wl, right_eigvals=wr,
-                 degenerate_gap=bool(deg_l or deg_r))
+    U_hat, sl, deg_l = _top_basis(A, r)
+    V_hat, sr, deg_r = _top_basis(B, r)
+    return Bases(U_hat=U_hat, V_hat=V_hat, left_sigma=sl, right_sigma=sr,
+                 degenerate_gap=deg_l or deg_r)
 
 
 def assemble_design(bases: Bases, omega: OmegaSet) -> DesignSystem:
@@ -137,10 +148,15 @@ def assemble_design(bases: Bases, omega: OmegaSet) -> DesignSystem:
     return DesignSystem(K=K, y=omega.values.copy(), r=r, shape=omega.shape)
 
 
+def _normal_eigh(system: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of K^T K."""
+    return np.linalg.eigh(system.K.T @ system.K)
+
+
 def strong_convexity_gamma(system: DesignSystem) -> float:
-    """Smallest eigenvalue of K^T K (clamped at zero)."""
-    gram = system.K.T @ system.K
-    return max(float(np.linalg.eigvalsh(gram)[0]), 0.0)
+    """Smallest eigenvalue of K^T K (clamped at zero), from the same
+    factorization `solve_core` reads it from."""
+    return max(float(_normal_eigh(system)[0][0]), 0.0)
 
 
 def solve_core(system: DesignSystem, ridge: float = 0.0):
@@ -153,13 +169,15 @@ def solve_core(system: DesignSystem, ridge: float = 0.0):
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     K, y, r = system.K, system.y, system.r
-    gram = K.T @ K
-    lambda_min = max(float(np.linalg.eigvalsh(gram)[0]), 0.0)
+    w, Q = _normal_eigh(system)
+    lambda_min = max(float(w[0]), 0.0)
     n, m = system.shape
     threshold = DEGENERACY_RTOL * len(y) / (n * m)
     if ridge == 0.0 and lambda_min < threshold:
         raise IllPosedError(lambda_min, threshold)
-    z = np.linalg.solve(gram + ridge * np.eye(r * r), K.T @ y)
+    # eigenvalues of a Gram are nonnegative; clamp rounding below zero so a
+    # positive ridge keeps every denominator positive
+    z = Q @ ((Q.T @ (K.T @ y)) / (np.maximum(w, 0.0) + ridge))
     residual = float(np.sum((K @ z - y) ** 2))
     return z.reshape(r, r), lambda_min, residual
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import mu_r, numerical_rank
-from .linalg import DenseMatrix, SvdFactors, as_matrix, svd
+from .linalg import DenseMatrix, SvdFactors, as_matrix, singular_values
 from .sampling import RngStream
 
 KINDS = ("exact-low-rank", "geometric-spectrum", "power-law-spectrum")
@@ -110,7 +110,7 @@ def generate(spec: SynthSpec) -> tuple[DenseMatrix, SvdFactors]:
 def measured_properties(M, r: int, lam: float) -> dict:
     """Coherence, regularized rank, and spectrum-gap summary for M."""
     A = as_matrix(M)
-    sig = svd(A).sigma
+    sig = singular_values(A)
     mu = mu_r(A, r)
     rank_rep = numerical_rank(A, lam)
     sigma_r = float(sig[r - 1])

@@ -230,6 +230,15 @@ def test_run_recovery_exact_instance():
         out["lambda_min_gram"] * 1600 / 600)
     assert len(out["col_indices"]) == 20
     assert out["metrics"]["recovery_bound"]["name"] == "recovery_error"
+    # the bases' diagnostics: the top r+1 singular values of each sample
+    M, _ = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
+    heads = {"left_sigma": M[:, out["col_indices"]],
+             "right_sigma": M[out["row_indices"], :].T}
+    assert out["bases"]["degenerate_gap"] is False
+    for key, sample in heads.items():
+        assert np.allclose(out["bases"][key],
+                           np.linalg.svd(sample, compute_uv=False)[:3],
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_run_recovery_on_supplied_matrix():
@@ -241,6 +250,12 @@ def test_run_recovery_on_supplied_matrix():
                            d=15, omega_count=400)
     out = run_recovery(cfg, M=M)
     assert out["metrics"]["rel_frobenius"] <= 1e-8
+    # d = r: the third singular value of each sample is padded as zero
+    cfg = ExperimentConfig(n=30, m=30, kind="exact-low-rank", synth_r=2, r=2,
+                           d=2, omega_count=400)
+    bases = run_recovery(cfg, M=M)["bases"]
+    assert bases["left_sigma"][2] == bases["right_sigma"][2] == 0.0
+    assert not bases["degenerate_gap"]
 
 
 def test_run_sweep_rows_and_skips():

@@ -7,6 +7,7 @@ from curlow.linalg import (
     frobenius_norm,
     partition_svd,
     pseudo_inverse,
+    singular_values,
     spectral_norm,
     svd,
 )
@@ -215,6 +216,14 @@ def test_norms_zero():
 def test_spectral_equals_top_singular_value():
     M = rng(14).standard_normal((5, 4))
     assert abs(spectral_norm(M) - svd(M).sigma[0]) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (4, 7), (6, 6)])
+def test_singular_values_match_the_svd(shape):
+    M = rng(15).standard_normal(shape)
+    assert np.allclose(singular_values(M), svd(M).sigma, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError):
+        singular_values(np.full(shape, np.nan))
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from curlow.coherence import sin_theta
-from curlow.linalg import frobenius_norm, pseudo_inverse, svd
+from curlow.linalg import (
+    eigh_descending,
+    frobenius_norm,
+    pseudo_inverse,
+    spectral_norm,
+    svd,
+)
 from curlow.recovery import (
     Bases,
     IllPosedError,
@@ -93,6 +99,72 @@ def test_bases_degenerate_gap_flagged():
     assert bases.degenerate_gap
 
 
+def test_rank_deficient_samples_flagged():
+    # d = r = 2 parallel columns: rank 1, the second direction is arbitrary
+    A = np.outer(random_orthonormal(50, 1, seed=50)[:, 0], [1.0, -2.0])
+    B = random_orthonormal(40, 2, seed=51) * [3.0, 1.0]
+    bases = build_bases(A, B, 2)
+    assert bases.degenerate_gap
+    assert bases.left_sigma.shape == (3,) and bases.left_sigma[2] == 0.0
+    assert bases.left_sigma[1] <= 1e-12 * bases.left_sigma[0]
+
+
+@pytest.mark.parametrize("r", [24, 28])
+def test_bases_resolve_geometric_decay_beyond_the_gram_precision(r):
+    # sigma_r = 0.5^(r-1) is below sqrt(eps) sigma_1: a basis from the Gram
+    # A A^T loses these directions (sin theta ~ 1 at r = 28) and flags the
+    # split, while the thin SVD of A keeps both
+    M, f = generate(SynthSpec(n=200, m=200, kind="geometric-spectrum", r=r,
+                              stream=RngStream(seed=0), decay=0.5))
+    _, A = sample_columns(M, 120, RngStream(seed=100))
+    _, B = sample_rows(M, 120, RngStream(seed=200))
+    bases = build_bases(A, B, r)
+    assert sin_theta(f.U[:, :r], bases.U_hat) <= 0.2
+    assert sin_theta(f.V[:, :r], bases.V_hat) <= 0.2
+    assert not bases.degenerate_gap
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bases_match_the_gram_eigenbases_on_well_conditioned_samples(seed):
+    g = rng(800 + seed)
+    n, r = int(g.integers(5, 30)), int(g.integers(1, 5))
+    d = [int(g.integers(r, n)), n, r][seed % 3]  # d < n, d = n, d = r
+    k = min(n, d)
+    sigma = np.linspace(4.0, 1.0, k)  # gaps of at least 3/(k-1) at every r
+    A = (random_orthonormal(n, k, seed=900 + seed) * sigma) \
+        @ random_orthonormal(d, k, seed=950 + seed).T
+    bases = build_bases(A, A.copy(), r)
+    gram_basis = eigh_descending(A @ A.T)[1][:, :r]
+    # sin theta as ||(I - Q Q^T) U_hat||: `sin_theta` bottoms out near 1e-8
+    residual = bases.U_hat - gram_basis @ (gram_basis.T @ bases.U_hat)
+    assert spectral_norm(residual) <= 1e-8
+    # same sign convention: the columns agree entry by entry, not just up to sign
+    assert np.allclose(bases.U_hat, gram_basis, atol=1e-8)
+    assert np.allclose(bases.left_sigma[:r], sigma[:r], rtol=1e-12)
+    assert not bases.degenerate_gap
+
+
+def record_factorizations(monkeypatch) -> list:
+    """(name, input shape) of every numpy.linalg factorization or solve
+    called after this point."""
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "qr", "solve"):
+        def record(a, *args, _fn=getattr(np.linalg, name), _name=name, **kw):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, record)
+    return calls
+
+
+def test_build_bases_factors_only_the_thin_samples(monkeypatch):
+    M = low_rank(120, 100, 3, seed=52)
+    _, A = sample_columns(M, 9, RngStream(seed=53))
+    _, B = sample_rows(M, 9, RngStream(seed=54))
+    calls = record_factorizations(monkeypatch)
+    build_bases(A, B, 3)
+    assert sorted(calls) == [("svd", (100, 9)), ("svd", (120, 9))]
+
+
 # --- assemble_design ----------------------------------------------------------
 
 
@@ -107,8 +179,8 @@ def test_full_grid_design_gram_is_identity():
 def test_single_observation_row():
     U = random_orthonormal(5, 2, seed=7)
     V = random_orthonormal(4, 2, seed=8)
-    bases = Bases(U_hat=U, V_hat=V, left_eigvals=np.ones(2),
-                  right_eigvals=np.ones(2), degenerate_gap=False)
+    bases = Bases(U_hat=U, V_hat=V, left_sigma=np.ones(2),
+                  right_sigma=np.ones(2), degenerate_gap=False)
     omega = OmegaSet(shape=(5, 4), rows=np.array([2]), cols=np.array([1]),
                      values=np.array([0.7]))
     system = assemble_design(bases, omega)
@@ -147,8 +219,8 @@ def test_planted_core_interpolates():
     V = random_orthonormal(10, 2, seed=13)
     Z0 = rng(14).standard_normal((2, 2))
     M = U @ Z0 @ V.T
-    bases = Bases(U_hat=U, V_hat=V, left_eigvals=np.ones(2),
-                  right_eigvals=np.ones(2), degenerate_gap=False)
+    bases = Bases(U_hat=U, V_hat=V, left_sigma=np.ones(2),
+                  right_sigma=np.ones(2), degenerate_gap=False)
     omega = sample_entries(M, 60, RngStream(seed=15))
     system = assemble_design(bases, omega)
     Z, lam_min, residual = solve_core(system)
@@ -172,11 +244,25 @@ def test_scalar_core_closed_form():
     assert abs(grid[np.argmin(vals)] - Z[0, 0]) < 1e-3
 
 
+def test_solve_core_factors_the_normal_matrix_once(monkeypatch):
+    M = low_rank(15, 12, 3, seed=45)
+    system = assemble_design(build_bases(M.copy(), M.T.copy(), 3),
+                             sample_entries(M, 80, RngStream(seed=46)))
+    calls = record_factorizations(monkeypatch)
+    fits = {ridge: solve_core(system, ridge) for ridge in (0.0, 1e-3)}
+    assert calls == [("eigh", (9, 9))] * 2
+    gram = system.K.T @ system.K
+    for ridge, (Z, lam_min, _) in fits.items():
+        expect = np.linalg.inv(gram + ridge * np.eye(9)) @ system.K.T @ system.y
+        assert np.allclose(Z.reshape(-1), expect, atol=1e-10)
+        assert lam_min == strong_convexity_gamma(system)
+
+
 def test_ill_posed_raises_with_remedy():
     U = random_orthonormal(6, 2, seed=18)
     V = random_orthonormal(6, 2, seed=19)
-    bases = Bases(U_hat=U, V_hat=V, left_eigvals=np.ones(2),
-                  right_eigvals=np.ones(2), degenerate_gap=False)
+    bases = Bases(U_hat=U, V_hat=V, left_sigma=np.ones(2),
+                  right_sigma=np.ones(2), degenerate_gap=False)
     omega = OmegaSet(shape=(6, 6), rows=np.array([0]), cols=np.array([0]),
                      values=np.array([1.0]))
     system = assemble_design(bases, omega)
@@ -189,8 +275,8 @@ def test_ill_posed_raises_with_remedy():
 def test_ridge_resolves_degeneracy():
     U = random_orthonormal(6, 2, seed=20)
     V = random_orthonormal(6, 2, seed=21)
-    bases = Bases(U_hat=U, V_hat=V, left_eigvals=np.ones(2),
-                  right_eigvals=np.ones(2), degenerate_gap=False)
+    bases = Bases(U_hat=U, V_hat=V, left_sigma=np.ones(2),
+                  right_sigma=np.ones(2), degenerate_gap=False)
     omega = OmegaSet(shape=(6, 6), rows=np.array([0]), cols=np.array([0]),
                      values=np.array([1.0]))
     system = assemble_design(bases, omega)
@@ -339,8 +425,8 @@ def test_gamma_full_grid_is_one():
 def test_gamma_single_observation_r1():
     U = random_orthonormal(5, 1, seed=41)
     V = random_orthonormal(4, 1, seed=42)
-    bases = Bases(U_hat=U, V_hat=V, left_eigvals=np.ones(1),
-                  right_eigvals=np.ones(1), degenerate_gap=False)
+    bases = Bases(U_hat=U, V_hat=V, left_sigma=np.ones(1),
+                  right_sigma=np.ones(1), degenerate_gap=False)
     omega = OmegaSet(shape=(5, 4), rows=np.array([3]), cols=np.array([2]),
                      values=np.array([1.0]))
     system = assemble_design(bases, omega)
