@@ -4,7 +4,9 @@ concentration inequalities behind the recovery pipeline.
 Every checker returns a BoundReport holding both sides of its inequality,
 a holds flag with a fixed relative slack, and a premises_met flag recorded
 independently, so Monte-Carlo harnesses can separate "premise not met"
-from "bound violated". Natural logarithms throughout.
+from "bound violated". A check that reads the singular values or vectors
+of an instance M takes them as its `Spectrum`, computed once per instance.
+Natural logarithms throughout.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .coherence import (
 )
 from .linalg import (
     PINV_RTOL,
+    SvdFactors,
     as_matrix,
     eigh_descending,
     partition_svd,
@@ -30,8 +33,8 @@ from .linalg import (
     spectral_norm,
     svd,
 )
-from .recovery import Bases, DesignSystem, assemble_design, strong_convexity_gamma
-from .sampling import IndexSet, RngStream, sample_columns, sample_entries
+from .recovery import Bases, DesignSystem, strong_convexity_gamma
+from .sampling import IndexSet
 
 HOLDS_SLACK = 1e-9
 
@@ -70,6 +73,50 @@ def make_report(name: str, lhs: float, rhs: float, premises_met: bool,
     return BoundReport(name=name, lhs=float(lhs), rhs=float(rhs),
                        holds=bool(holds), premises_met=bool(premises_met),
                        params=dict(params or {}), sense=sense)
+
+
+# ---------------------------------------------------------------------------
+# the instance's spectrum
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """What the checks read of an n x m instance M at rank r, from two
+    kernels. sigma is the values-only `singular_values(M)`, which gives
+    sigma_r, sigma_{r+1} and lam = sigma_r^2 / (mn); factors is one
+    `svd(M)`, which gives mu_r, the regularized rank at lam (`rank`) or at
+    any other lam (`rank_at`) and the right singular vectors the selection
+    checks read. The two kernels' sigma differ in the last bits, so each
+    field is read from the kernel it has always been read from."""
+
+    r: int
+    n: int
+    m: int
+    sigma: np.ndarray
+    factors: SvdFactors
+    sigma_r: float
+    sigma_r_plus_1: float
+    lam: float
+    mu_r: float
+    rank: NumericalRankReport
+
+    def rank_at(self, lam: float) -> NumericalRankReport:
+        return numerical_rank(self.factors, lam)
+
+
+def spectrum(M, r: int) -> Spectrum:
+    """The `Spectrum` of M at rank r, to be computed once per instance and
+    shared by every check of every draw from it."""
+    A = as_matrix(M)
+    n, m = A.shape
+    sig = singular_values(A)
+    f = svd(A)
+    s_r = float(sig[r - 1])
+    s_next = float(sig[r]) if r < sig.size else 0.0
+    lam = s_r**2 / (m * n)
+    return Spectrum(r=r, n=n, m=m, sigma=sig, factors=f, sigma_r=s_r,
+                    sigma_r_plus_1=s_next, lam=lam, mu_r=mu_r(f, r),
+                    rank=numerical_rank(f, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +170,8 @@ def total_observations(n: int, d: int) -> float:
 # projection-error family
 
 
-def _sigma_tail(M: np.ndarray, r: int) -> float:
-    sig = singular_values(M)
-    return float(sig[r]) if r < sig.size else 0.0
-
-
-def check_projection(M, V_hat, U_hat, r: int, d: int, t: float = 3.0):
+def check_projection(spec: Spectrum, M, V_hat, U_hat, d: int,
+                     t: float = 3.0):
     """Spectral projection errors of both estimated bases against the
     sigma_{r+1}-scaled budgets (1 + 2m/d) and (1 + 2n/d).
 
@@ -136,8 +179,7 @@ def check_projection(M, V_hat, U_hat, r: int, d: int, t: float = 3.0):
     """
     A = as_matrix(M)
     n, m = A.shape
-    s_tail = _sigma_tail(A, r)
-    mu = mu_r(A, r)
+    r, s_tail, mu = spec.r, spec.sigma_r_plus_1, spec.mu_r
     d_gate, _ = sample_size_low_rank(mu, r, t)
     premises = d >= d_gate
     params = {"n": n, "m": m, "r": r, "d": d, "t": t, "mu_r": mu,
@@ -150,7 +192,7 @@ def check_projection(M, V_hat, U_hat, r: int, d: int, t: float = 3.0):
             make_report("projection_error_rows", lhs_u, rhs_u, premises, params))
 
 
-def check_delta(M, bases: Bases, r: int, d: int, t: float = 3.0,
+def check_delta(spec: Spectrum, M, bases: Bases, d: int, t: float = 3.0,
                 full_rank: bool = False) -> BoundReport:
     """Two-sided projection error Delta = ||M - P_U M P_V||_2^2 against
     4 sigma_{r+1}^2 (1 + (m+n)/d).
@@ -160,20 +202,17 @@ def check_delta(M, bases: Bases, r: int, d: int, t: float = 3.0,
     """
     A = as_matrix(M)
     n, m = A.shape
-    sig = singular_values(A)
-    s_tail = float(sig[r]) if r < sig.size else 0.0
+    r, s_tail = spec.r, spec.sigma_r_plus_1
     params = {"n": n, "m": m, "r": r, "d": d, "t": t,
               "sigma_r_plus_1": s_tail, "full_rank": full_rank}
     if full_rank:
-        lam = float(sig[r - 1]) ** 2 / (m * n)
-        rep = numerical_rank(A, lam)
+        rep = spec.rank
         d_gate = math.ceil(14.0 * rep.mu_lambda * rep.value * (t + math.log(r)))
-        params.update({"lam": lam, "mu_lambda": rep.mu_lambda,
+        params.update({"lam": spec.lam, "mu_lambda": rep.mu_lambda,
                        "numerical_rank": rep.value, "d_gate": d_gate})
     else:
-        mu = mu_r(A, r)
-        d_gate, _ = sample_size_low_rank(mu, r, t)
-        params.update({"mu_r": mu, "d_gate": d_gate})
+        d_gate, _ = sample_size_low_rank(spec.mu_r, r, t)
+        params.update({"mu_r": spec.mu_r, "d_gate": d_gate})
     proj = A - bases.U_hat @ (bases.U_hat.T @ A @ bases.V_hat) @ bases.V_hat.T
     lhs = spectral_norm(proj) ** 2
     rhs = 4.0 * s_tail**2 * (1.0 + (m + n) / d)
@@ -212,9 +251,10 @@ def check_combine(M, M_hat, delta: float, gamma: float) -> BoundReport:
 # column-selection family
 
 
-def _selection_blocks(M: np.ndarray, col_idx: IndexSet, r: int):
-    """V1^T S and V2^T S for the canonical selection S of the given columns."""
-    part = partition_svd(svd(M), r)
+def _selection_blocks(f: SvdFactors, col_idx: IndexSet, r: int):
+    """V1^T S and V2^T S for the canonical selection S of the given columns
+    of the matrix with SVD f."""
+    part = partition_svd(f, r)
     idx = np.asarray(col_idx.indices)
     omega1 = part.V1[idx, :].T
     omega2 = part.V2[idx, :].T
@@ -226,13 +266,14 @@ def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
     of projecting M onto its selected columns is at most
     ||Sigma2||^2 + ||Sigma2 Omega2 pinv(Omega1)||^2.
 
-    Premise: Omega1 has full row rank.
+    Premise: Omega1 has full row rank. Takes M and factors it itself, not
+    a `Spectrum`, because it also serves bare matrices outside any instance.
     """
     A = as_matrix(M)
     n, m = A.shape
     if col_idx.bound != m:
         raise ValueError(f"selection bound {col_idx.bound} does not match m={m}")
-    part, omega1, omega2 = _selection_blocks(A, col_idx, r)
+    part, omega1, omega2 = _selection_blocks(svd(A), col_idx, r)
     d = len(col_idx.indices)
     sv1 = singular_values(omega1) if omega1.size else np.array([])
     full_rank = sv1.size == r and float(sv1[-1]) > PINV_RTOL * max(float(sv1[0]), 1.0)
@@ -252,33 +293,18 @@ def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
     return make_report("column_space_capture", lhs, rhs, full_rank, params)
 
 
-def check_omega1_spectrum(M, col_idx: IndexSet, r: int, d: int) -> BoundReport:
+def check_omega1_spectrum(spec: Spectrum, col_idx: IndexSet,
+                          d: int) -> BoundReport:
     """Lower spectral bound on the selected right-basis rows:
     lambda_min(Omega1 Omega1^T) >= d/(2m)."""
-    A = as_matrix(M)
-    m = A.shape[1]
-    _, omega1, _ = _selection_blocks(A, col_idx, r)
+    r, m, mu = spec.r, spec.m, spec.mu_r
+    _, omega1, _ = _selection_blocks(spec.factors, col_idx, r)
     gram = omega1 @ omega1.T
     lhs = float(np.linalg.eigvalsh(gram)[0]) if gram.size else 0.0
-    mu = mu_r(A, r)
     fail_prob = r * math.exp(-d / (7.0 * mu * r))
     params = {"r": r, "d": d, "m": m, "mu_r": mu, "fail_prob": fail_prob}
     return make_report("selection_spectrum", lhs, d / (2.0 * m), True,
                        params, sense="ge")
-
-
-def mean_selection_gram(M, r: int, d: int, trials: int,
-                        stream: RngStream) -> np.ndarray:
-    """Monte-Carlo mean of Omega1 Omega1^T over repeated column draws;
-    converges to (d/m) I_r."""
-    A = as_matrix(M)
-    part = partition_svd(svd(A), r)
-    acc = np.zeros((r, r))
-    for k in range(trials):
-        idx, _ = sample_columns(A, d, stream.derive(k))
-        omega1 = part.V1[np.asarray(idx.indices), :].T
-        acc += omega1 @ omega1.T
-    return acc / trials
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +328,6 @@ def check_strong_convexity(system: DesignSystem, n: int, m: int, bases: Bases,
                        sense="ge")
 
 
-def mean_design_gram(bases: Bases, M, s: int, trials: int,
-                     stream: RngStream) -> np.ndarray:
-    """Monte-Carlo mean of K^T K over repeated entry draws; converges to
-    (|Omega|/mn) I_{r^2} for orthonormal bases."""
-    A = as_matrix(M)
-    r2 = bases.r**2
-    acc = np.zeros((r2, r2))
-    for k in range(trials):
-        omega = sample_entries(A, s, stream.derive(k))
-        system = assemble_design(bases, omega)
-        acc += system.K.T @ system.K
-    return acc / trials
-
-
 # ---------------------------------------------------------------------------
 # regularized Gram sandwich and its consequences
 
@@ -335,10 +347,11 @@ class HPair:
     rank_value: float
 
 
-def build_h_pair(M, sample, side: str, lam: float) -> HPair:
+def build_h_pair(spec: Spectrum, M, sample, side: str, lam: float) -> HPair:
     """H = lam*I + Gram(M)/(mn) and H_hat = lam*I + Gram(sample)/(d * dim),
     where side "A" uses M M^T with column samples A (n x d) and side "B"
-    uses M^T M with transposed row samples B (m x d)."""
+    uses M^T M with transposed row samples B (m x d); the gate's rank and
+    coherence are M's at lam."""
     A = as_matrix(M)
     S = as_matrix(sample, "sample")
     if lam <= 0:
@@ -357,7 +370,7 @@ def build_h_pair(M, sample, side: str, lam: float) -> HPair:
         H_hat = lam * np.eye(m) + S @ S.T / (d * m)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    rep = numerical_rank(A, lam)
+    rep = spec.rank_at(lam)
     return HPair(H=H, H_hat=H_hat, side=side, lam=lam, d=d, n=n, m=m,
                  mu_lambda=rep.mu_lambda, rank_value=rep.value)
 
@@ -389,7 +402,7 @@ def check_h_sandwich(pair: HPair, delta_target: float,
                        pair.d >= d_gate, params)
 
 
-def check_mu_hat_bound(M, bases: Bases, r: int, lam: float, d: int,
+def check_mu_hat_bound(spec: Spectrum, bases: Bases, lam: float, d: int,
                        t: float = 3.0) -> BoundReport:
     """Estimated-basis coherence against 2 r(M,lam)/r * mu(lam) + 18 n
     delta^2 / r with delta^2 = (4/d)(mu(lam) r(M,lam) + 1)(t + ln n).
@@ -397,18 +410,15 @@ def check_mu_hat_bound(M, bases: Bases, r: int, lam: float, d: int,
     Gates: spectral gap sigma_r >= sqrt(2) sigma_{r+1} and
     d >= 16 (mu(lam) r(M,lam) + 1)(t + ln n), at lam = sigma_r^2/mn.
     """
-    A = as_matrix(M)
-    n, m = A.shape
-    sig = singular_values(A)
-    s_r = float(sig[r - 1])
-    s_next = float(sig[r]) if r < sig.size else 0.0
-    rep = numerical_rank(A, lam)
+    n, m, r = spec.n, spec.m, spec.r
+    s_r, s_next = spec.sigma_r, spec.sigma_r_plus_1
+    rep = spec.rank_at(lam)
     core = rep.mu_lambda * rep.value
     delta_sq = 4.0 / d * (core + 1.0) * (t + math.log(n))
     lhs = mu_hat(bases.U_hat, bases.V_hat)
     rhs = 2.0 * rep.value / r * rep.mu_lambda + 18.0 * n * delta_sq / r
     d_gate = d_full_rank(rep.mu_lambda, rep.value, t, n)
-    lam_target = s_r**2 / (m * n)
+    lam_target = spec.lam
     premises = (s_r >= math.sqrt(2.0) * s_next and d >= d_gate
                 and abs(lam - lam_target) <= 1e-9 * max(lam_target, 1e-300))
     params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": lam,
@@ -467,37 +477,11 @@ def check_sin_theta_perturbation(H, H_tilde, r: int) -> BoundReport:
     return make_report("subspace_perturbation", lhs, rhs, premises, params)
 
 
-@dataclass(frozen=True)
-class RecoverySpectrum:
-    """The part of the end-to-end recovery bound that depends only on the
-    instance M and the rank r: sigma_r, sigma_{r+1}, lam = sigma_r^2 / (mn)
-    and the regularized numerical rank of M at that lam."""
-
-    r: int
-    sigma_r: float
-    sigma_r_plus_1: float
-    lam: float
-    rank: NumericalRankReport
-
-
-def recovery_spectrum(M, r: int) -> RecoverySpectrum:
-    """The instance's side of `check_full_rank_recovery`, to be computed
-    once per instance and shared by every draw from it."""
-    A = as_matrix(M)
-    n, m = A.shape
-    sig = singular_values(A)
-    s_r = float(sig[r - 1])
-    s_next = float(sig[r]) if r < sig.size else 0.0
-    lam = s_r**2 / (m * n)
-    return RecoverySpectrum(r=r, sigma_r=s_r, sigma_r_plus_1=s_next, lam=lam,
-                            rank=numerical_rank(A, lam))
-
-
-def check_full_rank_recovery(spectrum: RecoverySpectrum, M, result, d: int,
+def check_full_rank_recovery(spec: Spectrum, M, result, d: int,
                              run_params: dict) -> BoundReport:
     """End-to-end spectral recovery error against
     24 sigma_{r+1}^2 (1 + (m+n)/d), with sigma and the gates read from the
-    instance's `recovery_spectrum`.
+    instance's `Spectrum`.
 
     run_params must carry omega_size and may carry t (default 3). Premises:
     the spectral-gap and d gates, plus the entry budget capped at the grid
@@ -505,8 +489,8 @@ def check_full_rank_recovery(spectrum: RecoverySpectrum, M, result, d: int,
     """
     A = as_matrix(M)
     n, m = A.shape
-    r, s_r, s_next = spectrum.r, spectrum.sigma_r, spectrum.sigma_r_plus_1
-    rep = spectrum.rank
+    r, s_r, s_next = spec.r, spec.sigma_r, spec.sigma_r_plus_1
+    rep = spec.rank
     omega_size = int(run_params["omega_size"])
     t = float(run_params.get("t", 3.0))
     d_gate, omega_formula = sample_size_full_rank(rep.mu_lambda, rep.value,
@@ -516,7 +500,7 @@ def check_full_rank_recovery(spectrum: RecoverySpectrum, M, result, d: int,
     rhs = 24.0 * s_next**2 * (1.0 + (m + n) / d)
     premises = (s_r >= math.sqrt(2.0) * s_next and d >= min(d_gate, n, m)
                 and omega_size >= omega_gate)
-    params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": spectrum.lam,
+    params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": spec.lam,
               "omega_size": omega_size, "mu_lambda": rep.mu_lambda,
               "numerical_rank": rep.value, "d_gate": d_gate,
               "omega_formula": omega_formula, "omega_gate": omega_gate,

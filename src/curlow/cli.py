@@ -97,13 +97,13 @@ def _matrix_ext(fmt: str) -> tuple[str, str]:
 
 def cmd_gen(args) -> int:
     cfg = load_experiment_config(args)
-    M, sigma, lam = lab.instance(cfg, cfg.base_stream())
+    inst = lab.load_instance(cfg, cfg.base_stream())
     ensure_dir(args.out)
     ext, mfmt = _matrix_ext(args.format)
-    write_matrix(M, os.path.join(args.out, f"M.{ext}"), format=mfmt)
-    write_matrix(sigma.reshape(-1, 1),
+    write_matrix(inst.M, os.path.join(args.out, f"M.{ext}"), format=mfmt)
+    write_matrix(inst.sigma.reshape(-1, 1),
                  os.path.join(args.out, "spectrum.csv"), format="csv")
-    props = measured_properties(M, cfg.r, lam)
+    props = measured_properties(inst.spectrum(), inst.lam)
     props["config"] = cfg.to_flat()
     write_json(props, os.path.join(args.out, "properties.json"))
     print(f"wrote M.{ext}, spectrum.csv, properties.json to {args.out}")

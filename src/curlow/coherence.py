@@ -14,10 +14,9 @@ import numpy as np
 from .linalg import (
     ORTHONORMAL_TOL,
     PINV_RTOL,
-    as_matrix,
+    SvdFactors,
     partition_svd,
     singular_values,
-    svd,
 )
 
 
@@ -65,9 +64,9 @@ def _assert_mu_range(mu: float, N: int, r: int) -> None:
         raise AssertionError(f"coherence {mu} outside [1, {N}/{r}]")
 
 
-def mu_r(M, r: int) -> float:
-    """Coherence of the top-r singular bases of M."""
-    part = partition_svd(svd(as_matrix(M)), r)
+def mu_r(f: SvdFactors, r: int) -> float:
+    """Coherence of the top-r singular bases of the matrix with SVD f."""
+    part = partition_svd(f, r)
     return max(basis_incoherence(part.U1), basis_incoherence(part.V1))
 
 
@@ -101,11 +100,10 @@ def _weights(sigma: np.ndarray, n: int, m: int, lam: float):
     return w, contrib
 
 
-def numerical_rank(M, lam: float) -> NumericalRankReport:
-    """Regularized numerical rank of M at regularization lam."""
-    A = as_matrix(M)
-    n, m = A.shape
-    f = svd(A)
+def numerical_rank(f: SvdFactors, lam: float) -> NumericalRankReport:
+    """Regularized numerical rank, at regularization lam, of the matrix
+    with SVD f."""
+    n, m = f.U.shape[0], f.V.shape[0]
     w, contrib = _weights(f.sigma, n, m, lam)
     value = float(np.sum(contrib))
     if value <= 0.0:

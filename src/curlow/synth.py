@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import mu_r, numerical_rank
-from .linalg import DenseMatrix, SvdFactors, as_matrix, singular_values
+from .linalg import DenseMatrix, SvdFactors
 from .sampling import RngStream
 
 KINDS = ("exact-low-rank", "geometric-spectrum", "power-law-spectrum")
@@ -107,20 +106,17 @@ def generate(spec: SynthSpec) -> tuple[DenseMatrix, SvdFactors]:
     return M, SvdFactors(U=U, sigma=sig, V=V)
 
 
-def measured_properties(M, r: int, lam: float) -> dict:
-    """Coherence, regularized rank, and spectrum-gap summary for M."""
-    A = as_matrix(M)
-    sig = singular_values(A)
-    mu = mu_r(A, r)
-    rank_rep = numerical_rank(A, lam)
-    sigma_r = float(sig[r - 1])
-    sigma_next = float(sig[r]) if r < sig.size else 0.0
+def measured_properties(spectrum, lam: float) -> dict:
+    """Coherence, regularized rank at lam, and spectrum-gap summary of an
+    instance, read from its `bounds.Spectrum`."""
+    rank_rep = spectrum.rank_at(lam)
+    sigma_r, sigma_next = spectrum.sigma_r, spectrum.sigma_r_plus_1
     return {
-        "n": A.shape[0],
-        "m": A.shape[1],
-        "r": r,
+        "n": spectrum.n,
+        "m": spectrum.m,
+        "r": spectrum.r,
         "lam": lam,
-        "mu_r": mu,
+        "mu_r": spectrum.mu_r,
         "mu_lambda": rank_rep.mu_lambda,
         "numerical_rank": rank_rep.value,
         "sigma_r": sigma_r,

@@ -18,12 +18,10 @@ from curlow.bounds import (
     check_sin_theta_perturbation,
     check_strong_convexity,
     make_report,
-    mean_design_gram,
-    mean_selection_gram,
     optimal_d,
-    recovery_spectrum,
     sample_size_full_rank,
     sample_size_low_rank,
+    spectrum,
     total_observations,
 )
 from curlow.coherence import numerical_rank
@@ -172,7 +170,8 @@ def test_projection_exact_rank2_hadamard():
     # coherence is exactly 1, so the budget gate is satisfied at d = n
     M = hadamard_rank2(64)
     bases = build_bases(M.copy(), M.T.copy(), 2)
-    rep_cols, rep_rows = check_projection(M, bases.V_hat, bases.U_hat, 2, 64)
+    rep_cols, rep_rows = check_projection(spectrum(M, 2), M, bases.V_hat,
+                                          bases.U_hat, 64)
     for rep in (rep_cols, rep_rows):
         assert rep.premises_met
         assert rep.holds
@@ -187,7 +186,8 @@ def test_projection_rhs_arithmetic():
     g = rng(5)
     M = low_rank(30, 24, 3, seed=6) + 1e-3 * g.standard_normal((30, 24))
     bases = build_bases(M.copy(), M.T.copy(), 3)
-    rep_cols, rep_rows = check_projection(M, bases.V_hat, bases.U_hat, 3, 10)
+    rep_cols, rep_rows = check_projection(spectrum(M, 3), M, bases.V_hat,
+                                          bases.U_hat, 10)
     s_tail = svd(M).sigma[3]
     assert abs(rep_cols.rhs - s_tail**2 * (1 + 2 * 24 / 10)) < 1e-12
     assert abs(rep_rows.rhs - s_tail**2 * (1 + 2 * 30 / 10)) < 1e-12
@@ -199,7 +199,7 @@ def test_projection_rhs_arithmetic():
 def test_delta_exact_low_rank():
     M = hadamard_rank2(64)
     bases = build_bases(M.copy(), M.T.copy(), 2)
-    rep = check_delta(M, bases, 2, 64)
+    rep = check_delta(spectrum(M, 2), M, bases, 64)
     assert rep.premises_met and rep.holds
     assert rep.lhs <= 1e-12 and rep.rhs <= 1e-28
 
@@ -209,10 +209,10 @@ def test_delta_full_rank_gate():
                      stream=RngStream(seed=7), decay=0.3)
     M, _ = generate(spec)
     bases = build_bases(M.copy(), M.T.copy(), 3)
-    rep = check_delta(M, bases, 3, 40, full_rank=True)
+    rep = check_delta(spectrum(M, 3), M, bases, 40, full_rank=True)
     sig = svd(M).sigma
     lam = sig[2] ** 2 / (40 * 40)
-    rank_rep = numerical_rank(M, lam)
+    rank_rep = numerical_rank(svd(M), lam)
     gate = math.ceil(14.0 * rank_rep.mu_lambda * rank_rep.value
                      * (3.0 + math.log(3)))
     assert rep.params["d_gate"] == gate
@@ -231,7 +231,7 @@ def test_delta_triangle_unconditional():
         bases = build_bases(A, B, 3)
         tri = check_delta_triangle(M, bases)
         assert tri.holds and tri.premises_met
-        delta = check_delta(M, bases, 3, 8)
+        delta = check_delta(spectrum(M, 3), M, bases, 8)
         # the two-sided error is what the triangle step bounds
         assert delta.lhs <= tri.rhs + 1e-9 * max(1.0, tri.rhs)
         manual = 2 * (tri.params["side_cols"] + tri.params["side_rows"])
@@ -318,7 +318,7 @@ def test_halko_random_trials_never_violate():
 def test_omega1_spectrum_full_selection():
     M = low_rank(15, 12, 2, seed=17)
     idx, _ = sample_columns(M, 12, RngStream(seed=18))
-    rep = check_omega1_spectrum(M, idx, 2, 12)
+    rep = check_omega1_spectrum(spectrum(M, 2), idx, 12)
     assert rep.sense == "ge"
     assert rep.lhs == pytest.approx(1.0, abs=1e-10)
     assert rep.rhs == pytest.approx(0.5)
@@ -326,12 +326,6 @@ def test_omega1_spectrum_full_selection():
     mu = rep.params["mu_r"]
     assert rep.params["fail_prob"] == pytest.approx(
         2 * math.exp(-12 / (7 * mu * 2)))
-
-
-def test_mean_selection_gram_matches_expectation():
-    M = low_rank(10, 8, 2, seed=19)
-    mean = mean_selection_gram(M, 2, 4, trials=4000, stream=RngStream(seed=20))
-    assert np.allclose(mean, 0.5 * np.eye(2), atol=0.03)
 
 
 # --- strong convexity ---------------------------------------------------------------
@@ -361,14 +355,6 @@ def test_strong_convexity_starved_sample_fails_honestly():
     assert not rep.holds
 
 
-def test_mean_design_gram_matches_expectation():
-    M = low_rank(10, 8, 2, seed=24)
-    bases = build_bases(M.copy(), M.T.copy(), 2)
-    mean = mean_design_gram(bases, M, s=16, trials=2000, stream=RngStream(seed=25))
-    assert mean.shape == (4, 4)
-    assert np.allclose(mean, (16 / 80) * np.eye(4), atol=0.03)
-
-
 # --- regularized Gram sandwich --------------------------------------------------------
 
 
@@ -377,10 +363,11 @@ def test_h_pair_full_sample_sides_agree():
                      stream=RngStream(seed=26), decay=0.5)
     M, _ = generate(spec)
     lam = svd(M).sigma[1] ** 2 / 400
-    pair_a = build_h_pair(M, M.copy(), "A", lam)
+    spec_m = spectrum(M, 2)
+    pair_a = build_h_pair(spec_m, M, M.copy(), "A", lam)
     assert pair_a.H.shape == (20, 20)
     assert np.allclose(pair_a.H, pair_a.H_hat, atol=1e-12)
-    pair_b = build_h_pair(M, M.T.copy(), "B", lam)
+    pair_b = build_h_pair(spec_m, M, M.T.copy(), "B", lam)
     assert pair_b.H.shape == (20, 20)
     assert np.allclose(pair_b.H, pair_b.H_hat, atol=1e-12)
     rep = check_h_sandwich(pair_a, 0.5)
@@ -392,15 +379,16 @@ def test_h_pair_full_sample_sides_agree():
 
 def test_h_pair_validation():
     M = low_rank(8, 6, 2, seed=27)
+    spec_m = spectrum(M, 2)
     with pytest.raises(ValueError):
-        build_h_pair(M, M, "A", 0.0)
+        build_h_pair(spec_m, M, M, "A", 0.0)
     with pytest.raises(ValueError):
-        build_h_pair(M, np.zeros((5, 3)), "A", 1e-3)
+        build_h_pair(spec_m, M, np.zeros((5, 3)), "A", 1e-3)
     with pytest.raises(ValueError):
-        build_h_pair(M, np.zeros((5, 3)), "B", 1e-3)
+        build_h_pair(spec_m, M, np.zeros((5, 3)), "B", 1e-3)
     with pytest.raises(ValueError):
-        build_h_pair(M, M, "C", 1e-3)
-    pair = build_h_pair(M, M, "A", 1e-3)
+        build_h_pair(spec_m, M, M, "C", 1e-3)
+    pair = build_h_pair(spec_m, M, M, "A", 1e-3)
     with pytest.raises(ValueError):
         check_h_sandwich(pair, 0.0)
     with pytest.raises(ValueError):
@@ -420,7 +408,7 @@ def test_h_sandwich_gate_arithmetic():
     M, _ = generate(spec)
     lam = svd(M).sigma[1] ** 2 / 900
     _, A = sample_columns(M, 10, RngStream(seed=29))
-    pair = build_h_pair(M, A, "A", lam)
+    pair = build_h_pair(spectrum(M, 2), M, A, "A", lam)
     rep = check_h_sandwich(pair, 0.5, t=3.0)
     gate = math.ceil(4.0 / 0.25 * (pair.mu_lambda * pair.rank_value + 1.0)
                      * (3.0 + math.log(30)))
@@ -439,10 +427,10 @@ def test_mu_hat_bound_premises_and_arithmetic():
     sig = svd(M).sigma
     lam = sig[0] ** 2 / (250 * 250)
     bases = build_bases(M.copy(), M.T.copy(), 1)
-    rep = check_mu_hat_bound(M, bases, 1, lam, d=250)
+    rep = check_mu_hat_bound(spectrum(M, 1), bases, lam, d=250)
     assert rep.premises_met  # gap is 10x, lam matches, d = n clears the gate
     assert rep.holds
-    rank_rep = numerical_rank(M, lam)
+    rank_rep = numerical_rank(svd(M), lam)
     delta_sq = 4.0 / 250 * (rank_rep.mu_lambda * rank_rep.value + 1.0) \
         * (3.0 + math.log(250))
     expect_rhs = 2.0 * rank_rep.value / 1 * rank_rep.mu_lambda \
@@ -457,15 +445,17 @@ def test_mu_hat_bound_gates():
     M, _ = generate(spec)
     lam = svd(M).sigma[0] ** 2 / (250 * 250)
     bases = build_bases(M.copy(), M.T.copy(), 1)
-    assert not check_mu_hat_bound(M, bases, 1, 2 * lam, d=250).premises_met
-    assert not check_mu_hat_bound(M, bases, 1, lam, d=20).premises_met
+    spec_m = spectrum(M, 1)
+    assert not check_mu_hat_bound(spec_m, bases, 2 * lam, d=250).premises_met
+    assert not check_mu_hat_bound(spec_m, bases, lam, d=20).premises_met
     # a slow spectrum breaks the sqrt(2) gap requirement
     flat = SynthSpec(n=250, m=250, kind="geometric-spectrum", r=1,
                      stream=RngStream(seed=31), decay=0.9)
     Mf, _ = generate(flat)
     lam_f = svd(Mf).sigma[0] ** 2 / (250 * 250)
     bases_f = build_bases(Mf.copy(), Mf.T.copy(), 1)
-    assert not check_mu_hat_bound(Mf, bases_f, 1, lam_f, d=250).premises_met
+    assert not check_mu_hat_bound(spectrum(Mf, 1), bases_f, lam_f,
+                                  d=250).premises_met
 
 
 # --- eigenspace perturbation --------------------------------------------------------------
@@ -544,7 +534,7 @@ def test_sin_theta_bound_on_gram_pairs():
         M, _ = generate(spec)
         lam = svd(M).sigma[1] ** 2 / 1600
         _, A = sample_columns(M, 30, RngStream(seed=6000 + seed))
-        pair = build_h_pair(M, A, "A", lam)
+        pair = build_h_pair(spectrum(M, 2), M, A, "A", lam)
         rep = check_sin_theta_perturbation(pair.H, pair.H_hat, 2)
         if rep.premises_met:
             applied += 1
@@ -561,7 +551,7 @@ def test_full_rank_recovery_exact_case():
     M = low_rank(20, 20, 3, seed=33)
     inputs = RecoveryInputs(A=M.copy(), B=M.T.copy(), omega=full_grid(M), r=3)
     result, _ = recover(inputs)
-    rep = check_full_rank_recovery(recovery_spectrum(M, 3), M, result, 20,
+    rep = check_full_rank_recovery(spectrum(M, 3), M, result, 20,
                                    {"omega_size": 400})
     assert rep.premises_met  # full grid meets the capped entry gate
     assert rep.holds
@@ -580,12 +570,12 @@ def test_full_rank_recovery_rhs_and_gates():
     _, B = sample_rows(M, 12, base.derive(2))
     omega = sample_entries(M, 200, base.derive(3))
     result, _ = recover(RecoveryInputs(A=A, B=B, omega=omega, r=2))
-    spectrum = recovery_spectrum(M, 2)
-    rep = check_full_rank_recovery(spectrum, M, result, 12, {"omega_size": 200})
+    spec_m = spectrum(M, 2)
+    rep = check_full_rank_recovery(spec_m, M, result, 12, {"omega_size": 200})
     sig = svd(M).sigma
     assert rep.rhs == pytest.approx(24 * sig[2] ** 2 * (1 + 48 / 12), rel=1e-12)
     assert not rep.premises_met  # 200 entries sit below the capped gate of 576
     assert rep.params["omega_gate"] == 576
-    full = check_full_rank_recovery(spectrum, M, result, 24,
+    full = check_full_rank_recovery(spec_m, M, result, 24,
                                     {"omega_size": 576})
     assert full.premises_met

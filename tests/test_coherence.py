@@ -82,7 +82,7 @@ def flat_low_rank(n, m, r):
 
 def test_mu_r_flat_factors():
     M = flat_low_rank(64, 32, 4)
-    assert mu_r(M, 4) <= 1.0 + 1e-8
+    assert mu_r(svd(M), 4) <= 1.0 + 1e-8
 
 
 def test_mu_r_planted_spike():
@@ -93,7 +93,7 @@ def test_mu_r_planted_spike():
     U[1:, 1:] = random_orthonormal(n - 1, r - 1, seed=4)
     V = hadamard_cols(m, r)
     M = (U * np.array([3.0, 2.0, 1.0])) @ V.T
-    mu = mu_r(M, r)
+    mu = mu_r(svd(M), r)
     assert abs(mu - n / r) < 1e-10
 
 
@@ -102,7 +102,7 @@ def test_mu_r_matches_factor_scan():
     f = svd(M)
     U1, V1 = f.U[:, :2], f.V[:, :2]
     expect = max(basis_incoherence(U1), basis_incoherence(V1))
-    assert abs(mu_r(M, 2) - expect) < 1e-12
+    assert abs(mu_r(svd(M), 2) - expect) < 1e-12
 
 
 def test_mu_hat_patterns():
@@ -119,7 +119,7 @@ def test_mu_hat_patterns():
 
 def test_numerical_rank_zero_lambda_equals_rank():
     M = flat_low_rank(32, 16, 5)
-    rep = numerical_rank(M, 0.0)
+    rep = numerical_rank(svd(M), 0.0)
     assert abs(rep.value - 5.0) < 1e-10
 
 
@@ -127,7 +127,7 @@ def test_numerical_rank_flat_spectrum_half():
     # all sigma = 1 and mn*lambda = 1 makes every term 1/2
     m = 8
     M = np.eye(m)
-    rep = numerical_rank(M, 1.0 / (m * m))
+    rep = numerical_rank(svd(M), 1.0 / (m * m))
     assert abs(rep.value - m / 2) < 1e-12
 
 
@@ -139,37 +139,38 @@ def test_numerical_rank_matches_direct_sum():
     M = (U * sig) @ V.T
     for lam in (1e-8, 1e-4, 1e-2):
         expect = float(np.sum(sig**2 / (sig**2 + n * m * lam)))
-        assert abs(numerical_rank(M, lam).value - expect) < 1e-12
+        assert abs(numerical_rank(svd(M), lam).value - expect) < 1e-12
 
 
 def test_numerical_rank_decreasing_in_lambda():
     M = rng(9).standard_normal((12, 10))
     lams = [0.0, 1e-6, 1e-4, 1e-2, 1.0]
-    vals = [numerical_rank(M, lam).value for lam in lams]
+    vals = [numerical_rank(svd(M), lam).value for lam in lams]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_numerical_rank_rejects_negative_lambda():
     with pytest.raises(ValueError):
-        numerical_rank(np.eye(3), -1e-3)
+        numerical_rank(svd(np.eye(3)), -1e-3)
 
 
 # --- mu_lambda --------------------------------------------------------------
 
 
 def test_mu_lambda_zero_matches_mu_r():
-    M = flat_low_rank(32, 16, 4)
-    assert abs(numerical_rank(M, 0.0).mu_lambda - mu_r(M, 4)) < 1e-10
+    f = svd(flat_low_rank(32, 16, 4))
+    assert abs(numerical_rank(f, 0.0).mu_lambda - mu_r(f, 4)) < 1e-10
     M2 = (random_orthonormal(20, 3, seed=10) * np.array([5.0, 2.0, 1.0])) \
         @ random_orthonormal(15, 3, seed=11).T
-    assert abs(numerical_rank(M2, 0.0).mu_lambda - mu_r(M2, 3)) < 1e-10
+    f2 = svd(M2)
+    assert abs(numerical_rank(f2, 0.0).mu_lambda - mu_r(f2, 3)) < 1e-10
 
 
 def test_mu_lambda_flat_equal_spectrum_is_one():
     # square flat orthogonal matrix: all sigma equal, all leverages equal
     n = 16
     M = hadamard_cols(n, n) * np.sqrt(n) * 2.0
-    assert abs(numerical_rank(M, 0.37).mu_lambda - 1.0) < 1e-8
+    assert abs(numerical_rank(svd(M), 0.37).mu_lambda - 1.0) < 1e-8
 
 
 def test_mu_lambda_matches_direct_formula():
@@ -182,13 +183,14 @@ def test_mu_lambda_matches_direct_formula():
     rank_value = float(np.sum(f.sigma**2 / (f.sigma**2 + n * m * lam)))
     lev_u = np.sum((f.U * w) ** 2, axis=1).max() * n / rank_value
     lev_v = np.sum((f.V * w) ** 2, axis=1).max() * m / rank_value
-    assert abs(numerical_rank(M, lam).mu_lambda - max(lev_u, lev_v)) < 1e-10
+    assert abs(numerical_rank(f, lam).mu_lambda - max(lev_u, lev_v)) < 1e-10
 
 
 def test_mu_lambda_at_least_one():
     for seed in range(6):
         M = rng(20 + seed).standard_normal((10, 8))
-        assert numerical_rank(M, 10.0 ** -(seed + 2)).mu_lambda >= 1.0 - 1e-9
+        rep = numerical_rank(svd(M), 10.0 ** -(seed + 2))
+        assert rep.mu_lambda >= 1.0 - 1e-9
 
 
 # --- sin_theta ---------------------------------------------------------------
@@ -243,8 +245,8 @@ def test_mu_r_bounded_by_weighted_coherence():
         r = 4
         assert f.sigma[r - 1] >= np.sqrt(2.0) * f.sigma[r]
         lam = float(f.sigma[r - 1]) ** 2 / (48 * 40)
-        rep = numerical_rank(M, lam)
-        lhs = mu_r(M, r)
+        rep = numerical_rank(svd(M), lam)
+        lhs = mu_r(svd(M), r)
         rhs = 2.0 * rep.value / r * rep.mu_lambda
         assert lhs <= rhs + 1e-9 * rhs
         hits += 1

@@ -21,7 +21,7 @@ from curlow.lab import (
     run_verify,
     thread_count,
 )
-from curlow.linalg import blas_threads, frobenius_norm
+from curlow.linalg import blas_threads, frobenius_norm, svd
 from curlow.recovery import RecoveryInputs, recover
 from curlow.sampling import sample_columns, sample_entries, sample_rows
 from curlow.synth import generate
@@ -61,7 +61,7 @@ def test_resolve_budgets_low_rank_formula():
     cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=2, r=2)
     M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
     budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
-    mu = mu_r(M, 2)
+    mu = mu_r(svd(M), 2)
     d_formula, omega_formula = sample_size_low_rank(mu, 2, 3.0)
     assert budget.details["regime"] == "low-rank"
     assert budget.details["d_formula"] == d_formula
@@ -99,7 +99,7 @@ def test_trial_context_caches_samples():
                            checks=("delta", "combine"))
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
-    ctx = Draw(inst, inst.budget.d, inst.budget.omega, stream)
+    ctx = Draw(inst, inst.budget().d, inst.budget().omega, stream)
     idx1, _ = ctx.cols()
     idx2, _ = ctx.cols()
     assert idx1 is idx2
@@ -125,8 +125,25 @@ def test_trial_builds_each_stage_once(monkeypatch):
     assert sorted(calls) == ["assemble_design", "build_bases", "check_delta"]
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
-    ctx = Draw(inst, inst.budget.d, inst.budget.omega, stream)
+    ctx = Draw(inst, inst.budget().d, inst.budget().omega, stream)
     assert ctx.recovery()[0].bases is ctx.bases()
+
+
+def test_verify_trial_factors_M_four_times(monkeypatch):
+    # every check reads the instance's spectrum (a values-only sigma and one
+    # svd of M); only resolve_budgets and check_halko factor M themselves
+    cfg = ExperimentConfig(n=40, m=40, kind="geometric-spectrum", synth_r=2,
+                           r=2, d=16, omega_count=600, checks=CHECK_NAMES)
+    M, _ = generate(cfg.synth_spec(cfg.base_stream().derive(0).derive(0)))
+    of_M = []
+
+    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
+        of_M.append(np.shape(a) == M.shape and np.array_equal(a, M))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    record = run_trial(cfg, 0)
+    assert len(record["reports"]) == 12
+    assert sum(of_M) == 4
 
 
 def test_run_trial_report_names():
@@ -373,10 +390,10 @@ def test_run_sweep_loads_each_instance_once(monkeypatch):
 def test_run_sweep_computes_each_recovery_spectrum_once(monkeypatch):
     calls = []
 
-    def counted(*args, _fn=bounds.recovery_spectrum, **kwargs):
+    def counted(*args, _fn=bounds.spectrum, **kwargs):
         calls.append(args[1])  # list.append is atomic across pool threads
         return _fn(*args, **kwargs)
-    monkeypatch.setattr(bounds, "recovery_spectrum", counted)
+    monkeypatch.setattr(bounds, "spectrum", counted)
     cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2, omega_count=250, trials=3)
     rows = run_sweep(cfg, [4, 6, 8, 12, 16], threads=2)
@@ -403,8 +420,8 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
         stream = cfg.base_stream().derive(trial)
         for d, report in seen:
             inst = load_instance(cfg, stream)
-            draw = Draw(inst, d, inst.budget.omega, stream.derive(1 + d))
-            oracle = check(bounds.recovery_spectrum(draw.M, cfg.r), draw.M,
+            draw = Draw(inst, d, inst.budget().omega, stream.derive(1 + d))
+            oracle = check(bounds.spectrum(draw.M, cfg.r), draw.M,
                            draw.recovery()[0], d,
                            {"omega_size": draw.entries().size, "t": cfg.t})
             assert report.to_dict() == oracle.to_dict()

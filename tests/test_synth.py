@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curlow.bounds import spectrum
 from curlow.coherence import mu_r, numerical_rank
 from curlow.linalg import frobenius_norm, svd
 from curlow.sampling import RngStream
@@ -50,7 +51,7 @@ def test_spiky_coherence_plants_leverage():
     s = spec(seed=5, n=100, m=64, r=2, coherence="spiky", spike_index=0,
              spike_weight=0.9)
     M, _ = generate(s)
-    mu = mu_r(M, 2)
+    mu = mu_r(svd(M), 2)
     target = 0.81 * (100 / 2)
     assert mu >= target * 0.95
 
@@ -61,7 +62,7 @@ def test_full_spike_weight_is_canonical():
     M, f = generate(s)
     col = np.abs(f.U[:, 0])
     assert col[3] > 1.0 - 1e-12
-    assert mu_r(M, 2) >= 50 / 2 - 1e-6
+    assert mu_r(svd(M), 2) >= 50 / 2 - 1e-6
 
 
 def test_flat_coherence_stays_small():
@@ -69,7 +70,7 @@ def test_flat_coherence_stays_small():
     bad = 0
     for seed in range(100):
         M, _ = generate(spec(seed=1000 + seed, n=64, m=64, r=8))
-        if mu_r(M, 8) > 5.0:
+        if mu_r(svd(M), 8) > 5.0:
             bad += 1
     assert bad <= 1
 
@@ -103,9 +104,10 @@ def test_measured_properties_cross_checks():
     M, f = generate(spec(seed=8, kind="geometric-spectrum", decay=0.5,
                          n=32, m=32, r=4))
     lam = float(f.sigma[3]) ** 2 / (32 * 32)
-    props = measured_properties(M, 4, lam)
-    assert abs(props["mu_r"] - mu_r(M, 4)) < 1e-12
-    assert abs(props["mu_lambda"] - numerical_rank(M, lam).mu_lambda) < 1e-12
-    assert abs(props["numerical_rank"] - numerical_rank(M, lam).value) < 1e-12
+    props = measured_properties(spectrum(M, 4), lam)
+    assert abs(props["mu_r"] - mu_r(svd(M), 4)) < 1e-12
+    rank_rep = numerical_rank(svd(M), lam)
+    assert abs(props["mu_lambda"] - rank_rep.mu_lambda) < 1e-12
+    assert abs(props["numerical_rank"] - rank_rep.value) < 1e-12
     assert props["gap_ok"] == (props["sigma_r"] >= np.sqrt(2) * props["sigma_r_plus_1"])
     assert props["gap_ok"]  # decay 0.5 has exactly a factor-2 gap
