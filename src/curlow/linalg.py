@@ -176,8 +176,10 @@ def spectral_norm(M) -> float:
 
 
 def frobenius_norm(M) -> float:
+    """sqrt of numpy's pairwise sum of squares: np.linalg.norm sums through
+    BLAS, whose result depends on its thread count."""
     A = as_matrix(M)
-    return float(np.linalg.norm(A))
+    return float(np.sqrt(np.sum(A * A)))
 
 
 @dataclass(frozen=True)

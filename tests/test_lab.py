@@ -498,20 +498,31 @@ def _golden_argv(name):
     return dict(golden.commands(""))[name]
 
 
-def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # AC7's sweep in fresh interpreters whose BLAS starts with 1 and 2 threads
+def _golden_outputs(name, blas_threads, out):
+    """Every file the golden command `name` writes when run in a fresh
+    interpreter whose BLAS starts with `blas_threads` threads."""
     src = str(Path(lab.__file__).resolve().parents[1])
     code = ("import sys; from curlow.cli import main; "
             "raise SystemExit(main(sys.argv[1:]))")
-    argv = _golden_argv("sweep-ac7")
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", code, *argv,
-                               "--out", str(out)], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outs.append((out / "sweep.csv").read_bytes())
-    assert outs[0] == outs[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code, *_golden_argv(name),
+                           "--out", str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # AC7's sweep in fresh interpreters whose BLAS starts with 1 and 2 threads
+    one = _golden_outputs("sweep-ac7", "1", tmp_path / "1")
+    assert list(one) == ["sweep.csv"]
+    assert one == _golden_outputs("sweep-ac7", "2", tmp_path / "2")
+
+
+def test_recover_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # n = 200 exact rank 5 outside the trial pool, where BLAS keeps its
+    # own thread count: M_hat.mtx and recovery.json must not depend on it
+    one = _golden_outputs("recover", "1", tmp_path / "1")
+    assert list(one) == ["M_hat.mtx", "recovery.json"]
+    assert one == _golden_outputs("recover", "2", tmp_path / "2")
