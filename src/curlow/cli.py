@@ -20,7 +20,6 @@ import numpy as np
 from . import lab
 from .bounds import optimal_d, total_observations
 from .config import (
-    AUTO,
     ExperimentConfig,
     apply_overrides,
     config_from_mapping,
@@ -140,8 +139,7 @@ def cmd_recover(args) -> int:
     print(f"recovered: rel_frobenius={rel:.3e}, omega={report['omega_size']}")
     budget = report["budget"]
     capped = [f"{key}_formula={budget[key + '_formula']} -> {key}={budget[key]}"
-              for key, value in (("d", cfg.d), ("omega", cfg.omega_count))
-              if value == AUTO and budget[key + "_formula"] > budget[key]]
+              for key in ("d", "omega") if budget[key + "_source"] == "capped"]
     if capped:
         print(f"capped auto budgets at the instance: {', '.join(capped)}")
     return 0

@@ -70,10 +70,20 @@ def check_range(key: str, value: int, low: int, high: int, rule: str) -> None:
         raise ValueError(f"{key}={value} is outside {rule} = [{low}, {high}]")
 
 
+def _source(setting, value: int, formula: int) -> str:
+    """Where a budget came from: "user" if the config sets it, else
+    "formula", or "capped" where the formula's value lies outside the
+    range the instance allows."""
+    if isinstance(setting, int):
+        return "user"
+    return "formula" if value == formula else "capped"
+
+
 def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
                     lam: float) -> Budget:
     """Budgets from the formulas, capped at the instance; a budget set in
     the config is used as given, or refused if the instance cannot hold it.
+    The details say which of the three each budget is.
 
     Reads its own svd(M), not the instance's `bounds.Spectrum`: sharing
     that one would take run_recovery from 9 traced factorizations to 8,
@@ -102,7 +112,10 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
     omega = cfg.omega_count if isinstance(cfg.omega_count, int) \
         else min(omega_formula, n * m)
     details.update({"d_formula": d_formula, "omega_formula": omega_formula,
-                    "d": d, "omega": omega})
+                    "d": d, "omega": omega,
+                    "d_source": _source(cfg.d, d, d_formula),
+                    "omega_source": _source(cfg.omega_count, omega,
+                                            omega_formula)})
     return Budget(d=d, omega=omega, details=details)
 
 

@@ -84,17 +84,24 @@ def test_recover_wide_matrix_file(tmp_path):
 
 def test_recover_says_when_it_capped_an_auto_budget(tmp_path, capsys):
     # power-law n=m=100: the formulas ask for d=1552 and ~1.8e9 entries
-    args = ("recover", "--out", str(tmp_path / "rec"), "--set", "synth.n=100",
+    out = tmp_path / "rec"
+    args = ("recover", "--out", str(out), "--set", "synth.n=100",
             "--set", "synth.m=100", "--set", "synth.kind=power-law-spectrum",
             "--set", "r=3")
+
+    def sources():
+        budget = json.loads((out / "recovery.json").read_text())["budget"]
+        return budget["d_source"], budget["omega_source"]
     assert run(*args) == 0
     assert capsys.readouterr().out.splitlines() == [
         "recovered: rel_frobenius=8.041e-01, omega=10000",
         "capped auto budgets at the instance: d_formula=1552 -> d=100, "
         "omega_formula=1785833132 -> omega=10000"]
+    assert sources() == ("capped", "capped")
     assert run(*args, "--set", "d=100", "--set", "omega=10000") == 0
     assert capsys.readouterr().out.splitlines() == [
         "recovered: rel_frobenius=8.041e-01, omega=10000"]
+    assert sources() == ("user", "user")
 
 
 def test_recover_csv_output(tmp_path):

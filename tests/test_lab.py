@@ -67,6 +67,9 @@ def test_resolve_budgets_low_rank_formula():
     assert budget.details["d_formula"] == d_formula
     assert budget.d == min(d_formula, 64)
     assert budget.omega == min(omega_formula, 64 * 64)
+    assert (budget.d, budget.omega) == (d_formula, omega_formula)
+    assert budget.details["d_source"] == "formula"
+    assert budget.details["omega_source"] == "formula"
 
 
 def test_resolve_budgets_explicit_and_floor():
@@ -76,6 +79,7 @@ def test_resolve_budgets_explicit_and_floor():
     lam = _lam(cfg, factors.sigma)
     budget = resolve_budgets(cfg, M, lam)
     assert budget.d == 10 and budget.omega == 500
+    assert budget.details["d_source"] == budget.details["omega_source"] == "user"
     floor_cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank",
                                  synth_r=3, r=3, d=1)
     with pytest.raises(ValueError):
