@@ -84,10 +84,11 @@ class Spectrum:
     """What the checks read of an n x m instance M at rank r, from two
     kernels. sigma is the values-only `singular_values(M)`, which gives
     sigma_r, sigma_{r+1} and lam = sigma_r^2 / (mn); factors is one
-    `svd(M)`, which gives mu_r, the regularized rank at lam (`rank`) or at
-    any other lam (`rank_at`) and the right singular vectors the selection
-    checks read. The two kernels' sigma differ in the last bits, so each
-    field is read from the kernel it has always been read from."""
+    `svd(M)`, which gives mu_r, the regularized rank at lam (`rank`) or,
+    through `numerical_rank`, at any other lam, and the right singular
+    vectors the selection checks read. The two kernels' sigma differ in
+    the last bits, so reading every field from one of them would change
+    the outputs."""
 
     r: int
     n: int
@@ -99,9 +100,6 @@ class Spectrum:
     lam: float
     mu_r: float
     rank: NumericalRankReport
-
-    def rank_at(self, lam: float) -> NumericalRankReport:
-        return numerical_rank(self.factors, lam)
 
 
 def spectrum(M, r: int) -> Spectrum:
@@ -370,7 +368,7 @@ def build_h_pair(spec: Spectrum, M, sample, side: str, lam: float) -> HPair:
         H_hat = lam * np.eye(m) + S @ S.T / (d * m)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    rep = spec.rank_at(lam)
+    rep = numerical_rank(spec.factors, lam)
     return HPair(H=H, H_hat=H_hat, side=side, lam=lam, d=d, n=n, m=m,
                  mu_lambda=rep.mu_lambda, rank_value=rep.value)
 
@@ -412,7 +410,7 @@ def check_mu_hat_bound(spec: Spectrum, bases: Bases, lam: float, d: int,
     """
     n, m, r = spec.n, spec.m, spec.r
     s_r, s_next = spec.sigma_r, spec.sigma_r_plus_1
-    rep = spec.rank_at(lam)
+    rep = numerical_rank(spec.factors, lam)
     core = rep.mu_lambda * rep.value
     delta_sq = 4.0 / d * (core + 1.0) * (t + math.log(n))
     lhs = mu_hat(bases.U_hat, bases.V_hat)

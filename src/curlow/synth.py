@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coherence import numerical_rank
 from .linalg import DenseMatrix, SvdFactors
 from .sampling import RngStream
 
@@ -109,7 +110,7 @@ def generate(spec: SynthSpec) -> tuple[DenseMatrix, SvdFactors]:
 def measured_properties(spectrum, lam: float) -> dict:
     """Coherence, regularized rank at lam, and spectrum-gap summary of an
     instance, read from its `bounds.Spectrum`."""
-    rank_rep = spectrum.rank_at(lam)
+    rank_rep = numerical_rank(spectrum.factors, lam)
     sigma_r, sigma_next = spectrum.sigma_r, spectrum.sigma_r_plus_1
     return {
         "n": spectrum.n,
