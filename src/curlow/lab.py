@@ -3,8 +3,8 @@ sample-and-recover path: `load_instance` generates an instance from
 stream.derive(0) (or takes a supplied matrix) as an `Instance`, which forms
 its lam = sigma_r^2 / (n m) once and, on first use, its one
 `bounds.Spectrum` and the "auto" sample budgets resolved from measured
-coherence. Every check reads sigma, the singular vectors, mu_r and the
-regularized rank of M from that spectrum, never from its own SVD of M.
+coherence. Every check but `check_halko` reads sigma, the singular
+vectors, mu_r and the regularized rank of M from that spectrum.
 A `Draw` samples the instance from derive(1), (2) and (3) of its own
 stream and builds the bases, the design, the fit on both and the Delta
 report once each, for every check in `CHECKS` that reads them. `recover`
