@@ -27,8 +27,9 @@ class ParseError(Exception):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# applied to Python floats from .tolist(), for which it gives the text of
+# format(x, ".17g")
+_fmt = "{:.17g}".format
 
 
 def _parse_float(token: str, path, line_no: int) -> float:
@@ -49,14 +50,11 @@ def write_matrix(M, path, format: str = "dense-array") -> None:
     A = as_matrix(M)
     n, m = A.shape
     if format == "dense-array":
-        lines = [DENSE_BANNER, f"{n} {m}"]
-        for j in range(m):
-            for i in range(n):
-                lines.append(_fmt(A[i, j]))
+        # column-major, one entry a line
+        lines = [DENSE_BANNER, f"{n} {m}", *map(_fmt, A.T.ravel().tolist())]
     elif format == "csv":
         lines = [f"# rows={n} cols={m}"]
-        for i in range(n):
-            lines.append(",".join(_fmt(v) for v in A[i, :]))
+        lines += [",".join(map(_fmt, row)) for row in A.tolist()]
     else:
         raise ValueError(f"format must be one of {_FORMATS}, got {format!r}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -64,15 +62,14 @@ def write_matrix(M, path, format: str = "dense-array") -> None:
 
 
 def _read_dense_array(lines: list[str], path) -> np.ndarray:
-    body = [(k + 1, ln.strip()) for k, ln in enumerate(lines)]
-    it = iter(body)
-    line_no, first = next(it)
+    first = lines[0].strip()
     if not first.startswith("%%MatrixMarket"):
-        raise ParseError(path, line_no, "missing MatrixMarket banner")
+        raise ParseError(path, 1, "missing MatrixMarket banner")
     if first != DENSE_BANNER:
-        raise ParseError(path, line_no, f"unsupported header {first!r}")
+        raise ParseError(path, 1, f"unsupported header {first!r}")
     dims = None
-    for line_no, text in it:
+    for line_no, ln in enumerate(lines[1:], start=2):
+        text = ln.strip()
         if not text or text.startswith("%"):
             continue
         parts = text.split()
@@ -82,20 +79,36 @@ def _read_dense_array(lines: list[str], path) -> np.ndarray:
                 _parse_int(parts[1], path, line_no, "column count"))
         break
     if dims is None:
-        raise ParseError(path, len(body), "missing size line")
+        raise ParseError(path, len(lines), "missing size line")
     n, m = dims
     if n < 1 or m < 1:
         raise ParseError(path, line_no, f"dimensions must be positive, got {n} {m}")
+    # one pass over a body of n * m numbers; a body with comments, blank
+    # lines or a fault is scanned line by line
+    try:
+        values = list(map(float, lines[line_no:]))
+    except ValueError:
+        values = None
+    if values is None or len(values) != n * m:
+        values = _scan_entries(lines, line_no, n * m, path)
+    return np.asarray(values, dtype=np.float64).reshape((m, n)).T
+
+
+def _scan_entries(lines: list[str], start: int, count: int,
+                  path) -> list[float]:
+    """The `count` numbers in lines[start:], skipping blank and `%` lines;
+    a fault raises its ParseError with its 1-based line number."""
     values = []
-    for line_no, text in it:
+    for line_no, ln in enumerate(lines[start:], start=start + 1):
+        text = ln.strip()
         if not text or text.startswith("%"):
             continue
         values.append(_parse_float(text, path, line_no))
-        if len(values) > n * m:
-            raise ParseError(path, line_no, f"more than {n * m} entries")
-    if len(values) != n * m:
-        raise ParseError(path, len(body), f"expected {n * m} entries, found {len(values)}")
-    return np.asarray(values, dtype=np.float64).reshape((m, n)).T
+        if len(values) > count:
+            raise ParseError(path, line_no, f"more than {count} entries")
+    if len(values) != count:
+        raise ParseError(path, len(lines), f"expected {count} entries, found {len(values)}")
+    return values
 
 
 def _read_csv_matrix(lines: list[str], path) -> np.ndarray:

@@ -10,13 +10,15 @@ stream and builds the bases, the design, the fit on both and the Delta
 report once each, for every check in `CHECKS` that reads them. `recover`
 draws from the base stream, each `verify` trial from base.derive(trial),
 and `sweep` loads each trial's instance once and draws from
-base.derive(trial).derive(1 + d) per grid point d. Trials run in one
-thread pool keyed by trial index, with BLAS on one thread per trial, so
-results are independent of both thread counts.
+base.derive(trial).derive(1 + d) per grid point d. `verify` runs one task
+per trial and `sweep` one per (trial, d) draw, in one thread pool with
+BLAS on one thread per task; results are put together in trial order, so
+they are independent of both thread counts.
 """
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,12 +48,13 @@ def thread_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _trial_pool(workers: int, fn, count: int) -> list:
-    """[fn(0), ..., fn(count - 1)] on `workers` threads. BLAS runs on one
-    thread meanwhile: the pool is the parallelism, and BLAS threads on top
-    of it would oversubscribe the cores and change the summation order."""
+def _trial_pool(workers: int, fn, tasks) -> list:
+    """[fn(task) for task in tasks] on `workers` threads, taken in order.
+    BLAS runs on one thread meanwhile: the pool is the parallelism, and
+    BLAS threads on top of it would oversubscribe the cores and change the
+    summation order."""
     with blas_threads(1), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+        return list(pool.map(fn, tasks))
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,9 @@ class Instance:
     supplied matrix, its spectrum's; lam = sigma_r^2 / (n m); and, each
     computed on first use, its `bounds.Spectrum`, the one decomposition of
     M that every check and every draw from M read, and its resolved
-    budget. A sweep trial computes both once for all its grid points; an
-    instance is read by one trial thread only."""
+    budget. A sweep trial's grid points share one instance from several
+    pool threads: each of the two is built once, under its own lock, so a
+    point can draw on the budget while another builds the spectrum."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
@@ -133,19 +137,23 @@ class Instance:
         self.M = M
         self._spectrum: bounds.Spectrum | None = None
         self._budget: Budget | None = None
+        self._spectrum_lock = threading.Lock()
+        self._budget_lock = threading.Lock()
         self.sigma = (self.spectrum().sigma if planted_sigma is None
                       else planted_sigma)
         n, m = M.shape
         self.lam = float(self.sigma[cfg.r - 1]) ** 2 / (n * m)
 
     def spectrum(self) -> bounds.Spectrum:
-        if self._spectrum is None:
-            self._spectrum = bounds.spectrum(self.M, self.cfg.r)
+        with self._spectrum_lock:
+            if self._spectrum is None:
+                self._spectrum = bounds.spectrum(self.M, self.cfg.r)
         return self._spectrum
 
     def budget(self) -> Budget:
-        if self._budget is None:
-            self._budget = resolve_budgets(self.cfg, self.M, self.lam)
+        with self._budget_lock:
+            if self._budget is None:
+                self._budget = resolve_budgets(self.cfg, self.M, self.lam)
         return self._budget
 
 
@@ -303,7 +311,7 @@ def run_verify(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     trials with an ill-posed fit and is present only when there are any."""
     workers = threads if threads is not None else thread_count()
     records = _trial_pool(workers, lambda k: run_trial(cfg, k),
-                          cfg.trials) if cfg.checks else []
+                          range(cfg.trials)) if cfg.checks else []
     result = {"config": cfg.to_flat(),
               "aggregate": aggregate_reports(records),
               "trials": records}
@@ -355,27 +363,68 @@ def _union_count(draw: Draw) -> int:
     return d * draw.n + d * draw.m - d * d + omega.size - overlap
 
 
-def _sweep_point(cfg: ExperimentConfig, trial: int,
-                 grid: list[int]) -> dict[int, dict]:
-    """One sweep trial: the instance, its budget and its spectrum once,
-    then a draw from stream.derive(1 + d) for each grid point d in order.
-    Each draw says whether its basis split is degenerate; an ill-posed fit
-    leaves it with its "error" message and no measured fields."""
-    stream = cfg.base_stream().derive(trial)
-    inst = load_instance(cfg, stream)
-    outs = {}
-    for d in grid:
-        draw = Draw(inst, d, inst.budget().omega, stream.derive(1 + d))
-        out = outs[d] = {"degenerate": draw.bases().degenerate_gap}
+class _SweepTrial:
+    """One sweep trial's stream and the instance its grid points share.
+    A point enters it for the instance and leaves once its draw is done:
+    the first to enter loads the instance under the trial's lock, and the
+    last to leave drops it, so an instance lives only while its points
+    run."""
+
+    def __init__(self, cfg: ExperimentConfig, trial: int, points: int):
+        self.cfg = cfg
+        self.stream = cfg.base_stream().derive(trial)
+        self._points = points
+        self._inst: Instance | None = None
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> Instance:
+        with self._lock:
+            if self._inst is None:
+                self._inst = load_instance(self.cfg, self.stream)
+            return self._inst
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._points -= 1
+            if self._points == 0:
+                self._inst = None
+
+
+def _sweep_point(trial: _SweepTrial, d: int) -> dict:
+    """One sweep draw: grid point d of a trial, from the trial's stream
+    derive(1 + d). It says whether its basis split is degenerate; an
+    ill-posed fit leaves it with its "error" message and no measured
+    fields."""
+    with trial as inst:
+        draw = Draw(inst, d, inst.budget().omega, trial.stream.derive(1 + d))
+        out = {"degenerate": draw.bases().degenerate_gap}
         try:
             rel = draw.score()[0]
         except IllPosedError as exc:
-            out["error"] = str(exc)
-            continue
-        out.update(rel_error=rel, omega=draw.entries().size,
-                   holds=bool(draw.recovery_bound().holds),
-                   union=_union_count(draw))
-    return outs
+            return {**out, "error": str(exc)}
+        return {**out, "rel_error": rel, "omega": draw.entries().size,
+                "holds": bool(draw.recovery_bound().holds),
+                "union": _union_count(draw)}
+
+
+def _sweep_tasks(trials: int, live: list[int],
+                 workers: int) -> list[tuple[int, int]]:
+    """The (trial, d) draws in the order the pool takes them. Trials are
+    split evenly into windows of at most one more than there are workers,
+    queued one window after another. In a window every trial's first point
+    comes first, so the workers build different instances at once; the
+    other points follow trial by trial, so a worker reaches a trial's
+    points after its instance is built. About two windows' instances are
+    held at once."""
+    if not live:
+        return []
+    windows = -(-trials // (workers + 1))
+    tasks = []
+    for w in range(windows):
+        block = range(w * trials // windows, (w + 1) * trials // windows)
+        tasks += [(k, live[0]) for k in block]
+        tasks += [(k, d) for k in block for d in live[1:]]
+    return tasks
 
 
 def _measured(cfg: ExperimentConfig, d: int, outs: list[dict]) -> dict:
@@ -417,15 +466,18 @@ def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
     if grid[0] < 1:
         raise ValueError(f"grid entries must be >= 1, got {grid[0]}")
     live = [d for d in grid if cfg.r <= d <= min(cfg.m, cfg.n)]
-    trials = _trial_pool(workers, lambda k: _sweep_point(cfg, k, live),
-                         cfg.trials) if live else []
+    trials = [_SweepTrial(cfg, k, len(live)) for k in range(cfg.trials)]
+    tasks = _sweep_tasks(cfg.trials, live, workers)
+    outs = dict(zip(tasks, _trial_pool(
+        workers, lambda task: _sweep_point(trials[task[0]], task[1]), tasks)))
     rows = []
     for d in grid:
         row = {"d": d, "analytic_total": bounds.total_observations(cfg.n, d),
                "omega": None, "observed_total": None, "union": None,
                "rel_error": None, "bound_rate": None}
         if d in live:
-            row.update(_measured(cfg, d, [t[d] for t in trials]))
+            row.update(_measured(cfg, d, [outs[k, d]
+                                          for k in range(cfg.trials)]))
         else:
             row["skipped"] = "d outside [r, min(n, m)]"
         rows.append(row)

@@ -1,6 +1,9 @@
+import itertools
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -300,7 +303,8 @@ def test_run_sweep_keeps_points_around_an_ill_posed_draw():
                            omega_count=6, trials=4)
     rows = run_sweep(cfg, [4, 8], threads=2)
     assert rows == run_sweep(cfg, [4, 8], threads=1)
-    points = [lab._sweep_point(cfg, k, [4, 8]) for k in range(cfg.trials)]
+    trials = [lab._SweepTrial(cfg, k, 2) for k in range(cfg.trials)]
+    points = [{d: lab._sweep_point(t, d) for d in (4, 8)} for t in trials]
     for row in rows:
         outs = [p[row["d"]] for p in points]
         ok = [o for o in outs if "error" not in o]
@@ -331,6 +335,92 @@ def test_run_sweep_thread_invariance():
                            synth_r=2, r=2, omega_count=250, trials=5)
     grid = [1, 6, 8, 12]
     assert run_sweep(cfg, grid, threads=1) == run_sweep(cfg, grid, threads=3)
+
+
+def test_run_sweep_spreads_one_trial_over_the_workers(monkeypatch):
+    threads = set()
+    entered = itertools.count()
+    # the first two points wait for each other, so they must be on two
+    # threads at once; with one task per trial the wait times out
+    barrier = threading.Barrier(2, timeout=10)
+
+    def spy(*args, _fn=lab._sweep_point, **kwargs):
+        if next(entered) < 2:
+            barrier.wait()
+        threads.add(threading.get_ident())
+        return _fn(*args, **kwargs)
+    cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
+                           synth_r=2, r=2, omega_count=250, trials=1)
+    grid = [2, 4, 6, 8, 12, 16]
+    expected = run_sweep(cfg, grid, threads=1)
+    monkeypatch.setattr(lab, "_sweep_point", spy)
+    assert run_sweep(cfg, grid, threads=3) == expected
+    assert len(threads) > 1
+
+
+def test_run_sweep_shares_an_instance_across_more_workers_than_trials(
+        monkeypatch):
+    calls = []
+    for ns, name in ((lab, "generate"), (lab, "resolve_budgets"),
+                     (bounds, "spectrum")):
+        def counted(*args, _fn=getattr(ns, name), _name=name, **kwargs):
+            calls.append(_name)  # list.append is atomic across pool threads
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ns, name, counted)
+    cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
+                           synth_r=2, r=2, omega_count=250, trials=2)
+    grid = [2, 4, 6, 8, 12, 16]
+    expected = run_sweep(cfg, grid, threads=1)
+    calls.clear()
+    # 4 workers on 2 trials, switching threads as often as the interpreter
+    # allows, so the points race for each trial's instance, budget and
+    # spectrum
+    rows = []
+    runner = threading.Thread(
+        target=lambda: rows.append(run_sweep(cfg, grid, threads=4)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert rows == [expected]
+    assert sorted(calls) == (["generate"] * 2 + ["resolve_budgets"] * 2
+                             + ["spectrum"] * 2)
+
+
+def test_sweep_tasks_build_each_window_first_then_go_trial_by_trial():
+    assert lab._sweep_tasks(3, [2, 4, 8], 2) == [
+        (0, 2), (1, 2), (2, 2), (0, 4), (0, 8), (1, 4), (1, 8), (2, 4), (2, 8)]
+    # 4 trials on 2 workers: two even windows, not one of 3 and one of 1
+    assert lab._sweep_tasks(4, [2, 4], 2) == [
+        (0, 2), (1, 2), (0, 4), (1, 4), (2, 2), (3, 2), (2, 4), (3, 4)]
+    assert lab._sweep_tasks(3, [], 2) == []
+
+
+def test_run_sweep_drops_each_instance_after_its_last_point(monkeypatch):
+    live, peak, lock = [0], [0], threading.Lock()
+
+    def dropped():
+        with lock:
+            live[0] -= 1
+
+    def counted(*args, _fn=lab.load_instance, **kwargs):
+        inst = _fn(*args, **kwargs)
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        weakref.finalize(inst, dropped)
+        return inst
+    monkeypatch.setattr(lab, "load_instance", counted)
+    cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
+                           omega_count=250, trials=12)
+    run_sweep(cfg, [4, 8, 12], threads=2)
+    # windows of 3 trials: about two windows' instances, not all twelve
+    assert 3 <= peak[0] <= 6
+    assert live[0] == 0
 
 
 def _compose(cfg, M, lam, stream, d=None):
@@ -419,7 +509,8 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
     grid = [4, 8, 12]
     for trial in range(cfg.trials):
         seen.clear()
-        outs = lab._sweep_point(cfg, trial, grid)
+        point = lab._SweepTrial(cfg, trial, len(grid))
+        outs = {d: lab._sweep_point(point, d) for d in grid}
         assert [d for d, _ in seen] == grid
         stream = cfg.base_stream().derive(trial)
         for d, report in seen:
@@ -467,7 +558,8 @@ def test_trial_pools_run_one_blas_thread_and_restore_the_count(monkeypatch):
         run_verify(_SMALL_VERIFY, threads=2)
         run_sweep(_SMALL_SWEEP, [4, 8], threads=2)
         assert blas.get_threads() == 2
-    assert seen == [1] * 6
+    # 3 verify trials, then 3 sweep trials of 2 grid points each
+    assert seen == [1] * 9
 
 
 def test_trial_pools_restore_blas_threads_when_a_trial_raises(monkeypatch):

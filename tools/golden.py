@@ -3,13 +3,14 @@
 Runs each command in-process through `curlow.cli.main` into its own
 directory under a temporary root, then prints one `command file sha256`
 line per output file, sorted. Exits 1 if any command exits nonzero.
-One stderr line names the BLAS library and its thread count, so a saved
-table says which thread plan it was taken under.
+One stderr line names the BLAS library, its thread count and the
+trial-pool workers, so a saved table says which thread plan it was taken
+under; --threads N sets the workers (CURLOW_THREADS) for the run.
 Imports curlow from the `src/` of the checkout this file lives in, so
 running the copy in another checkout hashes that checkout's outputs:
 
     python tools/golden.py > golden.txt
-    python tools/golden.py --compare golden.txt
+    python tools/golden.py --compare golden.txt --threads 3
 
 With --compare FILE it prints, in place of the table, the lines that
 differ from the saved table FILE ("-" saved, "+" this run) and one summary
@@ -29,6 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from curlow.cli import main  # noqa: E402
+from curlow.lab import thread_count  # noqa: E402
 from curlow.linalg import openblas  # noqa: E402
 
 ALL_CHECKS = ("checks=projection,delta,delta_triangle,combine,halko,"
@@ -67,8 +69,10 @@ def sha256(path: str) -> str:
 def blas_line() -> str:
     blas = openblas()
     if blas is None:
-        return "blas: bundled OpenBLAS not found, thread count unknown"
-    return f"blas: {blas.path} threads={blas.get_threads()}"
+        return ("blas: bundled OpenBLAS not found, thread count unknown "
+                f"workers={thread_count()}")
+    return (f"blas: {blas.path} threads={blas.get_threads()} "
+            f"workers={thread_count()}")
 
 
 def table() -> tuple[list[str], bool]:
@@ -106,7 +110,11 @@ def run(argv=None) -> int:
         description="Hash the outputs of a fixed command set.")
     parser.add_argument("--compare", metavar="FILE",
                         help="diff this run against a saved table")
+    parser.add_argument("--threads", type=int, metavar="N",
+                        help="trial-pool workers (sets CURLOW_THREADS)")
     args = parser.parse_args(argv)
+    if args.threads is not None:
+        os.environ["CURLOW_THREADS"] = str(args.threads)
     lines, ok = table()
     if args.compare is None:
         print("\n".join(lines))
