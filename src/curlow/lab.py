@@ -128,8 +128,7 @@ class Instance:
     computed on first use, its `bounds.Spectrum`, the one decomposition of
     M that every check and every draw from M read, and its resolved
     budget. A sweep trial's grid points share one instance from several
-    pool threads: each of the two is built once, under its own lock, so a
-    point can draw on the budget while another builds the spectrum."""
+    pool threads; `_SweepTrial` builds both before any point reads them."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
@@ -137,23 +136,19 @@ class Instance:
         self.M = M
         self._spectrum: bounds.Spectrum | None = None
         self._budget: Budget | None = None
-        self._spectrum_lock = threading.Lock()
-        self._budget_lock = threading.Lock()
         self.sigma = (self.spectrum().sigma if planted_sigma is None
                       else planted_sigma)
         n, m = M.shape
         self.lam = float(self.sigma[cfg.r - 1]) ** 2 / (n * m)
 
     def spectrum(self) -> bounds.Spectrum:
-        with self._spectrum_lock:
-            if self._spectrum is None:
-                self._spectrum = bounds.spectrum(self.M, self.cfg.r)
+        if self._spectrum is None:
+            self._spectrum = bounds.spectrum(self.M, self.cfg.r)
         return self._spectrum
 
     def budget(self) -> Budget:
-        with self._budget_lock:
-            if self._budget is None:
-                self._budget = resolve_budgets(self.cfg, self.M, self.lam)
+        if self._budget is None:
+            self._budget = resolve_budgets(self.cfg, self.M, self.lam)
         return self._budget
 
 
@@ -366,7 +361,8 @@ def _union_count(draw: Draw) -> int:
 class _SweepTrial:
     """One sweep trial's stream and the instance its grid points share.
     A point enters it for the instance and leaves once its draw is done:
-    the first to enter loads the instance under the trial's lock, and the
+    the first to enter loads the instance and builds its budget and
+    spectrum under the trial's lock, so the points only read them, and the
     last to leave drops it, so an instance lives only while its points
     run."""
 
@@ -380,7 +376,10 @@ class _SweepTrial:
     def __enter__(self) -> Instance:
         with self._lock:
             if self._inst is None:
-                self._inst = load_instance(self.cfg, self.stream)
+                inst = load_instance(self.cfg, self.stream)
+                inst.budget()
+                inst.spectrum()
+                self._inst = inst
             return self._inst
 
     def __exit__(self, *exc) -> None:

@@ -4,13 +4,13 @@ Runs each command in-process through `curlow.cli.main` into its own
 directory under a temporary root, then prints one `command file sha256`
 line per output file, sorted. Exits 1 if any command exits nonzero.
 One stderr line names the BLAS library, its thread count and the
-trial-pool workers, so a saved table says which thread plan it was taken
-under; --threads N sets the workers (CURLOW_THREADS) for the run.
+trial-pool workers (CURLOW_THREADS), so a saved table says which thread
+plan it was taken under.
 Imports curlow from the `src/` of the checkout this file lives in, so
 running the copy in another checkout hashes that checkout's outputs:
 
     python tools/golden.py > golden.txt
-    python tools/golden.py --compare golden.txt --threads 3
+    CURLOW_THREADS=3 python tools/golden.py --compare golden.txt
 
 With --compare FILE it prints, in place of the table, the lines that
 differ from the saved table FILE ("-" saved, "+" this run) and one summary
@@ -110,11 +110,7 @@ def run(argv=None) -> int:
         description="Hash the outputs of a fixed command set.")
     parser.add_argument("--compare", metavar="FILE",
                         help="diff this run against a saved table")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="trial-pool workers (sets CURLOW_THREADS)")
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        os.environ["CURLOW_THREADS"] = str(args.threads)
     lines, ok = table()
     if args.compare is None:
         print("\n".join(lines))
