@@ -86,12 +86,11 @@ def _apply_sign_convention(U: np.ndarray, V: np.ndarray | None = None) -> None:
     """Flip column signs in place so each column of U has its largest-magnitude
     entry positive (ties resolved at the lowest index). V columns co-flip to
     preserve the product U @ diag(s) @ V.T."""
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            if V is not None:
-                V[:, j] = -V[:, j]
+    peaks = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])]
+    signs = np.where(peaks < 0, -1.0, 1.0)
+    U *= signs
+    if V is not None:
+        V *= signs
 
 
 def svd(M) -> SvdFactors:

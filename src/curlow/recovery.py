@@ -4,11 +4,13 @@ squares over the observed entries.
 
 The bases come from a thin SVD of the n x d and m x d samples, never from
 their n x n Gram matrices, which would cost O(n^3) and square the
-condition number. The design matrix K has one row per observed entry
-(a, b) and one column per core coefficient (i, j), holding
-U_hat[a, i] * V_hat[b, j]; one eigendecomposition of the r^2 x r^2 normal
-matrix K^T K solves the fit, and its smallest eigenvalue doubles as the
-measured strong convexity of the objective.
+condition number. The design K has one row per observed entry (a, b) and
+one column per core coefficient (i, j), holding U_hat[a, i] * V_hat[b, j].
+K is never formed on the solve path: `DesignSystem` streams its rows in
+chunks of CHUNK_BYTES to accumulate the r^2 x r^2 normal matrix K^T K and
+K^T y, so memory stays at one chunk however large Omega is. One
+eigendecomposition of K^T K solves the fit, and its smallest eigenvalue
+doubles as the measured strong convexity of the objective.
 """
 from __future__ import annotations
 
@@ -26,6 +28,9 @@ GAP_TOL = 1e-12
 
 # lambda_min below 1e-12 * |Omega| / (n * m) marks an ill-posed fit
 DEGENERACY_RTOL = 1e-12
+
+# bytes of design rows built at a time; a smaller design is one chunk
+CHUNK_BYTES = 16 * 2**20
 
 
 class IllPosedError(RuntimeError):
@@ -59,14 +64,58 @@ class Bases:
         return self.U_hat.shape[1]
 
 
-@dataclass(frozen=True)
 class DesignSystem:
-    """Least-squares system K z = y over the observed entries."""
+    """Least-squares system K z = y over the observed entries, streamed from
+    the bases and the observations: row k of K is the outer product of
+    U_hat[rows[k]] and V_hat[cols[k]], built only CHUNK_BYTES at a time."""
 
-    K: np.ndarray  # |Omega| x r^2
-    y: np.ndarray
-    r: int
-    shape: tuple[int, int]  # grid shape the observations came from
+    def __init__(self, bases: Bases, omega: OmegaSet):
+        self.bases = bases
+        self.omega = omega
+        self._normal: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def r(self) -> int:
+        return self.bases.r
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Grid shape the observations came from."""
+        return self.omega.shape
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.omega.values
+
+    def _rows(self, sl: slice) -> np.ndarray:
+        ur = self.bases.U_hat[self.omega.rows[sl]]
+        vr = self.bases.V_hat[self.omega.cols[sl]]
+        return (ur[:, :, None] * vr[:, None, :]).reshape(len(ur), self.r ** 2)
+
+    @property
+    def K(self) -> np.ndarray:
+        """The full |Omega| x r^2 design, built on each access; for oracles
+        and tests, never read on the solve path."""
+        return self._rows(slice(None))
+
+    def chunks(self):
+        """(K_c, y_c) over consecutive blocks of Omega, in order."""
+        step = max(1, CHUNK_BYTES // (8 * self.r ** 2))
+        for start in range(0, self.omega.size, step):
+            sl = slice(start, start + step)
+            yield self._rows(sl), self.y[sl]
+
+    def normal(self) -> tuple[np.ndarray, np.ndarray]:
+        """K^T K and K^T y, accumulated chunk by chunk and built once."""
+        if self._normal is None:
+            G = np.zeros((self.r ** 2, self.r ** 2))
+            b = np.zeros(self.r ** 2)
+            for K_c, y_c in self.chunks():
+                G += K_c.T @ K_c
+                b += K_c.T @ y_c
+                del K_c  # free this chunk before the next one is built
+            self._normal = (G, b)
+        return self._normal
 
 
 @dataclass(frozen=True)
@@ -133,24 +182,21 @@ def build_bases(A, B, r: int) -> Bases:
 
 
 def assemble_design(bases: Bases, omega: OmegaSet) -> DesignSystem:
-    """Rows of K are elementwise products of U_hat and V_hat rows at the
-    observed positions; y holds the observed values."""
+    """The design over `omega` on `bases`, once their shapes are checked;
+    rows of K are elementwise products of U_hat and V_hat rows at the
+    observed positions, and y holds the observed values."""
     n, m = omega.shape
     if bases.U_hat.shape[0] != n or bases.V_hat.shape[0] != m:
         raise ValueError(
             f"bases sized for {bases.U_hat.shape[0]} x {bases.V_hat.shape[0]}, "
             f"observations for {n} x {m}"
         )
-    r = bases.r
-    ur = bases.U_hat[omega.rows]
-    vr = bases.V_hat[omega.cols]
-    K = (ur[:, :, None] * vr[:, None, :]).reshape(omega.size, r * r)
-    return DesignSystem(K=K, y=omega.values.copy(), r=r, shape=omega.shape)
+    return DesignSystem(bases, omega)
 
 
 def _normal_eigh(system: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of K^T K."""
-    return np.linalg.eigh(system.K.T @ system.K)
+    return np.linalg.eigh(system.normal()[0])
 
 
 def strong_convexity_gamma(system: DesignSystem) -> float:
@@ -168,18 +214,20 @@ def solve_core(system: DesignSystem, ridge: float = 0.0):
     """
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    K, y, r = system.K, system.y, system.r
     w, Q = _normal_eigh(system)
     lambda_min = max(float(w[0]), 0.0)
     n, m = system.shape
-    threshold = DEGENERACY_RTOL * len(y) / (n * m)
+    threshold = DEGENERACY_RTOL * system.omega.size / (n * m)
     if ridge == 0.0 and lambda_min < threshold:
         raise IllPosedError(lambda_min, threshold)
     # eigenvalues of a Gram are nonnegative; clamp rounding below zero so a
     # positive ridge keeps every denominator positive
-    z = Q @ ((Q.T @ (K.T @ y)) / (np.maximum(w, 0.0) + ridge))
-    residual = float(np.sum((K @ z - y) ** 2))
-    return z.reshape(r, r), lambda_min, residual
+    z = Q @ ((Q.T @ system.normal()[1]) / (np.maximum(w, 0.0) + ridge))
+    residual = 0.0
+    for K_c, y_c in system.chunks():
+        residual += float(np.sum((K_c @ z - y_c) ** 2))
+        del K_c  # as in normal()
+    return z.reshape(system.r, system.r), lambda_min, residual
 
 
 def fit(bases: Bases, system: DesignSystem, ridge: float = 0.0):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curlow.linalg import (
+    _apply_sign_convention,
     as_matrix,
     eigh_descending,
     frobenius_norm,
@@ -78,6 +79,27 @@ def test_eigvec_sign_convention():
     for j in range(Q.shape[1]):
         col = Q[:, j]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def test_sign_convention_matches_the_column_loop():
+    def reference(U, V):
+        for j in range(U.shape[1]):
+            i = int(np.argmax(np.abs(U[:, j])))
+            if U[i, j] < 0:
+                U[:, j] = -U[:, j]
+                V[:, j] = -V[:, j]
+
+    U = rng(22).standard_normal((7, 6))
+    U[:, 1] = [0.5, -0.5, 0.1, 0.0, 0.0, 0.0, 0.0]  # tie, lowest index wins
+    U[:, 2] = [-0.5, 0.5, 0.1, 0.0, 0.0, 0.0, 0.0]
+    U[:, 3] = 0.0
+    U[:, 4] = -0.0
+    V = rng(23).standard_normal((5, 6))
+    expect_U, expect_V = U.copy(), V.copy()
+    reference(expect_U, expect_V)
+    _apply_sign_convention(U, V)
+    assert U.tobytes() == expect_U.tobytes()
+    assert V.tobytes() == expect_V.tobytes()
 
 
 def test_as_matrix_rejects_bad_input():

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from curlow import recovery
 from curlow.coherence import sin_theta
 from curlow.linalg import (
+    blas_threads,
     eigh_descending,
     frobenius_norm,
     pseudo_inverse,
@@ -284,6 +290,87 @@ def test_ridge_resolves_degeneracy():
     assert np.all(np.isfinite(Z))
     with pytest.raises(ValueError):
         solve_core(system, ridge=-1.0)
+
+
+# --- streamed design -------------------------------------------------------------
+
+
+def orthonormal_bases(n, m, r, seed):
+    return Bases(U_hat=random_orthonormal(n, r, seed=seed),
+                 V_hat=random_orthonormal(m, r, seed=seed + 1),
+                 left_sigma=np.ones(r + 1), right_sigma=np.ones(r + 1),
+                 degenerate_gap=False)
+
+
+def test_multi_chunk_design_matches_the_full_matrix(monkeypatch):
+    M = low_rank(30, 30, 3, seed=60) + 1e-3 * rng(61).standard_normal((30, 30))
+    inputs = sample_run(M, d=10, s=600, r=3, seed=62)
+    bases = build_bases(inputs.A, inputs.B, 3)
+    monkeypatch.setattr(recovery, "CHUNK_BYTES", 50 * 8 * 3 * 3)
+    system = assemble_design(bases, inputs.omega)
+    assert len(list(system.chunks())) == 12
+    K, y = system.K, system.y
+    built = []
+    rows = system._rows
+    monkeypatch.setattr(system, "_rows", lambda sl: built.append(sl) or rows(sl))
+    Z, lam_min, residual = solve_core(system)
+    assert strong_convexity_gamma(system) == lam_min
+    # K^T K is built once for the solve and the check, plus one residual pass
+    assert len(built) == 24
+    G, b = system.normal()
+    assert np.linalg.norm(G - K.T @ K) <= 1e-13 * np.linalg.norm(K.T @ K)
+    assert np.linalg.norm(b - K.T @ y) <= 1e-13 * np.linalg.norm(K.T @ y)
+    assert np.allclose(Z.reshape(-1), pseudo_inverse(K) @ y, rtol=0, atol=1e-10)
+    expect = float(np.sum((K @ Z.reshape(-1) - y) ** 2))
+    assert expect > 0
+    assert abs(residual - expect) <= 1e-12 * expect
+
+    runs = []
+    for k in (1, 2):
+        with blas_threads(k):
+            fresh = assemble_design(bases, inputs.omega)
+            runs.append([*fresh.normal(), *solve_core(fresh)])
+    for one, two in zip(*runs):
+        assert np.asarray(one).tobytes() == np.asarray(two).tobytes()
+
+
+def test_design_and_solve_hold_at_most_two_chunks():
+    # |Omega| = 90,000 at r = 8: the full K would take 46 MB, about 2.7 chunks
+    n = m = 300
+    r = 8
+    bases = orthonormal_bases(n, m, r, seed=63)
+    omega = full_grid(rng(65).standard_normal((n, m)))
+    tracemalloc.start()
+    try:
+        _, lam_min, _ = solve_core(assemble_design(bases, omega))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(lam_min - 1.0) < 1e-10
+    assert peak < 2 * recovery.CHUNK_BYTES + 64 * (n + m) * r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 16), m=st.integers(2, 16), r=st.integers(1, 3),
+       fraction=st.floats(0.0, 1.0), chunk_rows=st.integers(1, 64),
+       seed=st.integers(0, 2**16))
+def test_solve_core_matches_the_pinv_oracle(n, m, r, fraction, chunk_rows,
+                                            seed):
+    assume(r <= min(n, m))
+    bases = orthonormal_bases(n, m, r, seed=seed)
+    size = r * r + round(fraction * (n * m - r * r))
+    omega = sample_entries(rng(seed).standard_normal((n, m)), size,
+                           RngStream(seed=seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "CHUNK_BYTES", chunk_rows * 8 * r * r)
+        system = assemble_design(bases, omega)
+        K = system.K
+        w = np.linalg.eigvalsh(K.T @ K)
+        assume(w[0] >= 1e-6 * w[-1])  # well-posed: cond(K^T K) <= 1e6
+        Z, _, _ = solve_core(system)
+    oracle = pseudo_inverse(K) @ system.y
+    assert (np.linalg.norm(Z.reshape(-1) - oracle)
+            <= 1e-8 * max(np.linalg.norm(oracle), 1.0))
 
 
 # --- recover -------------------------------------------------------------------
