@@ -121,20 +121,27 @@ def spectrum(M, r: int) -> Spectrum:
 # sample-size calculators
 
 
+def _ceil(value: float) -> int:
+    """A sample-size formula's value rounded up, refused if not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"sample-size formula is not finite: {value}")
+    return math.ceil(value)
+
+
 def sample_size_low_rank(mu: float, r: int, t: float) -> tuple[int, int]:
     """Column/row budget and entry budget sufficient for exact recovery of
     a rank-r matrix with coherence mu at confidence parameter t."""
     if mu < 1.0 or r < 1 or t <= 0:
         raise ValueError("need mu >= 1, r >= 1, t > 0")
-    d_min = math.ceil(7.0 * mu * r * (t + math.log(r)))
-    omega_min = math.ceil(7.0 * mu**2 * r**2 * (t + 2.0 * math.log(r)))
+    d_min = _ceil(7.0 * mu * r * (t + math.log(r)))
+    omega_min = _ceil(7.0 * mu**2 * r**2 * (t + 2.0 * math.log(r)))
     return d_min, omega_min
 
 
 def d_full_rank(mu_l: float, r_num: float, t: float, n: int) -> int:
     """Column budget 16 (mu_l r_num + 1)(t + ln n) for numerically low-rank
     inputs with weighted coherence mu_l and regularized rank r_num."""
-    return math.ceil(16.0 * (mu_l * r_num + 1.0) * (t + math.log(n)))
+    return _ceil(16.0 * (mu_l * r_num + 1.0) * (t + math.log(n)))
 
 
 def sample_size_full_rank(mu_l: float, r_num: float, t: float, n: int,
@@ -146,7 +153,10 @@ def sample_size_full_rank(mu_l: float, r_num: float, t: float, n: int,
     core = mu_l * r_num
     d_min = d_full_rank(mu_l, r_num, t, n)
     inner = 2.0 * core + 72.0 * (n / d) * (core + 1.0) * (t + math.log(n))
-    omega_min = math.ceil(7.0 * inner**2 * (t + 2.0 * math.log(r)))
+    try:
+        omega_min = _ceil(7.0 * inner**2 * (t + 2.0 * math.log(r)))
+    except OverflowError:  # inner**2 past the largest float
+        raise ValueError(f"entry-budget formula overflows at t={t}") from None
     return d_min, omega_min
 
 
@@ -205,7 +215,7 @@ def check_delta(spec: Spectrum, M, bases: Bases, d: int, t: float = 3.0,
               "sigma_r_plus_1": s_tail, "full_rank": full_rank}
     if full_rank:
         rep = spec.rank
-        d_gate = math.ceil(14.0 * rep.mu_lambda * rep.value * (t + math.log(r)))
+        d_gate = _ceil(14.0 * rep.mu_lambda * rep.value * (t + math.log(r)))
         params.update({"lam": spec.lam, "mu_lambda": rep.mu_lambda,
                        "numerical_rank": rep.value, "d_gate": d_gate})
     else:
@@ -318,8 +328,8 @@ def check_strong_convexity(system: DesignSystem, n: int, m: int, bases: Bases,
     lhs = strong_convexity_gamma(system)
     rhs = size / (2.0 * m * n)
     muh = mu_hat(bases.U_hat, bases.V_hat)
-    gate = math.ceil(7.0 * muh**2 * system.r**2
-                     * (t + 2.0 * math.log(system.r)))
+    gate = _ceil(7.0 * muh**2 * system.r**2
+                 * (t + 2.0 * math.log(system.r)))
     params = {"omega_size": size, "n": n, "m": m, "r": system.r, "t": t,
               "mu_hat": muh, "omega_gate": gate}
     return make_report("strong_convexity", lhs, rhs, size >= gate, params,
@@ -389,9 +399,9 @@ def check_h_sandwich(pair: HPair, delta_target: float,
     ratio = H_inv_sqrt @ pair.H_hat @ H_inv_sqrt
     eigs = np.linalg.eigvalsh((ratio + ratio.T) / 2.0)
     lhs = float(np.max(np.abs(eigs - 1.0)))
-    d_gate = math.ceil(4.0 / delta_target**2
-                       * (pair.mu_lambda * pair.rank_value + 1.0)
-                       * (t + math.log(pair.n)))
+    d_gate = _ceil(4.0 / delta_target**2
+                   * (pair.mu_lambda * pair.rank_value + 1.0)
+                   * (t + math.log(pair.n)))
     params = {"side": pair.side, "d": pair.d, "d_gate": d_gate, "t": t,
               "lam": pair.lam, "mu_lambda": pair.mu_lambda,
               "numerical_rank": pair.rank_value,
@@ -475,11 +485,11 @@ def check_sin_theta_perturbation(H, H_tilde, r: int) -> BoundReport:
     return make_report("subspace_perturbation", lhs, rhs, premises, params)
 
 
-def check_full_rank_recovery(spec: Spectrum, M, result, d: int,
+def check_full_rank_recovery(spec: Spectrum, M, M_hat, d: int,
                              run_params: dict) -> BoundReport:
-    """End-to-end spectral recovery error against
-    24 sigma_{r+1}^2 (1 + (m+n)/d), with sigma and the gates read from the
-    instance's `Spectrum`.
+    """End-to-end spectral recovery error ||M - M_hat||_2^2 of the draw's
+    M_hat against 24 sigma_{r+1}^2 (1 + (m+n)/d), with sigma and the gates
+    read from the instance's `Spectrum`.
 
     run_params must carry omega_size and may carry t (default 3). Premises:
     the spectral-gap and d gates, plus the entry budget capped at the grid
@@ -494,7 +504,7 @@ def check_full_rank_recovery(spec: Spectrum, M, result, d: int,
     d_gate, omega_formula = sample_size_full_rank(rep.mu_lambda, rep.value,
                                                   t, n, d, r)
     omega_gate = min(omega_formula, n * m)
-    lhs = spectral_norm(A - result.reconstruct()) ** 2
+    lhs = spectral_norm(A - M_hat) ** 2
     rhs = 24.0 * s_next**2 * (1.0 + (m + n) / d)
     premises = (s_r >= math.sqrt(2.0) * s_next and d >= min(d_gate, n, m)
                 and omega_size >= omega_gate)

@@ -30,7 +30,6 @@ from .cur import cur_decompose, cur_error_ratio
 from .io import ParseError, ensure_dir, read_matrix, write_matrix
 from .linalg import frobenius_norm
 from .recovery import IllPosedError
-from .sampling import RngStream
 from .synth import generate, measured_properties
 
 
@@ -226,10 +225,11 @@ def cmd_cur(args) -> int:
         M = read_matrix(args.matrix)
     else:
         M, _ = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
-    stream = RngStream(seed=args.seed if args.seed is not None else cfg.seed)
+    stream = cfg.base_stream()
     factors = cur_decompose(M, args.c, args.r_rows, stream)
     report_obj = cur_error_ratio(M, factors, args.k)
-    rel = frobenius_norm(M - factors.reconstruct()) / frobenius_norm(M)
+    scale = frobenius_norm(M)
+    rel = 0.0 if scale == 0 else report_obj.cur_error / scale
     report = {"c": args.c, "r_rows": args.r_rows, "k": args.k,
               "seed": stream.seed, "rel_frobenius": float(rel),
               "shape": list(M.shape), **report_obj.to_dict()}

@@ -13,6 +13,7 @@ comment. Command-line overrides use the same `key = value` keys.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .io import ParseError
@@ -81,6 +82,13 @@ def _as_count(value, key: str, minimum: int = 1) -> int:
     return value
 
 
+def _as_real(value, key: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def _as_budget(value, key: str):
     if value == AUTO:
         return AUTO
@@ -118,15 +126,20 @@ class ExperimentConfig:
         if self.coherence not in COHERENCE_KINDS:
             raise ValueError(f"synth.coherence must be one of {COHERENCE_KINDS}")
         _as_count(self.synth_r, "synth.r")
+        _as_real(self.decay, "synth.decay")
+        _as_count(self.spike_index, "synth.spike_index", minimum=0)
+        _as_real(self.spike_weight, "synth.spike_weight")
         _as_count(self.r, "r")
         _as_budget(self.d, "d")
         _as_budget(self.omega_count, "omega")
-        if not self.t > 0:
+        if not _as_real(self.t, "t") > 0:
             raise ValueError(f"t must be positive, got {self.t}")
         _as_count(self.trials, "trials")
-        if self.ridge < 0:
+        if _as_real(self.ridge, "ridge") < 0:
             raise ValueError(f"ridge must be nonnegative, got {self.ridge}")
-        if not 0.0 < self.sandwich_delta < 1.0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not 0.0 < _as_real(self.sandwich_delta, "sandwich_delta") < 1.0:
             raise ValueError("sandwich_delta must lie in (0, 1)")
         for name in self.checks:
             if name not in CHECK_NAMES:

@@ -11,15 +11,16 @@ report once each, for every check in `CHECKS` that reads them. `recover`
 draws from the base stream, each `verify` trial from base.derive(trial),
 and `sweep` loads each trial's instance once and draws from
 base.derive(trial).derive(1 + d) per grid point d. `verify` runs one task
-per trial and `sweep` one per (trial, d) draw, in one thread pool with
-BLAS on one thread per task; results are put together in trial order, so
-they are independent of both thread counts.
+per trial and `sweep` one per instance build and one per (trial, d) draw,
+in one thread pool with BLAS on one thread per task; results are put
+together in trial order, so they are independent of both thread counts.
 """
 from __future__ import annotations
 
+import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,13 @@ def thread_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _trial_pool(workers: int, fn, tasks) -> list:
-    """[fn(task) for task in tasks] on `workers` threads, taken in order.
-    BLAS runs on one thread meanwhile: the pool is the parallelism, and
-    BLAS threads on top of it would oversubscribe the cores and change the
-    summation order."""
+@contextmanager
+def _trial_pool(workers: int):
+    """A pool of `workers` threads, with BLAS on one thread while it is
+    open: the pool is the parallelism, and BLAS threads on top of it would
+    oversubscribe the cores and change the summation order."""
     with blas_threads(1), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        yield pool
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class Instance:
     computed on first use, its `bounds.Spectrum`, the one decomposition of
     M that every check and every draw from M read, and its resolved
     budget. A sweep trial's grid points share one instance from several
-    pool threads; `_SweepTrial` builds both before any point reads them."""
+    pool threads; `_sweep_instance` builds both before a point reads them."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
@@ -159,6 +160,10 @@ def load_instance(cfg: ExperimentConfig, stream: RngStream,
     n, m = (cfg.n, cfg.m) if M is None else M.shape
     check_range("r", cfg.r, 1, min(n, m), "[1, min(n, m)]")
     if M is not None:
+        with np.errstate(over="ignore"):
+            if not math.isfinite(frobenius_norm(M)):
+                raise ValueError("M is too large: the sum of its squared "
+                                 "entries overflows")
         return Instance(cfg, M, None)
     M, factors = generate(cfg.synth_spec(stream.derive(0)))
     return Instance(cfg, M, factors.sigma)
@@ -229,7 +234,7 @@ class Draw:
 
     def recovery_bound(self) -> BoundReport:
         return self._get("bound", lambda: bounds.check_full_rank_recovery(
-            self.spectrum(), self.M, self.recovery()[0],
+            self.spectrum(), self.M, self.recovery()[1],
             self.d, {"omega_size": self.entries().size, "t": self.cfg.t}))
 
     def score(self) -> tuple[float, np.ndarray]:
@@ -305,8 +310,9 @@ def run_verify(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     """Every trial's reports and their aggregate; "failed_trials" counts the
     trials with an ill-posed fit and is present only when there are any."""
     workers = threads if threads is not None else thread_count()
-    records = _trial_pool(workers, lambda k: run_trial(cfg, k),
-                          range(cfg.trials)) if cfg.checks else []
+    with _trial_pool(workers) as pool:
+        records = list(pool.map(lambda k: run_trial(cfg, k),
+                                range(cfg.trials) if cfg.checks else ()))
     result = {"config": cfg.to_flat(),
               "aggregate": aggregate_reports(records),
               "trials": records}
@@ -322,7 +328,9 @@ def run_verify(cfg: ExperimentConfig, threads: int | None = None) -> dict:
 
 def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
     """One full sample-and-recover pass; returns the report dict and the
-    recovered matrix under key "_M_hat" (stripped before serialization)."""
+    recovered matrix under key "_M_hat" (stripped before serialization).
+    "spectral_sq" and the recovery bound each take the spectral norm of
+    M - M_hat: perfbench/test_checks.py pins its factorizations at 9."""
     stream = cfg.base_stream()
     inst = load_instance(cfg, stream, M)
     draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
@@ -358,72 +366,30 @@ def _union_count(draw: Draw) -> int:
     return d * draw.n + d * draw.m - d * d + omega.size - overlap
 
 
-class _SweepTrial:
-    """One sweep trial's stream and the instance its grid points share.
-    A point enters it for the instance and leaves once its draw is done:
-    the first to enter loads the instance and builds its budget and
-    spectrum under the trial's lock, so the points only read them, and the
-    last to leave drops it, so an instance lives only while its points
-    run."""
-
-    def __init__(self, cfg: ExperimentConfig, trial: int, points: int):
-        self.cfg = cfg
-        self.stream = cfg.base_stream().derive(trial)
-        self._points = points
-        self._inst: Instance | None = None
-        self._lock = threading.Lock()
-
-    def __enter__(self) -> Instance:
-        with self._lock:
-            if self._inst is None:
-                inst = load_instance(self.cfg, self.stream)
-                inst.budget()
-                inst.spectrum()
-                self._inst = inst
-            return self._inst
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._points -= 1
-            if self._points == 0:
-                self._inst = None
+def _sweep_instance(cfg: ExperimentConfig, trial: int) -> Instance:
+    """A sweep trial's instance with its budget and spectrum built, so its
+    grid points, drawn on several pool threads, only read them."""
+    inst = load_instance(cfg, cfg.base_stream().derive(trial))
+    inst.budget()
+    inst.spectrum()
+    return inst
 
 
-def _sweep_point(trial: _SweepTrial, d: int) -> dict:
+def _sweep_point(inst: Instance, trial: int, d: int) -> dict:
     """One sweep draw: grid point d of a trial, from the trial's stream
     derive(1 + d). It says whether its basis split is degenerate; an
     ill-posed fit leaves it with its "error" message and no measured
     fields."""
-    with trial as inst:
-        draw = Draw(inst, d, inst.budget().omega, trial.stream.derive(1 + d))
-        out = {"degenerate": draw.bases().degenerate_gap}
-        try:
-            rel = draw.score()[0]
-        except IllPosedError as exc:
-            return {**out, "error": str(exc)}
-        return {**out, "rel_error": rel, "omega": draw.entries().size,
-                "holds": bool(draw.recovery_bound().holds),
-                "union": _union_count(draw)}
-
-
-def _sweep_tasks(trials: int, live: list[int],
-                 workers: int) -> list[tuple[int, int]]:
-    """The (trial, d) draws in the order the pool takes them. Trials are
-    split evenly into windows of at most one more than there are workers,
-    queued one window after another. In a window every trial's first point
-    comes first, so the workers build different instances at once; the
-    other points follow trial by trial, so a worker reaches a trial's
-    points after its instance is built. About two windows' instances are
-    held at once."""
-    if not live:
-        return []
-    windows = -(-trials // (workers + 1))
-    tasks = []
-    for w in range(windows):
-        block = range(w * trials // windows, (w + 1) * trials // windows)
-        tasks += [(k, live[0]) for k in block]
-        tasks += [(k, d) for k in block for d in live[1:]]
-    return tasks
+    stream = inst.cfg.base_stream().derive(trial).derive(1 + d)
+    draw = Draw(inst, d, inst.budget().omega, stream)
+    out = {"degenerate": draw.bases().degenerate_gap}
+    try:
+        rel = draw.score()[0]
+    except IllPosedError as exc:
+        return {**out, "error": str(exc)}
+    return {**out, "rel_error": rel, "omega": draw.entries().size,
+            "holds": bool(draw.recovery_bound().holds),
+            "union": _union_count(draw)}
 
 
 def _measured(cfg: ExperimentConfig, d: int, outs: list[dict]) -> dict:
@@ -465,10 +431,19 @@ def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
     if grid[0] < 1:
         raise ValueError(f"grid entries must be >= 1, got {grid[0]}")
     live = [d for d in grid if cfg.r <= d <= min(cfg.m, cfg.n)]
-    trials = [_SweepTrial(cfg, k, len(live)) for k in range(cfg.trials)]
-    tasks = _sweep_tasks(cfg.trials, live, workers)
-    outs = dict(zip(tasks, _trial_pool(
-        workers, lambda task: _sweep_point(trials[task[0]], task[1]), tasks)))
+    outs: dict = {}
+    # even windows of at most workers + 1 trials; a window's builds queue
+    # before its draws and wait on nothing, so no draw waits on a queued one
+    windows = -(-cfg.trials // (workers + 1)) if live else 0
+    with _trial_pool(workers) as pool:
+        for w in range(windows):
+            block = range(w * cfg.trials // windows,
+                          (w + 1) * cfg.trials // windows)
+            built = {k: pool.submit(_sweep_instance, cfg, k) for k in block}
+            tasks = [(k, d) for k in block for d in live]
+            outs.update(zip(tasks, pool.map(
+                lambda t: _sweep_point(built[t[0]].result(), *t), tasks)))
+            del built  # the window's instances go before the next's are built
     rows = []
     for d in grid:
         row = {"d": d, "analytic_total": bounds.total_observations(cfg.n, d),

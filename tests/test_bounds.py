@@ -17,6 +17,7 @@ from curlow.bounds import (
     check_projection,
     check_sin_theta_perturbation,
     check_strong_convexity,
+    d_full_rank,
     make_report,
     optimal_d,
     sample_size_full_rank,
@@ -122,6 +123,21 @@ def test_sample_size_low_rank_validation():
         sample_size_low_rank(1.0, 0, 3.0)
     with pytest.raises(ValueError):
         sample_size_low_rank(1.0, 3, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
+def test_budget_formulas_refuse_a_value_that_is_not_finite(t):
+    # inf and nan reach the ceiling; 1e308 overflows the products to inf
+    for formula in (lambda: sample_size_low_rank(2.0, 3, t),
+                    lambda: d_full_rank(2.0, 3.0, t, 100),
+                    lambda: sample_size_full_rank(2.0, 3.0, t, 100, 50, 4)):
+        with pytest.raises(ValueError, match="not finite"):
+            formula()
+
+
+def test_entry_budget_refuses_an_overflowing_square():
+    with pytest.raises(ValueError, match="overflows"):
+        sample_size_full_rank(2.0, 3.0, 1e300, 100, 50, 4)
 
 
 def test_sample_size_full_rank_values():
@@ -550,8 +566,8 @@ def test_sin_theta_bound_on_gram_pairs():
 def test_full_rank_recovery_exact_case():
     M = low_rank(20, 20, 3, seed=33)
     inputs = RecoveryInputs(A=M.copy(), B=M.T.copy(), omega=full_grid(M), r=3)
-    result, _ = recover(inputs)
-    rep = check_full_rank_recovery(spectrum(M, 3), M, result, 20,
+    _, M_hat = recover(inputs)
+    rep = check_full_rank_recovery(spectrum(M, 3), M, M_hat, 20,
                                    {"omega_size": 400})
     assert rep.premises_met  # full grid meets the capped entry gate
     assert rep.holds
@@ -569,13 +585,13 @@ def test_full_rank_recovery_rhs_and_gates():
     _, A = sample_columns(M, 12, base.derive(1))
     _, B = sample_rows(M, 12, base.derive(2))
     omega = sample_entries(M, 200, base.derive(3))
-    result, _ = recover(RecoveryInputs(A=A, B=B, omega=omega, r=2))
+    _, M_hat = recover(RecoveryInputs(A=A, B=B, omega=omega, r=2))
     spec_m = spectrum(M, 2)
-    rep = check_full_rank_recovery(spec_m, M, result, 12, {"omega_size": 200})
+    rep = check_full_rank_recovery(spec_m, M, M_hat, 12, {"omega_size": 200})
     sig = svd(M).sigma
     assert rep.rhs == pytest.approx(24 * sig[2] ** 2 * (1 + 48 / 12), rel=1e-12)
     assert not rep.premises_met  # 200 entries sit below the capped gate of 576
     assert rep.params["omega_gate"] == 576
-    full = check_full_rank_recovery(spec_m, M, result, 24,
+    full = check_full_rank_recovery(spec_m, M, M_hat, 24,
                                     {"omega_size": 576})
     assert full.premises_met

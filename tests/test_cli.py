@@ -358,6 +358,43 @@ def test_exit_code_sizes_the_instance_cannot_hold(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_exit_code_non_finite_or_overflowing_t_and_ridge(tmp_path, capsys):
+    # a non-finite t or ridge is refused by the config; a finite t whose
+    # budget formula overflows is refused by the formula
+    small = ("--set", "synth.n=12", "--set", "synth.m=12", "--set", "r=2",
+             "--set", "trials=2")
+    cases = [("recover", "--set", "t=inf"), ("recover", "--set", "t=1e300"),
+             ("verify", "--set", "t=1e300", "--set", "checks=delta"),
+             ("recover", "--set", "ridge=nan"),
+             ("recover", "--set", "ridge=inf")]
+    for argv in cases:
+        capsys.readouterr()
+        assert run(*argv, *small, "--out", str(tmp_path)) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+    assert not (tmp_path / "recovery.json").exists()
+
+
+def test_exit_code_matrix_whose_squares_overflow(tmp_path, capsys):
+    path = tmp_path / "huge.mtx"
+    write_matrix(np.full((3, 3), 1e300), str(path))
+    assert run("recover", "--matrix", str(path), "--set", "r=1",
+               "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: M is too large") and err.count("\n") == 1
+
+
+def test_cur_on_an_all_zero_matrix(tmp_path):
+    path = tmp_path / "zero.mtx"
+    write_matrix(np.zeros((6, 5)), str(path))
+    out = tmp_path / "cur"
+    assert run("cur", "--matrix", str(path), "--out", str(out),
+               "--c", "2", "--r-rows", "2", "--k", "1") == 0
+    report = json.loads((out / "cur.json").read_text())
+    assert report["rel_frobenius"] == 0.0 and report["exact"] is True
+
+
 # --- serialization helpers --------------------------------------------------------
 
 

@@ -108,6 +108,15 @@ def test_validation_errors():
         ExperimentConfig(t=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(ridge=-1.0)
+    for bad in (float("inf"), float("nan"), "abc"):
+        for name in ("t", "ridge", "decay", "spike_weight", "sandwich_delta"):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**{name: bad})
+    for bad in (0.5, "abc"):
+        with pytest.raises(ValueError):
+            ExperimentConfig(seed=bad)
+        with pytest.raises(ValueError):
+            ExperimentConfig(spike_index=bad)
     with pytest.raises(ValueError):
         ExperimentConfig(sandwich_delta=1.0)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -303,8 +304,9 @@ def test_run_sweep_keeps_points_around_an_ill_posed_draw():
                            omega_count=6, trials=4)
     rows = run_sweep(cfg, [4, 8], threads=2)
     assert rows == run_sweep(cfg, [4, 8], threads=1)
-    trials = [lab._SweepTrial(cfg, k, 2) for k in range(cfg.trials)]
-    points = [{d: lab._sweep_point(t, d) for d in (4, 8)} for t in trials]
+    insts = [lab._sweep_instance(cfg, k) for k in range(cfg.trials)]
+    points = [{d: lab._sweep_point(inst, k, d) for d in (4, 8)}
+              for k, inst in enumerate(insts)]
     for row in rows:
         outs = [p[row["d"]] for p in points]
         ok = [o for o in outs if "error" not in o]
@@ -391,36 +393,61 @@ def test_run_sweep_shares_an_instance_across_more_workers_than_trials(
                              + ["spectrum"] * 2)
 
 
-def test_sweep_tasks_build_each_window_first_then_go_trial_by_trial():
-    assert lab._sweep_tasks(3, [2, 4, 8], 2) == [
-        (0, 2), (1, 2), (2, 2), (0, 4), (0, 8), (1, 4), (1, 8), (2, 4), (2, 8)]
-    # 4 trials on 2 workers: two even windows, not one of 3 and one of 1
-    assert lab._sweep_tasks(4, [2, 4], 2) == [
-        (0, 2), (1, 2), (0, 4), (1, 4), (2, 2), (3, 2), (2, 4), (3, 4)]
-    assert lab._sweep_tasks(3, [], 2) == []
-
-
-def test_run_sweep_drops_each_instance_after_its_last_point(monkeypatch):
-    live, peak, lock = [0], [0], threading.Lock()
+def _track_instances(monkeypatch) -> dict:
+    """Spy on lab.load_instance: the streams it loaded from, the instances
+    alive now and the most alive at once."""
+    seen = {"streams": [], "live": 0, "peak": 0}
+    lock = threading.Lock()
 
     def dropped():
         with lock:
-            live[0] -= 1
+            seen["live"] -= 1
 
-    def counted(*args, _fn=lab.load_instance, **kwargs):
-        inst = _fn(*args, **kwargs)
+    def counted(cfg, stream, *args, _fn=lab.load_instance, **kwargs):
+        inst = _fn(cfg, stream, *args, **kwargs)
         with lock:
-            live[0] += 1
-            peak[0] = max(peak[0], live[0])
+            seen["streams"].append(stream)
+            seen["live"] += 1
+            seen["peak"] = max(seen["peak"], seen["live"])
         weakref.finalize(inst, dropped)
         return inst
     monkeypatch.setattr(lab, "load_instance", counted)
+    return seen
+
+
+def test_run_sweep_holds_one_window_of_instances(monkeypatch):
+    cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
+                           omega_count=250, trials=4)
+    grid = [4, 8]
+    expected = run_sweep(cfg, grid, threads=1)
+    seen = _track_instances(monkeypatch)
+    # trial 0's last draw is slow, so a worker that is done with trial 1
+    # could go on to build the next window's trials while trial 0 is live
+    slow = cfg.base_stream().derive(0).derive(1 + grid[-1]).derive(1)
+
+    def sample(M, d, stream, _fn=lab.sample_columns):
+        if stream == slow:
+            time.sleep(0.3)
+        return _fn(M, d, stream)
+    monkeypatch.setattr(lab, "sample_columns", sample)
+    # 4 trials on 2 workers: two windows of 2 trials, each trial built once
+    assert run_sweep(cfg, grid, threads=2) == expected
+    assert seen["peak"] <= 2
+    assert sorted(s.stream_id for s in seen["streams"]) == sorted(
+        cfg.base_stream().derive(k).stream_id for k in range(cfg.trials))
+    assert seen["live"] == 0
+
+
+def test_run_sweep_drops_each_instance_after_its_last_point(monkeypatch):
     cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
                            omega_count=250, trials=12)
-    run_sweep(cfg, [4, 8, 12], threads=2)
-    # windows of 3 trials: about two windows' instances, not all twelve
-    assert peak[0] <= 6
-    assert live[0] == 0
+    expected = run_sweep(cfg, [4, 8, 12], threads=1)
+    seen = _track_instances(monkeypatch)
+    workers = 2
+    assert run_sweep(cfg, [4, 8, 12], threads=workers) == expected
+    # windows of 3 trials: one window's instances, not all twelve
+    assert seen["peak"] <= workers + 1
+    assert seen["live"] == 0
 
 
 def _compose(cfg, M, lam, stream, d=None):
@@ -509,15 +536,15 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
     grid = [4, 8, 12]
     for trial in range(cfg.trials):
         seen.clear()
-        point = lab._SweepTrial(cfg, trial, len(grid))
-        outs = {d: lab._sweep_point(point, d) for d in grid}
+        inst = lab._sweep_instance(cfg, trial)
+        outs = {d: lab._sweep_point(inst, trial, d) for d in grid}
         assert [d for d, _ in seen] == grid
         stream = cfg.base_stream().derive(trial)
         for d, report in seen:
             inst = load_instance(cfg, stream)
             draw = Draw(inst, d, inst.budget().omega, stream.derive(1 + d))
             oracle = check(bounds.spectrum(draw.M, cfg.r), draw.M,
-                           draw.recovery()[0], d,
+                           draw.recovery()[1], d,
                            {"omega_size": draw.entries().size, "t": cfg.t})
             assert report.to_dict() == oracle.to_dict()
             assert outs[d]["holds"] == oracle.holds
