@@ -328,8 +328,7 @@ def check_strong_convexity(system: DesignSystem, n: int, m: int, bases: Bases,
     lhs = strong_convexity_gamma(system)
     rhs = size / (2.0 * m * n)
     muh = mu_hat(bases.U_hat, bases.V_hat)
-    gate = _ceil(7.0 * muh**2 * system.r**2
-                 * (t + 2.0 * math.log(system.r)))
+    gate = _ceil(7.0 * muh**2 * system.r**2 * (t + 2.0 * math.log(system.r)))
     params = {"omega_size": size, "n": n, "m": m, "r": system.r, "t": t,
               "mu_hat": muh, "omega_gate": gate}
     return make_report("strong_convexity", lhs, rhs, size >= gate, params,

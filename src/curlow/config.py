@@ -76,9 +76,9 @@ def read_config(path) -> dict:
         return parse_config_text(fh.read(), path=str(path))
 
 
-def _as_count(value, key: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+def _as_count(value, key: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -127,7 +127,6 @@ class ExperimentConfig:
             raise ValueError(f"synth.coherence must be one of {COHERENCE_KINDS}")
         _as_count(self.synth_r, "synth.r")
         _as_real(self.decay, "synth.decay")
-        _as_count(self.spike_index, "synth.spike_index", minimum=0)
         _as_real(self.spike_weight, "synth.spike_weight")
         _as_count(self.r, "r")
         _as_budget(self.d, "d")
@@ -137,8 +136,10 @@ class ExperimentConfig:
         _as_count(self.trials, "trials")
         if _as_real(self.ridge, "ridge") < 0:
             raise ValueError(f"ridge must be nonnegative, got {self.ridge}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for key, value in (("seed", self.seed),
+                           ("synth.spike_index", self.spike_index)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if not 0.0 < _as_real(self.sandwich_delta, "sandwich_delta") < 1.0:
             raise ValueError("sandwich_delta must lie in (0, 1)")
         for name in self.checks:

@@ -124,15 +124,19 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
 
 
 class Instance:
-    """One instance: M; sigma, its planted singular values or, for a
-    supplied matrix, its spectrum's; lam = sigma_r^2 / (n m); and, each
-    computed on first use, its `bounds.Spectrum`, the one decomposition of
-    M that every check and every draw from M read, and its resolved
-    budget. A sweep trial's grid points share one instance from several
+    """One instance: M and its Frobenius norm; sigma, its planted singular
+    values or, for a supplied matrix, its spectrum's; lam = sigma_r^2 /
+    (n m); and, each computed on first use, its `bounds.Spectrum`, the one
+    decomposition of M that every check and every draw from M read, and
+    its resolved budget. A sweep trial's grid points share one instance from several
     pool threads; `_sweep_instance` builds both before a point reads them."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
+        with np.errstate(over="ignore"):
+            self.fro = frobenius_norm(M)
+        if not math.isfinite(self.fro):
+            raise ValueError("M is too large: its squared entries overflow")
         self.cfg = cfg
         self.M = M
         self._spectrum: bounds.Spectrum | None = None
@@ -160,10 +164,6 @@ def load_instance(cfg: ExperimentConfig, stream: RngStream,
     n, m = (cfg.n, cfg.m) if M is None else M.shape
     check_range("r", cfg.r, 1, min(n, m), "[1, min(n, m)]")
     if M is not None:
-        with np.errstate(over="ignore"):
-            if not math.isfinite(frobenius_norm(M)):
-                raise ValueError("M is too large: the sum of its squared "
-                                 "entries overflows")
         return Instance(cfg, M, None)
     M, factors = generate(cfg.synth_spec(stream.derive(0)))
     return Instance(cfg, M, factors.sigma)
@@ -180,6 +180,7 @@ class Draw:
         self.spectrum = inst.spectrum
         self.cfg = inst.cfg
         self.M = inst.M
+        self.fro = inst.fro
         self.lam = inst.lam
         self.d = d
         self.omega = omega
@@ -241,8 +242,7 @@ class Draw:
         """Relative Frobenius error of the recovery and the residual
         M - M_hat."""
         diff = self.M - self.recovery()[1]
-        denom = frobenius_norm(self.M)
-        rel = 0.0 if denom == 0 else float(frobenius_norm(diff) / denom)
+        rel = 0.0 if self.fro == 0 else float(frobenius_norm(diff) / self.fro)
         return rel, diff
 
 

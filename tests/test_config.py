@@ -117,6 +117,8 @@ def test_validation_errors():
             ExperimentConfig(seed=bad)
         with pytest.raises(ValueError):
             ExperimentConfig(spike_index=bad)
+    # the range is SynthSpec's to check, and only a spiky instance reads it
+    assert ExperimentConfig(spike_index=-1).spike_index == -1
     with pytest.raises(ValueError):
         ExperimentConfig(sandwich_delta=1.0)
     with pytest.raises(ValueError):
