@@ -3,7 +3,9 @@
 The MatrixMarket array convention and a small CSV dialect with a
 `# rows=R cols=C` header. The writer serializes doubles with 17
 significant digits so a write/read round trip is bit-exact, and identical
-inputs always produce identical bytes.
+inputs always produce identical bytes. It formats and writes about
+BLOCK_ENTRIES entries at a time, so the text of a large matrix is never
+held whole; the reader reads the whole file.
 """
 from __future__ import annotations
 
@@ -31,6 +33,10 @@ class ParseError(Exception):
 # format(x, ".17g")
 _fmt = "{:.17g}".format
 
+# entries formatted per write: whole rows of the written layout (columns of
+# M in dense-array), at least one
+BLOCK_ENTRIES = 2**16
+
 
 def _parse_float(token: str, path, line_no: int) -> float:
     try:
@@ -51,14 +57,17 @@ def write_matrix(M, path, format: str = "dense-array") -> None:
     n, m = A.shape
     if format == "dense-array":
         # column-major, one entry a line
-        lines = [DENSE_BANNER, f"{n} {m}", *map(_fmt, A.T.ravel().tolist())]
+        head, rows, sep = f"{DENSE_BANNER}\n{n} {m}", A.T, "\n"
     elif format == "csv":
-        lines = [f"# rows={n} cols={m}"]
-        lines += [",".join(map(_fmt, row)) for row in A.tolist()]
+        head, rows, sep = f"# rows={n} cols={m}", A, ","
     else:
         raise ValueError(f"format must be one of {_FORMATS}, got {format!r}")
+    step = max(1, BLOCK_ENTRIES // rows.shape[1])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + "\n")
+        for start in range(0, rows.shape[0], step):
+            fh.write("".join(sep.join(map(_fmt, row)) + "\n"
+                             for row in rows[start:start + step].tolist()))
 
 
 def _read_dense_array(lines: list[str], path) -> np.ndarray:

@@ -5,12 +5,17 @@ squares over the observed entries.
 The bases come from a thin SVD of the n x d and m x d samples, never from
 their n x n Gram matrices, which would cost O(n^3) and square the
 condition number. The design K has one row per observed entry (a, b) and
-one column per core coefficient (i, j), holding U_hat[a, i] * V_hat[b, j].
-K is never formed on the solve path: `DesignSystem` streams its rows in
-chunks of CHUNK_BYTES to accumulate the r^2 x r^2 normal matrix K^T K and
-K^T y, so memory stays at one chunk however large Omega is. One
-eigendecomposition of K^T K solves the fit, and its smallest eigenvalue
-doubles as the measured strong convexity of the objective.
+one column per core coefficient (i, j): row k is the Kronecker product
+u_a (x) v_b of the rows of U_hat and V_hat at the observed position. K is
+never formed on the solve path. `DesignSystem` reads that structure
+instead: K^T K = sum_a (u_a u_a^T) (x) W_a with W_a the sum of v_b v_b^T
+over the observed entries of row a, K^T y = vec(U_hat^T Y V_hat) for Y
+holding the observed values and zeros elsewhere, and the residual needs
+only the r-wide rows of U_hat Z and V_hat. Each is built
+over chunks of Omega of at most CHUNK_BYTES, so memory stays at one chunk
+however large Omega is. One eigendecomposition of K^T K solves the fit,
+and its smallest eigenvalue doubles as the measured strong convexity of
+the objective.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ GAP_TOL = 1e-12
 # lambda_min below 1e-12 * |Omega| / (n * m) marks an ill-posed fit
 DEGENERACY_RTOL = 1e-12
 
-# bytes of design rows built at a time; a smaller design is one chunk
+# bytes of per-entry arrays built at a time; a smaller Omega is one chunk
 CHUNK_BYTES = 16 * 2**20
 
 
@@ -64,10 +69,25 @@ class Bases:
         return self.U_hat.shape[1]
 
 
+def _pair_products(x: np.ndarray) -> np.ndarray:
+    """Rows x[j] * x[l] for the pairs j <= l, in np.triu_indices order."""
+    r = len(x)
+    out = np.empty((r * (r + 1) // 2, x.shape[1]))
+    at = 0
+    for j in range(r):
+        np.multiply(x[j], x[j:], out=out[at:at + r - j])
+        at += r - j
+    return out
+
+
 class DesignSystem:
-    """Least-squares system K z = y over the observed entries, streamed from
-    the bases and the observations: row k of K is the outer product of
-    U_hat[rows[k]] and V_hat[cols[k]], built only CHUNK_BYTES at a time."""
+    """Least-squares system K z = y over the observed entries, where row k
+    of K is the Kronecker product of U_hat[rows[k]] and V_hat[cols[k]].
+
+    No row of K is built to solve it: `normal` sums r x r products of V_hat
+    rows per observed row of M and contracts them with that row's U_hat
+    outer product, and `residual` gathers r-wide rows, each over chunks of
+    Omega of at most CHUNK_BYTES."""
 
     def __init__(self, bases: Bases, omega: OmegaSet):
         self.bases = bases
@@ -87,35 +107,66 @@ class DesignSystem:
     def y(self) -> np.ndarray:
         return self.omega.values
 
-    def _rows(self, sl: slice) -> np.ndarray:
-        ur = self.bases.U_hat[self.omega.rows[sl]]
-        vr = self.bases.V_hat[self.omega.cols[sl]]
-        return (ur[:, :, None] * vr[:, None, :]).reshape(len(ur), self.r ** 2)
-
     @property
     def K(self) -> np.ndarray:
         """The full |Omega| x r^2 design, built on each access; for oracles
         and tests, never read on the solve path."""
-        return self._rows(slice(None))
+        ur = self.bases.U_hat[self.omega.rows]
+        vr = self.bases.V_hat[self.omega.cols]
+        return (ur[:, :, None] * vr[:, None, :]).reshape(len(ur), self.r ** 2)
 
-    def chunks(self):
-        """(K_c, y_c) over consecutive blocks of Omega, in order."""
-        step = max(1, CHUNK_BYTES // (8 * self.r ** 2))
-        for start in range(0, self.omega.size, step):
-            sl = slice(start, start + step)
-            yield self._rows(sl), self.y[sl]
+    def _chunks(self, entry_bytes: int):
+        """Consecutive slices of Omega of at most CHUNK_BYTES at
+        `entry_bytes` per entry, and at least one entry each."""
+        step = max(1, CHUNK_BYTES // entry_bytes)
+        return (slice(start, start + step)
+                for start in range(0, self.omega.size, step))
 
     def normal(self) -> tuple[np.ndarray, np.ndarray]:
-        """K^T K and K^T y, accumulated chunk by chunk and built once."""
+        """K^T K and K^T y, accumulated chunk by chunk and built once.
+
+        Omega is sorted by row, so a chunk holds runs of entries that share
+        a row a: the products v_b[j] v_b[l] summed over a run give W_a, and
+        H[(i, k), (j, l)] collects u_a[i] u_a[k] W_a[j, l]; a row split
+        between two chunks adds its two partial sums. Both factors are
+        symmetric, so only the pairs i <= k and j <= l are formed. einsum
+        without `optimize` runs no BLAS, so the bytes do not depend on the
+        BLAS thread count."""
         if self._normal is None:
-            G = np.zeros((self.r ** 2, self.r ** 2))
-            b = np.zeros(self.r ** 2)
-            for K_c, y_c in self.chunks():
-                G += K_c.T @ K_c
-                b += K_c.T @ y_c
-                del K_c  # free this chunk before the next one is built
-            self._normal = (G, b)
+            r = self.r
+            H = np.zeros((r * (r + 1) // 2,) * 2)
+            b = np.zeros((r, r))
+            # a chunk's pair products, v and v * y
+            for sl in self._chunks(8 * (r * (r + 1) // 2 + 2 * r)):
+                rows = self.omega.rows[sl]
+                starts = np.flatnonzero(np.diff(rows, prepend=-1))
+                # C-ordered r x k and r x c gathers: each product row and
+                # each run sum reads contiguous memory
+                u = self.bases.U_hat.T.take(rows[starts], axis=1)
+                v = self.bases.V_hat.T.take(self.omega.cols[sl], axis=1)
+                W = np.add.reduceat(_pair_products(v), starts, axis=1)
+                H += np.einsum("pa,qa->pq", _pair_products(u), W)
+                b += np.einsum("ia,ja->ij", u,
+                               np.add.reduceat(v * self.y[sl], starts, axis=1))
+                del u, v, W  # free this chunk before the next one is built
+            pair = np.empty((r, r), dtype=np.intp)
+            upper = np.triu_indices(r)
+            pair[upper] = pair[upper[::-1]] = np.arange(len(upper[0]))
+            # K^T K[(i, j), (k, l)] = H[(i, k), (j, l)]
+            G = H[pair[:, None, :, None], pair[None, :, None, :]]
+            self._normal = (G.reshape(r * r, r * r), b.reshape(-1))
         return self._normal
+
+    def residual(self, Z: np.ndarray) -> float:
+        """||K vec(Z) - y||^2, entry t predicted as (U_hat Z)[rows[t]] .
+        V_hat[cols[t]]; the two r-wide gathers of a chunk share CHUNK_BYTES."""
+        UZ = self.bases.U_hat @ Z
+        total = 0.0
+        for sl in self._chunks(16 * self.r):
+            fitted = np.einsum("ti,ti->t", UZ[self.omega.rows[sl]],
+                               self.bases.V_hat[self.omega.cols[sl]])
+            total += float(np.sum((fitted - self.y[sl]) ** 2))
+        return total
 
 
 @dataclass(frozen=True)
@@ -223,11 +274,8 @@ def solve_core(system: DesignSystem, ridge: float = 0.0):
     # eigenvalues of a Gram are nonnegative; clamp rounding below zero so a
     # positive ridge keeps every denominator positive
     z = Q @ ((Q.T @ system.normal()[1]) / (np.maximum(w, 0.0) + ridge))
-    residual = 0.0
-    for K_c, y_c in system.chunks():
-        residual += float(np.sum((K_c @ z - y_c) ** 2))
-        del K_c  # as in normal()
-    return z.reshape(system.r, system.r), lambda_min, residual
+    Z = z.reshape(system.r, system.r)
+    return Z, lambda_min, system.residual(Z)
 
 
 def fit(bases: Bases, system: DesignSystem, ridge: float = 0.0):

@@ -51,6 +51,10 @@ class SynthSpec:
                 raise ValueError("spike_index out of range")
             if not 0.0 < self.spike_weight <= 1.0:
                 raise ValueError("spike_weight must lie in (0, 1]")
+            if self.spike_weight < 1.0 and self.n < 2:
+                # the rest of the weight needs a second row to go to
+                raise ValueError("a spiky instance with spike_weight below 1 "
+                                 f"needs n >= 2, got n={self.n}")
 
 
 def _orth_signs(rng: np.random.Generator, n: int, m: int) -> np.ndarray:

@@ -358,6 +358,16 @@ def test_exit_code_sizes_the_instance_cannot_hold(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_exit_code_spiky_instance_of_one_row(tmp_path, capsys):
+    assert run("gen", "--out", str(tmp_path), "--set", "synth.n=1",
+               "--set", "synth.m=1", "--set", "synth.r=1", "--set", "r=1",
+               "--set", "synth.coherence=spiky",
+               "--set", "synth.spike_weight=0.5") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "M.mtx").exists()
+
+
 def test_exit_code_non_finite_or_overflowing_t_and_ridge(tmp_path, capsys):
     # a non-finite t or ridge is refused by the config; a finite t whose
     # budget formula overflows is refused by the formula

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from curlow import io
 from curlow.io import (
     DENSE_BANNER,
     ParseError,
@@ -39,6 +42,49 @@ def test_random_round_trip_is_bitwise_both_formats(tmp_path):
         back = read_matrix(path)
         assert back.shape == M.shape
         assert np.array_equal(back, M)  # 17 significant digits: bit-exact
+
+
+def _one_shot_text(M, fmt):
+    """The file text built whole, as the writer did before it streamed."""
+    n, m = M.shape
+    if fmt == "dense-array":
+        lines = [DENSE_BANNER, f"{n} {m}", *map("{:.17g}".format, M.T.ravel().tolist())]
+    else:
+        lines = [f"# rows={n} cols={m}"]
+        lines += [",".join(map("{:.17g}".format, row)) for row in M.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_writer_matches_the_one_shot_text(tmp_path, monkeypatch):
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    M = np.random.default_rng(3).standard_normal((7, 5))
+    M.ravel()[[0, 9, 17, 34]] = extremes
+    # 8 entries a block: one column (dense-array) or one row (csv) at a time
+    monkeypatch.setattr(io, "BLOCK_ENTRIES", 8)
+    for fmt in ("dense-array", "csv"):
+        path = tmp_path / f"m.{fmt}"
+        write_matrix(M, path, format=fmt)
+        assert path.read_bytes() == _one_shot_text(M, fmt).encode("ascii")
+        assert np.array_equal(read_matrix(path), M)
+        assert [str(x) for x in read_matrix(path).ravel()[[0, 9, 17, 34]]] \
+            == ["-0.0", "5e-324", "1.7976931348623157e+308",
+                "-1.7976931348623157e+308"]
+
+
+def test_writer_holds_one_block_of_text(tmp_path):
+    # 4 blocks of 2^16 entries; the text of the whole matrix, built at
+    # once, would take 15 MB (csv) to 29 MB (dense-array)
+    M = np.random.default_rng(4).standard_normal((512, 512))
+    for fmt in ("dense-array", "csv"):
+        tracemalloc.start()
+        try:
+            write_matrix(M, tmp_path / "m.out", format=fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * io.BLOCK_ENTRIES, (fmt, peak)
+        assert (tmp_path / "m.out").read_bytes() \
+            == _one_shot_text(M, fmt).encode("ascii")
 
 
 def test_writer_is_byte_deterministic(tmp_path):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curlow import recovery
@@ -306,17 +306,23 @@ def test_multi_chunk_design_matches_the_full_matrix(monkeypatch):
     M = low_rank(30, 30, 3, seed=60) + 1e-3 * rng(61).standard_normal((30, 30))
     inputs = sample_run(M, d=10, s=600, r=3, seed=62)
     bases = build_bases(inputs.A, inputs.B, 3)
-    monkeypatch.setattr(recovery, "CHUNK_BYTES", 50 * 8 * 3 * 3)
+    # chunks of 50 entries for K^T K (96 bytes an entry at r = 3) and of 100
+    # for the residual (48); with about 20 entries a row, chunk boundaries
+    # split rows of Omega
+    monkeypatch.setattr(recovery, "CHUNK_BYTES", 50 * 96)
+    rows = inputs.omega.rows
+    for step in (50, 100):
+        cuts = np.arange(step, rows.size, step)
+        assert np.any(rows[cuts - 1] == rows[cuts])
     system = assemble_design(bases, inputs.omega)
-    assert len(list(system.chunks())) == 12
     K, y = system.K, system.y
     built = []
-    rows = system._rows
-    monkeypatch.setattr(system, "_rows", lambda sl: built.append(sl) or rows(sl))
+    monkeypatch.setattr(recovery.DesignSystem, "K",
+                        property(lambda s: built.append(s) or K))
     Z, lam_min, residual = solve_core(system)
     assert strong_convexity_gamma(system) == lam_min
-    # K^T K is built once for the solve and the check, plus one residual pass
-    assert len(built) == 24
+    # no row of K is built on the solve path
+    assert built == []
     G, b = system.normal()
     assert np.linalg.norm(G - K.T @ K) <= 1e-13 * np.linalg.norm(K.T @ K)
     assert np.linalg.norm(b - K.T @ y) <= 1e-13 * np.linalg.norm(K.T @ y)
@@ -354,6 +360,9 @@ def test_design_and_solve_hold_at_most_two_chunks():
 @given(n=st.integers(2, 16), m=st.integers(2, 16), r=st.integers(1, 3),
        fraction=st.floats(0.0, 1.0), chunk_rows=st.integers(1, 64),
        seed=st.integers(0, 2**16))
+# one-entry chunks over rows of one entry and empty rows
+@example(n=16, m=2, r=1, fraction=0.0, chunk_rows=1, seed=0)
+@example(n=16, m=16, r=2, fraction=0.02, chunk_rows=1, seed=3)
 def test_solve_core_matches_the_pinv_oracle(n, m, r, fraction, chunk_rows,
                                             seed):
     assume(r <= min(n, m))
@@ -364,11 +373,16 @@ def test_solve_core_matches_the_pinv_oracle(n, m, r, fraction, chunk_rows,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "CHUNK_BYTES", chunk_rows * 8 * r * r)
         system = assemble_design(bases, omega)
-        K = system.K
+        K, y = system.K, system.y
+        G, b = system.normal()
         w = np.linalg.eigvalsh(K.T @ K)
         assume(w[0] >= 1e-6 * w[-1])  # well-posed: cond(K^T K) <= 1e6
-        Z, _, _ = solve_core(system)
-    oracle = pseudo_inverse(K) @ system.y
+        Z, _, residual = solve_core(system)
+    assert np.linalg.norm(G - K.T @ K) <= 1e-12 * np.linalg.norm(K.T @ K)
+    assert np.linalg.norm(b - K.T @ y) <= 1e-12 * np.linalg.norm(K.T @ y)
+    expect = float(np.sum((K @ Z.reshape(-1) - y) ** 2))
+    assert abs(residual - expect) <= 1e-12 * max(expect, 1e-12 * float(y @ y))
+    oracle = pseudo_inverse(K) @ y
     assert (np.linalg.norm(Z.reshape(-1) - oracle)
             <= 1e-8 * max(np.linalg.norm(oracle), 1.0))
 

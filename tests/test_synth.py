@@ -100,6 +100,17 @@ def test_synth_spec_rejects_bad_arguments():
         spec(coherence="spiky", spike_index=40)
 
 
+def test_spiky_spec_refuses_a_partial_weight_on_one_row():
+    # one row leaves the weight's remainder nowhere to go; it used to come
+    # back from QR as a weight of 1 after a 0/0
+    with pytest.raises(ValueError, match="n >= 2"):
+        spec(n=1, m=1, r=1, coherence="spiky", spike_weight=0.5)
+    M, f = generate(spec(n=1, m=1, r=1, coherence="spiky", spike_weight=1.0))
+    assert f.U.tolist() == [[1.0]] and M.shape == (1, 1)
+    _, f = generate(spec(n=2, m=1, r=1, coherence="spiky", spike_weight=0.5))
+    assert abs(f.U[0, 0] - 0.5) < 1e-12
+
+
 def test_measured_properties_cross_checks():
     M, f = generate(spec(seed=8, kind="geometric-spectrum", decay=0.5,
                          n=32, m=32, r=4))
