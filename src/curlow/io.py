@@ -3,9 +3,10 @@
 The MatrixMarket array convention and a small CSV dialect with a
 `# rows=R cols=C` header. The writer serializes doubles with 17
 significant digits so a write/read round trip is bit-exact, and identical
-inputs always produce identical bytes. It formats and writes about
-BLOCK_ENTRIES entries at a time, so the text of a large matrix is never
-held whole; the reader reads the whole file.
+inputs always produce identical bytes. Neither side holds the text of a
+large matrix whole: the writer formats and writes about BLOCK_ENTRIES
+entries at a time, and the reader parses about BLOCK_CHARS characters of
+whole lines at a time into float64 blocks.
 """
 from __future__ import annotations
 
@@ -36,6 +37,13 @@ _fmt = "{:.17g}".format
 # entries formatted per write: whole rows of the written layout (columns of
 # M in dense-array), at least one
 BLOCK_ENTRIES = 2**16
+
+# characters read per block of lines
+BLOCK_CHARS = 2**18
+
+# the characters that end a line for str.splitlines() in ASCII text whose
+# "\r\n" and "\r" universal newlines have turned into "\n"
+_LINE_BREAKS = "\n\v\f\x1c\x1d\x1e"
 
 
 def _parse_float(token: str, path, line_no: int) -> float:
@@ -70,58 +78,126 @@ def write_matrix(M, path, format: str = "dense-array") -> None:
                              for row in rows[start:start + step].tolist()))
 
 
-def _read_dense_array(lines: list[str], path) -> np.ndarray:
-    first = lines[0].strip()
+def _check_ascii(line: str, path, line_no: int) -> None:
+    if not line.isascii():
+        # read with surrogateescape: a byte b >= 0x80 arrives as U+DC00 + b
+        bad = next(c for c in line if not c.isascii())
+        raise ParseError(path, line_no, f"non-ASCII byte {ord(bad) - 0xDC00:#04x}")
+
+
+class _Lines:
+    """The lines of a text file as str.splitlines() splits its whole text,
+    read about BLOCK_CHARS characters at a time. `line_no` is the number
+    of lines handed out so far; at the end of the file, all of them."""
+
+    def __init__(self, fh, path):
+        self._fh, self._path = fh, path
+        self._block: list[str] = []
+        self._pos = 0
+        # the pieces of the unfinished last line of the text read so far,
+        # joined once the line ends, so a long line costs linear time
+        self._carry: list[str] = []
+        self.line_no = 0
+
+    def _fill(self) -> bool:
+        """Read the next block of whole lines; False at the end of the file."""
+        while True:
+            text = self._fh.read(BLOCK_CHARS)
+            if not text:
+                self._block = ["".join(self._carry)] if self._carry else []
+                self._carry = []
+                break
+            block = text.splitlines()
+            tail = [] if text[-1] in _LINE_BREAKS else [block.pop()]
+            if not block:
+                self._carry += tail
+                continue
+            if self._carry:
+                block[0] = "".join(self._carry) + block[0]
+            self._block, self._carry = block, tail
+            break
+        self._pos = 0
+        return bool(self._block)
+
+    def next(self) -> str | None:
+        """The next line, or None at the end of the file."""
+        if self._pos == len(self._block) and not self._fill():
+            return None
+        self._pos += 1
+        self.line_no += 1
+        line = self._block[self._pos - 1]
+        _check_ascii(line, self._path, self.line_no)
+        return line
+
+    def blocks(self):
+        """The remaining lines, a block at a time, each with the line number
+        of its first line."""
+        while self._pos < len(self._block) or self._fill():
+            block = self._block[self._pos:]
+            self._pos = len(self._block)
+            yield self.line_no + 1, block
+            self.line_no += len(block)
+
+
+def _read_dense_array(first: str, lines: _Lines, path) -> np.ndarray:
+    first = first.strip()
     if not first.startswith("%%MatrixMarket"):
         raise ParseError(path, 1, "missing MatrixMarket banner")
     if first != DENSE_BANNER:
         raise ParseError(path, 1, f"unsupported header {first!r}")
-    dims = None
-    for line_no, ln in enumerate(lines[1:], start=2):
+    while (ln := lines.next()) is not None:
         text = ln.strip()
         if not text or text.startswith("%"):
             continue
         parts = text.split()
         if len(parts) != 2:
-            raise ParseError(path, line_no, "size line must be 'n m'")
-        dims = (_parse_int(parts[0], path, line_no, "row count"),
-                _parse_int(parts[1], path, line_no, "column count"))
+            raise ParseError(path, lines.line_no, "size line must be 'n m'")
+        n = _parse_int(parts[0], path, lines.line_no, "row count")
+        m = _parse_int(parts[1], path, lines.line_no, "column count")
         break
-    if dims is None:
-        raise ParseError(path, len(lines), "missing size line")
-    n, m = dims
+    else:
+        raise ParseError(path, lines.line_no, "missing size line")
     if n < 1 or m < 1:
-        raise ParseError(path, line_no, f"dimensions must be positive, got {n} {m}")
-    # one pass over a body of n * m numbers; a body with comments, blank
-    # lines or a fault is scanned line by line
-    try:
-        values = list(map(float, lines[line_no:]))
-    except ValueError:
-        values = None
-    if values is None or len(values) != n * m:
-        values = _scan_entries(lines, line_no, n * m, path)
-    return np.asarray(values, dtype=np.float64).reshape((m, n)).T
+        raise ParseError(path, lines.line_no,
+                         f"dimensions must be positive, got {n} {m}")
+    count = n * m
+    chunks, found = [], 0
+    for start, block in lines.blocks():
+        # one pass over a block of numbers; a block with comments, blank
+        # lines or a fault is scanned line by line
+        try:
+            chunk = np.fromiter(map(float, block), np.float64, len(block))
+        except ValueError:
+            chunk = _scan_entries(block, start, count - found, count, path)
+        if found + len(chunk) > count:
+            # a block parsed in one pass has an entry on every line
+            raise ParseError(path, start + count - found, f"more than {count} entries")
+        chunks.append(chunk)
+        found += len(chunk)
+    if found != count:
+        raise ParseError(path, lines.line_no, f"expected {count} entries, found {found}")
+    return np.concatenate(chunks).reshape((m, n)).T
 
 
-def _scan_entries(lines: list[str], start: int, count: int,
-                  path) -> list[float]:
-    """The `count` numbers in lines[start:], skipping blank and `%` lines;
-    a fault raises its ParseError with its 1-based line number."""
+def _scan_entries(block: list[str], start: int, room: int, count: int,
+                  path) -> np.ndarray:
+    """The numbers in `block`, whose first line is line `start`, skipping
+    blank and `%` lines; a fault, or a number past the first `room`,
+    raises its ParseError with its 1-based line number."""
     values = []
-    for line_no, ln in enumerate(lines[start:], start=start + 1):
+    for line_no, ln in enumerate(block, start):
+        _check_ascii(ln, path, line_no)
         text = ln.strip()
         if not text or text.startswith("%"):
             continue
         values.append(_parse_float(text, path, line_no))
-        if len(values) > count:
+        if len(values) > room:
             raise ParseError(path, line_no, f"more than {count} entries")
-    if len(values) != count:
-        raise ParseError(path, len(lines), f"expected {count} entries, found {len(values)}")
-    return values
+    return np.array(values, dtype=np.float64)
 
 
-def _read_csv_matrix(lines: list[str], path) -> np.ndarray:
-    header = lines[0].strip()
+def _read_csv_matrix(header: str, lines: _Lines, path) -> np.ndarray:
+    header = header.strip()
     parts = header.lstrip("#").split()
     fields = dict(p.split("=", 1) for p in parts if "=" in p)
     if not header.startswith("#") or set(fields) != {"rows", "cols"}:
@@ -130,29 +206,51 @@ def _read_csv_matrix(lines: list[str], path) -> np.ndarray:
     m = _parse_int(fields["cols"], path, 1, "cols")
     if n < 1 or m < 1:
         raise ParseError(path, 1, f"dimensions must be positive, got {n} {m}")
-    rows = []
-    for k, ln in enumerate(lines[1:], start=2):
+    chunks = []
+    for start, block in lines.blocks():
+        # one pass over a block of m-cell rows; a block with blank lines,
+        # a ragged row or a fault is scanned line by line
+        chunk = None
+        if all(ln.count(",") == m - 1 for ln in block):
+            try:
+                chunk = np.fromiter(map(float, ",".join(block).split(",")),
+                                    np.float64, len(block) * m)
+            except ValueError:
+                pass
+        chunks.append(_scan_rows(block, start, m, path) if chunk is None else chunk)
+    found = sum(map(len, chunks)) // m
+    if found != n:
+        raise ParseError(path, lines.line_no, f"expected {n} rows, found {found}")
+    return np.concatenate(chunks).reshape((n, m))
+
+
+def _scan_rows(block: list[str], start: int, m: int, path) -> np.ndarray:
+    """The cells of the rows in `block`, whose first line is line `start`,
+    skipping blank lines; a fault raises its ParseError with its 1-based
+    line number."""
+    values = []
+    for line_no, ln in enumerate(block, start):
+        _check_ascii(ln, path, line_no)
         text = ln.strip()
         if not text:
             continue
         cells = text.split(",")
         if len(cells) != m:
-            raise ParseError(path, k, f"expected {m} columns, found {len(cells)}")
-        rows.append([_parse_float(c, path, k) for c in cells])
-    if len(rows) != n:
-        raise ParseError(path, len(lines), f"expected {n} rows, found {len(rows)}")
-    return np.asarray(rows, dtype=np.float64)
+            raise ParseError(path, line_no, f"expected {m} columns, found {len(cells)}")
+        values += [_parse_float(c, path, line_no) for c in cells]
+    return np.array(values, dtype=np.float64)
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file")
-    if lines[0].startswith("%%"):
-        return _read_dense_array(lines, path)
-    if lines[0].startswith("#"):
-        return _read_csv_matrix(lines, path)
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        lines = _Lines(fh, path)
+        first = lines.next()
+        if first is None:
+            raise ParseError(path, 1, "empty file")
+        if first.startswith("%%"):
+            return _read_dense_array(first, lines, path)
+        if first.startswith("#"):
+            return _read_csv_matrix(first, lines, path)
     raise ParseError(path, 1, "unrecognized matrix header")
 
 

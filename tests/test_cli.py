@@ -334,6 +334,13 @@ def test_exit_code_missing_files(tmp_path):
                "--out", str(tmp_path)) == 3
 
 
+def test_exit_code_non_ascii_matrix_file(tmp_path, capsys):
+    path = tmp_path / "accent.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix array real general\n2 1\n1.0\n2.\xc3\n")
+    assert run("recover", "--matrix", str(path), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {path}:4: non-ASCII byte 0xc3\n"
+
+
 def test_exit_code_bad_sweep_grid(tmp_path):
     assert run("sweep", "--d-grid", "a,b", "--out", str(tmp_path)) == 1
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curlow import io
 from curlow.io import (
@@ -142,3 +144,216 @@ def test_csv_dimension_mismatch_rejected(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_matrix(tmp_path / "nope.mtx")
+
+
+def test_non_ascii_byte_names_its_file_and_line(tmp_path, monkeypatch):
+    cases = [
+        ("head.mtx", b"%%MatrixMarket matrix array real g\xc3n\n", 1, 0xC3),
+        ("note.mtx", f"{DENSE_BANNER}\n2 1\n1\n% caf\xe9\n2\n".encode("latin-1"), 4, 0xE9),
+        ("entry.mtx", f"{DENSE_BANNER}\n2 1\n1\n2\xc3\n".encode("latin-1"), 4, 0xC3),
+        ("row.csv", b"# rows=2 cols=2\n1,2\n3,\x804\n", 3, 0x80),
+    ]
+    # 3 characters a block: the byte is found by the block that holds it
+    monkeypatch.setattr(io, "BLOCK_CHARS", 3)
+    for name, raw, line_no, byte in cases:
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert str(err.value) == f"{path}:{line_no}: non-ASCII byte {byte:#04x}"
+
+
+# --- the streamed reader against the whole-file reader it replaced ------------
+
+
+def _whole_file_reader(path):
+    """The reader before it streamed: the whole text, then its lines."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError(path, 1, "empty file")
+    if lines[0].startswith("%%"):
+        return _whole_file_dense_array(lines, path)
+    if lines[0].startswith("#"):
+        return _whole_file_csv(lines, path)
+    raise ParseError(path, 1, "unrecognized matrix header")
+
+
+def _whole_file_dense_array(lines, path):
+    first = lines[0].strip()
+    if not first.startswith("%%MatrixMarket"):
+        raise ParseError(path, 1, "missing MatrixMarket banner")
+    if first != DENSE_BANNER:
+        raise ParseError(path, 1, f"unsupported header {first!r}")
+    dims = None
+    for line_no, ln in enumerate(lines[1:], start=2):
+        text = ln.strip()
+        if not text or text.startswith("%"):
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise ParseError(path, line_no, "size line must be 'n m'")
+        dims = (io._parse_int(parts[0], path, line_no, "row count"),
+                io._parse_int(parts[1], path, line_no, "column count"))
+        break
+    if dims is None:
+        raise ParseError(path, len(lines), "missing size line")
+    n, m = dims
+    if n < 1 or m < 1:
+        raise ParseError(path, line_no, f"dimensions must be positive, got {n} {m}")
+    try:
+        values = list(map(float, lines[line_no:]))
+    except ValueError:
+        values = None
+    if values is None or len(values) != n * m:
+        values = _whole_file_scan(lines, line_no, n * m, path)
+    return np.asarray(values, dtype=np.float64).reshape((m, n)).T
+
+
+def _whole_file_scan(lines, start, count, path):
+    values = []
+    for line_no, ln in enumerate(lines[start:], start=start + 1):
+        text = ln.strip()
+        if not text or text.startswith("%"):
+            continue
+        values.append(io._parse_float(text, path, line_no))
+        if len(values) > count:
+            raise ParseError(path, line_no, f"more than {count} entries")
+    if len(values) != count:
+        raise ParseError(path, len(lines), f"expected {count} entries, found {len(values)}")
+    return values
+
+
+def _whole_file_csv(lines, path):
+    header = lines[0].strip()
+    parts = header.lstrip("#").split()
+    fields = dict(p.split("=", 1) for p in parts if "=" in p)
+    if not header.startswith("#") or set(fields) != {"rows", "cols"}:
+        raise ParseError(path, 1, "header must be '# rows=R cols=C'")
+    n = io._parse_int(fields["rows"], path, 1, "rows")
+    m = io._parse_int(fields["cols"], path, 1, "cols")
+    if n < 1 or m < 1:
+        raise ParseError(path, 1, f"dimensions must be positive, got {n} {m}")
+    rows = []
+    for k, ln in enumerate(lines[1:], start=2):
+        text = ln.strip()
+        if not text:
+            continue
+        cells = text.split(",")
+        if len(cells) != m:
+            raise ParseError(path, k, f"expected {m} columns, found {len(cells)}")
+        rows.append([io._parse_float(c, path, k) for c in cells])
+    if len(rows) != n:
+        raise ParseError(path, len(lines), f"expected {n} rows, found {len(rows)}")
+    return np.asarray(rows, dtype=np.float64)
+
+
+_TOKENS = ["0", "-0.0", "1", "2.5e-3", " 7 ", "1_0", "inf", "-inf", "nan",
+           "1e999", "\t3", "\x1f4"]
+_BAD_TOKENS = ["1x", "", "  ", "%c", "1 2", "1,2", "--1", "0x1"]
+_EXTRA_LINES = ["", "   ", "% note", "%%", "\t"]
+_BREAKS = ["\n", "\r\n", "\r", "\f", "\v"]
+
+
+@st.composite
+def matrix_files(draw):
+    """The bytes of a small dense-array or CSV file, whose lines end in any
+    mix of line breaks; about half are malformed."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    faulty = draw(st.booleans())
+    token = st.sampled_from(_TOKENS + _BAD_TOKENS * faulty)
+    extra = st.sampled_from(_EXTRA_LINES)
+    spread = int(faulty)  # too few or too many entries or cells
+    dense = draw(st.booleans())
+    if dense:
+        head = [DENSE_BANNER, *draw(st.lists(extra, max_size=2)), f"{n} {m}"]
+        body = draw(st.lists(token, min_size=n * m - spread,
+                             max_size=n * m + spread))
+    else:
+        # blank lines are skipped; a comment line is a malformed row
+        extra = extra if faulty else st.sampled_from(["", "   "])
+        head = [f"# rows={n} cols={m}"]
+        widths = draw(st.lists(st.integers(m - spread, m + spread),
+                               min_size=n - spread, max_size=n + spread))
+        body = [",".join(draw(st.lists(token, min_size=k, max_size=k)))
+                for k in widths]
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), draw(extra))
+    lines = head + body
+    ends = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines),
+                         max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(a + b for a, b in zip(lines, ends)).encode("ascii")
+
+
+def _outcome(read, path):
+    """The array's bits, shape, strides and flags, or the ParseError text."""
+    try:
+        A = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return (A.tobytes(order="A"), A.shape, A.strides, A.flags.c_contiguous,
+            A.flags.f_contiguous)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(raw=matrix_files(), block_chars=st.integers(1, 8),
+       chunk_bytes=st.integers(1, 8))
+# a "1\f2" line holds two entries; "\r\n" split by the decoder's reads
+@example(raw=f"{DENSE_BANNER}\n2 1\n1\f2\n".encode(), block_chars=2, chunk_bytes=3)
+@example(raw=f"{DENSE_BANNER}\r\n1 2\r\n3\r\n4\r\n".encode(),
+         block_chars=1, chunk_bytes=1)
+def test_streamed_reader_matches_the_whole_file_reader(tmp_path_factory, raw,
+                                                       block_chars,
+                                                       chunk_bytes):
+    path = tmp_path_factory.mktemp("eq") / "m.txt"
+    path.write_bytes(raw)
+    expect = _outcome(_whole_file_reader, path)
+
+    def small_reads(*args, **kwargs):
+        # the text layer decodes chunk_bytes bytes a time, so "\r" and "\n"
+        # can arrive in different reads
+        fh = open(*args, **kwargs)
+        fh._CHUNK_SIZE = chunk_bytes
+        return fh
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "BLOCK_CHARS", block_chars)
+        mp.setattr(io, "open", small_reads, raising=False)
+        assert _outcome(read_matrix, path) == expect
+
+
+# --- memory -------------------------------------------------------------------
+
+
+def test_reader_holds_the_result_and_a_block(tmp_path):
+    # 300 x 300 random entries of 17 digits: a 1.8 MB file, 7 blocks; the
+    # whole-file reader peaked near 15 times the result's 0.72 MB
+    M = np.random.default_rng(6).standard_normal((300, 300))
+    path = tmp_path / "m.mtx"
+    write_matrix(M, path)
+    tracemalloc.start()
+    try:
+        A = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(A, M)
+    # the blocks and their concatenation, and the text and line strings of
+    # the block being parsed and the next one being read
+    assert peak < 2 * A.nbytes + 16 * io.BLOCK_CHARS, peak
+
+
+def test_reader_buffers_what_it_reads_not_what_the_header_says(tmp_path):
+    path = tmp_path / "huge.mtx"
+    path.write_text(f"{DENSE_BANNER}\n1000000000 1000000000\n1.0\n2.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}:4: expected 1000000000000000000 entries, found 2"
+    assert peak < 4 * io.BLOCK_CHARS, peak

@@ -39,7 +39,8 @@ ALL_CHECKS = ("checks=projection,delta,delta_triangle,combine,halko,"
 
 
 def commands(root: str) -> list[tuple[str, list[str]]]:
-    """(name, argv) pairs; `recover-matrix` reads what `gen` wrote."""
+    """(name, argv) pairs; `recover-matrix` reads what `gen` wrote, and
+    `recover-matrix-csv` what `gen-csv` wrote."""
     def sets(*pairs):
         return [a for p in pairs for a in ("--set", p)]
 
@@ -51,6 +52,11 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("gen", ["gen", *sets("synth.n=120", "synth.m=120", "r=4")]),
         ("recover-matrix", ["recover", "--save-matrix", "--matrix",
                             os.path.join(root, "gen", "M.mtx"), *sets("r=4")]),
+        ("gen-csv", ["gen", "--format", "csv",
+                     *sets("synth.n=90", "synth.m=70", "r=3")]),
+        ("recover-matrix-csv", ["recover", "--save-matrix", "--format", "csv",
+                                "--matrix", os.path.join(root, "gen-csv", "M.csv"),
+                                *sets("r=3")]),
         ("verify-json", small_verify + ["--format", "json"]),
         ("verify-csv", small_verify + ["--format", "csv"]),
         ("sweep-ac7", ["sweep", "--d-grid", "2,4,8,16,32", "--seed", "10700",
