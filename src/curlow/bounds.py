@@ -4,9 +4,9 @@ concentration inequalities behind the recovery pipeline.
 Every checker returns a BoundReport holding both sides of its inequality,
 a holds flag with a fixed relative slack, and a premises_met flag recorded
 independently, so Monte-Carlo harnesses can separate "premise not met"
-from "bound violated". A check that reads the singular values or vectors
-of an instance M takes them as its `Spectrum`, computed once per instance.
-Natural logarithms throughout.
+from "bound violated". A check reads M's singular values and vectors from
+its `Spectrum`, computed once per instance, and a residual norm of M, such
+as Delta, as a number taken once per draw. Natural logarithms throughout.
 """
 from __future__ import annotations
 
@@ -178,29 +178,26 @@ def total_observations(n: int, d: int) -> float:
 # projection-error family
 
 
-def check_projection(spec: Spectrum, M, V_hat, U_hat, d: int,
-                     t: float = 3.0):
-    """Spectral projection errors of both estimated bases against the
+def check_projection(spec: Spectrum, side_cols: float, side_rows: float,
+                     d: int, t: float = 3.0):
+    """Projection errors of both estimated bases, side_cols =
+    ||M - M V V^T||_2^2 and side_rows = ||M - U U^T M||_2^2, against the
     sigma_{r+1}-scaled budgets (1 + 2m/d) and (1 + 2n/d).
 
     Returns (column-side report, row-side report).
     """
-    A = as_matrix(M)
-    n, m = A.shape
     r, s_tail, mu = spec.r, spec.sigma_r_plus_1, spec.mu_r
     d_gate, _ = sample_size_low_rank(mu, r, t)
     premises = d >= d_gate
-    params = {"n": n, "m": m, "r": r, "d": d, "t": t, "mu_r": mu,
+    params = {"n": spec.n, "m": spec.m, "r": r, "d": d, "t": t, "mu_r": mu,
               "d_gate": d_gate, "sigma_r_plus_1": s_tail}
-    lhs_v = spectral_norm(A - (A @ V_hat) @ V_hat.T) ** 2
-    rhs_v = s_tail**2 * (1.0 + 2.0 * m / d)
-    lhs_u = spectral_norm(A - U_hat @ (U_hat.T @ A)) ** 2
-    rhs_u = s_tail**2 * (1.0 + 2.0 * n / d)
-    return (make_report("projection_error_cols", lhs_v, rhs_v, premises, params),
-            make_report("projection_error_rows", lhs_u, rhs_u, premises, params))
+    rhs_v = s_tail**2 * (1.0 + 2.0 * spec.m / d)
+    rhs_u = s_tail**2 * (1.0 + 2.0 * spec.n / d)
+    return (make_report("projection_error_cols", side_cols, rhs_v, premises, params),
+            make_report("projection_error_rows", side_rows, rhs_u, premises, params))
 
 
-def check_delta(spec: Spectrum, M, bases: Bases, d: int, t: float = 3.0,
+def check_delta(spec: Spectrum, delta: float, d: int, t: float = 3.0,
                 full_rank: bool = False) -> BoundReport:
     """Two-sided projection error Delta = ||M - P_U M P_V||_2^2 against
     4 sigma_{r+1}^2 (1 + (m+n)/d).
@@ -208,9 +205,7 @@ def check_delta(spec: Spectrum, M, bases: Bases, d: int, t: float = 3.0,
     The low-rank gate requires d >= 7 mu(r) r (t + ln r); with full_rank
     the gate is d >= 14 mu(lam) r(M, lam) (t + ln r) at lam = sigma_r^2/mn.
     """
-    A = as_matrix(M)
-    n, m = A.shape
-    r, s_tail = spec.r, spec.sigma_r_plus_1
+    n, m, r, s_tail = spec.n, spec.m, spec.r, spec.sigma_r_plus_1
     params = {"n": n, "m": m, "r": r, "d": d, "t": t,
               "sigma_r_plus_1": s_tail, "full_rank": full_rank}
     if full_rank:
@@ -221,37 +216,30 @@ def check_delta(spec: Spectrum, M, bases: Bases, d: int, t: float = 3.0,
     else:
         d_gate, _ = sample_size_low_rank(spec.mu_r, r, t)
         params.update({"mu_r": spec.mu_r, "d_gate": d_gate})
-    proj = A - bases.U_hat @ (bases.U_hat.T @ A @ bases.V_hat) @ bases.V_hat.T
-    lhs = spectral_norm(proj) ** 2
     rhs = 4.0 * s_tail**2 * (1.0 + (m + n) / d)
-    return make_report("delta_bound", lhs, rhs, d >= d_gate, params)
+    return make_report("delta_bound", delta, rhs, d >= d_gate, params)
 
 
-def check_delta_triangle(M, bases: Bases) -> BoundReport:
+def check_delta_triangle(delta: float, side_cols: float,
+                         side_rows: float) -> BoundReport:
     """Proof-step identity: Delta never exceeds twice the sum of the
     one-sided projection errors. Holds unconditionally."""
-    A = as_matrix(M)
-    U, V = bases.U_hat, bases.V_hat
-    delta = spectral_norm(A - U @ (U.T @ A @ V) @ V.T) ** 2
-    side_v = spectral_norm(A - (A @ V) @ V.T) ** 2
-    side_u = spectral_norm(A - U @ (U.T @ A)) ** 2
-    return make_report("delta_triangle", delta, 2.0 * side_v + 2.0 * side_u,
-                       True, {"side_cols": side_v, "side_rows": side_u})
+    return make_report("delta_triangle", delta,
+                       2.0 * side_cols + 2.0 * side_rows, True,
+                       {"side_cols": side_cols, "side_rows": side_rows})
 
 
-def check_combine(M, M_hat, delta: float, gamma: float) -> BoundReport:
-    """Recovery error against 2(Delta + Delta/gamma), with gamma the
-    grid-normalized strong convexity mn*lambda_min(K^T K)/|Omega|.
+def check_combine(error: float, delta: float, gamma: float) -> BoundReport:
+    """Recovery error ||M - M_hat||_2^2 against 2(Delta + Delta/gamma), with
+    gamma the grid-normalized strong convexity mn*lambda_min(K^T K)/|Omega|.
 
     Premise: gamma >= 1/2.
     """
-    A = as_matrix(M)
-    lhs = spectral_norm(A - as_matrix(M_hat, "M_hat")) ** 2
     if gamma <= 0:
-        return make_report("error_combine", lhs, float("inf"), False,
+        return make_report("error_combine", error, float("inf"), False,
                            {"delta": delta, "gamma": gamma})
     rhs = 2.0 * (delta + delta / gamma)
-    return make_report("error_combine", lhs, rhs, gamma >= 0.5,
+    return make_report("error_combine", error, rhs, gamma >= 0.5,
                        {"delta": delta, "gamma": gamma})
 
 
@@ -484,26 +472,24 @@ def check_sin_theta_perturbation(H, H_tilde, r: int) -> BoundReport:
     return make_report("subspace_perturbation", lhs, rhs, premises, params)
 
 
-def check_full_rank_recovery(spec: Spectrum, M, M_hat, d: int,
+def check_full_rank_recovery(spec: Spectrum, error: float, d: int,
                              run_params: dict) -> BoundReport:
-    """End-to-end spectral recovery error ||M - M_hat||_2^2 of the draw's
-    M_hat against 24 sigma_{r+1}^2 (1 + (m+n)/d), with sigma and the gates
+    """End-to-end spectral recovery error ||M - M_hat||_2^2 of a draw
+    against 24 sigma_{r+1}^2 (1 + (m+n)/d), with n, m, sigma and the gates
     read from the instance's `Spectrum`.
 
     run_params must carry omega_size and may carry t (default 3). Premises:
     the spectral-gap and d gates, plus the entry budget capped at the grid
     size (the uncapped formula value is recorded in params).
     """
-    A = as_matrix(M)
-    n, m = A.shape
-    r, s_r, s_next = spec.r, spec.sigma_r, spec.sigma_r_plus_1
+    n, m, r = spec.n, spec.m, spec.r
+    s_r, s_next = spec.sigma_r, spec.sigma_r_plus_1
     rep = spec.rank
     omega_size = int(run_params["omega_size"])
     t = float(run_params.get("t", 3.0))
     d_gate, omega_formula = sample_size_full_rank(rep.mu_lambda, rep.value,
                                                   t, n, d, r)
     omega_gate = min(omega_formula, n * m)
-    lhs = spectral_norm(A - M_hat) ** 2
     rhs = 24.0 * s_next**2 * (1.0 + (m + n) / d)
     premises = (s_r >= math.sqrt(2.0) * s_next and d >= min(d_gate, n, m)
                 and omega_size >= omega_gate)
@@ -512,4 +498,4 @@ def check_full_rank_recovery(spec: Spectrum, M, M_hat, d: int,
               "numerical_rank": rep.value, "d_gate": d_gate,
               "omega_formula": omega_formula, "omega_gate": omega_gate,
               "sigma_r": s_r, "sigma_r_plus_1": s_next}
-    return make_report("recovery_error", lhs, rhs, premises, params)
+    return make_report("recovery_error", error, rhs, premises, params)

@@ -6,8 +6,8 @@ its lam = sigma_r^2 / (n m) once and, on first use, its one
 coherence. Every check but `check_halko` reads sigma, the singular
 vectors, mu_r and the regularized rank of M from that spectrum.
 A `Draw` samples the instance from derive(1), (2) and (3) of its own
-stream and builds the bases, the design, the fit on both and the Delta
-report once each, for every check in `CHECKS` that reads them. `recover`
+stream and builds the bases, the design, the fit on both and each residual
+norm of M once, for every check in `CHECKS` that reads them. `recover`
 draws from the base stream, each `verify` trial from base.derive(trial),
 and `sweep` loads each trial's instance once and draws from
 base.derive(trial).derive(1 + d) per grid point d. `verify` runs one task
@@ -172,8 +172,8 @@ def load_instance(cfg: ExperimentConfig, stream: RngStream,
 class Draw:
     """d columns, d rows and omega entries of one instance, drawn lazily
     from stream.derive(1), (2) and (3), and the bases, design, fit and
-    Delta report built on them; each is computed once and shared by all
-    its readers. M's spectrum is the instance's."""
+    residual norms of M built on them; each is computed once and shared by
+    all its readers. M's spectrum is the instance's."""
 
     def __init__(self, inst: Instance, d: int, omega: int,
                  stream: RngStream):
@@ -224,10 +224,24 @@ class Draw:
         return (self.recovery()[0].lambda_min_KtK * self.n * self.m
                 / self.entries().size)
 
-    def delta(self) -> BoundReport:
-        return self._get("delta", lambda: bounds.check_delta(
-            self.spectrum(), self.M, self.bases(), self.d, self.cfg.t,
-            full_rank=self.cfg.kind != "exact-low-rank"))
+    def side_cols(self) -> float:
+        V = self.bases().V_hat
+        return self._get("side_cols", lambda: spectral_norm(
+            self.M - (self.M @ V) @ V.T) ** 2)
+
+    def side_rows(self) -> float:
+        U = self.bases().U_hat
+        return self._get("side_rows", lambda: spectral_norm(
+            self.M - U @ (U.T @ self.M)) ** 2)
+
+    def delta(self) -> float:
+        U, V = self.bases().U_hat, self.bases().V_hat
+        return self._get("delta", lambda: spectral_norm(
+            self.M - U @ (U.T @ self.M @ V) @ V.T) ** 2)
+
+    def error(self) -> float:
+        return self._get("error", lambda: spectral_norm(
+            self.M - self.recovery()[1]) ** 2)
 
     def h_pair(self):
         return self._get("h_pair", lambda: bounds.build_h_pair(
@@ -235,8 +249,8 @@ class Draw:
 
     def recovery_bound(self) -> BoundReport:
         return self._get("bound", lambda: bounds.check_full_rank_recovery(
-            self.spectrum(), self.M, self.recovery()[1],
-            self.d, {"omega_size": self.entries().size, "t": self.cfg.t}))
+            self.spectrum(), self.error(), self.d,
+            {"omega_size": self.entries().size, "t": self.cfg.t}))
 
     def score(self) -> tuple[float, np.ndarray]:
         """Relative Frobenius error of the recovery and the residual
@@ -249,13 +263,14 @@ class Draw:
 # each verify check's reports from one draw, in config.CHECK_NAMES order
 CHECKS = {
     "projection": lambda ctx: list(bounds.check_projection(
-        ctx.spectrum(), ctx.M, ctx.bases().V_hat, ctx.bases().U_hat, ctx.d,
-        ctx.cfg.t)),
-    "delta": lambda ctx: [ctx.delta()],
+        ctx.spectrum(), ctx.side_cols(), ctx.side_rows(), ctx.d, ctx.cfg.t)),
+    "delta": lambda ctx: [bounds.check_delta(
+        ctx.spectrum(), ctx.delta(), ctx.d, ctx.cfg.t,
+        full_rank=ctx.cfg.kind != "exact-low-rank")],
     "delta_triangle": lambda ctx: [bounds.check_delta_triangle(
-        ctx.M, ctx.bases())],
+        ctx.delta(), ctx.side_cols(), ctx.side_rows())],
     "combine": lambda ctx: [bounds.check_combine(
-        ctx.M, ctx.recovery()[1], ctx.delta().lhs, ctx.gamma())],
+        ctx.error(), ctx.delta(), ctx.gamma())],
     "halko": lambda ctx: [bounds.check_halko(ctx.M, ctx.cols()[0], ctx.cfg.r)],
     "omega1_spectrum": lambda ctx: [bounds.check_omega1_spectrum(
         ctx.spectrum(), ctx.cols()[0], ctx.d)],

@@ -148,17 +148,16 @@ def eigh_descending(G) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def pseudo_inverse(M, tol: float = PINV_RTOL) -> DenseMatrix:
+def pseudo_inverse(M) -> DenseMatrix:
     """Moore-Penrose pseudo-inverse via SVD.
 
-    Singular values at or below tol * sigma_max are treated as zero.
+    Singular values at or below PINV_RTOL * sigma_max are treated as zero.
     """
     f = svd(M)
     if f.sigma.size == 0 or f.sigma[0] == 0.0:
         return np.zeros((f.V.shape[0], f.U.shape[0]))
-    cutoff = tol * f.sigma[0]
     inv = np.zeros_like(f.sigma)
-    keep = f.sigma > cutoff
+    keep = f.sigma > PINV_RTOL * f.sigma[0]
     inv[keep] = 1.0 / f.sigma[keep]
     return (f.V * inv) @ f.U.T
 

@@ -69,6 +69,21 @@ def full_grid(M):
     return sample_entries(M, n * m, RngStream(seed=3))
 
 
+def norms(M, bases=None, M_hat=None) -> dict:
+    """The residual norms the checks take, by the expressions a lab `Draw`
+    uses: the two one-sided projection errors and Delta of the bases, and
+    the recovery error of M_hat."""
+    out = {}
+    if bases is not None:
+        U, V = bases.U_hat, bases.V_hat
+        out["side_cols"] = spectral_norm(M - (M @ V) @ V.T) ** 2
+        out["side_rows"] = spectral_norm(M - U @ (U.T @ M)) ** 2
+        out["delta"] = spectral_norm(M - U @ (U.T @ M @ V) @ V.T) ** 2
+    if M_hat is not None:
+        out["error"] = spectral_norm(M - M_hat) ** 2
+    return out
+
+
 # --- report plumbing ---------------------------------------------------------
 
 
@@ -186,8 +201,9 @@ def test_projection_exact_rank2_hadamard():
     # coherence is exactly 1, so the budget gate is satisfied at d = n
     M = hadamard_rank2(64)
     bases = build_bases(M.copy(), M.T.copy(), 2)
-    rep_cols, rep_rows = check_projection(spectrum(M, 2), M, bases.V_hat,
-                                          bases.U_hat, 64)
+    res = norms(M, bases)
+    rep_cols, rep_rows = check_projection(spectrum(M, 2), res["side_cols"],
+                                          res["side_rows"], 64)
     for rep in (rep_cols, rep_rows):
         assert rep.premises_met
         assert rep.holds
@@ -202,8 +218,9 @@ def test_projection_rhs_arithmetic():
     g = rng(5)
     M = low_rank(30, 24, 3, seed=6) + 1e-3 * g.standard_normal((30, 24))
     bases = build_bases(M.copy(), M.T.copy(), 3)
-    rep_cols, rep_rows = check_projection(spectrum(M, 3), M, bases.V_hat,
-                                          bases.U_hat, 10)
+    res = norms(M, bases)
+    rep_cols, rep_rows = check_projection(spectrum(M, 3), res["side_cols"],
+                                          res["side_rows"], 10)
     s_tail = svd(M).sigma[3]
     assert abs(rep_cols.rhs - s_tail**2 * (1 + 2 * 24 / 10)) < 1e-12
     assert abs(rep_rows.rhs - s_tail**2 * (1 + 2 * 30 / 10)) < 1e-12
@@ -215,7 +232,7 @@ def test_projection_rhs_arithmetic():
 def test_delta_exact_low_rank():
     M = hadamard_rank2(64)
     bases = build_bases(M.copy(), M.T.copy(), 2)
-    rep = check_delta(spectrum(M, 2), M, bases, 64)
+    rep = check_delta(spectrum(M, 2), norms(M, bases)["delta"], 64)
     assert rep.premises_met and rep.holds
     assert rep.lhs <= 1e-12 and rep.rhs <= 1e-28
 
@@ -225,7 +242,8 @@ def test_delta_full_rank_gate():
                      stream=RngStream(seed=7), decay=0.3)
     M, _ = generate(spec)
     bases = build_bases(M.copy(), M.T.copy(), 3)
-    rep = check_delta(spectrum(M, 3), M, bases, 40, full_rank=True)
+    rep = check_delta(spectrum(M, 3), norms(M, bases)["delta"], 40,
+                      full_rank=True)
     sig = svd(M).sigma
     lam = sig[2] ** 2 / (40 * 40)
     rank_rep = numerical_rank(svd(M), lam)
@@ -245,9 +263,11 @@ def test_delta_triangle_unconditional():
         _, A = sample_columns(M, 8, base.derive(1))
         _, B = sample_rows(M, 8, base.derive(2))
         bases = build_bases(A, B, 3)
-        tri = check_delta_triangle(M, bases)
+        res = norms(M, bases)
+        tri = check_delta_triangle(res["delta"], res["side_cols"],
+                                   res["side_rows"])
         assert tri.holds and tri.premises_met
-        delta = check_delta(spectrum(M, 3), M, bases, 8)
+        delta = check_delta(spectrum(M, 3), res["delta"], 8)
         # the two-sided error is what the triangle step bounds
         assert delta.lhs <= tri.rhs + 1e-9 * max(1.0, tri.rhs)
         manual = 2 * (tri.params["side_cols"] + tri.params["side_rows"])
@@ -258,23 +278,25 @@ def test_combine_exact_recovery():
     M = low_rank(16, 16, 2, seed=8)
     inputs = RecoveryInputs(A=M.copy(), B=M.T.copy(), omega=full_grid(M), r=2)
     result, M_hat = recover(inputs)
-    rep = check_combine(M, M_hat, delta=0.0, gamma=1.0)
+    rep = check_combine(norms(M, M_hat=M_hat)["error"], delta=0.0, gamma=1.0)
     assert rep.premises_met and rep.holds
     assert rep.rhs == 0.0 and rep.lhs <= 1e-12
 
 
 def test_combine_gamma_policy():
     M = low_rank(10, 10, 2, seed=9)
-    rep = check_combine(M, np.zeros_like(M), delta=1.0, gamma=0.0)
+    error = norms(M, M_hat=np.zeros_like(M))["error"]
+    rep = check_combine(error, delta=1.0, gamma=0.0)
     assert not rep.premises_met
     assert rep.rhs == float("inf") and rep.holds
-    rep = check_combine(M, np.zeros_like(M), delta=1.0, gamma=0.4)
+    rep = check_combine(error, delta=1.0, gamma=0.4)
     assert not rep.premises_met
     assert rep.rhs == pytest.approx(2 * (1 + 1 / 0.4))
-    rep = check_combine(M, np.zeros_like(M), delta=1.0, gamma=0.8)
+    rep = check_combine(error, delta=1.0, gamma=0.8)
     assert rep.premises_met
     # rhs shrinks as the curvature improves
-    assert check_combine(M, M, 1.0, 1.0).rhs < check_combine(M, M, 1.0, 0.5).rhs
+    exact = norms(M, M_hat=M)["error"]
+    assert check_combine(exact, 1.0, 1.0).rhs < check_combine(exact, 1.0, 0.5).rhs
 
 
 # --- column-selection family -------------------------------------------------------
@@ -567,8 +589,8 @@ def test_full_rank_recovery_exact_case():
     M = low_rank(20, 20, 3, seed=33)
     inputs = RecoveryInputs(A=M.copy(), B=M.T.copy(), omega=full_grid(M), r=3)
     _, M_hat = recover(inputs)
-    rep = check_full_rank_recovery(spectrum(M, 3), M, M_hat, 20,
-                                   {"omega_size": 400})
+    rep = check_full_rank_recovery(spectrum(M, 3), norms(M, M_hat=M_hat)["error"],
+                                   20, {"omega_size": 400})
     assert rep.premises_met  # full grid meets the capped entry gate
     assert rep.holds
     assert rep.lhs <= 1e-12
@@ -587,11 +609,12 @@ def test_full_rank_recovery_rhs_and_gates():
     omega = sample_entries(M, 200, base.derive(3))
     _, M_hat = recover(RecoveryInputs(A=A, B=B, omega=omega, r=2))
     spec_m = spectrum(M, 2)
-    rep = check_full_rank_recovery(spec_m, M, M_hat, 12, {"omega_size": 200})
+    error = norms(M, M_hat=M_hat)["error"]
+    rep = check_full_rank_recovery(spec_m, error, 12, {"omega_size": 200})
     sig = svd(M).sigma
     assert rep.rhs == pytest.approx(24 * sig[2] ** 2 * (1 + 48 / 12), rel=1e-12)
     assert not rep.premises_met  # 200 entries sit below the capped gate of 576
     assert rep.params["omega_gate"] == 576
-    full = check_full_rank_recovery(spec_m, M, M_hat, 24,
+    full = check_full_rank_recovery(spec_m, error, 24,
                                     {"omega_size": 576})
     assert full.premises_met

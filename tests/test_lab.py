@@ -154,6 +154,52 @@ def test_verify_trial_factors_M_four_times(monkeypatch):
     assert sum(of_M) == 4
 
 
+def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
+    # M's values-only sigma and the four residuals: side_cols, side_rows,
+    # Delta and M - M_hat, each normed once however many checks read it
+    cfg = ExperimentConfig(n=40, m=32, kind="geometric-spectrum", synth_r=2,
+                           r=2, d=16, omega_count=600,
+                           checks=("projection", "delta", "delta_triangle",
+                                   "combine", "full_rank_recovery"))
+    values_only = []
+
+    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            values_only.append(np.shape(a))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    record = run_trial(cfg, 0)
+    monkeypatch.undo()
+    assert values_only.count((40, 32)) == 5
+    stream = cfg.base_stream().derive(0)
+    inst = load_instance(cfg, stream)
+    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    M, U, V = draw.M, draw.bases().U_hat, draw.bases().V_hat
+    side_cols = np.linalg.norm(M - (M @ V) @ V.T, 2) ** 2
+    side_rows = np.linalg.norm(M - U @ (U.T @ M), 2) ** 2
+    delta = np.linalg.norm(M - U @ (U.T @ M @ V) @ V.T, 2) ** 2
+    error = np.linalg.norm(M - draw.recovery()[1], 2) ** 2
+    lhs = {rep["name"]: rep["lhs"] for rep in record["reports"]}
+    assert lhs == {"projection_error_cols": side_cols,
+                   "projection_error_rows": side_rows,
+                   "delta_bound": delta, "delta_triangle": delta,
+                   "error_combine": error, "recovery_error": error}
+
+
+def test_a_combine_trial_builds_no_spectrum(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=bounds.spectrum, **kwargs):
+        calls.append(args[1])
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(bounds, "spectrum", counted)
+    cfg = ExperimentConfig(n=40, m=32, kind="geometric-spectrum", synth_r=2,
+                           r=2, d=16, omega_count=600, checks=("combine",))
+    record = run_trial(cfg, 0)
+    assert [rep["name"] for rep in record["reports"]] == ["error_combine"]
+    assert calls == []
+
+
 def test_run_trial_report_names():
     assert tuple(lab.CHECKS) == CHECK_NAMES
     cfg = ExperimentConfig(n=32, m=32, kind="geometric-spectrum", decay=0.5,
@@ -528,7 +574,7 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
 
     def recorded(*args, **kwargs):
         report = check(*args, **kwargs)
-        seen.append((args[3], report))
+        seen.append((args[2], report))
         return report
     monkeypatch.setattr(bounds, "check_full_rank_recovery", recorded)
     cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
@@ -543,8 +589,8 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
         for d, report in seen:
             inst = load_instance(cfg, stream)
             draw = Draw(inst, d, inst.budget().omega, stream.derive(1 + d))
-            oracle = check(bounds.spectrum(draw.M, cfg.r), draw.M,
-                           draw.recovery()[1], d,
+            error = linalg.spectral_norm(draw.M - draw.recovery()[1]) ** 2
+            oracle = check(bounds.spectrum(draw.M, cfg.r), error, d,
                            {"omega_size": draw.entries().size, "t": cfg.t})
             assert report.to_dict() == oracle.to_dict()
             assert outs[d]["holds"] == oracle.holds

@@ -64,6 +64,13 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
                              "synth.kind=exact-low-rank", "r=2", "trials=3")]),
         ("verify-n200", ["verify", *sets("synth.n=200", "synth.m=200", "r=4",
                                          "trials=20", ALL_CHECKS)]),
+        # n != m, so a check that swaps n and m changes these bytes
+        ("verify-rect-lowrank", ["verify", *sets(
+            "synth.n=60", "synth.m=48", "synth.kind=exact-low-rank", "r=2",
+            "d=16", "omega=600", "trials=4", ALL_CHECKS)]),
+        ("verify-rect-geometric", ["verify", *sets(
+            "synth.n=60", "synth.m=48", "synth.kind=geometric-spectrum", "r=3",
+            "d=16", "omega=900", "trials=4", ALL_CHECKS)]),
     ]
 
 
