@@ -6,7 +6,9 @@ a holds flag with a fixed relative slack, and a premises_met flag recorded
 independently, so Monte-Carlo harnesses can separate "premise not met"
 from "bound violated". A check reads M's singular values and vectors from
 its `Spectrum`, computed once per instance, and a residual norm of M, such
-as Delta, as a number taken once per draw. Natural logarithms throughout.
+as Delta, as a number taken once per draw. The two Gram checks read one
+`HPair` per draw, which factors H once for both. Natural logarithms
+throughout.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .linalg import (
     SvdFactors,
     as_matrix,
     eigh_descending,
-    partition_svd,
     pseudo_inverse,
     singular_values,
     spectral_norm,
@@ -249,12 +250,10 @@ def check_combine(error: float, delta: float, gamma: float) -> BoundReport:
 
 def _selection_blocks(f: SvdFactors, col_idx: IndexSet, r: int):
     """V1^T S and V2^T S for the canonical selection S of the given columns
-    of the matrix with SVD f."""
-    part = partition_svd(f, r)
+    of the matrix with SVD f, V1 its top-r right singular vectors and V2
+    the rest."""
     idx = np.asarray(col_idx.indices)
-    omega1 = part.V1[idx, :].T
-    omega2 = part.V2[idx, :].T
-    return part, omega1, omega2
+    return f.V[idx, :r].T, f.V[idx, r:].T
 
 
 def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
@@ -269,7 +268,11 @@ def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
     n, m = A.shape
     if col_idx.bound != m:
         raise ValueError(f"selection bound {col_idx.bound} does not match m={m}")
-    part, omega1, omega2 = _selection_blocks(svd(A), col_idx, r)
+    if not 1 <= r <= min(n, m):
+        raise ValueError(f"r must be in [1, {min(n, m)}], got {r}")
+    f = svd(A)
+    omega1, omega2 = _selection_blocks(f, col_idx, r)
+    sigma2 = f.sigma[r:]
     d = len(col_idx.indices)
     sv1 = singular_values(omega1) if omega1.size else np.array([])
     full_rank = sv1.size == r and float(sv1[-1]) > PINV_RTOL * max(float(sv1[0]), 1.0)
@@ -278,9 +281,9 @@ def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
     keep = fy.sigma > PINV_RTOL * (fy.sigma[0] if fy.sigma[0] > 0 else 1.0)
     Q = fy.U[:, keep]
     lhs = spectral_norm(A - Q @ (Q.T @ A)) ** 2
-    tail_norm = float(part.sigma2[0]) if part.sigma2.size else 0.0
-    if part.sigma2.size and omega1.size:
-        cross = (part.sigma2[:, None] * omega2) @ pseudo_inverse(omega1)
+    tail_norm = float(sigma2[0]) if sigma2.size else 0.0
+    if sigma2.size and omega1.size:
+        cross = (sigma2[:, None] * omega2) @ pseudo_inverse(omega1)
         cross_norm = spectral_norm(cross) if cross.size else 0.0
     else:
         cross_norm = 0.0
@@ -294,7 +297,7 @@ def check_omega1_spectrum(spec: Spectrum, col_idx: IndexSet,
     """Lower spectral bound on the selected right-basis rows:
     lambda_min(Omega1 Omega1^T) >= d/(2m)."""
     r, m, mu = spec.r, spec.m, spec.mu_r
-    _, omega1, _ = _selection_blocks(spec.factors, col_idx, r)
+    omega1, _ = _selection_blocks(spec.factors, col_idx, r)
     gram = omega1 @ omega1.T
     lhs = float(np.linalg.eigvalsh(gram)[0]) if gram.size else 0.0
     fail_prob = r * math.exp(-d / (7.0 * mu * r))
@@ -327,47 +330,40 @@ def check_strong_convexity(system: DesignSystem, n: int, m: int, bases: Bases,
 # regularized Gram sandwich and its consequences
 
 
-@dataclass(frozen=True)
 class HPair:
-    """Regularized Gram matrix and its column- or row-sampled counterpart."""
+    """H = lam*I + M M^T/(mn), its column-sampled counterpart H_hat, and
+    what both Gram checks read of them: H's eigendecomposition (w
+    nonincreasing, Q) and the whitened ratio H^{-1/2} H_hat H^{-1/2}, which
+    is None when H's smallest eigenvalue is not positive. d, lam and the
+    gate's coherence and rank at lam are the draw's."""
 
-    H: np.ndarray
-    H_hat: np.ndarray
-    side: str  # "A" (left, n x n) or "B" (right, m x m)
-    lam: float
-    d: int
-    n: int
-    m: int
-    mu_lambda: float
-    rank_value: float
+    def __init__(self, H: np.ndarray, H_hat: np.ndarray, lam: float, d: int,
+                 mu_lambda: float, rank_value: float):
+        self.H, self.H_hat = H, H_hat
+        self.lam, self.d = lam, d
+        self.mu_lambda, self.rank_value = mu_lambda, rank_value
+        self.w, self.Q = eigh_descending(H)
+        self.ratio = None
+        if self.w[-1] > 0:
+            inv_sqrt = (self.Q * (self.w**-0.5)) @ self.Q.T
+            self.ratio = inv_sqrt @ H_hat @ inv_sqrt
 
 
-def build_h_pair(spec: Spectrum, M, sample, side: str, lam: float) -> HPair:
-    """H = lam*I + Gram(M)/(mn) and H_hat = lam*I + Gram(sample)/(d * dim),
-    where side "A" uses M M^T with column samples A (n x d) and side "B"
-    uses M^T M with transposed row samples B (m x d); the gate's rank and
-    coherence are M's at lam."""
+def build_h_pair(spec: Spectrum, M, sample, lam: float) -> HPair:
+    """The `HPair` of M and its n x d column sample at lam > 0, with the
+    gate's rank and coherence M's at lam."""
     A = as_matrix(M)
     S = as_matrix(sample, "sample")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     n, m = A.shape
     d = S.shape[1]
-    if side == "A":
-        if S.shape[0] != n:
-            raise ValueError(f"side A sample must have {n} rows, got {S.shape[0]}")
-        H = lam * np.eye(n) + A @ A.T / (m * n)
-        H_hat = lam * np.eye(n) + S @ S.T / (d * n)
-    elif side == "B":
-        if S.shape[0] != m:
-            raise ValueError(f"side B sample must have {m} rows, got {S.shape[0]}")
-        H = lam * np.eye(m) + A.T @ A / (m * n)
-        H_hat = lam * np.eye(m) + S @ S.T / (d * m)
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if S.shape[0] != n:
+        raise ValueError(f"sample must have {n} rows, got {S.shape[0]}")
+    H = lam * np.eye(n) + A @ A.T / (m * n)
+    H_hat = lam * np.eye(n) + S @ S.T / (d * n)
     rep = numerical_rank(spec.factors, lam)
-    return HPair(H=H, H_hat=H_hat, side=side, lam=lam, d=d, n=n, m=m,
-                 mu_lambda=rep.mu_lambda, rank_value=rep.value)
+    return HPair(H, H_hat, lam, d, rep.mu_lambda, rep.value)
 
 
 def check_h_sandwich(pair: HPair, delta_target: float,
@@ -375,24 +371,26 @@ def check_h_sandwich(pair: HPair, delta_target: float,
     """All eigenvalues of H^{-1/2} H_hat H^{-1/2} must sit in
     [1 - delta, 1 + delta]; reported as max |eig - 1| <= delta.
 
-    Gate: d >= (4/delta^2)(mu(lam) r(M, lam) + 1)(t + ln n).
+    Gate: d >= (4/delta^2)(mu(lam) r(M, lam) + 1)(t + ln n). An H that is
+    not positive definite in floating point, where lam lies below the
+    rounding error of ||H||, has no ratio: lhs is inf and the premises
+    are not met.
     """
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta_target}")
-    w, Q = eigh_descending(pair.H)
-    if w[-1] <= 0:
-        raise ValueError("H is singular; lambda must be positive")
-    H_inv_sqrt = (Q * (w**-0.5)) @ Q.T
-    ratio = H_inv_sqrt @ pair.H_hat @ H_inv_sqrt
-    eigs = np.linalg.eigvalsh((ratio + ratio.T) / 2.0)
-    lhs = float(np.max(np.abs(eigs - 1.0)))
     d_gate = _ceil(4.0 / delta_target**2
                    * (pair.mu_lambda * pair.rank_value + 1.0)
-                   * (t + math.log(pair.n)))
-    params = {"side": pair.side, "d": pair.d, "d_gate": d_gate, "t": t,
+                   * (t + math.log(pair.H.shape[0])))
+    params = {"side": "A", "d": pair.d, "d_gate": d_gate, "t": t,
               "lam": pair.lam, "mu_lambda": pair.mu_lambda,
-              "numerical_rank": pair.rank_value,
-              "eig_min": float(eigs.min()), "eig_max": float(eigs.max())}
+              "numerical_rank": pair.rank_value}
+    if pair.ratio is None:
+        params["reason"] = "H not positive definite"
+        return make_report("gram_sandwich", float("inf"), delta_target,
+                           False, params)
+    eigs = np.linalg.eigvalsh((pair.ratio + pair.ratio.T) / 2.0)
+    lhs = float(np.max(np.abs(eigs - 1.0)))
+    params.update({"eig_min": float(eigs.min()), "eig_max": float(eigs.max())})
     return make_report("gram_sandwich", lhs, delta_target,
                        pair.d >= d_gate, params)
 
@@ -423,30 +421,27 @@ def check_mu_hat_bound(spec: Spectrum, bases: Bases, lam: float, d: int,
     return make_report("basis_coherence", lhs, rhs, premises, params)
 
 
-def check_sin_theta_perturbation(H, H_tilde, r: int) -> BoundReport:
-    """Perturbation bound on the top-r eigenspace rotation between two
-    symmetric matrices, in terms of the relative eigen-gap
+def check_sin_theta_perturbation(pair: HPair, r: int) -> BoundReport:
+    """Perturbation bound on the top-r eigenspace rotation from H to H_hat,
+    in terms of the relative eigen-gap
     D_lam = min(sqrt(2)(1 - lam_{r+1}/lam_r), 1/sqrt(2)) and the relative
-    perturbation D_H = eta/sqrt(1 - eta) with eta = ||H^{-1}|| ||H - Ht||.
+    perturbation D_H = eta/sqrt(1 - eta) with eta = ||H^{-1}|| ||H - H_hat||.
 
     Gate: eta < 1 and D_lam >= D_H/2. The params record the specialized
-    3*sqrt(2)*delta form computed from the symmetric ratio matrix.
+    3*sqrt(2)*delta form computed from the pair's whitened ratio.
     """
-    A = as_matrix(H, "H")
-    B = as_matrix(H_tilde, "H_tilde")
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ValueError("H and H_tilde must be square with equal shape")
-    if not 1 <= r < A.shape[0]:
-        raise ValueError(f"r must be in [1, {A.shape[0] - 1}], got {r}")
-    w, Q = eigh_descending(A)
-    wt, Qt = eigh_descending(B)
+    n = pair.H.shape[0]
+    if not 1 <= r < n:
+        raise ValueError(f"r must be in [1, {n - 1}], got {r}")
+    w, Q = pair.w, pair.Q
+    _, Qt = eigh_descending(pair.H_hat)
     lhs = sin_theta(Q[:, :r], Qt[:, :r])
     abs_w = np.abs(w)
     if abs_w.min() == 0.0 or w[r - 1] <= 0.0:
         return make_report("subspace_perturbation", lhs, float("inf"), False,
                            {"reason": "H singular or top eigenvalue nonpositive"})
     d_lam = min(math.sqrt(2.0) * (1.0 - w[r] / w[r - 1]), 1.0 / math.sqrt(2.0))
-    eta = float(1.0 / abs_w.min()) * spectral_norm(A - B)
+    eta = float(1.0 / abs_w.min()) * spectral_norm(pair.H - pair.H_hat)
     params = {"r": r, "eta": eta, "d_lambda": d_lam,
               "lam_r": float(w[r - 1]), "lam_r_plus_1": float(w[r])}
     if eta >= 1.0:
@@ -460,10 +455,8 @@ def check_sin_theta_perturbation(H, H_tilde, r: int) -> BoundReport:
         rhs = float("inf")
     else:
         rhs = d_h / denom * (1.0 + d_h * d_lam / 16.0)
-    if w[-1] > 0:
-        inv_sqrt = (Q * (w**-0.5)) @ Q.T
-        ratio = inv_sqrt @ B @ inv_sqrt
-        delta_ratio = spectral_norm(ratio - np.eye(A.shape[0]))
+    if pair.ratio is not None:
+        delta_ratio = spectral_norm(pair.ratio - np.eye(n))
         params["ratio_delta"] = delta_ratio
         params["specialized_rhs"] = 3.0 * math.sqrt(2.0) * delta_ratio
         params["specialized_applicable"] = bool(

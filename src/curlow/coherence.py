@@ -15,7 +15,6 @@ from .linalg import (
     ORTHONORMAL_TOL,
     PINV_RTOL,
     SvdFactors,
-    partition_svd,
     singular_values,
 )
 
@@ -50,9 +49,9 @@ def _leverage(Q: np.ndarray) -> np.ndarray:
     return np.sum(Q * Q, axis=1)
 
 
-def basis_incoherence(Q) -> float:
+def basis_incoherence(Q, name: str = "Q") -> float:
     """Coherence of one orthonormal basis."""
-    A = _check_orthonormal(Q, "Q")
+    A = _check_orthonormal(Q, name)
     N, r = A.shape
     mu = float(N / r * np.max(_leverage(A)))
     _assert_mu_range(mu, N, r)
@@ -66,17 +65,16 @@ def _assert_mu_range(mu: float, N: int, r: int) -> None:
 
 def mu_r(f: SvdFactors, r: int) -> float:
     """Coherence of the top-r singular bases of the matrix with SVD f."""
-    part = partition_svd(f, r)
-    return max(basis_incoherence(part.U1), basis_incoherence(part.V1))
+    return max(basis_incoherence(f.U[:, :r]), basis_incoherence(f.V[:, :r]))
 
 
 def mu_hat(U_hat, V_hat) -> float:
     """Coherence of an estimated basis pair."""
-    Qu = _check_orthonormal(U_hat, "U_hat")
-    Qv = _check_orthonormal(V_hat, "V_hat")
-    if Qu.shape[1] != Qv.shape[1]:
+    mu_u = basis_incoherence(U_hat, "U_hat")
+    mu_v = basis_incoherence(V_hat, "V_hat")
+    if np.shape(U_hat)[1] != np.shape(V_hat)[1]:
         raise ValueError("U_hat and V_hat must have the same column count")
-    return max(basis_incoherence(Qu), basis_incoherence(Qv))
+    return max(mu_u, mu_v)
 
 
 def _weights(sigma: np.ndarray, n: int, m: int, lam: float):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, partition_svd, pseudo_inverse, svd
+from .linalg import as_matrix, frobenius_norm, pseudo_inverse, svd
 from .sampling import IndexSet, RngStream, sample_columns, sample_rows
 
 # relative cutoff below which an approximation error counts as exact
@@ -69,11 +69,7 @@ def cur_error_ratio(M, factors: CurFactors, k: int) -> CurErrorReport:
     if not 1 <= k <= f.sigma.size:
         raise ValueError(f"k must be in [1, {f.sigma.size}], got {k}")
     cur_error = frobenius_norm(A - factors.reconstruct())
-    if k == f.sigma.size:
-        best_error = 0.0
-    else:
-        part = partition_svd(f, k)
-        best_error = float(np.sqrt(np.sum(part.sigma2**2)))
+    best_error = float(np.sqrt(np.sum(f.sigma[k:] ** 2)))
     scale = frobenius_norm(A)
     tiny = EXACT_RTOL * scale
     if best_error <= tiny:

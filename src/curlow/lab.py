@@ -6,8 +6,9 @@ its lam = sigma_r^2 / (n m) once and, on first use, its one
 coherence. Every check but `check_halko` reads sigma, the singular
 vectors, mu_r and the regularized rank of M from that spectrum.
 A `Draw` samples the instance from derive(1), (2) and (3) of its own
-stream and builds the bases, the design, the fit on both and each residual
-norm of M once, for every check in `CHECKS` that reads them. `recover`
+stream and builds the bases, the design, the fit on both, the residual
+M - M_hat, each residual norm of M and the `bounds.HPair` of the Gram
+checks once, for every check in `CHECKS` that reads them. `recover`
 draws from the base stream, each `verify` trial from base.derive(trial),
 and `sweep` loads each trial's instance once and draws from
 base.derive(trial).derive(1 + d) per grid point d. `verify` runs one task
@@ -239,13 +240,17 @@ class Draw:
         return self._get("delta", lambda: spectral_norm(
             self.M - U @ (U.T @ self.M @ V) @ V.T) ** 2)
 
+    def residual(self) -> np.ndarray:
+        """M - M_hat."""
+        return self._get("residual", lambda: self.M - self.recovery()[1])
+
     def error(self) -> float:
         return self._get("error", lambda: spectral_norm(
-            self.M - self.recovery()[1]) ** 2)
+            self.residual()) ** 2)
 
-    def h_pair(self):
+    def h_pair(self) -> bounds.HPair:
         return self._get("h_pair", lambda: bounds.build_h_pair(
-            self.spectrum(), self.M, self.cols()[1], "A", self.lam))
+            self.spectrum(), self.M, self.cols()[1], self.lam))
 
     def recovery_bound(self) -> BoundReport:
         return self._get("bound", lambda: bounds.check_full_rank_recovery(
@@ -255,7 +260,7 @@ class Draw:
     def score(self) -> tuple[float, np.ndarray]:
         """Relative Frobenius error of the recovery and the residual
         M - M_hat."""
-        diff = self.M - self.recovery()[1]
+        diff = self.residual()
         rel = 0.0 if self.fro == 0 else float(frobenius_norm(diff) / self.fro)
         return rel, diff
 
@@ -281,7 +286,7 @@ CHECKS = {
     "mu_hat": lambda ctx: [bounds.check_mu_hat_bound(
         ctx.spectrum(), ctx.bases(), ctx.lam, ctx.d, ctx.cfg.t)],
     "sin_theta": lambda ctx: [bounds.check_sin_theta_perturbation(
-        ctx.h_pair().H, ctx.h_pair().H_hat, ctx.cfg.r)],
+        ctx.h_pair(), ctx.cfg.r)],
     "full_rank_recovery": lambda ctx: [ctx.recovery_bound()],
 }
 

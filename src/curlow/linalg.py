@@ -1,6 +1,5 @@
-"""Dense linear algebra kernels: SVD, singular values, spectral partitions,
-eigenbases, pseudo-inverses, and norms, and the BLAS thread count they run
-under.
+"""Dense linear algebra kernels: SVD, singular values, eigenbases,
+pseudo-inverses, and norms, and the BLAS thread count they run under.
 
 Matrices are plain 2-d float64 numpy arrays throughout (row-major). All
 factorizations apply a deterministic sign convention so repeated runs on
@@ -69,19 +68,6 @@ class SvdFactors:
         return (self.U * self.sigma) @ self.V.T
 
 
-@dataclass(frozen=True)
-class SvdPartition:
-    """SVD factors split at index r into a head block and a tail block."""
-
-    r: int
-    U1: np.ndarray
-    U2: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    V1: np.ndarray
-    V2: np.ndarray
-
-
 def _apply_sign_convention(U: np.ndarray, V: np.ndarray | None = None) -> None:
     """Flip column signs in place so each column of U has its largest-magnitude
     entry positive (ties resolved at the lowest index). V columns co-flip to
@@ -110,19 +96,6 @@ def svd(M) -> SvdFactors:
     U = U.copy()
     _apply_sign_convention(U, V)
     return SvdFactors(U=U, sigma=s, V=V)
-
-
-def partition_svd(f: SvdFactors, r: int) -> SvdPartition:
-    """Split factors into the top-r head and the remaining tail."""
-    k = f.sigma.shape[0]
-    if not 1 <= r <= k:
-        raise ValueError(f"r must be in [1, {k}], got {r}")
-    return SvdPartition(
-        r=r,
-        U1=f.U[:, :r], U2=f.U[:, r:],
-        sigma1=f.sigma[:r], sigma2=f.sigma[r:],
-        V1=f.V[:, :r], V2=f.V[:, r:],
-    )
 
 
 def eigh_descending(G) -> tuple[np.ndarray, np.ndarray]:

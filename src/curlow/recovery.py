@@ -87,12 +87,14 @@ class DesignSystem:
     No row of K is built to solve it: `normal` sums r x r products of V_hat
     rows per observed row of M and contracts them with that row's U_hat
     outer product, and `residual` gathers r-wide rows, each over chunks of
-    Omega of at most CHUNK_BYTES."""
+    Omega of at most CHUNK_BYTES. `eigh` factors K^T K once for the fit
+    and for the strong convexity read from it."""
 
     def __init__(self, bases: Bases, omega: OmegaSet):
         self.bases = bases
         self.omega = omega
         self._normal: tuple[np.ndarray, np.ndarray] | None = None
+        self._eigh: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def r(self) -> int:
@@ -156,6 +158,12 @@ class DesignSystem:
             G = H[pair[:, None, :, None], pair[None, :, None, :]]
             self._normal = (G.reshape(r * r, r * r), b.reshape(-1))
         return self._normal
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors of K^T K, taken once."""
+        if self._eigh is None:
+            self._eigh = np.linalg.eigh(self.normal()[0])
+        return self._eigh
 
     def residual(self, Z: np.ndarray) -> float:
         """||K vec(Z) - y||^2, entry t predicted as (U_hat Z)[rows[t]] .
@@ -245,15 +253,10 @@ def assemble_design(bases: Bases, omega: OmegaSet) -> DesignSystem:
     return DesignSystem(bases, omega)
 
 
-def _normal_eigh(system: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of K^T K."""
-    return np.linalg.eigh(system.normal()[0])
-
-
 def strong_convexity_gamma(system: DesignSystem) -> float:
-    """Smallest eigenvalue of K^T K (clamped at zero), from the same
-    factorization `solve_core` reads it from."""
-    return max(float(_normal_eigh(system)[0][0]), 0.0)
+    """Smallest eigenvalue of K^T K (clamped at zero), from the system's
+    one `eigh`, which `solve_core` also reads."""
+    return max(float(system.eigh()[0][0]), 0.0)
 
 
 def solve_core(system: DesignSystem, ridge: float = 0.0):
@@ -265,7 +268,7 @@ def solve_core(system: DesignSystem, ridge: float = 0.0):
     """
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    w, Q = _normal_eigh(system)
+    w, Q = system.eigh()
     lambda_min = max(float(w[0]), 0.0)
     n, m = system.shape
     threshold = DEGENERACY_RTOL * system.omega.size / (n * m)

@@ -320,6 +320,17 @@ def test_halko_all_columns_zero_tail():
     assert rep.holds
 
 
+def test_halko_full_cut_leaves_empty_tail():
+    # a wide matrix cut at r = min(n, m) = n: Sigma2 and Omega2 are empty, so
+    # the bound is exactly zero and any n spanning columns capture M
+    M = rng(3).standard_normal((4, 5))
+    idx, _ = sample_columns(M, 4, RngStream(seed=18))
+    rep = check_halko(M, idx, 4)
+    assert rep.premises_met
+    assert rep.rhs == 0.0
+    assert rep.lhs <= 1e-12 and rep.holds
+
+
 def test_halko_rank_deficient_selection_flagged():
     M = low_rank(12, 10, 3, seed=14)
     idx, _ = sample_columns(M, 2, RngStream(seed=15))
@@ -333,6 +344,14 @@ def test_halko_bound_requires_matching_selection():
                    draw_order=np.array([1, 0]))
     with pytest.raises(ValueError):
         check_halko(M, idx, 3)
+
+
+def test_halko_rejects_rank_outside_range():
+    M = low_rank(12, 10, 3, seed=16)
+    idx, _ = sample_columns(M, 4, RngStream(seed=17))
+    for r in (0, 11):
+        with pytest.raises(ValueError, match="r must be in"):
+            check_halko(M, idx, r)
 
 
 def test_halko_random_trials_never_violate():
@@ -402,12 +421,10 @@ def test_h_pair_full_sample_sides_agree():
     M, _ = generate(spec)
     lam = svd(M).sigma[1] ** 2 / 400
     spec_m = spectrum(M, 2)
-    pair_a = build_h_pair(spec_m, M, M.copy(), "A", lam)
+    pair_a = build_h_pair(spec_m, M, M.copy(), lam)
     assert pair_a.H.shape == (20, 20)
     assert np.allclose(pair_a.H, pair_a.H_hat, atol=1e-12)
-    pair_b = build_h_pair(spec_m, M, M.T.copy(), "B", lam)
-    assert pair_b.H.shape == (20, 20)
-    assert np.allclose(pair_b.H, pair_b.H_hat, atol=1e-12)
+    assert np.allclose(pair_a.ratio, np.eye(20), atol=1e-10)
     rep = check_h_sandwich(pair_a, 0.5)
     assert rep.lhs <= 1e-10
     assert rep.holds
@@ -419,25 +436,38 @@ def test_h_pair_validation():
     M = low_rank(8, 6, 2, seed=27)
     spec_m = spectrum(M, 2)
     with pytest.raises(ValueError):
-        build_h_pair(spec_m, M, M, "A", 0.0)
+        build_h_pair(spec_m, M, M, 0.0)
     with pytest.raises(ValueError):
-        build_h_pair(spec_m, M, np.zeros((5, 3)), "A", 1e-3)
-    with pytest.raises(ValueError):
-        build_h_pair(spec_m, M, np.zeros((5, 3)), "B", 1e-3)
-    with pytest.raises(ValueError):
-        build_h_pair(spec_m, M, M, "C", 1e-3)
-    pair = build_h_pair(spec_m, M, M, "A", 1e-3)
+        build_h_pair(spec_m, M, np.zeros((5, 3)), 1e-3)
+    pair = build_h_pair(spec_m, M, M, 1e-3)
     with pytest.raises(ValueError):
         check_h_sandwich(pair, 0.0)
     with pytest.raises(ValueError):
         check_h_sandwich(pair, 1.0)
 
 
-def test_h_sandwich_rejects_singular_h():
-    pair = HPair(H=np.zeros((3, 3)), H_hat=np.eye(3), side="A", lam=0.0,
-                 d=3, n=3, m=3, mu_lambda=1.0, rank_value=1.0)
-    with pytest.raises(ValueError):
-        check_h_sandwich(pair, 0.5)
+def pair_of(H, H_hat):
+    """The `HPair` of two given symmetric matrices, with unit gate fields."""
+    return HPair(H, H_hat, lam=1e-3, d=3, mu_lambda=1.0, rank_value=1.0)
+
+
+def test_h_sandwich_reports_singular_h():
+    rep = check_h_sandwich(pair_of(np.zeros((3, 3)), np.eye(3)), 0.5)
+    assert rep.lhs == float("inf")
+    assert not rep.premises_met and not rep.holds
+    assert rep.params["reason"] == "H not positive definite"
+    # lam = sigma_9^2 / (nm) is positive but below the rounding error of
+    # ||H||, so the computed H has a nonpositive eigenvalue
+    spec = SynthSpec(n=60, m=60, kind="geometric-spectrum", r=9,
+                     stream=RngStream(seed=34), decay=0.1)
+    M, _ = generate(spec)
+    spec_m = spectrum(M, 9)
+    _, A = sample_columns(M, 60, RngStream(seed=35))
+    pair = build_h_pair(spec_m, M, A, spec_m.lam)
+    assert spec_m.lam > 0 and pair.w[-1] <= 0 and pair.ratio is None
+    rep = check_h_sandwich(pair, 0.5)
+    assert rep.lhs == float("inf") and not rep.premises_met
+    assert rep.params["side"] == "A" and "eig_min" not in rep.params
 
 
 def test_h_sandwich_gate_arithmetic():
@@ -446,7 +476,7 @@ def test_h_sandwich_gate_arithmetic():
     M, _ = generate(spec)
     lam = svd(M).sigma[1] ** 2 / 900
     _, A = sample_columns(M, 10, RngStream(seed=29))
-    pair = build_h_pair(spectrum(M, 2), M, A, "A", lam)
+    pair = build_h_pair(spectrum(M, 2), M, A, lam)
     rep = check_h_sandwich(pair, 0.5, t=3.0)
     gate = math.ceil(4.0 / 0.25 * (pair.mu_lambda * pair.rank_value + 1.0)
                      * (3.0 + math.log(30)))
@@ -509,7 +539,7 @@ def givens(n, i, j, theta):
 
 def test_sin_theta_identity_perturbation():
     H = np.diag([3.0, 2.0, 1.0, 0.5])
-    rep = check_sin_theta_perturbation(H, H.copy(), 2)
+    rep = check_sin_theta_perturbation(pair_of(H, H.copy()), 2)
     assert rep.lhs <= 1e-7
     assert rep.params["eta"] == 0.0
     assert rep.params["d_h"] == 0.0
@@ -521,7 +551,7 @@ def test_sin_theta_planted_rotation():
     theta = 0.05
     G = givens(4, 1, 2, theta)  # mixes the r=2 boundary pair
     H_tilde = G @ H @ G.T
-    rep = check_sin_theta_perturbation(H, H_tilde, 2)
+    rep = check_sin_theta_perturbation(pair_of(H, H_tilde), 2)
     assert rep.premises_met
     assert rep.lhs == pytest.approx(math.sin(theta), abs=1e-6)
     assert rep.holds
@@ -537,7 +567,7 @@ def test_sin_theta_large_perturbation_rejected():
     g = rng(32)
     E = g.standard_normal((3, 3))
     H_tilde = H + 10.0 * (E + E.T)
-    rep = check_sin_theta_perturbation(H, H_tilde, 1)
+    rep = check_sin_theta_perturbation(pair_of(H, H_tilde), 1)
     assert not rep.premises_met
     assert rep.rhs == float("inf")
     assert rep.params["eta"] >= 1.0
@@ -545,20 +575,17 @@ def test_sin_theta_large_perturbation_rejected():
 
 def test_sin_theta_degenerate_h():
     H = np.diag([3.0, 2.0, 0.0])
-    rep = check_sin_theta_perturbation(H, np.eye(3), 1)
+    rep = check_sin_theta_perturbation(pair_of(H, np.eye(3)), 1)
     assert not rep.premises_met
     assert rep.rhs == float("inf")
-    neg = check_sin_theta_perturbation(-np.eye(3), np.eye(3), 1)
+    neg = check_sin_theta_perturbation(pair_of(-np.eye(3), np.eye(3)), 1)
     assert not neg.premises_met
 
 
 def test_sin_theta_validation():
-    with pytest.raises(ValueError):
-        check_sin_theta_perturbation(np.eye(3), np.eye(4), 1)
-    with pytest.raises(ValueError):
-        check_sin_theta_perturbation(np.zeros((3, 4)), np.zeros((3, 4)), 1)
-    with pytest.raises(ValueError):
-        check_sin_theta_perturbation(np.eye(3), np.eye(3), 3)
+    for r in (0, 3):
+        with pytest.raises(ValueError):
+            check_sin_theta_perturbation(pair_of(np.eye(3), np.eye(3)), r)
 
 
 def test_sin_theta_bound_on_gram_pairs():
@@ -572,8 +599,8 @@ def test_sin_theta_bound_on_gram_pairs():
         M, _ = generate(spec)
         lam = svd(M).sigma[1] ** 2 / 1600
         _, A = sample_columns(M, 30, RngStream(seed=6000 + seed))
-        pair = build_h_pair(spectrum(M, 2), M, A, "A", lam)
-        rep = check_sin_theta_perturbation(pair.H, pair.H_hat, 2)
+        pair = build_h_pair(spectrum(M, 2), M, A, lam)
+        rep = check_sin_theta_perturbation(pair, 2)
         if rep.premises_met:
             applied += 1
             if not rep.holds:

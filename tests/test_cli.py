@@ -293,6 +293,21 @@ def test_exit_code_ill_posed(tmp_path):
                "--set", "d=10", "--set", "omega=9") == 2
 
 
+def test_verify_sandwich_on_an_h_singular_through_rounding(tmp_path):
+    # lam = sigma_9^2 / (nm) ~ 2.8e-20 is positive but below the rounding
+    # error of ||H||: each trial reports unmet premises, the run goes on
+    out = tmp_path / "ver"
+    assert run("verify", "--out", str(out), "--set", "synth.n=60",
+               "--set", "synth.m=60", "--set", "synth.decay=0.1",
+               "--set", "r=9", "--set", "trials=3",
+               "--set", "checks=h_sandwich") == 0
+    result = json.loads((out / "verify.json").read_text())
+    reports = [rep for rec in result["trials"] for rep in rec["reports"]]
+    assert [rep["name"] for rep in reports] == ["gram_sandwich"] * 3
+    assert not any(rep["premises_met"] for rep in reports)
+    assert result["aggregate"]["gram_sandwich"]["premises_met"] == 0
+
+
 def test_verify_ill_posed_trials_are_written_and_exit_2(tmp_path, capsys):
     out = tmp_path / "ver"
     rc = run("verify", "--out", str(out), "--set", "synth.n=30",

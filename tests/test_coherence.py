@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curlow import coherence
 from curlow.coherence import (
     basis_incoherence,
     mu_hat,
@@ -112,6 +113,20 @@ def test_mu_hat_patterns():
     V = random_orthonormal(30, 3, seed=6)
     expect = max(basis_incoherence(U), basis_incoherence(V))
     assert abs(mu_hat(U, V) - expect) < 1e-12
+
+
+def test_mu_hat_checks_each_basis_once(monkeypatch):
+    names = []
+
+    def counted(Q, name, _fn=coherence._check_orthonormal):
+        names.append(name)
+        return _fn(Q, name)
+    monkeypatch.setattr(coherence, "_check_orthonormal", counted)
+    U = random_orthonormal(20, 3, seed=5)
+    mu_hat(U, random_orthonormal(30, 3, seed=6))
+    assert names == ["U_hat", "V_hat"]
+    with pytest.raises(ValueError, match="same column count"):
+        mu_hat(U, random_orthonormal(30, 2, seed=6))
 
 
 # --- numerical rank ---------------------------------------------------------

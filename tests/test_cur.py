@@ -99,6 +99,18 @@ def test_error_ratio_against_direct_computation():
     assert abs(report.ratio - cur_err / best) < 1e-9
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_best_error_is_the_spectral_tail(k):
+    # k = 3 cuts a 6 x 3 matrix at full rank, where the tail is empty
+    M = np.random.default_rng(5).standard_normal((6, 3))
+    factors = cur_decompose(M, c=2, r_rows=2, stream=RngStream(seed=19))
+    report = cur_error_ratio(M, factors, k=k)
+    f = svd(M)
+    M_k = (f.U[:, :k] * f.sigma[:k]) @ f.V[:, :k].T
+    assert abs(report.best_error - frobenius_norm(M - M_k)) < 1e-12
+    assert (report.best_error == 0.0) == (k == 3)
+
+
 def test_argument_validation():
     M = low_rank(10, 8, 2, seed=17)
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import pytest
 
 from curlow import bounds, lab, linalg, recovery
 from curlow.bounds import sample_size_low_rank, total_observations
-from curlow.coherence import mu_r
+from curlow.coherence import mu_r, numerical_rank, sin_theta
 from curlow.config import CHECK_NAMES, ExperimentConfig
 from curlow.lab import (
     Draw,
@@ -184,6 +184,93 @@ def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
                    "projection_error_rows": side_rows,
                    "delta_bound": delta, "delta_triangle": delta,
                    "error_combine": error, "recovery_error": error}
+
+
+def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
+    # H's eigh and the whitened ratio are built once for both checks; sin
+    # theta adds H_hat's eigh. The reports are those of the dense
+    # expressions below, bit for bit.
+    n, m, r = 30, 24, 2
+    cfg = ExperimentConfig(n=n, m=m, kind="geometric-spectrum", synth_r=2,
+                           r=r, d=12, omega_count=300,
+                           checks=("h_sandwich", "sin_theta"))
+    square = []
+
+    def counted(a, *args, _fn=np.linalg.eigh, **kwargs):
+        square.append(np.shape(a) == (n, n))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sandwich, sin = run_trial(cfg, 0)["reports"]
+    monkeypatch.undo()
+    assert square.count(True) == 2
+    stream = cfg.base_stream().derive(0)
+    inst = load_instance(cfg, stream)
+    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    M, A, lam, d = draw.M, draw.cols()[1], draw.lam, draw.d
+    H = lam * np.eye(n) + M @ M.T / (m * n)
+    H_hat = lam * np.eye(n) + A @ A.T / (d * n)
+    w, Q = linalg.eigh_descending(H)
+    inv_sqrt = (Q * (w**-0.5)) @ Q.T
+    ratio = inv_sqrt @ H_hat @ inv_sqrt
+    eigs = np.linalg.eigvalsh((ratio + ratio.T) / 2.0)
+    rank = numerical_rank(inst.spectrum().factors, lam)
+    t = cfg.t
+    d_gate = bounds._ceil(4.0 / cfg.sandwich_delta**2
+                          * (rank.mu_lambda * rank.value + 1.0)
+                          * (t + np.log(n)))
+    assert sandwich["lhs"] == float(np.max(np.abs(eigs - 1.0)))
+    assert sandwich["params"] == {
+        "side": "A", "d": d, "d_gate": d_gate, "t": t, "lam": lam,
+        "mu_lambda": rank.mu_lambda, "numerical_rank": rank.value,
+        "eig_min": float(eigs.min()), "eig_max": float(eigs.max())}
+    _, Qt = linalg.eigh_descending(H_hat)
+    assert sin["lhs"] == sin_theta(Q[:, :r], Qt[:, :r])
+    eta = float(1.0 / np.abs(w).min()) * linalg.spectral_norm(H - H_hat)
+    d_lam = min(np.sqrt(2.0) * (1.0 - w[r] / w[r - 1]), 1.0 / np.sqrt(2.0))
+    d_h = eta / np.sqrt(1.0 - eta)
+    delta_ratio = linalg.spectral_norm(ratio - np.eye(n))
+    assert sin["params"] == {
+        "r": r, "eta": eta, "d_lambda": d_lam, "lam_r": float(w[r - 1]),
+        "lam_r_plus_1": float(w[r]), "d_h": d_h, "ratio_delta": delta_ratio,
+        "specialized_rhs": 3.0 * np.sqrt(2.0) * delta_ratio,
+        "specialized_applicable": bool(delta_ratio <= 0.5
+                                       and w[r] / w[r - 1] <= 0.5)}
+    assert sin["rhs"] == d_h / (d_lam - d_h / 2.0) * (1.0 + d_h * d_lam / 16.0)
+
+
+def test_a_draw_builds_its_residual_once(monkeypatch):
+    cfg = ExperimentConfig(n=40, m=32, kind="geometric-spectrum", synth_r=2,
+                           r=2, d=16, omega_count=600)
+    stream = cfg.base_stream()
+    inst = load_instance(cfg, stream)
+    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    normed = []
+
+    def counted(a, _fn=lab.spectral_norm):
+        normed.append(a)
+        return _fn(a)
+    monkeypatch.setattr(lab, "spectral_norm", counted)
+    rel, diff = draw.score()
+    draw.error()
+    assert draw.score()[1] is diff and normed[0] is diff
+    assert np.array_equal(diff, draw.M - draw.recovery()[1])
+
+
+def test_strong_convexity_reads_the_fits_eigendecomposition(monkeypatch):
+    # r = 2: K^T K is 4 x 4, factored once for the fit and gamma both
+    cfg = ExperimentConfig(n=40, m=32, kind="geometric-spectrum", synth_r=2,
+                           r=2, d=16, omega_count=600,
+                           checks=("combine", "strong_convexity"))
+    shapes = []
+
+    def counted(a, *args, _fn=np.linalg.eigh, **kwargs):
+        shapes.append(np.shape(a))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    record = run_trial(cfg, 0)
+    assert [rep["name"] for rep in record["reports"]] == [
+        "error_combine", "strong_convexity"]
+    assert shapes.count((4, 4)) == 1
 
 
 def test_a_combine_trial_builds_no_spectrum(monkeypatch):

@@ -6,7 +6,6 @@ from curlow.linalg import (
     as_matrix,
     eigh_descending,
     frobenius_norm,
-    partition_svd,
     pseudo_inverse,
     singular_values,
     spectral_norm,
@@ -109,40 +108,6 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValueError):
         as_matrix(np.zeros((0, 3)))
-
-
-# --- partition_svd ------------------------------------------------------
-
-
-def test_partition_full_cut_leaves_empty_tail():
-    f = svd(rng(3).standard_normal((5, 4)))
-    p = partition_svd(f, 4)
-    assert p.U2.shape[1] == 0 and p.V2.shape[1] == 0 and p.sigma2.size == 0
-
-
-def test_partition_r1_takes_largest():
-    f = svd(rng(4).standard_normal((3, 3)))
-    p = partition_svd(f, 1)
-    assert p.sigma1.shape == (1,)
-    assert p.sigma1[0] == f.sigma[0]
-
-
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_partition_reassembles(r):
-    f = svd(rng(5).standard_normal((6, 3)))
-    p = partition_svd(f, r)
-    assert np.array_equal(np.hstack([p.U1, p.U2]), f.U)
-    assert np.array_equal(np.hstack([p.V1, p.V2]), f.V)
-    assert np.array_equal(np.concatenate([p.sigma1, p.sigma2]), f.sigma)
-    if p.sigma2.size:
-        assert p.sigma1.min() >= p.sigma2.max()
-
-
-def test_partition_rejects_bad_rank():
-    f = svd(rng(6).standard_normal((4, 3)))
-    for r in (0, 4):
-        with pytest.raises(ValueError):
-            partition_svd(f, r)
 
 
 # --- top eigenvectors ----------------------------------------------------

@@ -256,12 +256,14 @@ def test_solve_core_factors_the_normal_matrix_once(monkeypatch):
                              sample_entries(M, 80, RngStream(seed=46)))
     calls = record_factorizations(monkeypatch)
     fits = {ridge: solve_core(system, ridge) for ridge in (0.0, 1e-3)}
-    assert calls == [("eigh", (9, 9))] * 2
+    gamma = strong_convexity_gamma(system)
+    # one eigh of the system serves both ridges and the strong convexity
+    assert calls == [("eigh", (9, 9))]
     gram = system.K.T @ system.K
     for ridge, (Z, lam_min, _) in fits.items():
         expect = np.linalg.inv(gram + ridge * np.eye(9)) @ system.K.T @ system.y
         assert np.allclose(Z.reshape(-1), expect, atol=1e-10)
-        assert lam_min == strong_convexity_gamma(system)
+        assert lam_min == gamma
 
 
 def test_ill_posed_raises_with_remedy():
