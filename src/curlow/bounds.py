@@ -5,8 +5,9 @@ Every checker returns a BoundReport holding both sides of its inequality,
 a holds flag with a fixed relative slack, and a premises_met flag recorded
 independently, so Monte-Carlo harnesses can separate "premise not met"
 from "bound violated". A check reads M's singular values and vectors from
-its `Spectrum`, computed once per instance, and a residual norm of M, such
-as Delta, as a number taken once per draw. The two Gram checks read one
+its `Spectrum`, computed once per instance at the instance's lam, and a
+number taken once per draw: a residual norm of M, such as Delta, or the
+coherence mu_hat of the draw's bases. The two Gram checks read one
 `HPair` per draw, which factors H once for both. Natural logarithms
 throughout.
 """
@@ -17,13 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherence import (
-    NumericalRankReport,
-    mu_hat,
-    mu_r,
-    numerical_rank,
-    sin_theta,
-)
+from .coherence import NumericalRankReport, mu_r, numerical_rank, sin_theta
 from .linalg import (
     PINV_RTOL,
     SvdFactors,
@@ -34,7 +29,7 @@ from .linalg import (
     spectral_norm,
     svd,
 )
-from .recovery import Bases, DesignSystem, strong_convexity_gamma
+from .recovery import DesignSystem, strong_convexity_gamma
 from .sampling import IndexSet
 
 HOLDS_SLACK = 1e-9
@@ -82,14 +77,13 @@ def make_report(name: str, lhs: float, rhs: float, premises_met: bool,
 
 @dataclass(frozen=True)
 class Spectrum:
-    """What the checks read of an n x m instance M at rank r, from two
-    kernels. sigma is the values-only `singular_values(M)`, which gives
-    sigma_r, sigma_{r+1} and lam = sigma_r^2 / (mn); factors is one
-    `svd(M)`, which gives mu_r, the regularized rank at lam (`rank`) or,
-    through `numerical_rank`, at any other lam, and the right singular
-    vectors the selection checks read. The two kernels' sigma differ in
-    the last bits, so reading every field from one of them would change
-    the outputs."""
+    """What the checks read of an n x m instance M at rank r and the
+    instance's regularization lam. factors is one `svd(M)`, which gives
+    mu_r, the right singular vectors the selection checks read, and the
+    regularized rank and weighted coherence at lam (`rank`). sigma is the
+    values-only `singular_values(M)`, which gives sigma_r and sigma_{r+1}.
+    The two kernels' sigma differ in the last bits, so reading sigma from
+    factors would change the outputs."""
 
     r: int
     n: int
@@ -103,8 +97,9 @@ class Spectrum:
     rank: NumericalRankReport
 
 
-def spectrum(M, r: int) -> Spectrum:
-    """The `Spectrum` of M at rank r, to be computed once per instance and
+def spectrum(M, r: int, lam: float | None = None) -> Spectrum:
+    """The `Spectrum` of M at rank r and regularization lam, by default
+    sigma_r^2 / (mn) of M's own sigma; computed once per instance and
     shared by every check of every draw from it."""
     A = as_matrix(M)
     n, m = A.shape
@@ -112,7 +107,8 @@ def spectrum(M, r: int) -> Spectrum:
     f = svd(A)
     s_r = float(sig[r - 1])
     s_next = float(sig[r]) if r < sig.size else 0.0
-    lam = s_r**2 / (m * n)
+    if lam is None:
+        lam = s_r**2 / (m * n)
     return Spectrum(r=r, n=n, m=m, sigma=sig, factors=f, sigma_r=s_r,
                     sigma_r_plus_1=s_next, lam=lam, mu_r=mu_r(f, r),
                     rank=numerical_rank(f, lam))
@@ -310,18 +306,18 @@ def check_omega1_spectrum(spec: Spectrum, col_idx: IndexSet,
 # strong convexity of the core fit
 
 
-def check_strong_convexity(system: DesignSystem, n: int, m: int, bases: Bases,
-                           t: float = 3.0) -> BoundReport:
+def check_strong_convexity(system: DesignSystem, n: int, m: int,
+                           mu_hat: float, t: float = 3.0) -> BoundReport:
     """lambda_min(K^T K) >= |Omega|/(2mn), gated by the entry budget
-    |Omega| >= 7 mu_hat^2 r^2 (t + 2 ln r) of the bases the design is
-    built on."""
+    |Omega| >= 7 mu_hat^2 r^2 (t + 2 ln r), with mu_hat the coherence of
+    the bases the design is built on."""
     size = len(system.y)
     lhs = strong_convexity_gamma(system)
     rhs = size / (2.0 * m * n)
-    muh = mu_hat(bases.U_hat, bases.V_hat)
-    gate = _ceil(7.0 * muh**2 * system.r**2 * (t + 2.0 * math.log(system.r)))
+    gate = _ceil(7.0 * mu_hat**2 * system.r**2
+                 * (t + 2.0 * math.log(system.r)))
     params = {"omega_size": size, "n": n, "m": m, "r": system.r, "t": t,
-              "mu_hat": muh, "omega_gate": gate}
+              "mu_hat": mu_hat, "omega_gate": gate}
     return make_report("strong_convexity", lhs, rhs, size >= gate, params,
                        sense="ge")
 
@@ -334,8 +330,9 @@ class HPair:
     """H = lam*I + M M^T/(mn), its column-sampled counterpart H_hat, and
     what both Gram checks read of them: H's eigendecomposition (w
     nonincreasing, Q) and the whitened ratio H^{-1/2} H_hat H^{-1/2}, which
-    is None when H's smallest eigenvalue is not positive. d, lam and the
-    gate's coherence and rank at lam are the draw's."""
+    is None when lam = 0, where H has the rank of M, or when H's smallest
+    computed eigenvalue is not positive. d is the draw's; lam and the
+    gate's coherence and rank at lam are the instance's."""
 
     def __init__(self, H: np.ndarray, H_hat: np.ndarray, lam: float, d: int,
                  mu_lambda: float, rank_value: float):
@@ -344,26 +341,24 @@ class HPair:
         self.mu_lambda, self.rank_value = mu_lambda, rank_value
         self.w, self.Q = eigh_descending(H)
         self.ratio = None
-        if self.w[-1] > 0:
+        if lam > 0 and self.w[-1] > 0:
             inv_sqrt = (self.Q * (self.w**-0.5)) @ self.Q.T
             self.ratio = inv_sqrt @ H_hat @ inv_sqrt
 
 
-def build_h_pair(spec: Spectrum, M, sample, lam: float) -> HPair:
-    """The `HPair` of M and its n x d column sample at lam > 0, with the
-    gate's rank and coherence M's at lam."""
+def build_h_pair(spec: Spectrum, M, sample) -> HPair:
+    """The `HPair` of M and its n x d column sample at the spectrum's lam,
+    with the gate's rank and coherence the spectrum's."""
     A = as_matrix(M)
     S = as_matrix(sample, "sample")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
     n, m = A.shape
     d = S.shape[1]
     if S.shape[0] != n:
         raise ValueError(f"sample must have {n} rows, got {S.shape[0]}")
+    lam = spec.lam
     H = lam * np.eye(n) + A @ A.T / (m * n)
     H_hat = lam * np.eye(n) + S @ S.T / (d * n)
-    rep = numerical_rank(spec.factors, lam)
-    return HPair(H, H_hat, lam, d, rep.mu_lambda, rep.value)
+    return HPair(H, H_hat, lam, d, spec.rank.mu_lambda, spec.rank.value)
 
 
 def check_h_sandwich(pair: HPair, delta_target: float,
@@ -371,10 +366,9 @@ def check_h_sandwich(pair: HPair, delta_target: float,
     """All eigenvalues of H^{-1/2} H_hat H^{-1/2} must sit in
     [1 - delta, 1 + delta]; reported as max |eig - 1| <= delta.
 
-    Gate: d >= (4/delta^2)(mu(lam) r(M, lam) + 1)(t + ln n). An H that is
-    not positive definite in floating point, where lam lies below the
-    rounding error of ||H||, has no ratio: lhs is inf and the premises
-    are not met.
+    Gate: d >= (4/delta^2)(mu(lam) r(M, lam) + 1)(t + ln n). A pair
+    with no ratio, where H is singular at lam = 0 or lam lies below the
+    rounding error of ||H||, reports lhs inf and premises not met.
     """
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta_target}")
@@ -395,30 +389,28 @@ def check_h_sandwich(pair: HPair, delta_target: float,
                        pair.d >= d_gate, params)
 
 
-def check_mu_hat_bound(spec: Spectrum, bases: Bases, lam: float, d: int,
+def check_mu_hat_bound(spec: Spectrum, mu_hat: float, d: int,
                        t: float = 3.0) -> BoundReport:
-    """Estimated-basis coherence against 2 r(M,lam)/r * mu(lam) + 18 n
-    delta^2 / r with delta^2 = (4/d)(mu(lam) r(M,lam) + 1)(t + ln n).
+    """Estimated-basis coherence mu_hat against 2 r(M,lam)/r * mu(lam) +
+    18 n delta^2 / r with delta^2 = (4/d)(mu(lam) r(M,lam) + 1)(t + ln n),
+    at the spectrum's lam.
 
     Gates: spectral gap sigma_r >= sqrt(2) sigma_{r+1} and
-    d >= 16 (mu(lam) r(M,lam) + 1)(t + ln n), at lam = sigma_r^2/mn.
+    d >= 16 (mu(lam) r(M,lam) + 1)(t + ln n).
     """
     n, m, r = spec.n, spec.m, spec.r
     s_r, s_next = spec.sigma_r, spec.sigma_r_plus_1
-    rep = numerical_rank(spec.factors, lam)
+    rep = spec.rank
     core = rep.mu_lambda * rep.value
     delta_sq = 4.0 / d * (core + 1.0) * (t + math.log(n))
-    lhs = mu_hat(bases.U_hat, bases.V_hat)
     rhs = 2.0 * rep.value / r * rep.mu_lambda + 18.0 * n * delta_sq / r
     d_gate = d_full_rank(rep.mu_lambda, rep.value, t, n)
-    lam_target = spec.lam
-    premises = (s_r >= math.sqrt(2.0) * s_next and d >= d_gate
-                and abs(lam - lam_target) <= 1e-9 * max(lam_target, 1e-300))
-    params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": lam,
-              "lam_target": lam_target, "mu_lambda": rep.mu_lambda,
-              "numerical_rank": rep.value, "delta_sq": delta_sq,
-              "d_gate": d_gate, "sigma_r": s_r, "sigma_r_plus_1": s_next}
-    return make_report("basis_coherence", lhs, rhs, premises, params)
+    premises = s_r >= math.sqrt(2.0) * s_next and d >= d_gate
+    params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": spec.lam,
+              "mu_lambda": rep.mu_lambda, "numerical_rank": rep.value,
+              "delta_sq": delta_sq, "d_gate": d_gate, "sigma_r": s_r,
+              "sigma_r_plus_1": s_next}
+    return make_report("basis_coherence", mu_hat, rhs, premises, params)
 
 
 def check_sin_theta_perturbation(pair: HPair, r: int) -> BoundReport:

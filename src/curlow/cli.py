@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from . import lab
 from .bounds import optimal_d, total_observations
 from .config import (
     ExperimentConfig,
-    apply_overrides,
     config_from_mapping,
     parse_value,
     read_config,
@@ -76,17 +76,17 @@ def write_csv(rows: list[dict], columns: list[str], path) -> None:
 
 
 def load_experiment_config(args) -> ExperimentConfig:
+    """The config file's keys, overridden by each --set and then by
+    --seed, read as one mapping."""
     mapping = read_config(args.config) if args.config else {}
-    cfg = config_from_mapping(mapping)
-    overrides = {}
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = parse_value(value)
+        mapping[key.strip()] = parse_value(value)
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    return apply_overrides(cfg, overrides)
+        mapping["seed"] = args.seed
+    return config_from_mapping(mapping)
 
 
 def _matrix_ext(fmt: str) -> tuple[str, str]:
@@ -101,7 +101,7 @@ def cmd_gen(args) -> int:
     write_matrix(inst.M, os.path.join(args.out, f"M.{ext}"), format=mfmt)
     write_matrix(inst.sigma.reshape(-1, 1),
                  os.path.join(args.out, "spectrum.csv"), format="csv")
-    props = measured_properties(inst.spectrum(), inst.lam)
+    props = measured_properties(inst.spectrum())
     props["config"] = cfg.to_flat()
     write_json(props, os.path.join(args.out, "properties.json"))
     print(f"wrote M.{ext}, spectrum.csv, properties.json to {args.out}")
@@ -114,7 +114,7 @@ def cmd_recover(args) -> int:
     M = read_matrix(args.matrix) if args.matrix else None
     if M is not None:
         n, m = M.shape
-        cfg = apply_overrides(cfg, {"synth.n": n, "synth.m": m})
+        cfg = dataclasses.replace(cfg, n=n, m=m)
     report = lab.run_recovery(cfg, M=M)
     M_hat = report.pop("_M_hat")
     ext, mfmt = _matrix_ext(args.format)

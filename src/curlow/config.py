@@ -192,12 +192,3 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         kwargs["synth_r"] = kwargs["r"]
     return ExperimentConfig(**kwargs)
 
-
-def apply_overrides(config: ExperimentConfig, mapping: dict) -> ExperimentConfig:
-    if not mapping:
-        return config
-    merged = config.to_flat()
-    if "r" in mapping and "synth.r" not in mapping:
-        del merged["synth.r"]  # synth.r follows the new r
-    merged.update(mapping)
-    return config_from_mapping(merged)

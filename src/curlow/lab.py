@@ -1,14 +1,16 @@
 """Seeded Monte-Carlo harness behind the CLI, built on one
 sample-and-recover path: `load_instance` generates an instance from
-stream.derive(0) (or takes a supplied matrix) as an `Instance`, which forms
-its lam = sigma_r^2 / (n m) once and, on first use, its one
-`bounds.Spectrum` and the "auto" sample budgets resolved from measured
-coherence. Every check but `check_halko` reads sigma, the singular
-vectors, mu_r and the regularized rank of M from that spectrum.
-A `Draw` samples the instance from derive(1), (2) and (3) of its own
-stream and builds the bases, the design, the fit on both, the residual
-M - M_hat, each residual norm of M and the `bounds.HPair` of the Gram
-checks once, for every check in `CHECKS` that reads them. `recover`
+stream.derive(0) (or takes a supplied matrix) as an `Instance`, which
+fixes its one lam = sigma_r^2 / (n m), from the planted sigma of a
+generated instance or M's own sigma of a supplied one, and builds, on
+first use, its one `bounds.Spectrum` at that lam and the "auto" sample
+budgets resolved from measured coherence. Every check but `check_halko`
+reads sigma, the singular vectors, mu_r, lam and the regularized rank of
+M from that spectrum. A `Draw` samples the instance from derive(1), (2)
+and (3) of its own stream and builds the bases, the design, the fit on
+both, the residual M - M_hat, each residual norm of M, the coherence
+mu_hat of the bases and the `bounds.HPair` of the Gram checks once, for
+every check in `CHECKS` that reads them. `recover`
 draws from the base stream, each `verify` trial from base.derive(trial),
 and `sweep` loads each trial's instance once and draws from
 base.derive(trial).derive(1 + d) per grid point d. `verify` runs one task
@@ -29,7 +31,7 @@ import numpy as np
 from . import bounds
 from .bounds import BoundReport
 from .config import ExperimentConfig
-from .coherence import mu_r, numerical_rank
+from .coherence import mu_hat, mu_r, numerical_rank
 from .linalg import blas_threads, frobenius_norm, spectral_norm, svd
 from .recovery import IllPosedError, assemble_design, build_bases, fit
 from .sampling import RngStream, sample_columns, sample_entries, sample_rows
@@ -92,7 +94,9 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
 
     Reads its own svd(M), not the instance's `bounds.Spectrum`: sharing
     that one would take run_recovery from 9 traced factorizations to 8,
-    and perfbench/test_checks.py pins the count at exactly 9."""
+    and perfbench/test_checks.py pins the count at exactly 9. Same kernel,
+    same M and the instance's lam, so the full-rank rank and mu_lambda
+    equal the spectrum's `rank` bit for bit."""
     n, m = M.shape
     r = cfg.r
     if isinstance(cfg.d, int):
@@ -126,11 +130,12 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
 
 class Instance:
     """One instance: M and its Frobenius norm; sigma, its planted singular
-    values or, for a supplied matrix, its spectrum's; lam = sigma_r^2 /
-    (n m); and, each computed on first use, its `bounds.Spectrum`, the one
-    decomposition of M that every check and every draw from M read, and
-    its resolved budget. A sweep trial's grid points share one instance from several
-    pool threads; `_sweep_instance` builds both before a point reads them."""
+    values or, for a supplied matrix, its spectrum's; the instance's one
+    lam = sigma_r^2 / (n m); and, each computed on first use, its
+    `bounds.Spectrum` at lam, the one decomposition of M that every check
+    and every draw from M read, and its resolved budget. A sweep trial's
+    grid points share one instance from several pool threads;
+    `_sweep_instance` builds both before a point reads them."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
@@ -140,16 +145,17 @@ class Instance:
             raise ValueError("M is too large: its squared entries overflow")
         self.cfg = cfg
         self.M = M
-        self._spectrum: bounds.Spectrum | None = None
         self._budget: Budget | None = None
-        self.sigma = (self.spectrum().sigma if planted_sigma is None
+        self._spectrum = (bounds.spectrum(M, cfg.r) if planted_sigma is None
+                          else None)
+        self.sigma = (self._spectrum.sigma if planted_sigma is None
                       else planted_sigma)
         n, m = M.shape
         self.lam = float(self.sigma[cfg.r - 1]) ** 2 / (n * m)
 
     def spectrum(self) -> bounds.Spectrum:
         if self._spectrum is None:
-            self._spectrum = bounds.spectrum(self.M, self.cfg.r)
+            self._spectrum = bounds.spectrum(self.M, self.cfg.r, self.lam)
         return self._spectrum
 
     def budget(self) -> Budget:
@@ -182,7 +188,6 @@ class Draw:
         self.cfg = inst.cfg
         self.M = inst.M
         self.fro = inst.fro
-        self.lam = inst.lam
         self.d = d
         self.omega = omega
         self.stream = stream
@@ -248,9 +253,14 @@ class Draw:
         return self._get("error", lambda: spectral_norm(
             self.residual()) ** 2)
 
+    def mu_hat(self) -> float:
+        """Coherence of the estimated bases."""
+        return self._get("mu_hat", lambda: mu_hat(
+            self.bases().U_hat, self.bases().V_hat))
+
     def h_pair(self) -> bounds.HPair:
         return self._get("h_pair", lambda: bounds.build_h_pair(
-            self.spectrum(), self.M, self.cols()[1], self.lam))
+            self.spectrum(), self.M, self.cols()[1]))
 
     def recovery_bound(self) -> BoundReport:
         return self._get("bound", lambda: bounds.check_full_rank_recovery(
@@ -280,11 +290,11 @@ CHECKS = {
     "omega1_spectrum": lambda ctx: [bounds.check_omega1_spectrum(
         ctx.spectrum(), ctx.cols()[0], ctx.d)],
     "strong_convexity": lambda ctx: [bounds.check_strong_convexity(
-        ctx.design(), ctx.n, ctx.m, ctx.bases(), ctx.cfg.t)],
+        ctx.design(), ctx.n, ctx.m, ctx.mu_hat(), ctx.cfg.t)],
     "h_sandwich": lambda ctx: [bounds.check_h_sandwich(
         ctx.h_pair(), ctx.cfg.sandwich_delta, ctx.cfg.t)],
     "mu_hat": lambda ctx: [bounds.check_mu_hat_bound(
-        ctx.spectrum(), ctx.bases(), ctx.lam, ctx.d, ctx.cfg.t)],
+        ctx.spectrum(), ctx.mu_hat(), ctx.d, ctx.cfg.t)],
     "sin_theta": lambda ctx: [bounds.check_sin_theta_perturbation(
         ctx.h_pair(), ctx.cfg.r)],
     "full_rank_recovery": lambda ctx: [ctx.recovery_bound()],

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import numerical_rank
 from .linalg import DenseMatrix, SvdFactors
 from .sampling import RngStream
 
@@ -111,16 +110,16 @@ def generate(spec: SynthSpec) -> tuple[DenseMatrix, SvdFactors]:
     return M, SvdFactors(U=U, sigma=sig, V=V)
 
 
-def measured_properties(spectrum, lam: float) -> dict:
-    """Coherence, regularized rank at lam, and spectrum-gap summary of an
-    instance, read from its `bounds.Spectrum`."""
-    rank_rep = numerical_rank(spectrum.factors, lam)
+def measured_properties(spectrum) -> dict:
+    """Coherence, regularized rank at the instance's lam, and spectrum-gap
+    summary of an instance, read from its `bounds.Spectrum`."""
+    rank_rep = spectrum.rank
     sigma_r, sigma_next = spectrum.sigma_r, spectrum.sigma_r_plus_1
     return {
         "n": spectrum.n,
         "m": spectrum.m,
         "r": spectrum.r,
-        "lam": lam,
+        "lam": spectrum.lam,
         "mu_r": spectrum.mu_r,
         "mu_lambda": rank_rep.mu_lambda,
         "numerical_rank": rank_rep.value,

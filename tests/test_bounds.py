@@ -25,7 +25,7 @@ from curlow.bounds import (
     spectrum,
     total_observations,
 )
-from curlow.coherence import numerical_rank
+from curlow.coherence import mu_hat, numerical_rank
 from curlow.linalg import frobenius_norm, spectral_norm, svd
 from curlow.recovery import RecoveryInputs, assemble_design, build_bases, recover
 from curlow.sampling import (
@@ -392,7 +392,8 @@ def test_strong_convexity_full_grid():
     M = hadamard_rank2(16)
     bases = build_bases(M.copy(), M.T.copy(), 2)
     system = assemble_design(bases, full_grid(M))
-    rep = check_strong_convexity(system, 16, 16, bases=bases)
+    rep = check_strong_convexity(system, 16, 16,
+                                 mu_hat(bases.U_hat, bases.V_hat))
     assert rep.sense == "ge"
     assert rep.lhs == pytest.approx(1.0, abs=1e-10)
     assert rep.rhs == pytest.approx(256 / (2 * 256 * 256) * 256)  # |Omega|/(2mn)
@@ -406,7 +407,8 @@ def test_strong_convexity_starved_sample_fails_honestly():
     bases = build_bases(M.copy(), M.T.copy(), 2)
     omega = sample_entries(M, 2, RngStream(seed=23))
     system = assemble_design(bases, omega)
-    rep = check_strong_convexity(system, 12, 12, bases=bases)
+    rep = check_strong_convexity(system, 12, 12,
+                                 mu_hat(bases.U_hat, bases.V_hat))
     assert not rep.premises_met
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert not rep.holds
@@ -420,8 +422,7 @@ def test_h_pair_full_sample_sides_agree():
                      stream=RngStream(seed=26), decay=0.5)
     M, _ = generate(spec)
     lam = svd(M).sigma[1] ** 2 / 400
-    spec_m = spectrum(M, 2)
-    pair_a = build_h_pair(spec_m, M, M.copy(), lam)
+    pair_a = build_h_pair(spectrum(M, 2, lam), M, M.copy())
     assert pair_a.H.shape == (20, 20)
     assert np.allclose(pair_a.H, pair_a.H_hat, atol=1e-12)
     assert np.allclose(pair_a.ratio, np.eye(20), atol=1e-10)
@@ -434,12 +435,10 @@ def test_h_pair_full_sample_sides_agree():
 
 def test_h_pair_validation():
     M = low_rank(8, 6, 2, seed=27)
-    spec_m = spectrum(M, 2)
+    spec_m = spectrum(M, 2, 1e-3)
     with pytest.raises(ValueError):
-        build_h_pair(spec_m, M, M, 0.0)
-    with pytest.raises(ValueError):
-        build_h_pair(spec_m, M, np.zeros((5, 3)), 1e-3)
-    pair = build_h_pair(spec_m, M, M, 1e-3)
+        build_h_pair(spec_m, M, np.zeros((5, 3)))
+    pair = build_h_pair(spec_m, M, M)
     with pytest.raises(ValueError):
         check_h_sandwich(pair, 0.0)
     with pytest.raises(ValueError):
@@ -456,6 +455,14 @@ def test_h_sandwich_reports_singular_h():
     assert rep.lhs == float("inf")
     assert not rep.premises_met and not rep.holds
     assert rep.params["reason"] == "H not positive definite"
+    # at lam = 0, H = M M^T/(mn) has the rank of M, whatever its computed
+    # eigenvalues read
+    M = low_rank(8, 6, 2, seed=36)
+    pair = build_h_pair(spectrum(M, 3, 0.0), M, M[:, :4])
+    assert pair.lam == 0.0 and pair.ratio is None
+    rep = check_h_sandwich(pair, 0.5)
+    assert rep.lhs == float("inf") and not rep.premises_met
+    assert rep.params["numerical_rank"] == 2.0
     # lam = sigma_9^2 / (nm) is positive but below the rounding error of
     # ||H||, so the computed H has a nonpositive eigenvalue
     spec = SynthSpec(n=60, m=60, kind="geometric-spectrum", r=9,
@@ -463,7 +470,7 @@ def test_h_sandwich_reports_singular_h():
     M, _ = generate(spec)
     spec_m = spectrum(M, 9)
     _, A = sample_columns(M, 60, RngStream(seed=35))
-    pair = build_h_pair(spec_m, M, A, spec_m.lam)
+    pair = build_h_pair(spec_m, M, A)
     assert spec_m.lam > 0 and pair.w[-1] <= 0 and pair.ratio is None
     rep = check_h_sandwich(pair, 0.5)
     assert rep.lhs == float("inf") and not rep.premises_met
@@ -476,7 +483,7 @@ def test_h_sandwich_gate_arithmetic():
     M, _ = generate(spec)
     lam = svd(M).sigma[1] ** 2 / 900
     _, A = sample_columns(M, 10, RngStream(seed=29))
-    pair = build_h_pair(spectrum(M, 2), M, A, lam)
+    pair = build_h_pair(spectrum(M, 2, lam), M, A)
     rep = check_h_sandwich(pair, 0.5, t=3.0)
     gate = math.ceil(4.0 / 0.25 * (pair.mu_lambda * pair.rank_value + 1.0)
                      * (3.0 + math.log(30)))
@@ -495,8 +502,9 @@ def test_mu_hat_bound_premises_and_arithmetic():
     sig = svd(M).sigma
     lam = sig[0] ** 2 / (250 * 250)
     bases = build_bases(M.copy(), M.T.copy(), 1)
-    rep = check_mu_hat_bound(spectrum(M, 1), bases, lam, d=250)
-    assert rep.premises_met  # gap is 10x, lam matches, d = n clears the gate
+    rep = check_mu_hat_bound(spectrum(M, 1, lam),
+                             mu_hat(bases.U_hat, bases.V_hat), d=250)
+    assert rep.premises_met  # gap is 10x, d = n clears the gate
     assert rep.holds
     rank_rep = numerical_rank(svd(M), lam)
     delta_sq = 4.0 / 250 * (rank_rep.mu_lambda * rank_rep.value + 1.0) \
@@ -513,16 +521,17 @@ def test_mu_hat_bound_gates():
     M, _ = generate(spec)
     lam = svd(M).sigma[0] ** 2 / (250 * 250)
     bases = build_bases(M.copy(), M.T.copy(), 1)
-    spec_m = spectrum(M, 1)
-    assert not check_mu_hat_bound(spec_m, bases, 2 * lam, d=250).premises_met
-    assert not check_mu_hat_bound(spec_m, bases, lam, d=20).premises_met
+    muh = mu_hat(bases.U_hat, bases.V_hat)
+    assert not check_mu_hat_bound(spectrum(M, 1, lam), muh,
+                                  d=20).premises_met
     # a slow spectrum breaks the sqrt(2) gap requirement
     flat = SynthSpec(n=250, m=250, kind="geometric-spectrum", r=1,
                      stream=RngStream(seed=31), decay=0.9)
     Mf, _ = generate(flat)
     lam_f = svd(Mf).sigma[0] ** 2 / (250 * 250)
     bases_f = build_bases(Mf.copy(), Mf.T.copy(), 1)
-    assert not check_mu_hat_bound(spectrum(Mf, 1), bases_f, lam_f,
+    assert not check_mu_hat_bound(spectrum(Mf, 1, lam_f),
+                                  mu_hat(bases_f.U_hat, bases_f.V_hat),
                                   d=250).premises_met
 
 
@@ -599,7 +608,7 @@ def test_sin_theta_bound_on_gram_pairs():
         M, _ = generate(spec)
         lam = svd(M).sigma[1] ** 2 / 1600
         _, A = sample_columns(M, 30, RngStream(seed=6000 + seed))
-        pair = build_h_pair(spectrum(M, 2), M, A, lam)
+        pair = build_h_pair(spectrum(M, 2, lam), M, A)
         rep = check_sin_theta_perturbation(pair, 2)
         if rep.premises_met:
             applied += 1

@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from curlow.cli import main, write_csv, write_json
+from curlow.cli import load_experiment_config, main, write_csv, write_json
+from curlow.config import ExperimentConfig
 from curlow.io import read_matrix, write_matrix
 from curlow.linalg import frobenius_norm
 
@@ -306,6 +308,66 @@ def test_verify_sandwich_on_an_h_singular_through_rounding(tmp_path):
     assert [rep["name"] for rep in reports] == ["gram_sandwich"] * 3
     assert not any(rep["premises_met"] for rep in reports)
     assert result["aggregate"]["gram_sandwich"]["premises_met"] == 0
+
+
+def test_verify_gram_checks_at_a_rank_below_r(tmp_path):
+    # rank(M) = 2 < r = 3, so lam = sigma_3^2 / (nm) = 0 and H = M M^T/(mn)
+    # is singular: each trial reports unmet premises, the run goes on
+    out = tmp_path / "ver"
+    assert run("verify", "--out", str(out), "--set", "synth.n=30",
+               "--set", "synth.m=30", "--set", "synth.kind=exact-low-rank",
+               "--set", "synth.r=2", "--set", "r=3", "--set", "trials=2",
+               "--set", "checks=h_sandwich,sin_theta") == 0
+    result = json.loads((out / "verify.json").read_text())
+    reports = [rep for rec in result["trials"] for rep in rec["reports"]]
+    assert [rep["name"] for rep in reports] == [
+        "gram_sandwich", "subspace_perturbation"] * 2
+    assert not any(rep["premises_met"] for rep in reports)
+    for sandwich in reports[::2]:
+        assert sandwich["lhs"] == "Infinity"
+        assert sandwich["params"]["lam"] == 0.0
+        assert sandwich["params"]["reason"] == "H not positive definite"
+
+
+def config_of(tmp_path, text, *sets, seed=None):
+    """The config `load_experiment_config` reads from a file holding text
+    and the given --set items."""
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    return load_experiment_config(argparse.Namespace(
+        config=str(path), set=list(sets), seed=seed))
+
+
+def test_set_overrides_the_file_and_r_carries_synth_r(tmp_path):
+    out = config_of(tmp_path, "synth.n = 100\nsynth.m = 100\nr = 3\n",
+                    "r=5", "d=20")
+    assert out.r == 5
+    assert out.synth_r == 5  # r override propagates to the generator rank
+    assert out.d == 20
+    assert out.n == 100  # untouched fields survive
+    assert config_of(tmp_path, "seed = 1\n", "seed=2", seed=3).seed == 3
+
+
+def test_explicit_synth_r_wins_over_set_r(tmp_path):
+    out = config_of(tmp_path, "synth.n = 100\nr = 3\n", "r=5", "synth.r=2")
+    assert out.r == 5 and out.synth_r == 2
+
+
+def test_no_overrides_read_the_file_as_is(tmp_path):
+    assert config_of(tmp_path, "synth.n = 70\nsynth.m = 70\n") == \
+        ExperimentConfig(n=70, m=70)
+
+
+def test_gen_keeps_a_synth_r_from_the_config_file(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("synth.n = 20\nsynth.m = 20\nsynth.kind = exact-low-rank\n"
+                   "synth.r = 5\nr = 4\n")
+    out = tmp_path / "gen"
+    assert run("gen", "--config", str(cfg), "--set", "r=3",
+               "--out", str(out)) == 0
+    config = json.loads((out / "properties.json").read_text())["config"]
+    assert config["r"] == 3 and config["synth.r"] == 5
+    assert np.count_nonzero(read_matrix(out / "spectrum.csv")) == 5
 
 
 def test_verify_ill_posed_trials_are_written_and_exit_2(tmp_path, capsys):

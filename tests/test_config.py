@@ -4,7 +4,6 @@ from curlow.config import (
     AUTO,
     CHECK_NAMES,
     ExperimentConfig,
-    apply_overrides,
     config_from_mapping,
     parse_config_text,
     parse_value,
@@ -137,26 +136,6 @@ def test_to_flat_round_trips():
                            d=40, omega_count=500)
     again = config_from_mapping(cfg.to_flat())
     assert again == cfg
-
-
-def test_apply_overrides_precedence():
-    base = ExperimentConfig(n=100, m=100, r=3)
-    out = apply_overrides(base, {"r": 5, "d": 20})
-    assert out.r == 5
-    assert out.synth_r == 5  # r override propagates to the generator rank
-    assert out.d == 20
-    assert out.n == 100  # untouched fields survive
-
-
-def test_apply_overrides_explicit_synth_r_wins():
-    base = ExperimentConfig(n=100, m=100, r=3)
-    out = apply_overrides(base, {"r": 5, "synth.r": 2})
-    assert out.r == 5 and out.synth_r == 2
-
-
-def test_apply_overrides_empty_is_identity():
-    base = ExperimentConfig(n=70, m=70)
-    assert apply_overrides(base, {}) is base
 
 
 def test_synth_spec_and_stream():

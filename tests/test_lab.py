@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from curlow import bounds, lab, linalg, recovery
 from curlow.bounds import sample_size_low_rank, total_observations
-from curlow.coherence import mu_r, numerical_rank, sin_theta
+from curlow.coherence import mu_hat, mu_r, numerical_rank, sin_theta
 from curlow.config import CHECK_NAMES, ExperimentConfig
 from curlow.lab import (
     Draw,
@@ -206,7 +207,7 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
     draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
-    M, A, lam, d = draw.M, draw.cols()[1], draw.lam, draw.d
+    M, A, lam, d = draw.M, draw.cols()[1], inst.lam, draw.d
     H = lam * np.eye(n) + M @ M.T / (m * n)
     H_hat = lam * np.eye(n) + A @ A.T / (d * n)
     w, Q = linalg.eigh_descending(H)
@@ -271,6 +272,72 @@ def test_strong_convexity_reads_the_fits_eigendecomposition(monkeypatch):
     assert [rep["name"] for rep in record["reports"]] == [
         "error_combine", "strong_convexity"]
     assert shapes.count((4, 4)) == 1
+
+
+def test_a_draw_takes_mu_hat_once(monkeypatch):
+    # strong convexity and the mu_hat bound read one coherence of the
+    # draw's bases; both reports are those of the expressions below, bit
+    # for bit
+    cfg = ExperimentConfig(n=40, m=32, kind="geometric-spectrum", synth_r=2,
+                           r=2, d=16, omega_count=600,
+                           checks=("strong_convexity", "mu_hat"))
+    calls = []
+
+    def counted(U, V, _fn=mu_hat):
+        calls.append(1)
+        return _fn(U, V)
+    monkeypatch.setattr(lab, "mu_hat", counted)
+    convexity, coherence = run_trial(cfg, 0)["reports"]
+    monkeypatch.undo()
+    assert len(calls) == 1
+    stream = cfg.base_stream().derive(0)
+    inst = load_instance(cfg, stream)
+    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    n, m, r, d, t = draw.n, draw.m, cfg.r, draw.d, cfg.t
+    system, bases = draw.design(), draw.bases()
+    muh = mu_hat(bases.U_hat, bases.V_hat)
+    size = len(system.y)
+    gate = bounds._ceil(7.0 * muh**2 * r**2 * (t + 2.0 * math.log(r)))
+    assert convexity == bounds.make_report(
+        "strong_convexity", recovery.strong_convexity_gamma(system),
+        size / (2.0 * m * n), size >= gate,
+        {"omega_size": size, "n": n, "m": m, "r": r, "t": t, "mu_hat": muh,
+         "omega_gate": gate}, sense="ge").to_dict()
+    spec = inst.spectrum()
+    rank = numerical_rank(spec.factors, inst.lam)
+    delta_sq = 4.0 / d * (rank.mu_lambda * rank.value + 1.0) \
+        * (t + math.log(n))
+    d_gate = bounds.d_full_rank(rank.mu_lambda, rank.value, t, n)
+    assert coherence == bounds.make_report(
+        "basis_coherence", muh,
+        2.0 * rank.value / r * rank.mu_lambda + 18.0 * n * delta_sq / r,
+        spec.sigma_r >= math.sqrt(2.0) * spec.sigma_r_plus_1 and d >= d_gate,
+        {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": inst.lam,
+         "mu_lambda": rank.mu_lambda, "numerical_rank": rank.value,
+         "delta_sq": delta_sq, "d_gate": d_gate, "sigma_r": spec.sigma_r,
+         "sigma_r_plus_1": spec.sigma_r_plus_1}).to_dict()
+
+
+def test_one_lam_per_instance():
+    # every report that records lam records the planted sigma_r^2 / (nm)
+    cfg = ExperimentConfig(n=32, m=32, kind="geometric-spectrum", decay=0.5,
+                           synth_r=3, r=3, d=16, omega_count=300,
+                           checks=CHECK_NAMES)
+    _, f = generate(cfg.synth_spec(cfg.base_stream().derive(0).derive(0)))
+    planted = float(f.sigma[cfg.r - 1]) ** 2 / (cfg.n * cfg.m)
+    lams = {rep["name"]: rep["params"]["lam"]
+            for rep in run_trial(cfg, 0)["reports"] if "lam" in rep["params"]}
+    assert lams == dict.fromkeys(["delta_bound", "gram_sandwich",
+                                  "basis_coherence", "recovery_error"],
+                                 planted)
+    # past the instance's rank lam is 0, and both full-rank checks read
+    # the rank at it, not round-off counted as rank
+    cfg = ExperimentConfig(n=30, m=30, kind="exact-low-rank", synth_r=2, r=3,
+                           checks=("mu_hat", "full_rank_recovery"))
+    coherence, error = run_trial(cfg, 0)["reports"]
+    assert coherence["params"]["lam"] == error["params"]["lam"] == 0.0
+    assert coherence["params"]["numerical_rank"] == 2.0
+    assert error["params"]["numerical_rank"] == 2.0
 
 
 def test_a_combine_trial_builds_no_spectrum(monkeypatch):
@@ -677,7 +744,7 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
             inst = load_instance(cfg, stream)
             draw = Draw(inst, d, inst.budget().omega, stream.derive(1 + d))
             error = linalg.spectral_norm(draw.M - draw.recovery()[1]) ** 2
-            oracle = check(bounds.spectrum(draw.M, cfg.r), error, d,
+            oracle = check(bounds.spectrum(draw.M, cfg.r, inst.lam), error, d,
                            {"omega_size": draw.entries().size, "t": cfg.t})
             assert report.to_dict() == oracle.to_dict()
             assert outs[d]["holds"] == oracle.holds

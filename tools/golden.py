@@ -71,6 +71,10 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("verify-rect-geometric", ["verify", *sets(
             "synth.n=60", "synth.m=48", "synth.kind=geometric-spectrum", "r=3",
             "d=16", "omega=900", "trials=4", ALL_CHECKS)]),
+        # r above the instance's rank: lam = 0 and H is singular
+        ("verify-rank-above", ["verify", *sets(
+            "synth.n=30", "synth.m=30", "synth.kind=exact-low-rank",
+            "synth.r=2", "r=3", "trials=2", ALL_CHECKS)]),
     ]
 
 
