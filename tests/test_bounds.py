@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlow.bounds import (
     HPair,
@@ -18,15 +20,23 @@ from curlow.bounds import (
     check_sin_theta_perturbation,
     check_strong_convexity,
     d_full_rank,
+    holds_le,
     make_report,
     optimal_d,
+    recovery_rhs,
     sample_size_full_rank,
     sample_size_low_rank,
     spectrum,
     total_observations,
 )
 from curlow.coherence import mu_hat, numerical_rank
-from curlow.linalg import frobenius_norm, spectral_norm, svd
+from curlow.linalg import (
+    SANDWICH_ULPS,
+    frobenius_norm,
+    settle_by_frobenius,
+    spectral_norm,
+    svd,
+)
 from curlow.recovery import RecoveryInputs, assemble_design, build_bases, recover
 from curlow.sampling import (
     IndexSet,
@@ -654,3 +664,60 @@ def test_full_rank_recovery_rhs_and_gates():
     full = check_full_rank_recovery(spec_m, error, 24,
                                     {"omega_size": 576})
     assert full.premises_met
+
+
+def test_recovery_rhs_and_holds_le_are_the_reports():
+    # the sweep's decision reads the same right side and the same slack as
+    # the report; n != m, so a swapped side would show in rhs
+    M = low_rank(30, 18, 3, seed=36) + 1e-3 * rng(37).standard_normal((30, 18))
+    spec = spectrum(M, 3)
+    rep = check_full_rank_recovery(spec, 0.0, 6, {"omega_size": 100})
+    assert recovery_rhs(spec, 6) == rep.rhs
+    assert rep.rhs == 24.0 * spec.sigma_r_plus_1**2 * (1.0 + 48 / 6)
+    for rhs in (0.0, 1e-12, 0.5, 2.0, 1e6):
+        for lhs in (rhs, np.nextafter(rhs + 1e-9 * max(1.0, rhs), np.inf),
+                    rhs + 1e-9 * max(1.0, rhs), 0.9 * rhs, 2.0 * rhs + 1.0):
+            assert holds_le(lhs, rhs) == make_report("x", lhs, rhs, True).holds
+
+
+@st.composite
+def residuals(draw):
+    """An n x m D of one of three shapes: rank 1, where ||D||_2 = ||D||_F;
+    flat (scaled orthonormal rows or columns), where ||D||_2^2 =
+    ||D||_F^2 / min(n, m); or Gaussian, in between."""
+    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["rank-1", "flat", "random"]))
+    g = rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    if kind == "rank-1":
+        D = np.outer(g.standard_normal(n), g.standard_normal(m))
+    elif kind == "flat":
+        Q, _ = np.linalg.qr(g.standard_normal((max(n, m), min(n, m))))
+        D = Q if n >= m else Q.T
+    else:
+        D = g.standard_normal((n, m))
+    return D * scale
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400)
+@given(residuals())
+def test_frobenius_sandwich_decides_as_the_spectral_norm(D):
+    # thresholds T at, one ulp around and a little around each computed
+    # sigma_1^2, ||D||_F^2 and ||D||_F^2 / k, and inside the window: the
+    # sandwich's answer, or where it has none the spectral norm's, equals
+    # the spectral norm's every time
+    k = min(D.shape)
+    s2, fro = spectral_norm(D) ** 2, frobenius_norm(D)
+    f2 = fro * fro
+    margin = SANDWICH_ULPS * k * np.finfo(float).eps
+    thresholds = [f2 / math.sqrt(k)]
+    for a in (s2, f2, f2 / k):
+        thresholds += [a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)]
+        thresholds += [a * (1.0 + e) for e in (-2 * margin, -margin / 2, -1e-14,
+                                                1e-14, margin / 2, 2 * margin)]
+    for T in thresholds:
+        exact = bool(s2 <= T)
+        settled = settle_by_frobenius(fro, k, lambda x: x <= T)
+        assert (exact if settled is None else settled) == exact
+    # T = ||D||_F^2 lies inside the widened top end: only the norm decides
+    assert settle_by_frobenius(fro, k, lambda x: x <= f2) is None

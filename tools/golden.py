@@ -62,6 +62,12 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("sweep-ac7", ["sweep", "--d-grid", "2,4,8,16,32", "--seed", "10700",
                        *sets("synth.n=512", "synth.m=512",
                              "synth.kind=exact-low-rank", "r=2", "trials=3")]),
+        # full rank and n != m, with an entry budget small enough that some
+        # draws break the recovery bound, two of them inside the Frobenius
+        # sandwich, so a flipped or misread "holds" changes these bytes
+        ("sweep-rect-geometric", ["sweep", "--d-grid", "3,4,8,16", *sets(
+            "synth.n=60", "synth.m=48", "synth.kind=geometric-spectrum",
+            "r=3", "omega=12", "trials=3")]),
         ("verify-n200", ["verify", *sets("synth.n=200", "synth.m=200", "r=4",
                                          "trials=20", ALL_CHECKS)]),
         # n != m, so a check that swaps n and m changes these bytes
