@@ -7,9 +7,10 @@ independently, so Monte-Carlo harnesses can separate "premise not met"
 from "bound violated". A check reads M's singular values and vectors from
 its `Spectrum`, computed once per instance at the instance's lam, and a
 number taken once per draw: a residual norm of M, such as Delta, or the
-coherence mu_hat of the draw's bases. The two Gram checks read one
-`HPair` per draw, which factors H once for both. Natural logarithms
-throughout.
+coherence mu_hat of the draw's bases. n, m, r and d come from the
+objects that own them. The two Gram checks read one `HPair` per draw,
+which factors H and takes the whitened ratio's eigenvalues once for both.
+Natural logarithms throughout.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .linalg import (
     spectral_norm,
     svd,
 )
-from .recovery import DesignSystem, strong_convexity_gamma
+from .recovery import DesignSystem
 from .sampling import IndexSet
 
 HOLDS_SLACK = 1e-9
@@ -296,11 +297,10 @@ def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
     return make_report("column_space_capture", lhs, rhs, full_rank, params)
 
 
-def check_omega1_spectrum(spec: Spectrum, col_idx: IndexSet,
-                          d: int) -> BoundReport:
-    """Lower spectral bound on the selected right-basis rows:
+def check_omega1_spectrum(spec: Spectrum, col_idx: IndexSet) -> BoundReport:
+    """Lower spectral bound on the d selected right-basis rows:
     lambda_min(Omega1 Omega1^T) >= d/(2m)."""
-    r, m, mu = spec.r, spec.m, spec.mu_r
+    r, m, mu, d = spec.r, spec.m, spec.mu_r, len(col_idx.indices)
     omega1, _ = _selection_blocks(spec.factors, col_idx, r)
     gram = omega1 @ omega1.T
     lhs = float(np.linalg.eigvalsh(gram)[0]) if gram.size else 0.0
@@ -314,20 +314,20 @@ def check_omega1_spectrum(spec: Spectrum, col_idx: IndexSet,
 # strong convexity of the core fit
 
 
-def check_strong_convexity(system: DesignSystem, n: int, m: int,
-                           mu_hat: float, t: float = 3.0) -> BoundReport:
-    """lambda_min(K^T K) >= |Omega|/(2mn), gated by the entry budget
-    |Omega| >= 7 mu_hat^2 r^2 (t + 2 ln r), with mu_hat the coherence of
-    the bases the design is built on."""
+def check_strong_convexity(system: DesignSystem, mu_hat: float,
+                           t: float = 3.0) -> BoundReport:
+    """lambda_min(K^T K) >= |Omega|/(2mn) on the system's n x m grid, gated
+    by the entry budget |Omega| >= 7 mu_hat^2 r^2 (t + 2 ln r), with mu_hat
+    the coherence of the bases the design is built on."""
     size = len(system.y)
-    lhs = strong_convexity_gamma(system)
+    n, m = system.shape
     rhs = size / (2.0 * m * n)
     gate = _ceil(7.0 * mu_hat**2 * system.r**2
                  * (t + 2.0 * math.log(system.r)))
     params = {"omega_size": size, "n": n, "m": m, "r": system.r, "t": t,
               "mu_hat": mu_hat, "omega_gate": gate}
-    return make_report("strong_convexity", lhs, rhs, size >= gate, params,
-                       sense="ge")
+    return make_report("strong_convexity", system.lambda_min(), rhs,
+                       size >= gate, params, sense="ge")
 
 
 # ---------------------------------------------------------------------------
@@ -337,26 +337,27 @@ def check_strong_convexity(system: DesignSystem, n: int, m: int,
 class HPair:
     """H = lam*I + M M^T/(mn), its column-sampled counterpart H_hat, and
     what both Gram checks read of them: H's eigendecomposition (w
-    nonincreasing, Q) and the whitened ratio H^{-1/2} H_hat H^{-1/2}, which
-    is None when lam = 0, where H has the rank of M, or when H's smallest
-    computed eigenvalue is not positive. d is the draw's; lam and the
-    gate's coherence and rank at lam are the instance's."""
+    nonincreasing, Q), the eigenvalues `eigs` of the whitened ratio
+    H^{-1/2} H_hat H^{-1/2}, from one eigvalsh of its symmetric part, and
+    their ratio_delta = max |eig - 1|. Both are None when lam = 0, where H
+    has the rank of M, or when H's smallest computed eigenvalue is not
+    positive. d is the draw's; lam, r, n and the gates' coherence and rank
+    come from the instance's spec."""
 
-    def __init__(self, H: np.ndarray, H_hat: np.ndarray, lam: float, d: int,
-                 mu_lambda: float, rank_value: float):
-        self.H, self.H_hat = H, H_hat
-        self.lam, self.d = lam, d
-        self.mu_lambda, self.rank_value = mu_lambda, rank_value
+    def __init__(self, H: np.ndarray, H_hat: np.ndarray, spec: Spectrum,
+                 d: int):
+        self.H, self.H_hat, self.spec, self.d = H, H_hat, spec, d
         self.w, self.Q = eigh_descending(H)
-        self.ratio = None
-        if lam > 0 and self.w[-1] > 0:
+        self.eigs = self.ratio_delta = None
+        if spec.lam > 0 and self.w[-1] > 0:
             inv_sqrt = (self.Q * (self.w**-0.5)) @ self.Q.T
-            self.ratio = inv_sqrt @ H_hat @ inv_sqrt
+            ratio = inv_sqrt @ H_hat @ inv_sqrt
+            self.eigs = np.linalg.eigvalsh((ratio + ratio.T) / 2.0)
+            self.ratio_delta = float(np.max(np.abs(self.eigs - 1.0)))
 
 
 def build_h_pair(spec: Spectrum, M, sample) -> HPair:
-    """The `HPair` of M and its n x d column sample at the spectrum's lam,
-    with the gate's rank and coherence the spectrum's."""
+    """The `HPair` of M and its n x d column sample at the spectrum's lam."""
     A = as_matrix(M)
     S = as_matrix(sample, "sample")
     n, m = A.shape
@@ -366,7 +367,7 @@ def build_h_pair(spec: Spectrum, M, sample) -> HPair:
     lam = spec.lam
     H = lam * np.eye(n) + A @ A.T / (m * n)
     H_hat = lam * np.eye(n) + S @ S.T / (d * n)
-    return HPair(H, H_hat, lam, d, spec.rank.mu_lambda, spec.rank.value)
+    return HPair(H, H_hat, spec, d)
 
 
 def check_h_sandwich(pair: HPair, delta_target: float,
@@ -380,20 +381,19 @@ def check_h_sandwich(pair: HPair, delta_target: float,
     """
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta_target}")
-    d_gate = _ceil(4.0 / delta_target**2
-                   * (pair.mu_lambda * pair.rank_value + 1.0)
-                   * (t + math.log(pair.H.shape[0])))
+    spec, rep = pair.spec, pair.spec.rank
+    d_gate = _ceil(4.0 / delta_target**2 * (rep.mu_lambda * rep.value + 1.0)
+                   * (t + math.log(spec.n)))
     params = {"side": "A", "d": pair.d, "d_gate": d_gate, "t": t,
-              "lam": pair.lam, "mu_lambda": pair.mu_lambda,
-              "numerical_rank": pair.rank_value}
-    if pair.ratio is None:
+              "lam": spec.lam, "mu_lambda": rep.mu_lambda,
+              "numerical_rank": rep.value}
+    if pair.eigs is None:
         params["reason"] = "H not positive definite"
         return make_report("gram_sandwich", float("inf"), delta_target,
                            False, params)
-    eigs = np.linalg.eigvalsh((pair.ratio + pair.ratio.T) / 2.0)
-    lhs = float(np.max(np.abs(eigs - 1.0)))
-    params.update({"eig_min": float(eigs.min()), "eig_max": float(eigs.max())})
-    return make_report("gram_sandwich", lhs, delta_target,
+    params.update({"eig_min": float(pair.eigs.min()),
+                   "eig_max": float(pair.eigs.max())})
+    return make_report("gram_sandwich", pair.ratio_delta, delta_target,
                        pair.d >= d_gate, params)
 
 
@@ -421,21 +421,25 @@ def check_mu_hat_bound(spec: Spectrum, mu_hat: float, d: int,
     return make_report("basis_coherence", mu_hat, rhs, premises, params)
 
 
-def check_sin_theta_perturbation(pair: HPair, r: int) -> BoundReport:
+def check_sin_theta_perturbation(pair: HPair) -> BoundReport:
     """Perturbation bound on the top-r eigenspace rotation from H to H_hat,
-    in terms of the relative eigen-gap
+    at the spectrum's r, in terms of the relative eigen-gap
     D_lam = min(sqrt(2)(1 - lam_{r+1}/lam_r), 1/sqrt(2)) and the relative
     perturbation D_H = eta/sqrt(1 - eta) with eta = ||H^{-1}|| ||H - H_hat||.
 
-    Gate: eta < 1 and D_lam >= D_H/2. The params record the specialized
-    3*sqrt(2)*delta form computed from the pair's whitened ratio.
+    Gate: eta < 1 and D_lam >= D_H/2; at r = n there is no lam_{r+1}, so
+    no eigen-gap, and the premises are not met. The params record the
+    specialized 3*sqrt(2)*delta form, delta the pair's `ratio_delta`.
     """
-    n = pair.H.shape[0]
-    if not 1 <= r < n:
-        raise ValueError(f"r must be in [1, {n - 1}], got {r}")
+    r, n = pair.spec.r, pair.spec.n
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     w, Q = pair.w, pair.Q
     _, Qt = eigh_descending(pair.H_hat)
     lhs = sin_theta(Q[:, :r], Qt[:, :r])
+    if r >= n:
+        return make_report("subspace_perturbation", lhs, float("inf"), False,
+                           {"reason": "no eigenvalue past r: no eigen-gap"})
     abs_w = np.abs(w)
     if abs_w.min() == 0.0 or w[r - 1] <= 0.0:
         return make_report("subspace_perturbation", lhs, float("inf"), False,
@@ -455,8 +459,8 @@ def check_sin_theta_perturbation(pair: HPair, r: int) -> BoundReport:
         rhs = float("inf")
     else:
         rhs = d_h / denom * (1.0 + d_h * d_lam / 16.0)
-    if pair.ratio is not None:
-        delta_ratio = spectral_norm(pair.ratio - np.eye(n))
+    delta_ratio = pair.ratio_delta
+    if delta_ratio is not None:
         params["ratio_delta"] = delta_ratio
         params["specialized_rhs"] = 3.0 * math.sqrt(2.0) * delta_ratio
         params["specialized_applicable"] = bool(
@@ -472,20 +476,17 @@ def recovery_rhs(spec: Spectrum, d: int) -> float:
 
 
 def check_full_rank_recovery(spec: Spectrum, error: float, d: int,
-                             run_params: dict) -> BoundReport:
-    """End-to-end spectral recovery error ||M - M_hat||_2^2 of a draw
-    against `recovery_rhs`, with n, m, sigma and the gates read from the
-    instance's `Spectrum`.
+                             omega_size: int, t: float = 3.0) -> BoundReport:
+    """End-to-end spectral recovery error ||M - M_hat||_2^2 of a draw of
+    d columns and rows and omega_size entries against `recovery_rhs`, with
+    n, m, sigma and the gates read from the instance's `Spectrum`.
 
-    run_params must carry omega_size and may carry t (default 3). Premises:
-    the spectral-gap and d gates, plus the entry budget capped at the grid
-    size (the uncapped formula value is recorded in params).
+    Premises: the spectral-gap and d gates, plus the entry budget capped at
+    the grid size (the uncapped formula value is recorded in params).
     """
     n, m, r = spec.n, spec.m, spec.r
     s_r, s_next = spec.sigma_r, spec.sigma_r_plus_1
     rep = spec.rank
-    omega_size = int(run_params["omega_size"])
-    t = float(run_params.get("t", 3.0))
     d_gate, omega_formula = sample_size_full_rank(rep.mu_lambda, rep.value,
                                                   t, n, d, r)
     omega_gate = min(omega_formula, n * m)

@@ -28,7 +28,6 @@ from .config import (
 )
 from .cur import cur_decompose, cur_error_ratio
 from .io import ParseError, ensure_dir, read_matrix, write_matrix
-from .linalg import frobenius_norm
 from .recovery import IllPosedError
 from .synth import generate, measured_properties
 
@@ -221,14 +220,15 @@ def cmd_sweep(args) -> int:
 def cmd_cur(args) -> int:
     cfg = load_experiment_config(args)
     ensure_dir(args.out)
+    stream = cfg.base_stream()
     if args.matrix:
         M = read_matrix(args.matrix)
     else:
-        M, _ = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
-    stream = cfg.base_stream()
-    factors = cur_decompose(M, args.c, args.r_rows, stream)
+        M, _ = generate(cfg.synth_spec(stream.derive(0)))
+    scale = lab.checked_frobenius(M)
+    # derive(0) is the generator's stream; the samples come from derive(1)
+    factors = cur_decompose(M, args.c, args.r_rows, stream.derive(1))
     report_obj = cur_error_ratio(M, factors, args.k)
-    scale = frobenius_norm(M)
     rel = 0.0 if scale == 0 else report_obj.cur_error / scale
     report = {"c": args.c, "r_rows": args.r_rows, "k": args.k,
               "seed": stream.seed, "rel_frobenius": float(rel),
@@ -315,3 +315,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,25 +1,27 @@
 """Seeded Monte-Carlo harness behind the CLI, built on one
 sample-and-recover path: `load_instance` generates an instance from
 stream.derive(0) (or takes a supplied matrix) as an `Instance`, which
-fixes its one lam = sigma_r^2 / (n m), from the planted sigma of a
-generated instance or M's own sigma of a supplied one, and builds, on
-first use, its one `bounds.Spectrum` at that lam and the "auto" sample
-budgets resolved from measured coherence. Every check but `check_halko`
-reads sigma, the singular vectors, mu_r, lam and the regularized rank of
-M from that spectrum. A `Draw` samples the instance from derive(1), (2)
-and (3) of its own stream and builds the bases, the design, the fit on
-both, the residual M - M_hat, each residual norm of M, the coherence
-mu_hat of the bases and the `bounds.HPair` of the Gram checks once, for
-every check in `CHECKS` that reads them. A sweep draw settles its
-recovery bound from ||M - M_hat||_F, which its relative error reads, and
-takes the spectral norm only where the Frobenius sandwich leaves the
-bound open; `recover` and `verify` report the exact norm. `recover`
-draws from the base stream, each `verify` trial from base.derive(trial),
-and `sweep` loads each trial's instance once and draws from
-base.derive(trial).derive(1 + d) per grid point d. `verify` runs one task
-per trial and `sweep` one per instance build and one per (trial, d) draw,
-in one thread pool with BLAS on one thread per task; results are put
-together in trial order, so they are independent of both thread counts.
+refuses by `checked_frobenius` an M whose squared entries overflow, as
+`cur` does, fixes its one lam = sigma_r^2 / (n m), from the planted
+sigma of a generated instance or M's own sigma of a supplied one, and
+builds, on first use, its one `bounds.Spectrum` at that lam and its
+"auto" sample budgets, one dict resolved from measured coherence. Every
+check but `check_halko` reads sigma, the singular vectors, mu_r, lam and
+the regularized rank of M from that spectrum. A `Draw` samples the
+instance from derive(1), (2) and (3) of its own stream and builds the
+bases, the design, the fit on it, the residual M - M_hat, each residual
+norm of M, the coherence mu_hat of the bases and the `bounds.HPair` of
+the Gram checks once, for every check in `CHECKS` that reads them. A
+sweep draw settles its recovery bound from ||M - M_hat||_F, which its
+relative error reads, and takes the spectral norm only where the
+Frobenius sandwich leaves the bound open; `recover` and `verify` report
+the exact norm. `recover` draws from the base stream, each `verify`
+trial from base.derive(trial), and `sweep` loads each trial's instance
+once and draws from base.derive(trial).derive(1 + d) per grid point d.
+`verify` runs one task per trial and `sweep` one per instance build and
+one per (trial, d) draw, in one thread pool with BLAS on one thread per
+task; results are put together in trial order, so they are independent
+of both thread counts.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,16 +66,6 @@ def _trial_pool(workers: int):
         yield pool
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Resolved sample sizes for one instance, with the raw formula values
-    kept for reporting (budgets are capped at the instance dimensions)."""
-
-    d: int
-    omega: int
-    details: dict
-
-
 def check_range(key: str, value: int, low: int, high: int, rule: str) -> None:
     """Refuse a user-set size that the instance cannot hold."""
     if not low <= value <= high:
@@ -91,10 +82,11 @@ def _source(setting, value: int, formula: int) -> str:
 
 
 def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
-                    lam: float) -> Budget:
-    """Budgets from the formulas, capped at the instance; a budget set in
-    the config is used as given, or refused if the instance cannot hold it.
-    The details say which of the three each budget is.
+                    lam: float) -> dict:
+    """Budgets d and omega from the formulas, capped at the instance; a
+    budget set in the config is used as given, or refused if the instance
+    cannot hold it. The dict holds both, the formula values and the
+    coherence they read, and says which of the three each budget is.
 
     Reads its own svd(M), not the instance's `bounds.Spectrum`: sharing
     that one would take run_recovery from 9 traced factorizations to 8,
@@ -129,27 +121,31 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
                     "d_source": _source(cfg.d, d, d_formula),
                     "omega_source": _source(cfg.omega_count, omega,
                                             omega_formula)})
-    return Budget(d=d, omega=omega, details=details)
+    return details
+
+
+def checked_frobenius(M: np.ndarray) -> float:
+    """||M||_F, refused where M's squared entries overflow."""
+    with np.errstate(over="ignore"):
+        fro = frobenius_norm(M)
+    if not math.isfinite(fro):
+        raise ValueError("M is too large: its squared entries overflow")
+    return fro
 
 
 class Instance:
-    """One instance: M and its Frobenius norm; sigma, its planted singular
-    values or, for a supplied matrix, its spectrum's; the instance's one
-    lam = sigma_r^2 / (n m); and, each computed on first use, its
-    `bounds.Spectrum` at lam, the one decomposition of M that every check
-    and every draw from M read, and its resolved budget. A sweep trial's
-    grid points share one instance from several pool threads;
-    `_sweep_instance` builds both before a point reads them."""
+    """One instance: M and its `checked_frobenius` norm; sigma, its planted
+    singular values or, for a supplied matrix, its spectrum's; the
+    instance's one lam = sigma_r^2 / (n m); and, each computed on first
+    use, its `bounds.Spectrum` at lam, the one decomposition of M that
+    every check and every draw from M read, and its resolved budget. A
+    sweep trial's grid points share one instance from several pool
+    threads; `_sweep_instance` builds both before a point reads them."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
-        with np.errstate(over="ignore"):
-            self.fro = frobenius_norm(M)
-        if not math.isfinite(self.fro):
-            raise ValueError("M is too large: its squared entries overflow")
-        self.cfg = cfg
-        self.M = M
-        self._budget: Budget | None = None
+        self.cfg, self.M, self.fro = cfg, M, checked_frobenius(M)
+        self._budget: dict | None = None
         self._spectrum = (bounds.spectrum(M, cfg.r) if planted_sigma is None
                           else None)
         self.sigma = (self._spectrum.sigma if planted_sigma is None
@@ -162,7 +158,7 @@ class Instance:
             self._spectrum = bounds.spectrum(self.M, self.cfg.r, self.lam)
         return self._spectrum
 
-    def budget(self) -> Budget:
+    def budget(self) -> dict:
         if self._budget is None:
             self._budget = resolve_budgets(self.cfg, self.M, self.lam)
         return self._budget
@@ -181,19 +177,18 @@ def load_instance(cfg: ExperimentConfig, stream: RngStream,
 
 
 class Draw:
-    """d columns, d rows and omega entries of one instance, drawn lazily
-    from stream.derive(1), (2) and (3), and the bases, design, fit and
-    residual norms of M built on them; each is computed once and shared by
-    all its readers. M's spectrum is the instance's."""
+    """d columns, d rows and the instance's budget of omega entries, drawn
+    lazily from stream.derive(1), (2) and (3), and the bases, design, fit
+    and residual norms of M built on them; each is computed once and shared
+    by all its readers. M's spectrum is the instance's."""
 
-    def __init__(self, inst: Instance, d: int, omega: int,
-                 stream: RngStream):
+    def __init__(self, inst: Instance, d: int, stream: RngStream):
         self.spectrum = inst.spectrum
         self.cfg = inst.cfg
         self.M = inst.M
         self.fro = inst.fro
         self.d = d
-        self.omega = omega
+        self.omega = inst.budget()["omega"]
         self.stream = stream
         self.n, self.m = inst.M.shape
         # a plain dict: functools.cached_property serializes pool threads
@@ -227,11 +222,11 @@ class Draw:
 
     def recovery(self):
         return self._get("recovery", lambda: fit(
-            self.bases(), self.design(), self.cfg.ridge))
+            self.design(), self.cfg.ridge))
 
     def gamma(self) -> float:
         """Grid-normalized strong convexity mn lambda_min(K^T K) / |Omega|."""
-        return (self.recovery()[0].lambda_min_KtK * self.n * self.m
+        return (self.design().lambda_min() * self.n * self.m
                 / self.entries().size)
 
     def side_cols(self) -> float:
@@ -273,8 +268,8 @@ class Draw:
 
     def recovery_bound(self) -> BoundReport:
         return self._get("bound", lambda: bounds.check_full_rank_recovery(
-            self.spectrum(), self.error(), self.d,
-            {"omega_size": self.entries().size, "t": self.cfg.t}))
+            self.spectrum(), self.error(), self.d, self.entries().size,
+            self.cfg.t))
 
     def bound_holds(self) -> bool:
         """`recovery_bound().holds`, settled from `fro_error()` where
@@ -309,15 +304,15 @@ CHECKS = {
         ctx.error(), ctx.delta(), ctx.gamma())],
     "halko": lambda ctx: [bounds.check_halko(ctx.M, ctx.cols()[0], ctx.cfg.r)],
     "omega1_spectrum": lambda ctx: [bounds.check_omega1_spectrum(
-        ctx.spectrum(), ctx.cols()[0], ctx.d)],
+        ctx.spectrum(), ctx.cols()[0])],
     "strong_convexity": lambda ctx: [bounds.check_strong_convexity(
-        ctx.design(), ctx.n, ctx.m, ctx.mu_hat(), ctx.cfg.t)],
+        ctx.design(), ctx.mu_hat(), ctx.cfg.t)],
     "h_sandwich": lambda ctx: [bounds.check_h_sandwich(
         ctx.h_pair(), ctx.cfg.sandwich_delta, ctx.cfg.t)],
     "mu_hat": lambda ctx: [bounds.check_mu_hat_bound(
         ctx.spectrum(), ctx.mu_hat(), ctx.d, ctx.cfg.t)],
     "sin_theta": lambda ctx: [bounds.check_sin_theta_perturbation(
-        ctx.h_pair(), ctx.cfg.r)],
+        ctx.h_pair())],
     "full_rank_recovery": lambda ctx: [ctx.recovery_bound()],
 }
 
@@ -327,7 +322,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     its "error" message and no reports."""
     stream = cfg.base_stream().derive(trial)
     inst = load_instance(cfg, stream)
-    ctx = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    ctx = Draw(inst, inst.budget()["d"], stream)
     record = {"trial": trial, "d": ctx.d, "omega": ctx.omega}
     reports: list[BoundReport] = []
     try:
@@ -384,13 +379,13 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
     M - M_hat: perfbench/test_checks.py pins its factorizations at 9."""
     stream = cfg.base_stream()
     inst = load_instance(cfg, stream, M)
-    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    draw = Draw(inst, inst.budget()["d"], stream)
     result, M_hat = draw.recovery()
     rel, diff = draw.score()
     omega_size = draw.entries().size
     return {
         "config": cfg.to_flat(),
-        "budget": inst.budget().details,
+        "budget": inst.budget(),
         "col_indices": [int(i) for i in draw.cols()[0].indices],
         "row_indices": [int(i) for i in draw.rows()[0].indices],
         "omega_size": omega_size,
@@ -433,7 +428,7 @@ def _sweep_point(inst: Instance, trial: int, d: int) -> dict:
     recovery bound; an ill-posed fit leaves it with its "error" message
     and no measured fields."""
     stream = inst.cfg.base_stream().derive(trial).derive(1 + d)
-    draw = Draw(inst, d, inst.budget().omega, stream)
+    draw = Draw(inst, d, stream)
     out = {"degenerate": draw.bases().degenerate_gap}
     try:
         rel = draw.score()[0]

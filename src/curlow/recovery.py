@@ -14,8 +14,8 @@ holding the observed values and zeros elsewhere, and the residual needs
 only the r-wide rows of U_hat Z and V_hat. Each is built
 over chunks of Omega of at most CHUNK_BYTES, so memory stays at one chunk
 however large Omega is. One eigendecomposition of K^T K solves the fit,
-and its smallest eigenvalue doubles as the measured strong convexity of
-the objective.
+and its smallest eigenvalue, `DesignSystem.lambda_min`, doubles as the
+measured strong convexity of the objective.
 """
 from __future__ import annotations
 
@@ -165,6 +165,11 @@ class DesignSystem:
             self._eigh = np.linalg.eigh(self.normal()[0])
         return self._eigh
 
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of K^T K, clamped at zero: the measured
+        strong convexity that the fit and every check read."""
+        return max(float(self.eigh()[0][0]), 0.0)
+
     def residual(self, Z: np.ndarray) -> float:
         """||K vec(Z) - y||^2, entry t predicted as (U_hat Z)[rows[t]] .
         V_hat[cols[t]]; the two r-wide gathers of a chunk share CHUNK_BYTES."""
@@ -253,12 +258,6 @@ def assemble_design(bases: Bases, omega: OmegaSet) -> DesignSystem:
     return DesignSystem(bases, omega)
 
 
-def strong_convexity_gamma(system: DesignSystem) -> float:
-    """Smallest eigenvalue of K^T K (clamped at zero), from the system's
-    one `eigh`, which `solve_core` also reads."""
-    return max(float(system.eigh()[0][0]), 0.0)
-
-
 def solve_core(system: DesignSystem, ridge: float = 0.0):
     """Minimize ||K z - y||^2 + ridge * ||z||^2 over the core.
 
@@ -269,7 +268,7 @@ def solve_core(system: DesignSystem, ridge: float = 0.0):
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     w, Q = system.eigh()
-    lambda_min = max(float(w[0]), 0.0)
+    lambda_min = system.lambda_min()
     n, m = system.shape
     threshold = DEGENERACY_RTOL * system.omega.size / (n * m)
     if ridge == 0.0 and lambda_min < threshold:
@@ -281,13 +280,13 @@ def solve_core(system: DesignSystem, ridge: float = 0.0):
     return Z, lambda_min, system.residual(Z)
 
 
-def fit(bases: Bases, system: DesignSystem, ridge: float = 0.0):
-    """Core fit over the design built on `bases`.
+def fit(system: DesignSystem, ridge: float = 0.0):
+    """Core fit over the design, on the bases it is built on.
 
     Returns (RecoveryResult, M_hat).
     """
     Z_star, lambda_min, residual = solve_core(system, ridge)
-    result = RecoveryResult(Z_star=Z_star, bases=bases,
+    result = RecoveryResult(Z_star=Z_star, bases=system.bases,
                             lambda_min_KtK=lambda_min, residual=residual)
     return result, result.reconstruct()
 
@@ -297,4 +296,4 @@ def recover(inputs: RecoveryInputs, ridge: float = 0.0):
     then `fit`. Returns (RecoveryResult, M_hat).
     """
     bases = build_bases(inputs.A, inputs.B, inputs.r)
-    return fit(bases, assemble_design(bases, inputs.omega), ridge)
+    return fit(assemble_design(bases, inputs.omega), ridge)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from curlow.bounds import (
     spectrum,
     total_observations,
 )
-from curlow.coherence import mu_hat, numerical_rank
+from curlow.coherence import NumericalRankReport, mu_hat, numerical_rank
 from curlow.linalg import (
     SANDWICH_ULPS,
     frobenius_norm,
@@ -385,7 +386,7 @@ def test_halko_random_trials_never_violate():
 def test_omega1_spectrum_full_selection():
     M = low_rank(15, 12, 2, seed=17)
     idx, _ = sample_columns(M, 12, RngStream(seed=18))
-    rep = check_omega1_spectrum(spectrum(M, 2), idx, 12)
+    rep = check_omega1_spectrum(spectrum(M, 2), idx)
     assert rep.sense == "ge"
     assert rep.lhs == pytest.approx(1.0, abs=1e-10)
     assert rep.rhs == pytest.approx(0.5)
@@ -402,8 +403,7 @@ def test_strong_convexity_full_grid():
     M = hadamard_rank2(16)
     bases = build_bases(M.copy(), M.T.copy(), 2)
     system = assemble_design(bases, full_grid(M))
-    rep = check_strong_convexity(system, 16, 16,
-                                 mu_hat(bases.U_hat, bases.V_hat))
+    rep = check_strong_convexity(system, mu_hat(bases.U_hat, bases.V_hat))
     assert rep.sense == "ge"
     assert rep.lhs == pytest.approx(1.0, abs=1e-10)
     assert rep.rhs == pytest.approx(256 / (2 * 256 * 256) * 256)  # |Omega|/(2mn)
@@ -417,8 +417,7 @@ def test_strong_convexity_starved_sample_fails_honestly():
     bases = build_bases(M.copy(), M.T.copy(), 2)
     omega = sample_entries(M, 2, RngStream(seed=23))
     system = assemble_design(bases, omega)
-    rep = check_strong_convexity(system, 12, 12,
-                                 mu_hat(bases.U_hat, bases.V_hat))
+    rep = check_strong_convexity(system, mu_hat(bases.U_hat, bases.V_hat))
     assert not rep.premises_met
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert not rep.holds
@@ -435,7 +434,7 @@ def test_h_pair_full_sample_sides_agree():
     pair_a = build_h_pair(spectrum(M, 2, lam), M, M.copy())
     assert pair_a.H.shape == (20, 20)
     assert np.allclose(pair_a.H, pair_a.H_hat, atol=1e-12)
-    assert np.allclose(pair_a.ratio, np.eye(20), atol=1e-10)
+    assert np.allclose(pair_a.eigs, 1.0, atol=1e-10)
     rep = check_h_sandwich(pair_a, 0.5)
     assert rep.lhs <= 1e-10
     assert rep.holds
@@ -455,9 +454,13 @@ def test_h_pair_validation():
         check_h_sandwich(pair, 1.0)
 
 
-def pair_of(H, H_hat):
-    """The `HPair` of two given symmetric matrices, with unit gate fields."""
-    return HPair(H, H_hat, lam=1e-3, d=3, mu_lambda=1.0, rank_value=1.0)
+def pair_of(H, H_hat, r=1):
+    """The `HPair` of two given symmetric n x n matrices, on a spectrum of
+    an n x n instance at rank r and lam 1e-3, with unit gate fields."""
+    spec = dataclasses.replace(
+        spectrum(np.eye(H.shape[0]), 1), r=r, lam=1e-3,
+        rank=NumericalRankReport(value=1.0, mu_lambda=1.0))
+    return HPair(H, H_hat, spec, d=3)
 
 
 def test_h_sandwich_reports_singular_h():
@@ -469,7 +472,7 @@ def test_h_sandwich_reports_singular_h():
     # eigenvalues read
     M = low_rank(8, 6, 2, seed=36)
     pair = build_h_pair(spectrum(M, 3, 0.0), M, M[:, :4])
-    assert pair.lam == 0.0 and pair.ratio is None
+    assert pair.spec.lam == 0.0 and pair.eigs is None
     rep = check_h_sandwich(pair, 0.5)
     assert rep.lhs == float("inf") and not rep.premises_met
     assert rep.params["numerical_rank"] == 2.0
@@ -481,7 +484,7 @@ def test_h_sandwich_reports_singular_h():
     spec_m = spectrum(M, 9)
     _, A = sample_columns(M, 60, RngStream(seed=35))
     pair = build_h_pair(spec_m, M, A)
-    assert spec_m.lam > 0 and pair.w[-1] <= 0 and pair.ratio is None
+    assert spec_m.lam > 0 and pair.w[-1] <= 0 and pair.eigs is None
     rep = check_h_sandwich(pair, 0.5)
     assert rep.lhs == float("inf") and not rep.premises_met
     assert rep.params["side"] == "A" and "eig_min" not in rep.params
@@ -495,7 +498,8 @@ def test_h_sandwich_gate_arithmetic():
     _, A = sample_columns(M, 10, RngStream(seed=29))
     pair = build_h_pair(spectrum(M, 2, lam), M, A)
     rep = check_h_sandwich(pair, 0.5, t=3.0)
-    gate = math.ceil(4.0 / 0.25 * (pair.mu_lambda * pair.rank_value + 1.0)
+    gate = math.ceil(4.0 / 0.25 * (pair.spec.rank.mu_lambda
+                                   * pair.spec.rank.value + 1.0)
                      * (3.0 + math.log(30)))
     assert rep.params["d_gate"] == gate
     assert rep.premises_met == (10 >= gate)
@@ -558,7 +562,7 @@ def givens(n, i, j, theta):
 
 def test_sin_theta_identity_perturbation():
     H = np.diag([3.0, 2.0, 1.0, 0.5])
-    rep = check_sin_theta_perturbation(pair_of(H, H.copy()), 2)
+    rep = check_sin_theta_perturbation(pair_of(H, H.copy(), 2))
     assert rep.lhs <= 1e-7
     assert rep.params["eta"] == 0.0
     assert rep.params["d_h"] == 0.0
@@ -570,7 +574,7 @@ def test_sin_theta_planted_rotation():
     theta = 0.05
     G = givens(4, 1, 2, theta)  # mixes the r=2 boundary pair
     H_tilde = G @ H @ G.T
-    rep = check_sin_theta_perturbation(pair_of(H, H_tilde), 2)
+    rep = check_sin_theta_perturbation(pair_of(H, H_tilde, 2))
     assert rep.premises_met
     assert rep.lhs == pytest.approx(math.sin(theta), abs=1e-6)
     assert rep.holds
@@ -586,7 +590,7 @@ def test_sin_theta_large_perturbation_rejected():
     g = rng(32)
     E = g.standard_normal((3, 3))
     H_tilde = H + 10.0 * (E + E.T)
-    rep = check_sin_theta_perturbation(pair_of(H, H_tilde), 1)
+    rep = check_sin_theta_perturbation(pair_of(H, H_tilde))
     assert not rep.premises_met
     assert rep.rhs == float("inf")
     assert rep.params["eta"] >= 1.0
@@ -594,17 +598,21 @@ def test_sin_theta_large_perturbation_rejected():
 
 def test_sin_theta_degenerate_h():
     H = np.diag([3.0, 2.0, 0.0])
-    rep = check_sin_theta_perturbation(pair_of(H, np.eye(3)), 1)
+    rep = check_sin_theta_perturbation(pair_of(H, np.eye(3)))
     assert not rep.premises_met
     assert rep.rhs == float("inf")
-    neg = check_sin_theta_perturbation(pair_of(-np.eye(3), np.eye(3)), 1)
+    neg = check_sin_theta_perturbation(pair_of(-np.eye(3), np.eye(3)))
     assert not neg.premises_met
 
 
 def test_sin_theta_validation():
-    for r in (0, 3):
-        with pytest.raises(ValueError):
-            check_sin_theta_perturbation(pair_of(np.eye(3), np.eye(3)), r)
+    with pytest.raises(ValueError):
+        check_sin_theta_perturbation(pair_of(np.eye(3), np.eye(3), 0))
+    # r = n leaves no eigenvalue past r, so no eigen-gap: a report whose
+    # premises are not met, not an error
+    rep = check_sin_theta_perturbation(pair_of(np.eye(3), np.eye(3), 3))
+    assert not rep.premises_met and rep.rhs == float("inf")
+    assert rep.params["reason"] == "no eigenvalue past r: no eigen-gap"
 
 
 def test_sin_theta_bound_on_gram_pairs():
@@ -619,7 +627,7 @@ def test_sin_theta_bound_on_gram_pairs():
         lam = svd(M).sigma[1] ** 2 / 1600
         _, A = sample_columns(M, 30, RngStream(seed=6000 + seed))
         pair = build_h_pair(spectrum(M, 2, lam), M, A)
-        rep = check_sin_theta_perturbation(pair, 2)
+        rep = check_sin_theta_perturbation(pair)
         if rep.premises_met:
             applied += 1
             if not rep.holds:
@@ -636,7 +644,7 @@ def test_full_rank_recovery_exact_case():
     inputs = RecoveryInputs(A=M.copy(), B=M.T.copy(), omega=full_grid(M), r=3)
     _, M_hat = recover(inputs)
     rep = check_full_rank_recovery(spectrum(M, 3), norms(M, M_hat=M_hat)["error"],
-                                   20, {"omega_size": 400})
+                                   20, 400)
     assert rep.premises_met  # full grid meets the capped entry gate
     assert rep.holds
     assert rep.lhs <= 1e-12
@@ -656,13 +664,12 @@ def test_full_rank_recovery_rhs_and_gates():
     _, M_hat = recover(RecoveryInputs(A=A, B=B, omega=omega, r=2))
     spec_m = spectrum(M, 2)
     error = norms(M, M_hat=M_hat)["error"]
-    rep = check_full_rank_recovery(spec_m, error, 12, {"omega_size": 200})
+    rep = check_full_rank_recovery(spec_m, error, 12, 200)
     sig = svd(M).sigma
     assert rep.rhs == pytest.approx(24 * sig[2] ** 2 * (1 + 48 / 12), rel=1e-12)
     assert not rep.premises_met  # 200 entries sit below the capped gate of 576
     assert rep.params["omega_gate"] == 576
-    full = check_full_rank_recovery(spec_m, error, 24,
-                                    {"omega_size": 576})
+    full = check_full_rank_recovery(spec_m, error, 24, 576)
     assert full.premises_met
 
 
@@ -671,7 +678,7 @@ def test_recovery_rhs_and_holds_le_are_the_reports():
     # the report; n != m, so a swapped side would show in rhs
     M = low_rank(30, 18, 3, seed=36) + 1e-3 * rng(37).standard_normal((30, 18))
     spec = spectrum(M, 3)
-    rep = check_full_rank_recovery(spec, 0.0, 6, {"omega_size": 100})
+    rep = check_full_rank_recovery(spec, 0.0, 6, 100)
     assert recovery_rhs(spec, 6) == rep.rhs
     assert rep.rhs == 24.0 * spec.sigma_r_plus_1**2 * (1.0 + 48 / 6)
     for rhs in (0.0, 1e-12, 0.5, 2.0, 1e6):

@@ -1,10 +1,15 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from curlow import cli, cur
 from curlow.cli import load_experiment_config, main, write_csv, write_json
 from curlow.config import ExperimentConfig
 from curlow.io import read_matrix, write_matrix
@@ -473,10 +478,64 @@ def test_exit_code_non_finite_or_overflowing_t_and_ridge(tmp_path, capsys):
 def test_exit_code_matrix_whose_squares_overflow(tmp_path, capsys):
     path = tmp_path / "huge.mtx"
     write_matrix(np.full((3, 3), 1e300), str(path))
-    assert run("recover", "--matrix", str(path), "--set", "r=1",
-               "--out", str(tmp_path / "out")) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: M is too large") and err.count("\n") == 1
+    for argv in (("recover", "--set", "r=1"),
+                 ("cur", "--c", "2", "--r-rows", "2", "--k", "1")):
+        out = tmp_path / argv[0]
+        assert run(*argv, "--matrix", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: M is too large") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+
+def test_cur_samples_from_a_stream_other_than_the_generators(tmp_path,
+                                                            monkeypatch):
+    streams = {}
+
+    def generate(spec, _fn=cli.generate):
+        streams["generate"] = spec.stream
+        return _fn(spec)
+
+    def sample_columns(M, d, stream, _fn=cur.sample_columns):
+        streams["columns"] = stream
+        return _fn(M, d, stream)
+    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.setattr(cur, "sample_columns", sample_columns)
+    assert run("cur", "--c", "4", "--r-rows", "4", "--k", "2",
+               "--set", "synth.n=12", "--set", "synth.m=10",
+               "--out", str(tmp_path)) == 0
+    assert streams["columns"] != streams["generate"]
+
+
+def test_python_m_curlow_cli_runs_its_command(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "curlow.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+    gen = python_m("gen", "--out", str(tmp_path), "--set", "synth.n=8",
+                   "--set", "synth.m=8", "--set", "r=2")
+    assert gen.returncode == 0, gen.stderr
+    assert (tmp_path / "M.mtx").exists()
+    assert python_m("gen", "--bogus").returncode == 1
+
+
+def test_verify_sin_theta_at_r_equal_to_n_reports(tmp_path):
+    # r = n leaves H no eigenvalue past r: sin theta reports unmet premises
+    # and the projection reports of the same trials are kept
+    out = tmp_path / "ver"
+    assert run("verify", "--out", str(out), "--set", "synth.n=20",
+               "--set", "synth.m=20", "--set", "r=20", "--set", "trials=2",
+               "--set", "checks=projection,sin_theta") == 0
+    result = json.loads((out / "verify.json").read_text())
+    reports = [rep for rec in result["trials"] for rep in rec["reports"]]
+    assert [rep["name"] for rep in reports] == [
+        "projection_error_cols", "projection_error_rows",
+        "subspace_perturbation"] * 2
+    for sin in reports[2::3]:
+        assert not sin["premises_met"] and sin["rhs"] == "Infinity"
+        assert sin["params"]["reason"] == "no eigenvalue past r: no eigen-gap"
 
 
 def test_cur_on_an_all_zero_matrix(tmp_path):

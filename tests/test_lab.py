@@ -68,13 +68,13 @@ def test_resolve_budgets_low_rank_formula():
     budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
     mu = mu_r(svd(M), 2)
     d_formula, omega_formula = sample_size_low_rank(mu, 2, 3.0)
-    assert budget.details["regime"] == "low-rank"
-    assert budget.details["d_formula"] == d_formula
-    assert budget.d == min(d_formula, 64)
-    assert budget.omega == min(omega_formula, 64 * 64)
-    assert (budget.d, budget.omega) == (d_formula, omega_formula)
-    assert budget.details["d_source"] == "formula"
-    assert budget.details["omega_source"] == "formula"
+    assert budget["regime"] == "low-rank"
+    assert budget["d_formula"] == d_formula
+    assert budget["d"] == min(d_formula, 64)
+    assert budget["omega"] == min(omega_formula, 64 * 64)
+    assert (budget["d"], budget["omega"]) == (d_formula, omega_formula)
+    assert budget["d_source"] == "formula"
+    assert budget["omega_source"] == "formula"
 
 
 def test_resolve_budgets_explicit_and_floor():
@@ -83,8 +83,8 @@ def test_resolve_budgets_explicit_and_floor():
     M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
     lam = _lam(cfg, factors.sigma)
     budget = resolve_budgets(cfg, M, lam)
-    assert budget.d == 10 and budget.omega == 500
-    assert budget.details["d_source"] == budget.details["omega_source"] == "user"
+    assert budget["d"] == 10 and budget["omega"] == 500
+    assert budget["d_source"] == budget["omega_source"] == "user"
     floor_cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank",
                                  synth_r=3, r=3, d=1)
     with pytest.raises(ValueError):
@@ -96,11 +96,11 @@ def test_resolve_budgets_full_rank_regime():
                            synth_r=2, r=2)
     M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
     budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
-    assert budget.details["regime"] == "full-rank"
-    assert budget.d <= 48
-    assert budget.omega <= 48 * 48
-    assert budget.details["omega_formula"] >= budget.omega
-    assert "lam" in budget.details and "numerical_rank" in budget.details
+    assert budget["regime"] == "full-rank"
+    assert budget["d"] <= 48
+    assert budget["omega"] <= 48 * 48
+    assert budget["omega_formula"] >= budget["omega"]
+    assert "lam" in budget and "numerical_rank" in budget
 
 
 def test_trial_context_caches_samples():
@@ -108,7 +108,7 @@ def test_trial_context_caches_samples():
                            checks=("delta", "combine"))
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
-    ctx = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    ctx = Draw(inst, inst.budget()["d"], stream)
     idx1, _ = ctx.cols()
     idx2, _ = ctx.cols()
     assert idx1 is idx2
@@ -134,7 +134,7 @@ def test_trial_builds_each_stage_once(monkeypatch):
     assert sorted(calls) == ["assemble_design", "build_bases", "check_delta"]
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
-    ctx = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    ctx = Draw(inst, inst.budget()["d"], stream)
     assert ctx.recovery()[0].bases is ctx.bases()
 
 
@@ -174,7 +174,7 @@ def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
     assert values_only.count((40, 32)) == 5
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
-    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    draw = Draw(inst, inst.budget()["d"], stream)
     M, U, V = draw.M, draw.bases().U_hat, draw.bases().V_hat
     side_cols = np.linalg.norm(M - (M @ V) @ V.T, 2) ** 2
     side_rows = np.linalg.norm(M - U @ (U.T @ M), 2) ** 2
@@ -188,25 +188,28 @@ def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
 
 
 def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
-    # H's eigh and the whitened ratio are built once for both checks; sin
-    # theta adds H_hat's eigh. The reports are those of the dense
-    # expressions below, bit for bit.
+    # H's eigh and the whitened ratio's eigvalsh are taken once for both
+    # checks; sin theta adds H_hat's eigh and the one n x n SVD of
+    # H - H_hat, and reads its ratio_delta from the sandwich's eigenvalues.
+    # The reports are those of the dense expressions below, bit for bit.
     n, m, r = 30, 24, 2
     cfg = ExperimentConfig(n=n, m=m, kind="geometric-spectrum", synth_r=2,
                            r=r, d=12, omega_count=300,
                            checks=("h_sandwich", "sin_theta"))
-    square = []
-
-    def counted(a, *args, _fn=np.linalg.eigh, **kwargs):
-        square.append(np.shape(a) == (n, n))
-        return _fn(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    square = {"eigh": [], "eigvalsh": [], "svd": []}
+    for name, calls in square.items():
+        def counted(a, *args, _fn=getattr(np.linalg, name), _calls=calls,
+                    **kwargs):
+            _calls.append(np.shape(a) == (n, n))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     sandwich, sin = run_trial(cfg, 0)["reports"]
     monkeypatch.undo()
-    assert square.count(True) == 2
+    assert {name: calls.count(True) for name, calls in square.items()} == {
+        "eigh": 2, "eigvalsh": 1, "svd": 1}
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
-    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    draw = Draw(inst, inst.budget()["d"], stream)
     M, A, lam, d = draw.M, draw.cols()[1], inst.lam, draw.d
     H = lam * np.eye(n) + M @ M.T / (m * n)
     H_hat = lam * np.eye(n) + A @ A.T / (d * n)
@@ -229,7 +232,8 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     eta = float(1.0 / np.abs(w).min()) * linalg.spectral_norm(H - H_hat)
     d_lam = min(np.sqrt(2.0) * (1.0 - w[r] / w[r - 1]), 1.0 / np.sqrt(2.0))
     d_h = eta / np.sqrt(1.0 - eta)
-    delta_ratio = linalg.spectral_norm(ratio - np.eye(n))
+    delta_ratio = float(np.max(np.abs(eigs - 1.0)))
+    assert sin["params"]["ratio_delta"] == sandwich["lhs"]
     assert sin["params"] == {
         "r": r, "eta": eta, "d_lambda": d_lam, "lam_r": float(w[r - 1]),
         "lam_r_plus_1": float(w[r]), "d_h": d_h, "ratio_delta": delta_ratio,
@@ -244,7 +248,7 @@ def test_a_draw_builds_its_residual_once(monkeypatch):
                            r=2, d=16, omega_count=600)
     stream = cfg.base_stream()
     inst = load_instance(cfg, stream)
-    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    draw = Draw(inst, inst.budget()["d"], stream)
     normed = []
 
     def counted(a, _fn=lab.spectral_norm):
@@ -292,14 +296,14 @@ def test_a_draw_takes_mu_hat_once(monkeypatch):
     assert len(calls) == 1
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
-    draw = Draw(inst, inst.budget().d, inst.budget().omega, stream)
+    draw = Draw(inst, inst.budget()["d"], stream)
     n, m, r, d, t = draw.n, draw.m, cfg.r, draw.d, cfg.t
     system, bases = draw.design(), draw.bases()
     muh = mu_hat(bases.U_hat, bases.V_hat)
     size = len(system.y)
     gate = bounds._ceil(7.0 * muh**2 * r**2 * (t + 2.0 * math.log(r)))
     assert convexity == bounds.make_report(
-        "strong_convexity", recovery.strong_convexity_gamma(system),
+        "strong_convexity", system.lambda_min(),
         size / (2.0 * m * n), size >= gate,
         {"omega_size": size, "n": n, "m": m, "r": r, "t": t, "mu_hat": muh,
          "omega_gate": gate}, sense="ge").to_dict()
@@ -653,10 +657,10 @@ def test_run_sweep_drops_each_instance_after_its_last_point(monkeypatch):
 def _compose(cfg, M, lam, stream, d=None):
     # the draw layout spelled out by hand: samples from stream.derive(1..3)
     budget = resolve_budgets(cfg, M, lam)
-    d = budget.d if d is None else d
+    d = budget["d"] if d is None else d
     col_idx, A = sample_columns(M, d, stream.derive(1))
     row_idx, B = sample_rows(M, d, stream.derive(2))
-    omega = sample_entries(M, budget.omega, stream.derive(3))
+    omega = sample_entries(M, budget["omega"], stream.derive(3))
     _, M_hat = recover(RecoveryInputs(A=A, B=B, omega=omega, r=cfg.r),
                        ridge=cfg.ridge)
     return col_idx, row_idx, omega, M_hat
@@ -738,11 +742,11 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
         stream = cfg.base_stream().derive(trial)
         for d in grid:
             inst = load_instance(cfg, stream)
-            draw = Draw(inst, d, inst.budget().omega, stream.derive(1 + d))
+            draw = Draw(inst, d, stream.derive(1 + d))
             error = linalg.spectral_norm(draw.M - draw.recovery()[1]) ** 2
             oracles[trial, d] = check(
                 bounds.spectrum(draw.M, cfg.r, inst.lam), error, d,
-                {"omega_size": draw.entries().size, "t": cfg.t})
+                draw.entries().size, cfg.t)
     for sandwich in (True, False):
         seen = []
 

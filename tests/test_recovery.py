@@ -23,7 +23,6 @@ from curlow.recovery import (
     build_bases,
     recover,
     solve_core,
-    strong_convexity_gamma,
 )
 from curlow.sampling import (
     OmegaSet,
@@ -256,7 +255,7 @@ def test_solve_core_factors_the_normal_matrix_once(monkeypatch):
                              sample_entries(M, 80, RngStream(seed=46)))
     calls = record_factorizations(monkeypatch)
     fits = {ridge: solve_core(system, ridge) for ridge in (0.0, 1e-3)}
-    gamma = strong_convexity_gamma(system)
+    gamma = system.lambda_min()
     # one eigh of the system serves both ridges and the strong convexity
     assert calls == [("eigh", (9, 9))]
     gram = system.K.T @ system.K
@@ -322,7 +321,7 @@ def test_multi_chunk_design_matches_the_full_matrix(monkeypatch):
     monkeypatch.setattr(recovery.DesignSystem, "K",
                         property(lambda s: built.append(s) or K))
     Z, lam_min, residual = solve_core(system)
-    assert strong_convexity_gamma(system) == lam_min
+    assert system.lambda_min() == lam_min
     # no row of K is built on the solve path
     assert built == []
     G, b = system.normal()
@@ -515,14 +514,14 @@ def test_inputs_validation():
         RecoveryInputs(A=np.zeros((10, 4)), B=np.zeros((8, 4)), omega=omega, r=5)
 
 
-# --- strong_convexity_gamma ------------------------------------------------------
+# --- DesignSystem.lambda_min -----------------------------------------------------
 
 
 def test_gamma_full_grid_is_one():
     M = low_rank(8, 6, 2, seed=40)
     bases = build_bases(M.copy(), M.T.copy(), 2)
     system = assemble_design(bases, full_grid(M))
-    assert abs(strong_convexity_gamma(system) - 1.0) < 1e-10
+    assert abs(system.lambda_min() - 1.0) < 1e-10
 
 
 def test_gamma_single_observation_r1():
@@ -534,7 +533,7 @@ def test_gamma_single_observation_r1():
                      values=np.array([1.0]))
     system = assemble_design(bases, omega)
     expect = (U[3, 0] * V[2, 0]) ** 2
-    assert abs(strong_convexity_gamma(system) - expect) < 1e-14
+    assert abs(system.lambda_min() - expect) < 1e-14
 
 
 def test_gamma_matches_eigensolver_oracle():
@@ -543,7 +542,7 @@ def test_gamma_matches_eigensolver_oracle():
     omega = sample_entries(M, 70, RngStream(seed=44))
     system = assemble_design(bases, omega)
     oracle = float(np.linalg.eigvalsh(system.K.T @ system.K)[0])
-    assert abs(strong_convexity_gamma(system) - max(oracle, 0.0)) < 1e-10
+    assert abs(system.lambda_min() - max(oracle, 0.0)) < 1e-10
 
 
 # --- independent solver oracle ----------------------------------------------------

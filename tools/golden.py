@@ -39,8 +39,8 @@ ALL_CHECKS = ("checks=projection,delta,delta_triangle,combine,halko,"
 
 
 def commands(root: str) -> list[tuple[str, list[str]]]:
-    """(name, argv) pairs; `recover-matrix` reads what `gen` wrote, and
-    `recover-matrix-csv` what `gen-csv` wrote."""
+    """(name, argv) pairs; `recover-matrix` and `cur-matrix-csv` read what
+    `gen` wrote, and `recover-matrix-csv` what `gen-csv` wrote."""
     def sets(*pairs):
         return [a for p in pairs for a in ("--set", p)]
 
@@ -77,6 +77,11 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("verify-rect-geometric", ["verify", *sets(
             "synth.n=60", "synth.m=48", "synth.kind=geometric-spectrum", "r=3",
             "d=16", "omega=900", "trials=4", ALL_CHECKS)]),
+        ("cur", ["cur", "--c", "12", "--r-rows", "10", "--k", "3", *sets(
+            "synth.n=60", "synth.m=48", "r=3")]),
+        ("cur-matrix-csv", ["cur", "--format", "csv", "--matrix",
+                            os.path.join(root, "gen", "M.mtx"),
+                            "--c", "12", "--r-rows", "12", "--k", "4"]),
         # r above the instance's rank: lam = 0 and H is singular
         ("verify-rank-above", ["verify", *sets(
             "synth.n=30", "synth.m=30", "synth.kind=exact-low-rank",
