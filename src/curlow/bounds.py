@@ -15,6 +15,7 @@ Natural logarithms throughout.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,43 +85,59 @@ def make_report(name: str, lhs: float, rhs: float, premises_met: bool,
 # the instance's spectrum
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """What the checks read of an n x m instance M at rank r and the
-    instance's regularization lam. factors is one `svd(M)`, which gives
-    mu_r, the right singular vectors the selection checks read, and the
-    regularized rank and weighted coherence at lam (`rank`). sigma is the
-    values-only `singular_values(M)`, which gives sigma_r and sigma_{r+1}.
-    The two kernels' sigma differ in the last bits, so reading sigma from
-    factors would change the outputs."""
+    instance's regularization lam. sigma is the values-only
+    `singular_values(M)`, which gives sigma_r and sigma_{r+1}; it is taken
+    when the spectrum is built. factors is one `svd(M)`, which gives mu_r,
+    the right singular vectors the selection checks read, and the
+    regularized rank and weighted coherence at lam (`rank`); these three
+    are computed together on the first read of any of them, once, under
+    the spectrum's own lock, so a reader of sigma alone, such as a settled
+    sweep draw, never forms U and V. The two kernels' sigma differ in the
+    last bits, so reading sigma from factors would change the outputs."""
 
-    r: int
-    n: int
-    m: int
-    sigma: np.ndarray
-    factors: SvdFactors
-    sigma_r: float
-    sigma_r_plus_1: float
-    lam: float
-    mu_r: float
-    rank: NumericalRankReport
+    def __init__(self, M: np.ndarray, r: int, sigma: np.ndarray, lam: float):
+        self.M, self.r, self.sigma, self.lam = M, r, sigma, lam
+        self.n, self.m = M.shape
+        self.sigma_r = float(sigma[r - 1])
+        self.sigma_r_plus_1 = float(sigma[r]) if r < sigma.size else 0.0
+        # a plain lock: functools.cached_property serializes pool threads
+        # on one lock per attribute, across all spectra, before Python 3.12
+        self._lock = threading.Lock()
+        self._vectors = None  # (factors, mu_r, rank)
+
+    def _read_vectors(self) -> tuple[SvdFactors, float, NumericalRankReport]:
+        with self._lock:
+            if self._vectors is None:
+                f = svd(self.M)
+                self._vectors = (f, mu_r(f, self.r),
+                                 numerical_rank(f, self.lam))
+            return self._vectors
+
+    @property
+    def factors(self) -> SvdFactors:
+        return self._read_vectors()[0]
+
+    @property
+    def mu_r(self) -> float:
+        return self._read_vectors()[1]
+
+    @property
+    def rank(self) -> NumericalRankReport:
+        return self._read_vectors()[2]
 
 
 def spectrum(M, r: int, lam: float | None = None) -> Spectrum:
     """The `Spectrum` of M at rank r and regularization lam, by default
-    sigma_r^2 / (mn) of M's own sigma; computed once per instance and
-    shared by every check of every draw from it."""
+    sigma_r^2 / (mn) of M's own sigma; built once per instance and shared
+    by every check of every draw from it."""
     A = as_matrix(M)
     n, m = A.shape
     sig = singular_values(A)
-    f = svd(A)
-    s_r = float(sig[r - 1])
-    s_next = float(sig[r]) if r < sig.size else 0.0
     if lam is None:
-        lam = s_r**2 / (m * n)
-    return Spectrum(r=r, n=n, m=m, sigma=sig, factors=f, sigma_r=s_r,
-                    sigma_r_plus_1=s_next, lam=lam, mu_r=mu_r(f, r),
-                    rank=numerical_rank(f, lam))
+        lam = float(sig[r - 1]) ** 2 / (m * n)
+    return Spectrum(A, r, sig, lam)
 
 
 # ---------------------------------------------------------------------------

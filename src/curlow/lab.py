@@ -18,16 +18,18 @@ Frobenius sandwich leaves the bound open; `recover` and `verify` report
 the exact norm. `recover` draws from the base stream, each `verify`
 trial from base.derive(trial), and `sweep` loads each trial's instance
 once and draws from base.derive(trial).derive(1 + d) per grid point d.
-`verify` runs one task per trial and `sweep` one per instance build and
-one per (trial, d) draw, in one thread pool with BLAS on one thread per
-task; results are put together in trial order, so they are independent
-of both thread counts.
+The spectrum takes M's singular values when it is built and M's
+singular vectors on first read, so where every draw settles, a sweep
+forms them only in `resolve_budgets`. `verify` runs one task per trial, and `sweep` three per
+instance build (load, budget, spectrum) and one per (trial, d) draw, in
+one thread pool with BLAS on one thread per task; results are put
+together in trial order, so they are independent of both thread counts.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -140,7 +142,8 @@ class Instance:
     use, its `bounds.Spectrum` at lam, the one decomposition of M that
     every check and every draw from M read, and its resolved budget. A
     sweep trial's grid points share one instance from several pool
-    threads; `_sweep_instance` builds both before a point reads them."""
+    threads; `run_sweep` builds both, in one pool task each, before a
+    point reads them."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
@@ -412,13 +415,29 @@ def _union_count(draw: Draw) -> int:
     return d * draw.n + d * draw.m - d * d + omega.size - overlap
 
 
-def _sweep_instance(cfg: ExperimentConfig, trial: int) -> Instance:
-    """A sweep trial's instance with its budget and spectrum built, so its
-    grid points, drawn on several pool threads, only read them."""
-    inst = load_instance(cfg, cfg.base_stream().derive(trial))
-    inst.budget()
-    inst.spectrum()
-    return inst
+def _sweep_load(cfg: ExperimentConfig, trial: int) -> Instance:
+    """A sweep trial's instance, from base.derive(trial)."""
+    return load_instance(cfg, cfg.base_stream().derive(trial))
+
+
+def _sweep_budget(loaded: Future) -> None:
+    """Resolve the budget of the instance that `loaded` loads."""
+    loaded.result().budget()
+
+
+def _sweep_spectrum(loaded: Future) -> None:
+    """Build the spectrum of the instance that `loaded` loads."""
+    loaded.result().spectrum()
+
+
+def _sweep_draw(loaded: Future, builds: tuple[Future, Future], trial: int,
+                d: int) -> dict:
+    """`_sweep_point` once the instance's load, budget and spectrum tasks
+    are done, so the draws of one instance, on several pool threads, only
+    read them."""
+    for build in builds:
+        build.result()
+    return _sweep_point(loaded.result(), trial, d)
 
 
 def _sweep_point(inst: Instance, trial: int, d: int) -> dict:
@@ -479,18 +498,25 @@ def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
         raise ValueError(f"grid entries must be >= 1, got {grid[0]}")
     live = [d for d in grid if cfg.r <= d <= min(cfg.m, cfg.n)]
     outs: dict = {}
-    # even windows of at most workers + 1 trials; a window's builds queue
-    # before its draws and wait on nothing, so no draw waits on a queued one
+    # even windows of at most workers + 1 trials. A window queues its
+    # loads, then each trial's budget and spectrum, each waiting on its
+    # load, then the draws, each waiting on its trial's three. Every task
+    # waits only on tasks queued before it, so a FIFO pool cannot deadlock.
     windows = -(-cfg.trials // (workers + 1)) if live else 0
     with _trial_pool(workers) as pool:
         for w in range(windows):
             block = range(w * cfg.trials // windows,
                           (w + 1) * cfg.trials // windows)
-            built = {k: pool.submit(_sweep_instance, cfg, k) for k in block}
+            loaded = {k: pool.submit(_sweep_load, cfg, k) for k in block}
+            builds = {k: (pool.submit(_sweep_budget, loaded[k]),
+                          pool.submit(_sweep_spectrum, loaded[k]))
+                      for k in block}
             tasks = [(k, d) for k in block for d in live]
             outs.update(zip(tasks, pool.map(
-                lambda t: _sweep_point(built[t[0]].result(), *t), tasks)))
-            del built  # the window's instances go before the next's are built
+                lambda t: _sweep_draw(loaded[t[0]], builds[t[0]], *t),
+                tasks)))
+            # the window's instances go before the next's are built
+            del loaded, builds
     rows = []
     for d in grid:
         row = {"d": d, "analytic_total": bounds.total_observations(cfg.n, d),

@@ -1,13 +1,16 @@
-import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curlow import bounds
 from curlow.bounds import (
     HPair,
+    Spectrum,
     build_h_pair,
     check_combine,
     check_delta,
@@ -30,7 +33,7 @@ from curlow.bounds import (
     spectrum,
     total_observations,
 )
-from curlow.coherence import NumericalRankReport, mu_hat, numerical_rank
+from curlow.coherence import mu_hat, mu_r, numerical_rank
 from curlow.linalg import (
     SANDWICH_ULPS,
     frobenius_norm,
@@ -455,12 +458,48 @@ def test_h_pair_validation():
 
 
 def pair_of(H, H_hat, r=1):
-    """The `HPair` of two given symmetric n x n matrices, on a spectrum of
-    an n x n instance at rank r and lam 1e-3, with unit gate fields."""
-    spec = dataclasses.replace(
-        spectrum(np.eye(H.shape[0]), 1), r=r, lam=1e-3,
-        rank=NumericalRankReport(value=1.0, mu_lambda=1.0))
-    return HPair(H, H_hat, spec, d=3)
+    """The `HPair` of two given symmetric n x n matrices, on the spectrum
+    of the n x n identity at rank r and lam 1e-3."""
+    n = H.shape[0]
+    return HPair(H, H_hat, Spectrum(np.eye(n), r, np.ones(n), 1e-3), d=3)
+
+
+def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
+    # more readers than cores, switching threads as often as the
+    # interpreter allows: the first read of factors, mu_r or rank factors
+    # M, once, and every reader sees that one result
+    M = low_rank(40, 30, 3, seed=37)
+    spec = spectrum(M, 3)
+    calls = []
+
+    def counted(a, _fn=bounds.svd):
+        calls.append(1)  # list.append is atomic across threads
+        return _fn(a)
+    monkeypatch.setattr(bounds, "svd", counted)
+    names = ["factors", "mu_r", "rank"] * 3
+    barrier = threading.Barrier(len(names), timeout=30)
+    seen = []
+
+    def read(name):
+        barrier.wait()
+        seen.append((name, getattr(spec, name)))
+    readers = [threading.Thread(target=read, args=(name,)) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert len(calls) == 1 and len(seen) == len(names)
+    f = spec.factors
+    assert spec.mu_r == mu_r(f, 3)
+    assert spec.rank == numerical_rank(f, spec.lam)
+    for name, value in seen:
+        assert value is getattr(spec, name)
 
 
 def test_h_sandwich_reports_singular_h():

@@ -508,7 +508,7 @@ def test_run_sweep_keeps_points_around_an_ill_posed_draw():
                            omega_count=6, trials=4)
     rows = run_sweep(cfg, [4, 8], threads=2)
     assert rows == run_sweep(cfg, [4, 8], threads=1)
-    insts = [lab._sweep_instance(cfg, k) for k in range(cfg.trials)]
+    insts = [lab._sweep_load(cfg, k) for k in range(cfg.trials)]
     points = [{d: lab._sweep_point(inst, k, d) for d in (4, 8)}
               for k, inst in enumerate(insts)]
     for row in rows:
@@ -536,11 +536,16 @@ def test_run_sweep_keeps_points_around_an_ill_posed_draw():
 
 
 def test_run_sweep_thread_invariance():
-    # more trials than workers, several live points and a skipped one
-    cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
-                           synth_r=2, r=2, omega_count=250, trials=5)
+    # several live points and a skipped one; 3 trials, the benchmark's
+    # shape, and 7, more than one window at every worker count here
     grid = [1, 6, 8, 12]
-    assert run_sweep(cfg, grid, threads=1) == run_sweep(cfg, grid, threads=3)
+    for trials in (3, 7):
+        cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum",
+                               decay=0.4, synth_r=2, r=2, omega_count=250,
+                               trials=trials)
+        one = run_sweep(cfg, grid, threads=1)
+        assert run_sweep(cfg, grid, threads=2) == one
+        assert run_sweep(cfg, grid, threads=3) == one
 
 
 def test_run_sweep_spreads_one_trial_over_the_workers(monkeypatch):
@@ -761,7 +766,7 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
             reported = 0
             for trial in range(cfg.trials):
                 seen.clear()
-                inst = lab._sweep_instance(cfg, trial)
+                inst = lab._sweep_load(cfg, trial)
                 outs = {d: lab._sweep_point(inst, trial, d) for d in grid}
                 reports = dict(seen)
                 assert len(reports) == len(seen)
@@ -802,6 +807,57 @@ def test_a_sweep_draw_takes_one_frobenius_norm_and_no_spectral_norm(
     run_recovery(ExperimentConfig(n=40, m=40, kind="exact-low-rank",
                                   synth_r=2, r=2, seed=5))
     assert normed["spectral"] == [(40, 40)] * 2
+
+
+def test_a_settled_sweep_factors_m_with_vectors_only_for_its_budget(
+        monkeypatch):
+    # AC7's shape at n = 64, where every draw settles its bound from the
+    # Frobenius sandwich: each trial's M is factored once with its vectors,
+    # by resolve_budgets, and once without them, by its spectrum
+    cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=2, r=2,
+                           trials=3)
+    Ms = [generate(cfg.synth_spec(cfg.base_stream().derive(k).derive(0)))[0]
+          for k in range(cfg.trials)]
+    calls = []
+
+    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
+        for k, M in enumerate(Ms):
+            if np.shape(a) == M.shape and np.array_equal(a, M):
+                calls.append((k, kwargs.get("compute_uv", True)))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rows = run_sweep(cfg, [2, 4, 8, 16], threads=2)
+    assert all("failed" not in row for row in rows)
+    assert sorted(calls) == [(k, vectors) for k in range(cfg.trials)
+                             for vectors in (False, True)]
+
+
+def test_an_unsettled_sweep_factors_each_spectrum_once(monkeypatch):
+    # with a sandwich that never settles, every draw reads its instance's
+    # regularized rank, so its spectrum's singular vectors: the rows are
+    # unchanged, and each spectrum factors M once however many draws, on
+    # two pool threads, read it
+    cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=2, r=2,
+                           trials=3)
+    grid = [2, 4, 8, 16]
+    expected = run_sweep(cfg, grid, threads=2)
+    factored, read = [], []
+
+    def counted(a, _fn=bounds.svd):
+        factored.append(a)  # list.append is atomic across pool threads
+        return _fn(a)
+
+    def recorded(spec, *args, _fn=bounds.check_full_rank_recovery, **kwargs):
+        read.append(spec)
+        return _fn(spec, *args, **kwargs)
+    monkeypatch.setattr(bounds, "svd", counted)
+    monkeypatch.setattr(bounds, "check_full_rank_recovery", recorded)
+    monkeypatch.setattr(lab, "settle_by_frobenius", lambda *args: None)
+    assert run_sweep(cfg, grid, threads=2) == expected
+    assert len(read) == cfg.trials * len(grid)
+    assert len({id(spec) for spec in read}) == cfg.trials
+    assert len(factored) == cfg.trials
+    assert len({id(M) for M in factored}) == cfg.trials
 
 
 def test_run_sweep_validation():

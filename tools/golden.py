@@ -68,6 +68,10 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("sweep-rect-geometric", ["sweep", "--d-grid", "3,4,8,16", *sets(
             "synth.n=60", "synth.m=48", "synth.kind=geometric-spectrum",
             "r=3", "omega=12", "trials=3")]),
+        # more trials than one window holds at any worker count up to 10,
+        # so the windows' schedule reaches these bytes
+        ("sweep-many-trials", ["sweep", "--d-grid", "2,4,8,16", *sets(
+            "synth.n=96", "synth.m=96", "r=2", "trials=12")]),
         ("verify-n200", ["verify", *sets("synth.n=200", "synth.m=200", "r=4",
                                          "trials=20", ALL_CHECKS)]),
         # n != m, so a check that swaps n and m changes these bytes
