@@ -50,12 +50,13 @@ def _leverage(Q: np.ndarray) -> np.ndarray:
 
 
 def basis_incoherence(Q, name: str = "Q") -> float:
-    """Coherence of one orthonormal basis."""
+    """Coherence of one orthonormal basis, clipped into [1, N/r] once its
+    rounding is checked, so every reader sees one value in range."""
     A = _check_orthonormal(Q, name)
     N, r = A.shape
     mu = float(N / r * np.max(_leverage(A)))
     _assert_mu_range(mu, N, r)
-    return mu
+    return min(max(mu, 1.0), N / r)
 
 
 def _assert_mu_range(mu: float, N: int, r: int) -> None:

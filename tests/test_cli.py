@@ -375,6 +375,23 @@ def test_gen_keeps_a_synth_r_from_the_config_file(tmp_path):
     assert np.count_nonzero(read_matrix(out / "spectrum.csv")) == 5
 
 
+def test_verify_at_a_flat_coherence_writes_every_trial(tmp_path):
+    # at m = 2 the top singular vectors are flat up to rounding, so mu_r
+    # reads 1 - 2e-16 in some trials; clipped into [1, N/r] once, it sizes
+    # the formula budget like any other coherence
+    for trials in range(1, 5):
+        out = tmp_path / f"ver{trials}"
+        assert run("verify", "--out", str(out), "--set", "synth.n=5",
+                   "--set", "synth.m=2", "--set", "synth.kind=geometric-spectrum",
+                   "--set", "r=1", "--set", "d=1", "--set", "synth.decay=0.01",
+                   "--set", "checks=projection",
+                   "--set", f"trials={trials}") == 0
+        result = json.loads((out / "verify.json").read_text())
+        assert [rec["trial"] for rec in result["trials"]] == list(range(trials))
+        assert all(1.0 <= rep["params"]["mu_r"] <= 5.0
+                   for rec in result["trials"] for rep in rec["reports"])
+
+
 def test_verify_ill_posed_trials_are_written_and_exit_2(tmp_path, capsys):
     out = tmp_path / "ver"
     rc = run("verify", "--out", str(out), "--set", "synth.n=30",
