@@ -13,6 +13,8 @@ from curlow.linalg import svd
 from curlow.sampling import RngStream
 from curlow.synth import SynthSpec, generate
 
+EPS = np.finfo(float).eps
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -212,9 +214,17 @@ def test_mu_lambda_at_least_one():
 
 
 def test_sin_theta_same_subspace():
-    # cosine-based formula turns ~1e-16 rounding into ~1e-8 near theta = 0
     Q = random_orthonormal(10, 3, seed=13)
-    assert sin_theta(Q, Q) < 1e-7
+    assert sin_theta(Q, Q) <= 4 * EPS
+
+
+def test_sin_theta_reads_angles_below_sqrt_eps():
+    # every principal angle of the 20 x 3 pair is theta; sqrt(1 - c^2)
+    # from the smallest cosine read about 2e-8 at each of these
+    Q = random_orthonormal(20, 6, seed=17)
+    for theta in (1e-12, 1e-10, 1e-8):
+        Q2 = Q[:, :3] * np.cos(theta) + Q[:, 3:] * np.sin(theta)
+        assert abs(sin_theta(Q[:, :3], Q2) - np.sin(theta)) <= 4 * EPS
 
 
 def test_sin_theta_orthogonal_subspaces():
