@@ -97,11 +97,13 @@ class Spectrum:
     sweep draw, never forms U and V. The two kernels' sigma differ in the
     last bits, so reading sigma from factors would change the outputs."""
 
-    def __init__(self, M: np.ndarray, r: int, sigma: np.ndarray, lam: float):
-        self.M, self.r, self.sigma, self.lam = M, r, sigma, lam
+    def __init__(self, M: np.ndarray, r: int, sigma: np.ndarray,
+                 lam: float | None = None):
+        self.M, self.r, self.sigma = M, r, sigma
         self.n, self.m = M.shape
         self.sigma_r = float(sigma[r - 1])
         self.sigma_r_plus_1 = float(sigma[r]) if r < sigma.size else 0.0
+        self.lam = self.sigma_r**2 / (self.m * self.n) if lam is None else lam
         # a plain lock: functools.cached_property serializes pool threads
         # on one lock per attribute, across all spectra, before Python 3.12
         self._lock = threading.Lock()
@@ -133,11 +135,7 @@ def spectrum(M, r: int, lam: float | None = None) -> Spectrum:
     sigma_r^2 / (mn) of M's own sigma; built once per instance and shared
     by every check of every draw from it."""
     A = as_matrix(M)
-    n, m = A.shape
-    sig = singular_values(A)
-    if lam is None:
-        lam = float(sig[r - 1]) ** 2 / (m * n)
-    return Spectrum(A, r, sig, lam)
+    return Spectrum(A, r, singular_values(A), lam)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ trial from base.derive(trial), and `sweep` loads each trial's instance
 once and draws from base.derive(trial).derive(1 + d) per grid point d.
 The spectrum takes M's singular values when it is built and M's
 singular vectors on first read, so where every draw settles, a sweep
-forms them only in `resolve_budgets`. `verify` runs one task per trial, and `sweep` three per
-instance build (load, budget, spectrum) and one per (trial, d) draw, in
-one thread pool with BLAS on one thread per task; results are put
-together in trial order, so they are independent of both thread counts.
+forms them only in `resolve_budgets`. `verify` runs one task per trial,
+and `sweep` three per instance (load, budget, spectrum) and one per
+(trial, d) draw, in one thread pool with BLAS on one thread per task;
+results are put together in trial order, so they are independent of
+both thread counts.
 """
 from __future__ import annotations
 

@@ -382,12 +382,14 @@ def test_verify_at_a_flat_coherence_writes_every_trial(tmp_path):
     for trials in range(1, 5):
         out = tmp_path / f"ver{trials}"
         assert run("verify", "--out", str(out), "--set", "synth.n=5",
-                   "--set", "synth.m=2", "--set", "synth.kind=geometric-spectrum",
-                   "--set", "r=1", "--set", "d=1", "--set", "synth.decay=0.01",
+                   "--set", "synth.m=2",
+                   "--set", "synth.kind=geometric-spectrum", "--set", "r=1",
+                   "--set", "d=1", "--set", "synth.decay=0.01",
                    "--set", "checks=projection",
                    "--set", f"trials={trials}") == 0
         result = json.loads((out / "verify.json").read_text())
-        assert [rec["trial"] for rec in result["trials"]] == list(range(trials))
+        trials_written = [rec["trial"] for rec in result["trials"]]
+        assert trials_written == list(range(trials))
         assert all(1.0 <= rep["params"]["mu_r"] <= 5.0
                    for rec in result["trials"] for rep in rec["reports"])
 
