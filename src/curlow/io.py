@@ -41,10 +41,6 @@ BLOCK_ENTRIES = 2**16
 # characters read per block of lines
 BLOCK_CHARS = 2**18
 
-# the characters that end a line for str.splitlines() in ASCII text whose
-# "\r\n" and "\r" universal newlines have turned into "\n"
-_LINE_BREAKS = "\n\v\f\x1c\x1d\x1e"
-
 
 def _parse_float(token: str, path, line_no: int) -> float:
     try:
@@ -87,36 +83,22 @@ def _check_ascii(line: str, path, line_no: int) -> None:
 
 class _Lines:
     """The lines of a text file as str.splitlines() splits its whole text,
-    read about BLOCK_CHARS characters at a time. `line_no` is the number
-    of lines handed out so far; at the end of the file, all of them."""
+    read about BLOCK_CHARS characters at a time. Each read runs on to a
+    "\n", to which universal newlines turn "\r\n" and "\r", or to the end
+    of the file; "\n" ends a line for str.splitlines() too, so no block
+    cuts a line. `line_no` is the number of lines handed out so far; at
+    the end of the file, all of them."""
 
     def __init__(self, fh, path):
         self._fh, self._path = fh, path
         self._block: list[str] = []
         self._pos = 0
-        # the pieces of the unfinished last line of the text read so far,
-        # joined once the line ends, so a long line costs linear time
-        self._carry: list[str] = []
         self.line_no = 0
 
     def _fill(self) -> bool:
         """Read the next block of whole lines; False at the end of the file."""
-        while True:
-            text = self._fh.read(BLOCK_CHARS)
-            if not text:
-                self._block = ["".join(self._carry)] if self._carry else []
-                self._carry = []
-                break
-            block = text.splitlines()
-            tail = [] if text[-1] in _LINE_BREAKS else [block.pop()]
-            if not block:
-                self._carry += tail
-                continue
-            if self._carry:
-                block[0] = "".join(self._carry) + block[0]
-            self._block, self._carry = block, tail
-            break
-        self._pos = 0
+        text = self._fh.read(BLOCK_CHARS) + self._fh.readline()
+        self._block, self._pos = text.splitlines(), 0
         return bool(self._block)
 
     def next(self) -> str | None:

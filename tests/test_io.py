@@ -304,6 +304,14 @@ def _outcome(read, path):
 @example(raw=f"{DENSE_BANNER}\n2 1\n1\f2\n".encode(), block_chars=2, chunk_bytes=3)
 @example(raw=f"{DENSE_BANNER}\r\n1 2\r\n3\r\n4\r\n".encode(),
          block_chars=1, chunk_bytes=1)
+# a read that stops right after a "\f", then a line longer than a block,
+# which the rest of the read crosses past a "\v" to its "\n"
+@example(raw=f"{DENSE_BANNER}\n3 1\n1\f2.500\v-3.25e-1\n".encode(),
+         block_chars=2, chunk_bytes=3)
+# a last line longer than a block with no line break after it
+@example(raw=f"{DENSE_BANNER}\n1 1\n-1.2500".encode(), block_chars=2,
+         chunk_bytes=3)
+@example(raw=b"# rows=1 cols=3\n1,2.5,-3.75", block_chars=4, chunk_bytes=2)
 def test_streamed_reader_matches_the_whole_file_reader(tmp_path_factory, raw,
                                                        block_chars,
                                                        chunk_bytes):
