@@ -70,8 +70,7 @@ def cur_error_ratio(M, factors: CurFactors, k: int) -> CurErrorReport:
         raise ValueError(f"k must be in [1, {f.sigma.size}], got {k}")
     cur_error = frobenius_norm(A - factors.reconstruct())
     best_error = float(np.sqrt(np.sum(f.sigma[k:] ** 2)))
-    scale = frobenius_norm(A)
-    tiny = EXACT_RTOL * scale
+    tiny = EXACT_RTOL * float(np.sqrt(np.sum(f.sigma ** 2)))
     if best_error <= tiny:
         if cur_error <= tiny:
             return CurErrorReport(ratio=0.0, exact=True, cur_error=cur_error,

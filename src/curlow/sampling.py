@@ -97,10 +97,7 @@ def sample_columns(M, d: int, stream: RngStream) -> tuple[IndexSet, DenseMatrix]
 def sample_rows(M, d: int, stream: RngStream) -> tuple[IndexSet, DenseMatrix]:
     """Draw d distinct rows uniformly; returns the index set and the
     m x d matrix holding the transposed rows in draw order."""
-    A = as_matrix(M)
-    drawn = _draw_without_replacement(stream.generator(), A.shape[0], d)
-    idx = IndexSet(indices=np.sort(drawn), bound=A.shape[0], draw_order=drawn)
-    return idx, A[drawn, :].T.copy()
+    return sample_columns(as_matrix(M).T, d, stream)
 
 
 def sample_entries(M, s: int, stream: RngStream) -> OmegaSet:
