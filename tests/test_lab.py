@@ -487,6 +487,23 @@ def test_run_recovery_on_supplied_matrix():
     assert not bases["degenerate_gap"]
 
 
+@pytest.mark.parametrize("seed, holds", [(2, False), (5, True)])
+def test_run_recovery_bound_can_fail_on_real_draws(seed, holds):
+    # full rank, d = r and 10 entries of 2880: far below the premises, so
+    # some draws miss the bound (seed 2: lhs 69.7) and some keep it (seed
+    # 5: lhs 0.17) against the same rhs of 13.875
+    inst_cfg = ExperimentConfig(n=60, m=48, kind="geometric-spectrum",
+                                decay=0.5, synth_r=3, r=3)
+    M = load_instance(inst_cfg, inst_cfg.base_stream()).M
+    cfg = ExperimentConfig(n=60, m=48, r=3, d=3, omega_count=10, seed=seed)
+    bound = run_recovery(cfg, M=M)["metrics"]["recovery_bound"]
+    assert bound["name"] == "recovery_error"
+    assert bound["premises_met"] is False
+    assert bound["holds"] is holds
+    assert (bound["lhs"] <= bound["rhs"]) is holds
+    assert bound["rhs"] == pytest.approx(13.875)
+
+
 def test_run_sweep_rows_and_skips():
     cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
                            omega_count=250, trials=3)

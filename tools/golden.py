@@ -30,6 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from curlow.cli import main  # noqa: E402
+from curlow.io import DENSE_BANNER  # noqa: E402
 from curlow.lab import thread_count  # noqa: E402
 from curlow.linalg import openblas  # noqa: E402
 
@@ -38,9 +39,25 @@ ALL_CHECKS = ("checks=projection,delta,delta_triangle,combine,halko,"
               "full_rank_recovery")
 
 
+CRLF_MATRIX = "crlf.mtx"
+
+
+def write_crlf_matrix(root: str) -> None:
+    """A 7 x 5 dense-array file written by hand into `root`: CRLF line
+    ends, a comment and a blank line inside the body, and one entry ended
+    by a form feed, which also ends a line."""
+    entries = [f"{3 * k % 11 - 5}.{k % 4}5" for k in range(35)]
+    body = [*entries[:10], "% a comment inside the body", "", *entries[10:20],
+            entries[20] + "\f" + entries[21], *entries[22:]]
+    with open(os.path.join(root, CRLF_MATRIX), "w", encoding="ascii",
+              newline="\r\n") as fh:
+        fh.write("\n".join([DENSE_BANNER, "7 5", *body]) + "\n")
+
+
 def commands(root: str) -> list[tuple[str, list[str]]]:
     """(name, argv) pairs; `recover-matrix` and `cur-matrix-csv` read what
-    `gen` wrote, and `recover-matrix-csv` what `gen-csv` wrote."""
+    `gen` wrote, `recover-matrix-csv` what `gen-csv` wrote, and
+    `recover-matrix-crlf` what `write_crlf_matrix` wrote."""
     def sets(*pairs):
         return [a for p in pairs for a in ("--set", p)]
 
@@ -57,6 +74,8 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("recover-matrix-csv", ["recover", "--save-matrix", "--format", "csv",
                                 "--matrix", os.path.join(root, "gen-csv", "M.csv"),
                                 *sets("r=3")]),
+        ("recover-matrix-crlf", ["recover", "--save-matrix", "--matrix",
+                                 os.path.join(root, CRLF_MATRIX), *sets("r=2")]),
         ("verify-json", small_verify + ["--format", "json"]),
         ("verify-csv", small_verify + ["--format", "csv"]),
         ("sweep-ac7", ["sweep", "--d-grid", "2,4,8,16,32", "--seed", "10700",
@@ -114,6 +133,7 @@ def table() -> tuple[list[str], bool]:
     failed = False
     lines = []
     with tempfile.TemporaryDirectory() as root:
+        write_crlf_matrix(root)
         for name, argv in commands(root):
             out = os.path.join(root, name)
             with contextlib.redirect_stdout(io.StringIO()):
