@@ -86,21 +86,22 @@ def make_report(name: str, lhs: float, rhs: float, premises_met: bool,
 
 
 class Spectrum:
-    """What the checks read of an n x m instance M at rank r and the
-    instance's regularization lam. sigma is the values-only
-    `singular_values(M)`, which gives sigma_r and sigma_{r+1}; it is taken
-    when the spectrum is built. factors is one `svd(M)`, which gives mu_r,
-    the right singular vectors the selection checks read, and the
-    regularized rank and weighted coherence at lam (`rank`); these three
-    are computed together on the first read of any of them, once, under
-    the spectrum's own lock, so a reader of sigma alone, such as a settled
-    sweep draw, never forms U and V. The two kernels' sigma differ in the
-    last bits, so reading sigma from factors would change the outputs."""
+    """What the checks read of an n x m instance M at rank r and
+    regularization lam, by default sigma_r^2 / (mn) of M's own sigma; one
+    per instance, shared by every check of every draw from it. sigma, the
+    values-only `singular_values(M)`, gives sigma_r and sigma_{r+1} and is
+    taken when the spectrum is built. factors is one `svd(M)`, which gives
+    mu_r, the right singular vectors the selection checks read, and the
+    regularized rank and weighted coherence at lam (`rank`); these three are
+    computed together on the first read of any of them, once, under the
+    spectrum's own lock, so a reader of sigma alone, such as a settled sweep
+    draw, never forms U and V. The two kernels' sigma differ in the last
+    bits, so reading sigma from factors would change the outputs."""
 
-    def __init__(self, M: np.ndarray, r: int, sigma: np.ndarray,
-                 lam: float | None = None):
-        self.M, self.r, self.sigma = M, r, sigma
-        self.n, self.m = M.shape
+    def __init__(self, M, r: int, lam: float | None = None):
+        self.M, self.r = as_matrix(M), r
+        self.sigma = sigma = singular_values(self.M)
+        self.n, self.m = self.M.shape
         self.sigma_r = float(sigma[r - 1])
         self.sigma_r_plus_1 = float(sigma[r]) if r < sigma.size else 0.0
         self.lam = self.sigma_r**2 / (self.m * self.n) if lam is None else lam
@@ -128,14 +129,6 @@ class Spectrum:
     @property
     def rank(self) -> NumericalRankReport:
         return self._read_vectors()[2]
-
-
-def spectrum(M, r: int, lam: float | None = None) -> Spectrum:
-    """The `Spectrum` of M at rank r and regularization lam, by default
-    sigma_r^2 / (mn) of M's own sigma; built once per instance and shared
-    by every check of every draw from it."""
-    A = as_matrix(M)
-    return Spectrum(A, r, singular_values(A), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +364,10 @@ class HPair:
             self.ratio_delta = float(np.max(np.abs(self.eigs - 1.0)))
 
 
-def build_h_pair(spec: Spectrum, M, sample) -> HPair:
-    """The `HPair` of M and its n x d column sample at the spectrum's lam."""
-    A = as_matrix(M)
+def build_h_pair(spec: Spectrum, sample) -> HPair:
+    """The `HPair` of spec.M and its n x d column sample at spec.lam."""
+    A, n, m = spec.M, spec.n, spec.m
     S = as_matrix(sample, "sample")
-    n, m = A.shape
     d = S.shape[1]
     if S.shape[0] != n:
         raise ValueError(f"sample must have {n} rows, got {S.shape[0]}")

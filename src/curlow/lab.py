@@ -9,22 +9,24 @@ builds, on first use, its one `bounds.Spectrum` at that lam and its
 check but `check_halko` reads sigma, the singular vectors, mu_r, lam and
 the regularized rank of M from that spectrum. A `Draw` samples the
 instance from derive(1), (2) and (3) of its own stream and builds the
-bases, the design, the fit on it, the residual M - M_hat, each residual
-norm of M, the coherence mu_hat of the bases and the `bounds.HPair` of
-the Gram checks once, for every check in `CHECKS` that reads them. A
-sweep draw settles its recovery bound from ||M - M_hat||_F, which its
-relative error reads, and takes the spectral norm only where the
-Frobenius sandwich leaves the bound open; `recover` and `verify` report
-the exact norm. `recover` draws from the base stream, each `verify`
-trial from base.derive(trial), and `sweep` loads each trial's instance
-once and draws from base.derive(trial).derive(1 + d) per grid point d.
-The spectrum takes M's singular values when it is built and M's
-singular vectors on first read, so where every draw settles, a sweep
-forms them only in `resolve_budgets`. `verify` runs one task per trial,
-and `sweep` three per instance (load, budget, spectrum) and one per
-(trial, d) draw, in one thread pool with BLAS on one thread per task;
-results are put together in trial order, so they are independent of
-both thread counts.
+bases, the design, the core fitted on it, the residual M - M_hat, each
+residual norm of M, the coherence mu_hat of the bases and the
+`bounds.HPair` of the Gram checks once, for every check in `CHECKS` that
+reads them; lambda_min(K^T K) and the data-fit residual are the
+design's, and only `recover` reads the latter. A sweep draw settles its
+recovery bound from ||M - M_hat||_F, which its relative error reads, and
+takes the spectral norm only where the Frobenius sandwich leaves the
+bound open; `recover` and `verify` report the exact norm. `recover`
+draws from the base stream, each `verify` trial from base.derive(trial),
+and `sweep` loads each trial's instance once and draws from
+base.derive(trial).derive(1 + d) per grid point d. The spectrum takes
+M's singular values when it is built and M's singular vectors on first
+read, so where every draw settles, a sweep forms them only in
+`resolve_budgets`. `verify` runs one task per trial, and `sweep` three
+per instance (load, then `_sweep_build` of its budget and of its
+spectrum) and one per (trial, d) draw, in one thread pool with BLAS on
+one thread per task; results are put together in trial order, so they
+are independent of both thread counts.
 """
 from __future__ import annotations
 
@@ -138,19 +140,19 @@ def checked_frobenius(M: np.ndarray) -> float:
 
 class Instance:
     """One instance: M and its `checked_frobenius` norm; sigma, its planted
-    singular values or, for a supplied matrix, its spectrum's; the
-    instance's one lam = sigma_r^2 / (n m); and, each computed on first
-    use, its `bounds.Spectrum` at lam, the one decomposition of M that
-    every check and every draw from M read, and its resolved budget. A
-    sweep trial's grid points share one instance from several pool
-    threads; `run_sweep` builds both, in one pool task each, before a
-    point reads them."""
+    singular values or, for a supplied matrix, the sigma its spectrum takes
+    of M at once; the instance's one lam = sigma_r^2 / (n m); and, each
+    computed on first use, its `bounds.Spectrum` at lam, the one
+    decomposition of M that every check and every draw from M read, and its
+    resolved budget. A sweep trial's grid points share one instance from
+    several pool threads; `run_sweep` builds both, in one `_sweep_build`
+    task each, before a point reads them."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
         self.cfg, self.M, self.fro = cfg, M, checked_frobenius(M)
         self._budget: dict | None = None
-        self._spectrum = (bounds.spectrum(M, cfg.r) if planted_sigma is None
+        self._spectrum = (bounds.Spectrum(M, cfg.r) if planted_sigma is None
                           else None)
         self.sigma = (self._spectrum.sigma if planted_sigma is None
                       else planted_sigma)
@@ -159,7 +161,7 @@ class Instance:
 
     def spectrum(self) -> bounds.Spectrum:
         if self._spectrum is None:
-            self._spectrum = bounds.spectrum(self.M, self.cfg.r, self.lam)
+            self._spectrum = bounds.Spectrum(self.M, self.cfg.r, self.lam)
         return self._spectrum
 
     def budget(self) -> dict:
@@ -263,7 +265,7 @@ class Draw:
 
     def h_pair(self) -> bounds.HPair:
         return self._get("h_pair", lambda: bounds.build_h_pair(
-            self.spectrum(), self.M, self.cols()[1]))
+            self.spectrum(), self.cols()[1]))
 
     def fro_error(self) -> float:
         """||M - M_hat||_F."""
@@ -287,12 +289,9 @@ class Draw:
             return bool(self.recovery_bound().holds)
         return settled
 
-    def score(self) -> tuple[float, np.ndarray]:
-        """Relative Frobenius error of the recovery and the residual
-        M - M_hat."""
-        diff = self.residual()
-        rel = 0.0 if self.fro == 0 else self.fro_error() / self.fro
-        return rel, diff
+    def rel_error(self) -> float:
+        """Relative Frobenius error ||M - M_hat||_F / ||M||_F."""
+        return 0.0 if self.fro == 0 else self.fro_error() / self.fro
 
 
 # each verify check's reports from one draw, in config.CHECK_NAMES order
@@ -385,7 +384,6 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
     inst = load_instance(cfg, stream, M)
     draw = Draw(inst, inst.budget()["d"], stream)
     result, M_hat = draw.recovery()
-    rel, diff = draw.score()
     omega_size = draw.entries().size
     return {
         "config": cfg.to_flat(),
@@ -393,15 +391,15 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
         "col_indices": [int(i) for i in draw.cols()[0].indices],
         "row_indices": [int(i) for i in draw.rows()[0].indices],
         "omega_size": omega_size,
-        "lambda_min_gram": result.lambda_min_KtK,
+        "lambda_min_gram": draw.design().lambda_min(),
         "gamma": draw.gamma(),
         "bases": {"degenerate_gap": result.bases.degenerate_gap,
                   "left_sigma": result.bases.left_sigma.tolist(),
                   "right_sigma": result.bases.right_sigma.tolist()},
-        "residual": result.residual,
+        "residual": draw.design().residual(result.Z_star),
         "metrics": {
-            "rel_frobenius": rel,
-            "spectral_sq": float(spectral_norm(diff) ** 2),
+            "rel_frobenius": draw.rel_error(),
+            "spectral_sq": float(spectral_norm(draw.residual()) ** 2),
             "recovery_bound": draw.recovery_bound().to_dict(),
         },
         "_M_hat": M_hat,
@@ -421,14 +419,9 @@ def _sweep_load(cfg: ExperimentConfig, trial: int) -> Instance:
     return load_instance(cfg, cfg.base_stream().derive(trial))
 
 
-def _sweep_budget(loaded: Future) -> None:
-    """Resolve the budget of the instance that `loaded` loads."""
-    loaded.result().budget()
-
-
-def _sweep_spectrum(loaded: Future) -> None:
-    """Build the spectrum of the instance that `loaded` loads."""
-    loaded.result().spectrum()
+def _sweep_build(loaded: Future, step) -> None:
+    """Run `step`, a build method of `Instance`, on `loaded`'s instance."""
+    step(loaded.result())
 
 
 def _sweep_draw(loaded: Future, builds: tuple[Future, Future], trial: int,
@@ -451,7 +444,7 @@ def _sweep_point(inst: Instance, trial: int, d: int) -> dict:
     draw = Draw(inst, d, stream)
     out = {"degenerate": draw.bases().degenerate_gap}
     try:
-        rel = draw.score()[0]
+        rel = draw.rel_error()
     except IllPosedError as exc:
         return {**out, "error": str(exc)}
     return {**out, "rel_error": rel, "omega": draw.entries().size,
@@ -509,8 +502,8 @@ def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
             block = range(w * cfg.trials // windows,
                           (w + 1) * cfg.trials // windows)
             loaded = {k: pool.submit(_sweep_load, cfg, k) for k in block}
-            builds = {k: (pool.submit(_sweep_budget, loaded[k]),
-                          pool.submit(_sweep_spectrum, loaded[k]))
+            builds = {k: tuple(pool.submit(_sweep_build, loaded[k], step)
+                               for step in (Instance.budget, Instance.spectrum))
                       for k in block}
             tasks = [(k, d) for k in block for d in live]
             outs.update(zip(tasks, pool.map(

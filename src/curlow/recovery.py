@@ -207,12 +207,12 @@ class RecoveryInputs:
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Fitted core and diagnostics; M_hat = U_hat @ Z_star @ V_hat.T."""
+    """Fitted core on the bases it was fitted on; M_hat = U_hat @ Z_star @
+    V_hat.T. lambda_min(K^T K) and the data-fit residual belong to the
+    `DesignSystem` the core was fitted over."""
 
     Z_star: np.ndarray
     bases: Bases
-    lambda_min_KtK: float
-    residual: float
 
     def reconstruct(self) -> DenseMatrix:
         return self.bases.U_hat @ self.Z_star @ self.bases.V_hat.T
@@ -258,12 +258,11 @@ def assemble_design(bases: Bases, omega: OmegaSet) -> DesignSystem:
     return DesignSystem(bases, omega)
 
 
-def solve_core(system: DesignSystem, ridge: float = 0.0):
-    """Minimize ||K z - y||^2 + ridge * ||z||^2 over the core.
+def solve_core(system: DesignSystem, ridge: float = 0.0) -> np.ndarray:
+    """The r x r core Z_star minimizing ||K z - y||^2 + ridge * ||z||^2.
 
-    Returns (Z_star, lambda_min, residual) where residual is the data-fit
-    term at the optimum. With ridge zero a lambda_min below the degeneracy
-    threshold raises IllPosedError instead of returning a garbage fit.
+    With ridge zero a `system.lambda_min()` below the degeneracy threshold
+    raises IllPosedError instead of returning a garbage fit.
     """
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
@@ -276,8 +275,7 @@ def solve_core(system: DesignSystem, ridge: float = 0.0):
     # eigenvalues of a Gram are nonnegative; clamp rounding below zero so a
     # positive ridge keeps every denominator positive
     z = Q @ ((Q.T @ system.normal()[1]) / (np.maximum(w, 0.0) + ridge))
-    Z = z.reshape(system.r, system.r)
-    return Z, lambda_min, system.residual(Z)
+    return z.reshape(system.r, system.r)
 
 
 def fit(system: DesignSystem, ridge: float = 0.0):
@@ -285,9 +283,7 @@ def fit(system: DesignSystem, ridge: float = 0.0):
 
     Returns (RecoveryResult, M_hat).
     """
-    Z_star, lambda_min, residual = solve_core(system, ridge)
-    result = RecoveryResult(Z_star=Z_star, bases=system.bases,
-                            lambda_min_KtK=lambda_min, residual=residual)
+    result = RecoveryResult(solve_core(system, ridge), system.bases)
     return result, result.reconstruct()
 
 

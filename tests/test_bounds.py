@@ -30,7 +30,6 @@ from curlow.bounds import (
     recovery_rhs,
     sample_size_full_rank,
     sample_size_low_rank,
-    spectrum,
     total_observations,
 )
 from curlow.coherence import mu_hat, mu_r, numerical_rank
@@ -216,7 +215,7 @@ def test_projection_exact_rank2_hadamard():
     M = hadamard_rank2(64)
     bases = build_bases(M.copy(), M.T.copy(), 2)
     res = norms(M, bases)
-    rep_cols, rep_rows = check_projection(spectrum(M, 2), res["side_cols"],
+    rep_cols, rep_rows = check_projection(Spectrum(M, 2), res["side_cols"],
                                           res["side_rows"], 64)
     for rep in (rep_cols, rep_rows):
         assert rep.premises_met
@@ -233,7 +232,7 @@ def test_projection_rhs_arithmetic():
     M = low_rank(30, 24, 3, seed=6) + 1e-3 * g.standard_normal((30, 24))
     bases = build_bases(M.copy(), M.T.copy(), 3)
     res = norms(M, bases)
-    rep_cols, rep_rows = check_projection(spectrum(M, 3), res["side_cols"],
+    rep_cols, rep_rows = check_projection(Spectrum(M, 3), res["side_cols"],
                                           res["side_rows"], 10)
     s_tail = svd(M).sigma[3]
     assert abs(rep_cols.rhs - s_tail**2 * (1 + 2 * 24 / 10)) < 1e-12
@@ -246,7 +245,7 @@ def test_projection_rhs_arithmetic():
 def test_delta_exact_low_rank():
     M = hadamard_rank2(64)
     bases = build_bases(M.copy(), M.T.copy(), 2)
-    rep = check_delta(spectrum(M, 2), norms(M, bases)["delta"], 64)
+    rep = check_delta(Spectrum(M, 2), norms(M, bases)["delta"], 64)
     assert rep.premises_met and rep.holds
     assert rep.lhs <= 1e-12 and rep.rhs <= 1e-28
 
@@ -256,7 +255,7 @@ def test_delta_full_rank_gate():
                      stream=RngStream(seed=7), decay=0.3)
     M, _ = generate(spec)
     bases = build_bases(M.copy(), M.T.copy(), 3)
-    rep = check_delta(spectrum(M, 3), norms(M, bases)["delta"], 40,
+    rep = check_delta(Spectrum(M, 3), norms(M, bases)["delta"], 40,
                       full_rank=True)
     sig = svd(M).sigma
     lam = sig[2] ** 2 / (40 * 40)
@@ -281,7 +280,7 @@ def test_delta_triangle_unconditional():
         tri = check_delta_triangle(res["delta"], res["side_cols"],
                                    res["side_rows"])
         assert tri.holds and tri.premises_met
-        delta = check_delta(spectrum(M, 3), res["delta"], 8)
+        delta = check_delta(Spectrum(M, 3), res["delta"], 8)
         # the two-sided error is what the triangle step bounds
         assert delta.lhs <= tri.rhs + 1e-9 * max(1.0, tri.rhs)
         manual = 2 * (tri.params["side_cols"] + tri.params["side_rows"])
@@ -389,7 +388,7 @@ def test_halko_random_trials_never_violate():
 def test_omega1_spectrum_full_selection():
     M = low_rank(15, 12, 2, seed=17)
     idx, _ = sample_columns(M, 12, RngStream(seed=18))
-    rep = check_omega1_spectrum(spectrum(M, 2), idx)
+    rep = check_omega1_spectrum(Spectrum(M, 2), idx)
     assert rep.sense == "ge"
     assert rep.lhs == pytest.approx(1.0, abs=1e-10)
     assert rep.rhs == pytest.approx(0.5)
@@ -434,7 +433,7 @@ def test_h_pair_full_sample_sides_agree():
                      stream=RngStream(seed=26), decay=0.5)
     M, _ = generate(spec)
     lam = svd(M).sigma[1] ** 2 / 400
-    pair_a = build_h_pair(spectrum(M, 2, lam), M, M.copy())
+    pair_a = build_h_pair(Spectrum(M, 2, lam), M.copy())
     assert pair_a.H.shape == (20, 20)
     assert np.allclose(pair_a.H, pair_a.H_hat, atol=1e-12)
     assert np.allclose(pair_a.eigs, 1.0, atol=1e-10)
@@ -447,10 +446,10 @@ def test_h_pair_full_sample_sides_agree():
 
 def test_h_pair_validation():
     M = low_rank(8, 6, 2, seed=27)
-    spec_m = spectrum(M, 2, 1e-3)
+    spec_m = Spectrum(M, 2, 1e-3)
     with pytest.raises(ValueError):
-        build_h_pair(spec_m, M, np.zeros((5, 3)))
-    pair = build_h_pair(spec_m, M, M)
+        build_h_pair(spec_m, np.zeros((5, 3)))
+    pair = build_h_pair(spec_m, M)
     with pytest.raises(ValueError):
         check_h_sandwich(pair, 0.0)
     with pytest.raises(ValueError):
@@ -461,7 +460,7 @@ def pair_of(H, H_hat, r=1):
     """The `HPair` of two given symmetric n x n matrices, on the spectrum
     of the n x n identity at rank r and lam 1e-3."""
     n = H.shape[0]
-    return HPair(H, H_hat, Spectrum(np.eye(n), r, np.ones(n), 1e-3), d=3)
+    return HPair(H, H_hat, Spectrum(np.eye(n), r, 1e-3), d=3)
 
 
 def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
@@ -469,7 +468,7 @@ def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
     # interpreter allows: the first read of factors, mu_r or rank factors
     # M, once, and every reader sees that one result
     M = low_rank(40, 30, 3, seed=37)
-    spec = spectrum(M, 3)
+    spec = Spectrum(M, 3)
     calls = []
 
     def counted(a, _fn=bounds.svd):
@@ -510,7 +509,7 @@ def test_h_sandwich_reports_singular_h():
     # at lam = 0, H = M M^T/(mn) has the rank of M, whatever its computed
     # eigenvalues read
     M = low_rank(8, 6, 2, seed=36)
-    pair = build_h_pair(spectrum(M, 3, 0.0), M, M[:, :4])
+    pair = build_h_pair(Spectrum(M, 3, 0.0), M[:, :4])
     assert pair.spec.lam == 0.0 and pair.eigs is None
     rep = check_h_sandwich(pair, 0.5)
     assert rep.lhs == float("inf") and not rep.premises_met
@@ -520,9 +519,9 @@ def test_h_sandwich_reports_singular_h():
     spec = SynthSpec(n=60, m=60, kind="geometric-spectrum", r=9,
                      stream=RngStream(seed=34), decay=0.1)
     M, _ = generate(spec)
-    spec_m = spectrum(M, 9)
+    spec_m = Spectrum(M, 9)
     _, A = sample_columns(M, 60, RngStream(seed=35))
-    pair = build_h_pair(spec_m, M, A)
+    pair = build_h_pair(spec_m, A)
     assert spec_m.lam > 0 and pair.w[-1] <= 0 and pair.eigs is None
     rep = check_h_sandwich(pair, 0.5)
     assert rep.lhs == float("inf") and not rep.premises_met
@@ -535,7 +534,7 @@ def test_h_sandwich_gate_arithmetic():
     M, _ = generate(spec)
     lam = svd(M).sigma[1] ** 2 / 900
     _, A = sample_columns(M, 10, RngStream(seed=29))
-    pair = build_h_pair(spectrum(M, 2, lam), M, A)
+    pair = build_h_pair(Spectrum(M, 2, lam), A)
     rep = check_h_sandwich(pair, 0.5, t=3.0)
     gate = math.ceil(4.0 / 0.25 * (pair.spec.rank.mu_lambda
                                    * pair.spec.rank.value + 1.0)
@@ -555,7 +554,7 @@ def test_mu_hat_bound_premises_and_arithmetic():
     sig = svd(M).sigma
     lam = sig[0] ** 2 / (250 * 250)
     bases = build_bases(M.copy(), M.T.copy(), 1)
-    rep = check_mu_hat_bound(spectrum(M, 1, lam),
+    rep = check_mu_hat_bound(Spectrum(M, 1, lam),
                              mu_hat(bases.U_hat, bases.V_hat), d=250)
     assert rep.premises_met  # gap is 10x, d = n clears the gate
     assert rep.holds
@@ -575,7 +574,7 @@ def test_mu_hat_bound_gates():
     lam = svd(M).sigma[0] ** 2 / (250 * 250)
     bases = build_bases(M.copy(), M.T.copy(), 1)
     muh = mu_hat(bases.U_hat, bases.V_hat)
-    assert not check_mu_hat_bound(spectrum(M, 1, lam), muh,
+    assert not check_mu_hat_bound(Spectrum(M, 1, lam), muh,
                                   d=20).premises_met
     # a slow spectrum breaks the sqrt(2) gap requirement
     flat = SynthSpec(n=250, m=250, kind="geometric-spectrum", r=1,
@@ -583,7 +582,7 @@ def test_mu_hat_bound_gates():
     Mf, _ = generate(flat)
     lam_f = svd(Mf).sigma[0] ** 2 / (250 * 250)
     bases_f = build_bases(Mf.copy(), Mf.T.copy(), 1)
-    assert not check_mu_hat_bound(spectrum(Mf, 1, lam_f),
+    assert not check_mu_hat_bound(Spectrum(Mf, 1, lam_f),
                                   mu_hat(bases_f.U_hat, bases_f.V_hat),
                                   d=250).premises_met
 
@@ -665,7 +664,7 @@ def test_sin_theta_bound_on_gram_pairs():
         M, _ = generate(spec)
         lam = svd(M).sigma[1] ** 2 / 1600
         _, A = sample_columns(M, 30, RngStream(seed=6000 + seed))
-        pair = build_h_pair(spectrum(M, 2, lam), M, A)
+        pair = build_h_pair(Spectrum(M, 2, lam), A)
         rep = check_sin_theta_perturbation(pair)
         if rep.premises_met:
             applied += 1
@@ -682,7 +681,7 @@ def test_full_rank_recovery_exact_case():
     M = low_rank(20, 20, 3, seed=33)
     inputs = RecoveryInputs(A=M.copy(), B=M.T.copy(), omega=full_grid(M), r=3)
     _, M_hat = recover(inputs)
-    rep = check_full_rank_recovery(spectrum(M, 3), norms(M, M_hat=M_hat)["error"],
+    rep = check_full_rank_recovery(Spectrum(M, 3), norms(M, M_hat=M_hat)["error"],
                                    20, 400)
     assert rep.premises_met  # full grid meets the capped entry gate
     assert rep.holds
@@ -701,7 +700,7 @@ def test_full_rank_recovery_rhs_and_gates():
     _, B = sample_rows(M, 12, base.derive(2))
     omega = sample_entries(M, 200, base.derive(3))
     _, M_hat = recover(RecoveryInputs(A=A, B=B, omega=omega, r=2))
-    spec_m = spectrum(M, 2)
+    spec_m = Spectrum(M, 2)
     error = norms(M, M_hat=M_hat)["error"]
     rep = check_full_rank_recovery(spec_m, error, 12, 200)
     sig = svd(M).sigma
@@ -716,7 +715,7 @@ def test_recovery_rhs_and_holds_le_are_the_reports():
     # the sweep's decision reads the same right side and the same slack as
     # the report; n != m, so a swapped side would show in rhs
     M = low_rank(30, 18, 3, seed=36) + 1e-3 * rng(37).standard_normal((30, 18))
-    spec = spectrum(M, 3)
+    spec = Spectrum(M, 3)
     rep = check_full_rank_recovery(spec, 0.0, 6, 100)
     assert recovery_rhs(spec, 6) == rep.rhs
     assert rep.rhs == 24.0 * spec.sigma_r_plus_1**2 * (1.0 + 48 / 6)

@@ -255,9 +255,10 @@ def test_a_draw_builds_its_residual_once(monkeypatch):
         normed.append(a)
         return _fn(a)
     monkeypatch.setattr(lab, "spectral_norm", counted)
-    rel, diff = draw.score()
+    draw.rel_error()
+    diff = draw.residual()
     draw.error()
-    assert draw.score()[1] is diff and normed[0] is diff
+    assert draw.residual() is diff and normed[0] is diff
     assert np.array_equal(diff, draw.M - draw.recovery()[1])
 
 
@@ -347,10 +348,10 @@ def test_one_lam_per_instance():
 def test_a_combine_trial_builds_no_spectrum(monkeypatch):
     calls = []
 
-    def counted(*args, _fn=bounds.spectrum, **kwargs):
+    def counted(*args, _fn=bounds.Spectrum, **kwargs):
         calls.append(args[1])
         return _fn(*args, **kwargs)
-    monkeypatch.setattr(bounds, "spectrum", counted)
+    monkeypatch.setattr(bounds, "Spectrum", counted)
     cfg = ExperimentConfig(n=40, m=32, kind="geometric-spectrum", synth_r=2,
                            r=2, d=16, omega_count=600, checks=("combine",))
     record = run_trial(cfg, 0)
@@ -590,7 +591,7 @@ def test_run_sweep_shares_an_instance_across_more_workers_than_trials(
         monkeypatch):
     calls = []
     for ns, name in ((lab, "generate"), (lab, "resolve_budgets"),
-                     (bounds, "spectrum")):
+                     (bounds, "Spectrum")):
         def counted(*args, _fn=getattr(ns, name), _name=name, **kwargs):
             calls.append(_name)  # list.append is atomic across pool threads
             return _fn(*args, **kwargs)
@@ -615,8 +616,8 @@ def test_run_sweep_shares_an_instance_across_more_workers_than_trials(
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
     assert rows == [expected]
-    assert sorted(calls) == (["generate"] * 2 + ["resolve_budgets"] * 2
-                             + ["spectrum"] * 2)
+    assert sorted(calls) == (["Spectrum"] * 2 + ["generate"] * 2
+                             + ["resolve_budgets"] * 2)
 
 
 def _track_instances(monkeypatch) -> dict:
@@ -737,10 +738,10 @@ def test_run_sweep_loads_each_instance_once(monkeypatch):
 def test_run_sweep_computes_each_recovery_spectrum_once(monkeypatch):
     calls = []
 
-    def counted(*args, _fn=bounds.spectrum, **kwargs):
+    def counted(*args, _fn=bounds.Spectrum, **kwargs):
         calls.append(args[1])  # list.append is atomic across pool threads
         return _fn(*args, **kwargs)
-    monkeypatch.setattr(bounds, "spectrum", counted)
+    monkeypatch.setattr(bounds, "Spectrum", counted)
     cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2, omega_count=250, trials=3)
     rows = run_sweep(cfg, [4, 6, 8, 12, 16], threads=2)
@@ -767,7 +768,7 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
             draw = Draw(inst, d, stream.derive(1 + d))
             error = linalg.spectral_norm(draw.M - draw.recovery()[1]) ** 2
             oracles[trial, d] = check(
-                bounds.spectrum(draw.M, cfg.r, inst.lam), error, d,
+                bounds.Spectrum(draw.M, cfg.r, inst.lam), error, d,
                 draw.entries().size, cfg.t)
     for sandwich in (True, False):
         seen = []

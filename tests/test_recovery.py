@@ -214,7 +214,7 @@ def test_full_grid_solution_is_projection():
     M = low_rank(9, 7, 2, seed=11)
     bases = build_bases(M.copy(), M.T.copy(), 2)
     system = assemble_design(bases, full_grid(M))
-    Z, lam_min, residual = solve_core(system)
+    Z, lam_min = solve_core(system), system.lambda_min()
     assert np.allclose(Z, bases.U_hat.T @ M @ bases.V_hat, atol=1e-10)
     assert abs(lam_min - 1.0) < 1e-10
 
@@ -228,7 +228,8 @@ def test_planted_core_interpolates():
                   right_sigma=np.ones(2), degenerate_gap=False)
     omega = sample_entries(M, 60, RngStream(seed=15))
     system = assemble_design(bases, omega)
-    Z, lam_min, residual = solve_core(system)
+    Z = solve_core(system)
+    lam_min, residual = system.lambda_min(), system.residual(Z)
     assert lam_min > 0
     assert np.allclose(Z, Z0, atol=1e-8)
     assert residual <= 1e-16 * float(np.sum(system.y**2)) + 1e-20
@@ -239,7 +240,7 @@ def test_scalar_core_closed_form():
     bases = build_bases(M.copy(), M.T.copy(), 1)
     omega = sample_entries(M, 5, RngStream(seed=17))
     system = assemble_design(bases, omega)
-    Z, _, _ = solve_core(system)
+    Z = solve_core(system)
     k = system.K[:, 0]
     closed = float(k @ system.y / (k @ k))
     assert abs(Z[0, 0] - closed) < 1e-12
@@ -259,10 +260,10 @@ def test_solve_core_factors_the_normal_matrix_once(monkeypatch):
     # one eigh of the system serves both ridges and the strong convexity
     assert calls == [("eigh", (9, 9))]
     gram = system.K.T @ system.K
-    for ridge, (Z, lam_min, _) in fits.items():
+    for ridge, Z in fits.items():
         expect = np.linalg.inv(gram + ridge * np.eye(9)) @ system.K.T @ system.y
         assert np.allclose(Z.reshape(-1), expect, atol=1e-10)
-        assert lam_min == gamma
+        assert system.lambda_min() == gamma
 
 
 def test_ill_posed_raises_with_remedy():
@@ -287,7 +288,7 @@ def test_ridge_resolves_degeneracy():
     omega = OmegaSet(shape=(6, 6), rows=np.array([0]), cols=np.array([0]),
                      values=np.array([1.0]))
     system = assemble_design(bases, omega)
-    Z, _, _ = solve_core(system, ridge=1e-3)
+    Z = solve_core(system, ridge=1e-3)
     assert np.all(np.isfinite(Z))
     with pytest.raises(ValueError):
         solve_core(system, ridge=-1.0)
@@ -320,7 +321,8 @@ def test_multi_chunk_design_matches_the_full_matrix(monkeypatch):
     built = []
     monkeypatch.setattr(recovery.DesignSystem, "K",
                         property(lambda s: built.append(s) or K))
-    Z, lam_min, residual = solve_core(system)
+    Z = solve_core(system)
+    lam_min, residual = system.lambda_min(), system.residual(Z)
     assert system.lambda_min() == lam_min
     # no row of K is built on the solve path
     assert built == []
@@ -336,7 +338,9 @@ def test_multi_chunk_design_matches_the_full_matrix(monkeypatch):
     for k in (1, 2):
         with blas_threads(k):
             fresh = assemble_design(bases, inputs.omega)
-            runs.append([*fresh.normal(), *solve_core(fresh)])
+            Z_k = solve_core(fresh)
+            runs.append([*fresh.normal(), Z_k, fresh.lambda_min(),
+                         fresh.residual(Z_k)])
     for one, two in zip(*runs):
         assert np.asarray(one).tobytes() == np.asarray(two).tobytes()
 
@@ -349,7 +353,9 @@ def test_design_and_solve_hold_at_most_two_chunks():
     omega = full_grid(rng(65).standard_normal((n, m)))
     tracemalloc.start()
     try:
-        _, lam_min, _ = solve_core(assemble_design(bases, omega))
+        system = assemble_design(bases, omega)
+        system.residual(solve_core(system))
+        lam_min = system.lambda_min()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -378,7 +384,8 @@ def test_solve_core_matches_the_pinv_oracle(n, m, r, fraction, chunk_rows,
         G, b = system.normal()
         w = np.linalg.eigvalsh(K.T @ K)
         assume(w[0] >= 1e-6 * w[-1])  # well-posed: cond(K^T K) <= 1e6
-        Z, _, residual = solve_core(system)
+        Z = solve_core(system)
+        residual = system.residual(Z)
     assert np.linalg.norm(G - K.T @ K) <= 1e-12 * np.linalg.norm(K.T @ K)
     assert np.linalg.norm(b - K.T @ y) <= 1e-12 * np.linalg.norm(K.T @ y)
     expect = float(np.sum((K @ Z.reshape(-1) - y) ** 2))
@@ -403,7 +410,7 @@ def test_recover_exact_at_modest_budgets():
     inputs = sample_run(M, d=20, s=800, r=4, seed=24)
     result, M_hat = recover(inputs)
     assert frobenius_norm(M - M_hat) <= 1e-6 * frobenius_norm(M)
-    assert result.lambda_min_KtK > 0
+    assert assemble_design(result.bases, inputs.omega).lambda_min() > 0
     assert result.Z_star.shape == (4, 4)
 
 
@@ -433,8 +440,9 @@ def test_objective_monotonicity():
     observed = np.zeros(inputs.omega.shape)
     observed[inputs.omega.rows, inputs.omega.cols] = inputs.omega.values
     z_naive = bases.U_hat.T @ observed @ bases.V_hat
-    assert result.residual <= objective(z_naive) + 1e-12
-    assert result.residual <= objective(np.zeros((3, 3))) + 1e-12
+    residual = system.residual(result.Z_star)
+    assert residual <= objective(z_naive) + 1e-12
+    assert residual <= objective(np.zeros((3, 3))) + 1e-12
 
 
 def test_gradient_vanishes_at_solution():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curlow.bounds import spectrum
+from curlow.bounds import Spectrum
 from curlow.coherence import mu_r, numerical_rank
 from curlow.linalg import frobenius_norm, svd
 from curlow.sampling import RngStream
@@ -115,7 +115,7 @@ def test_measured_properties_cross_checks():
     M, f = generate(spec(seed=8, kind="geometric-spectrum", decay=0.5,
                          n=32, m=32, r=4))
     lam = float(f.sigma[3]) ** 2 / (32 * 32)
-    props = measured_properties(spectrum(M, 4, lam))
+    props = measured_properties(Spectrum(M, 4, lam))
     assert abs(props["mu_r"] - mu_r(svd(M), 4)) < 1e-12
     rank_rep = numerical_rank(svd(M), lam)
     assert abs(props["mu_lambda"] - rank_rep.mu_lambda) < 1e-12
