@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, pseudo_inverse, svd
+from .linalg import as_matrix, frobenius_norm, pseudo_inverse, singular_values
 from .sampling import IndexSet, RngStream, sample_columns, sample_rows
 
 # relative cutoff below which an approximation error counts as exact
@@ -65,12 +65,12 @@ def cur_decompose(M, c: int, r_rows: int, stream: RngStream) -> CurFactors:
 def cur_error_ratio(M, factors: CurFactors, k: int) -> CurErrorReport:
     """Compare the skeleton error with the best rank-k truncation error."""
     A = as_matrix(M)
-    f = svd(A)
-    if not 1 <= k <= f.sigma.size:
-        raise ValueError(f"k must be in [1, {f.sigma.size}], got {k}")
+    sigma = singular_values(A)
+    if not 1 <= k <= sigma.size:
+        raise ValueError(f"k must be in [1, {sigma.size}], got {k}")
     cur_error = frobenius_norm(A - factors.reconstruct())
-    best_error = float(np.sqrt(np.sum(f.sigma[k:] ** 2)))
-    tiny = EXACT_RTOL * float(np.sqrt(np.sum(f.sigma ** 2)))
+    best_error = float(np.sqrt(np.sum(sigma[k:] ** 2)))
+    tiny = EXACT_RTOL * float(np.sqrt(np.sum(sigma ** 2)))
     if best_error <= tiny:
         if cur_error <= tiny:
             return CurErrorReport(ratio=0.0, exact=True, cur_error=cur_error,
