@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 from curlow import bounds, lab, linalg, recovery
 from curlow.bounds import sample_size_low_rank, total_observations
+from curlow.cli import main
 from curlow.coherence import mu_hat, mu_r, numerical_rank, sin_theta
 from curlow.config import CHECK_NAMES, ExperimentConfig
 from curlow.lab import (
@@ -505,6 +507,41 @@ def test_run_recovery_bound_can_fail_on_real_draws(seed, holds):
     assert bound["rhs"] == pytest.approx(13.875)
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_verify_checks_can_fail_on_real_draws(seed):
+    # the same small budgets on a fresh 60 x 48 geometric instance per
+    # seed: every draw misses the selection, Gram and convexity bounds,
+    # and seeds 5-7 miss the column-space capture bound too
+    cfg = ExperimentConfig(n=60, m=48, kind="geometric-spectrum", decay=0.5,
+                           synth_r=3, r=3, d=3, omega_count=10, trials=1,
+                           seed=seed, checks=CHECK_NAMES)
+    reports = run_verify(cfg, threads=1)["trials"][0]["reports"]
+    failed = {rep["name"] for rep in reports if not rep["holds"]}
+    assert {"selection_spectrum", "gram_sandwich",
+            "strong_convexity"} <= failed
+    assert ("column_space_capture" in failed) is (5 <= seed <= 7)
+
+
+def test_the_fit_residual_has_one_reader(monkeypatch, tmp_path):
+    # only recover reports the data-fit residual, so only recover takes it
+    values = []
+
+    def counted(self, Z, _fn=recovery.DesignSystem.residual):
+        values.append(_fn(self, Z))  # list.append is atomic across threads
+        return values[-1]
+    monkeypatch.setattr(recovery.DesignSystem, "residual", counted)
+    small = dict(n=24, m=24, kind="geometric-spectrum", decay=0.4, synth_r=2,
+                 r=2, omega_count=250, trials=2)
+    run_sweep(ExperimentConfig(**small), [4, 8], threads=2)
+    run_verify(ExperimentConfig(**small, checks=("combine",)), threads=2)
+    assert values == []
+    assert main(["recover", "--set", "synth.n=24", "--set", "synth.m=24",
+                 "--set", "r=2", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "recovery.json").read_text())
+    assert len(values) == 1
+    assert report["residual"] == values[0]
+
+
 def test_run_sweep_rows_and_skips():
     cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
                            omega_count=250, trials=3)
@@ -946,7 +983,7 @@ def _golden_argv(name):
         import golden
     finally:
         sys.path.remove(str(path.parent))
-    return dict(golden.commands(""))[name]
+    return {cmd: argv for cmd, argv, _ in golden.commands("")}[name]
 
 
 def _golden_outputs(name, blas_threads, out):

@@ -2,7 +2,8 @@
 
 Runs each command in-process through `curlow.cli.main` into its own
 directory under a temporary root, then prints one `command file sha256`
-line per output file, sorted. Exits 1 if any command exits nonzero.
+line per output file, sorted. Each command names the exit code it is
+expected to give; exits 1 if any command gives another.
 One stderr line names the BLAS library, its thread count and the
 trial-pool workers (CURLOW_THREADS), so a saved table says which thread
 plan it was taken under.
@@ -40,6 +41,8 @@ ALL_CHECKS = ("checks=projection,delta,delta_triangle,combine,halko,"
 
 
 CRLF_MATRIX = "crlf.mtx"
+BLANK_LINE_CSV = "blank-line.csv"
+POWER_LAW_CONFIG = "power-law.cfg"
 
 
 def write_crlf_matrix(root: str) -> None:
@@ -54,16 +57,35 @@ def write_crlf_matrix(root: str) -> None:
         fh.write("\n".join([DENSE_BANNER, "7 5", *body]) + "\n")
 
 
-def commands(root: str) -> list[tuple[str, list[str]]]:
-    """(name, argv) pairs; `recover-matrix` and `cur-matrix-csv` read what
-    `gen` wrote, `recover-matrix-csv` what `gen-csv` wrote, and
-    `recover-matrix-crlf` what `write_crlf_matrix` wrote."""
+def write_blank_line_csv(root: str) -> None:
+    """A 4 x 3 CSV matrix written by hand into `root`, with a blank line
+    inside its body, so the reader scans that block line by line."""
+    with open(os.path.join(root, BLANK_LINE_CSV), "w", encoding="ascii") as fh:
+        fh.write("# rows=4 cols=3\n1.5,-2,0.25\n3,4.75,-1\n\n"
+                 "-0.5,2,6\n7,-3.25,0.5\n")
+
+
+def write_power_law_config(root: str) -> None:
+    """A config file written by hand into `root`: a power-law instance with
+    a spiky coherence, every check, and a comment."""
+    with open(os.path.join(root, POWER_LAW_CONFIG), "w", encoding="utf-8") as fh:
+        fh.write("# power-law spectrum, one spiky direction\n"
+                 "synth.n = 40\nsynth.m = 30\n"
+                 'synth.kind = "power-law-spectrum"\nsynth.decay = 1.5\n'
+                 'synth.coherence = "spiky"\nr = 3\ntrials = 3  # few\n'
+                 f'checks = "{ALL_CHECKS.split("=", 1)[1]}"\n')
+
+
+def commands(root: str) -> list[tuple[str, list[str], int]]:
+    """(name, argv, expected exit code) triples; `recover-matrix` and
+    `cur-matrix-csv` read what `gen` wrote, `recover-matrix-csv` what
+    `gen-csv` wrote, and the `write_*` functions write the other inputs."""
     def sets(*pairs):
         return [a for p in pairs for a in ("--set", p)]
 
     small_verify = ["verify", *sets("synth.n=40", "synth.m=40", "r=2", "d=16",
                                     "omega=600", "trials=4", ALL_CHECKS)]
-    return [
+    exits_0 = [
         ("recover", ["recover", "--save-matrix", *sets(
             "synth.n=200", "synth.m=200", "synth.kind=exact-low-rank", "r=5")]),
         ("gen", ["gen", *sets("synth.n=120", "synth.m=120", "r=4")]),
@@ -109,7 +131,27 @@ def commands(root: str) -> list[tuple[str, list[str]]]:
         ("verify-rank-above", ["verify", *sets(
             "synth.n=30", "synth.m=30", "synth.kind=exact-low-rank",
             "synth.r=2", "r=3", "trials=2", ALL_CHECKS)]),
+        # a power-law spectrum and a spiky coherence, from a config file
+        ("verify-config-file", ["verify", "--config",
+                                os.path.join(root, POWER_LAW_CONFIG)]),
+        ("recover-matrix-blank-line", ["recover", "--save-matrix", "--format",
+                                       "csv", "--matrix",
+                                       os.path.join(root, BLANK_LINE_CSV),
+                                       *sets("r=2")]),
     ]
+    # ill-posed fits: the run writes every trial or point, then exits 2
+    exits_2 = [
+        # 3 of 6 trials fail, so verify.csv has its error column
+        ("verify-ill-posed", ["verify", "--format", "csv", *sets(
+            "synth.n=12", "synth.m=12", "synth.kind=exact-low-rank", "r=2",
+            "d=4", "omega=8", "trials=6", "checks=delta_triangle,combine")]),
+        # failed draws and two skipped points, so sweep.csv has both
+        ("sweep-ill-posed", ["sweep", "--d-grid", "1,4,8,13", *sets(
+            "synth.n=12", "synth.m=12", "synth.kind=exact-low-rank", "r=2",
+            "omega=6", "trials=4")]),
+    ]
+    return ([(name, argv, 0) for name, argv in exits_0]
+            + [(name, argv, 2) for name, argv in exits_2])
 
 
 def sha256(path: str) -> str:
@@ -128,18 +170,20 @@ def blas_line() -> str:
 
 def table() -> tuple[list[str], bool]:
     """The sorted `command file sha256` lines, and whether every command
-    exited 0."""
+    gave its expected exit code."""
     print(blas_line(), file=sys.stderr)
     failed = False
     lines = []
     with tempfile.TemporaryDirectory() as root:
         write_crlf_matrix(root)
-        for name, argv in commands(root):
+        write_blank_line_csv(root)
+        write_power_law_config(root)
+        for name, argv, expected in commands(root):
             out = os.path.join(root, name)
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = main(argv + ["--out", out])
-            if rc != 0:
-                print(f"{name}: exit {rc}", file=sys.stderr)
+            if rc != expected:
+                print(f"{name}: exit {rc}, expected {expected}", file=sys.stderr)
                 failed = True
                 continue
             lines += [f"{name} {f} {sha256(os.path.join(out, f))}"
