@@ -15,7 +15,7 @@ from .linalg import (
     ORTHONORMAL_TOL,
     PINV_RTOL,
     SvdFactors,
-    singular_values,
+    spectral_norm,
 )
 
 
@@ -130,4 +130,4 @@ def sin_theta(Q1, Q2) -> float:
     B = _check_orthonormal(Q2, "Q2")
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return min(1.0, float(singular_values(B - A @ (A.T @ B))[0]))
+    return min(1.0, spectral_norm(B - A @ (A.T @ B)))

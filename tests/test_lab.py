@@ -158,30 +158,38 @@ def test_verify_trial_factors_M_four_times(monkeypatch):
 
 
 def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
-    # M's values-only sigma and the four residuals: side_cols, side_rows,
-    # Delta and M - M_hat, each normed once however many checks read it
+    # M's values-only sigma, and the four residuals side_cols, side_rows,
+    # Delta and M - M_hat, each normed once, through the eigvalsh of its
+    # 32 x 32 Gram, however many checks read it
     cfg = ExperimentConfig(n=40, m=32, kind="geometric-spectrum", synth_r=2,
                            r=2, d=16, omega_count=600,
                            checks=("projection", "delta", "delta_triangle",
                                    "combine", "full_rank_recovery"))
-    values_only = []
+    values_only, grams = [], []
 
-    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
+    def counted_svd(a, *args, _fn=np.linalg.svd, **kwargs):
         if not kwargs.get("compute_uv", True):
             values_only.append(np.shape(a))
         return _fn(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+
+    def counted_eigvalsh(a, *args, _fn=np.linalg.eigvalsh, **kwargs):
+        grams.append(np.shape(a))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     record = run_trial(cfg, 0)
     monkeypatch.undo()
-    assert values_only.count((40, 32)) == 5
+    assert values_only.count((40, 32)) == 1
+    assert grams.count((32, 32)) == 4
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
     draw = Draw(inst, inst.budget()["d"], stream)
     M, U, V = draw.M, draw.bases().U_hat, draw.bases().V_hat
-    side_cols = np.linalg.norm(M - (M @ V) @ V.T, 2) ** 2
-    side_rows = np.linalg.norm(M - U @ (U.T @ M), 2) ** 2
-    delta = np.linalg.norm(M - U @ (U.T @ M @ V) @ V.T, 2) ** 2
-    error = np.linalg.norm(M - draw.recovery()[1], 2) ** 2
+    norm = linalg.spectral_norm
+    side_cols = norm(M - (M @ V) @ V.T) ** 2
+    side_rows = norm(M - U @ (U.T @ M)) ** 2
+    delta = norm(M - U @ (U.T @ M @ V) @ V.T) ** 2
+    error = norm(M - draw.recovery()[1]) ** 2
     lhs = {rep["name"]: rep["lhs"] for rep in record["reports"]}
     assert lhs == {"projection_error_cols": side_cols,
                    "projection_error_rows": side_rows,
@@ -191,8 +199,9 @@ def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
 
 def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     # H's eigh and the whitened ratio's eigvalsh are taken once for both
-    # checks; sin theta adds H_hat's eigh and the one n x n SVD of
-    # H - H_hat, and reads its ratio_delta from the sandwich's eigenvalues.
+    # checks; sin theta adds H_hat's eigh and the eigvalsh of the n x n
+    # Gram of H - H_hat for its norm, and reads its ratio_delta from the
+    # sandwich's eigenvalues. No n x n SVD is left.
     # The reports are those of the dense expressions below, bit for bit.
     n, m, r = 30, 24, 2
     cfg = ExperimentConfig(n=n, m=m, kind="geometric-spectrum", synth_r=2,
@@ -208,7 +217,7 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     sandwich, sin = run_trial(cfg, 0)["reports"]
     monkeypatch.undo()
     assert {name: calls.count(True) for name, calls in square.items()} == {
-        "eigh": 2, "eigvalsh": 1, "svd": 1}
+        "eigh": 2, "eigvalsh": 2, "svd": 0}
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
     draw = Draw(inst, inst.budget()["d"], stream)
