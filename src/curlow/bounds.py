@@ -305,16 +305,23 @@ def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
     return make_report("column_space_capture", lhs, rhs, full_rank, params)
 
 
-def check_omega1_spectrum(spec: Spectrum, col_idx: IndexSet) -> BoundReport:
+def check_omega1_spectrum(spec: Spectrum, col_idx: IndexSet,
+                          t: float = 3.0) -> BoundReport:
     """Lower spectral bound on the d selected right-basis rows:
-    lambda_min(Omega1 Omega1^T) >= d/(2m)."""
+    lambda_min(Omega1 Omega1^T) >= d/(2m), which fails with probability at
+    most fail_prob = r exp(-d/(7 mu_r r)).
+
+    Gate: d >= 7 mu_r r (t + ln r), the same as fail_prob <= e^-t.
+    """
     r, m, mu, d = spec.r, spec.m, spec.mu_r, len(col_idx.indices)
     omega1, _ = _selection_blocks(spec.factors, col_idx, r)
     gram = omega1 @ omega1.T
     lhs = float(np.linalg.eigvalsh(gram)[0]) if gram.size else 0.0
     fail_prob = r * math.exp(-d / (7.0 * mu * r))
-    params = {"r": r, "d": d, "m": m, "mu_r": mu, "fail_prob": fail_prob}
-    return make_report("selection_spectrum", lhs, d / (2.0 * m), True,
+    d_gate, _ = sample_size_low_rank(mu, r, t)
+    params = {"r": r, "d": d, "m": m, "t": t, "mu_r": mu,
+              "fail_prob": fail_prob, "d_gate": d_gate}
+    return make_report("selection_spectrum", lhs, d / (2.0 * m), d >= d_gate,
                        params, sense="ge")
 
 

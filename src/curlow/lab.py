@@ -307,7 +307,7 @@ CHECKS = {
         ctx.error(), ctx.delta(), ctx.gamma())],
     "halko": lambda ctx: [bounds.check_halko(ctx.M, ctx.cols()[0], ctx.cfg.r)],
     "omega1_spectrum": lambda ctx: [bounds.check_omega1_spectrum(
-        ctx.spectrum(), ctx.cols()[0])],
+        ctx.spectrum(), ctx.cols()[0], ctx.cfg.t)],
     "strong_convexity": lambda ctx: [bounds.check_strong_convexity(
         ctx.design(), ctx.mu_hat(), ctx.cfg.t)],
     "h_sandwich": lambda ctx: [bounds.check_h_sandwich(

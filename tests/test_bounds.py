@@ -388,11 +388,17 @@ def test_halko_random_trials_never_violate():
 def test_omega1_spectrum_full_selection():
     M = low_rank(15, 12, 2, seed=17)
     idx, _ = sample_columns(M, 12, RngStream(seed=18))
-    rep = check_omega1_spectrum(Spectrum(M, 2), idx)
+    spec = Spectrum(M, 2)
+    rep = check_omega1_spectrum(spec, idx)
     assert rep.sense == "ge"
     assert rep.lhs == pytest.approx(1.0, abs=1e-10)
     assert rep.rhs == pytest.approx(0.5)
-    assert rep.holds and rep.premises_met
+    assert rep.holds
+    # all 12 columns, yet below the gate 7 mu_r r (t + ln r) at t = 3
+    d_gate = math.ceil(7.0 * spec.mu_r * 2 * (3.0 + math.log(2)))
+    assert rep.params["d_gate"] == d_gate > 12
+    assert not rep.premises_met
+    assert rep.params["fail_prob"] > math.exp(-3.0)
     mu = rep.params["mu_r"]
     assert rep.params["fail_prob"] == pytest.approx(
         2 * math.exp(-12 / (7 * mu * 2)))

@@ -531,6 +531,37 @@ def test_verify_checks_can_fail_on_real_draws(seed):
     assert ("column_space_capture" in failed) is (5 <= seed <= 7)
 
 
+def _selection_reports(**kwargs):
+    cfg = ExperimentConfig(checks=("omega1_spectrum",), **kwargs)
+    return cfg, [rep for trial in run_verify(cfg, threads=1)["trials"]
+                 for rep in trial["reports"]]
+
+
+def test_selection_spectrum_premise_is_its_failure_probability():
+    # d = 3 on a 60 x 48 geometric instance: the bound's own failure
+    # probability r exp(-d / (7 mu_r r)) exceeds 1, so the premise fails
+    for seed in range(1, 9):
+        cfg, [rep] = _selection_reports(
+            n=60, m=48, kind="geometric-spectrum", decay=0.5, synth_r=3,
+            r=3, d=3, omega_count=10, trials=1, seed=seed)
+        params = rep["params"]
+        assert params["fail_prob"] > 1.0 and params["t"] == cfg.t
+        assert params["d_gate"] == bounds.sample_size_low_rank(
+            params["mu_r"], cfg.r, cfg.t)[0]
+        assert not rep["premises_met"] and params["d"] < params["d_gate"]
+
+
+def test_selection_spectrum_premise_holds_on_ac4s_draws():
+    # AC4's selection group: every draw's failure probability is below
+    # e^-t, so every draw meets the premise
+    cfg, reports = _selection_reports(
+        n=200, m=200, kind="geometric-spectrum", decay=0.5, synth_r=4, r=4,
+        trials=100, seed=9700)
+    assert len(reports) == 100
+    assert all(rep["premises_met"] for rep in reports)
+    assert max(rep["params"]["fail_prob"] for rep in reports) <= math.exp(-cfg.t)
+
+
 def test_the_fit_residual_has_one_reader(monkeypatch, tmp_path):
     # only recover reports the data-fit residual, so only recover takes it
     values = []
