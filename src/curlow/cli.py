@@ -251,11 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "entries, with an empirical bounds lab.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p):
+    def shared(p, formats=True):
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
 
@@ -275,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
+    # sweep writes sweep.csv only, so it takes no --format
     p_swp = sub.add_parser("sweep", help="error and observation count over a d grid")
-    shared(p_swp)
+    shared(p_swp, formats=False)
     p_swp.add_argument("--d-grid", required=True,
                        help="comma-separated column/row budgets")
     p_swp.set_defaults(func=cmd_sweep)

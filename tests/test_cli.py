@@ -195,6 +195,17 @@ def test_sweep_table(tmp_path, capsys):
     assert stdout[1] == "degenerate basis splits: 2 of 9 draws (first: d=2, trial=0)"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_refuses_a_format_it_would_ignore(tmp_path, capsys, fmt):
+    # sweep writes sweep.csv only, so --format is an unknown flag there
+    out = tmp_path / "swp"
+    assert run("sweep", "--d-grid", "4", "--format", fmt, "--out", str(out),
+               "--set", "synth.n=12", "--set", "synth.m=12",
+               "--set", "r=2", "--set", "trials=1") == 1
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_skipped_rows_have_as_many_fields_as_the_header(tmp_path):
     out = tmp_path / "swp"
     assert run("sweep", "--d-grid", "1,8", "--out", str(out),

@@ -54,7 +54,8 @@ def base_argv(draw, command, overrides):
     seed = draw(st.none() | st.integers(-3, 3))
     if seed is not None:
         argv += ["--seed", str(seed)]
-    argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    if command != "sweep":
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
     if command == "sweep":
         argv += ["--d-grid", draw(st.sampled_from(
             ["1,2,4", "2", "", "a", "0,3", "-1", "3,30"]))]
