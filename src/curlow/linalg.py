@@ -157,8 +157,8 @@ def spectral_norm(M) -> float:
 
     D is first scaled by 2^-e, e the exponent of max |D|, so every entry
     lies below 1 in magnitude, the Gram's entries below max(n, m), and
-    lambda_max at least 1/4: the Gram cannot overflow, and what underflows
-    is below 2^-1022 of lambda_max. The scaling is exact, so
+    lambda_max at least 1/4: the Gram cannot overflow, and a product that
+    underflows is below 2^-1020 lambda_max. The scaling is exact, so
     spectral_norm(D 2^k) is ldexp(spectral_norm(D), k) bit for bit while
     D 2^k has no subnormal entry.
 
@@ -177,8 +177,7 @@ def spectral_norm(M) -> float:
     e = math.frexp(peak)[1]
     S = np.ldexp(A, -e)
     G = S.T @ S if S.shape[0] >= S.shape[1] else S @ S.T
-    top = float(np.linalg.eigvalsh(G)[-1])
-    return math.ldexp(math.sqrt(max(top, 0.0)), e)
+    return math.ldexp(math.sqrt(float(np.linalg.eigvalsh(G)[-1])), e)
 
 
 def settle_by_frobenius(fro: float, k: int,
