@@ -242,7 +242,8 @@ def scattered(draw):
     """An n x m D, 1 <= n, m <= 24, with each entry 0 or of magnitude in
     [2^-20, 2^20] and random sign; the share of zeros and the binades the
     magnitudes span are drawn too, so some D are nearly diagonal and some
-    of one scale."""
+    of one scale. Half the draws are instead the rank-1 outer product of
+    such a D's first column and first row."""
     n, m = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     zeros = draw(st.sampled_from([0.0, 0.3, 0.9]))
     span = draw(st.integers(0, 20))
@@ -288,10 +289,9 @@ def test_spectral_norm_of_zero_and_of_one_entry():
 # --- accuracy against a 30-digit reference -------------------------------
 
 # ulps of sigma_1 by which each kernel missed mpmath's 30-digit value on
-# the three D of `_witness_matrices`, measured when this test was written;
-# a later kernel may not miss by more
-# (2.31, 0.86, 2.86 ulps for spectral_norm and 4.31, 0.86, 0.14 for
-# singular_values, each rounded up here)
+# the three D of `_witness_matrices` when this test was written, rounded
+# up: 2.31, 0.86 and 2.86 for spectral_norm, 4.31, 0.86 and 0.14 for
+# singular_values. A later kernel may not miss by more.
 GRAM_ULPS = {"rank-1": 3, "geometric": 1, "round-off": 3}
 SVD_ULPS = {"rank-1": 5, "geometric": 1, "round-off": 1}
 
