@@ -100,8 +100,10 @@ class Spectrum:
 
     def __init__(self, M, r: int, lam: float | None = None):
         self.M, self.r = as_matrix(M), r
+        self.n, self.m = n, m = self.M.shape
+        if not 1 <= r <= min(n, m):
+            raise ValueError(f"r must be in [1, {min(n, m)}], got {r}")
         self.sigma = sigma = singular_values(self.M)
-        self.n, self.m = self.M.shape
         self.sigma_r = float(sigma[r - 1])
         self.sigma_r_plus_1 = float(sigma[r]) if r < sigma.size else 0.0
         self.lam = self.sigma_r**2 / (self.m * self.n) if lam is None else lam
@@ -337,8 +339,7 @@ def check_strong_convexity(system: DesignSystem, mu_hat: float,
     size = len(system.y)
     n, m = system.shape
     rhs = size / (2.0 * m * n)
-    gate = _ceil(7.0 * mu_hat**2 * system.r**2
-                 * (t + 2.0 * math.log(system.r)))
+    _, gate = sample_size_low_rank(mu_hat, system.r, t)
     params = {"omega_size": size, "n": n, "m": m, "r": system.r, "t": t,
               "mu_hat": mu_hat, "omega_gate": gate}
     return make_report("strong_convexity", system.lambda_min(), rhs,
@@ -352,12 +353,12 @@ def check_strong_convexity(system: DesignSystem, mu_hat: float,
 class HPair:
     """H = lam*I + M M^T/(mn), its column-sampled counterpart H_hat, and
     what both Gram checks read of them: H's eigendecomposition (w
-    nonincreasing, Q), the eigenvalues `eigs` of the whitened ratio
-    H^{-1/2} H_hat H^{-1/2}, from one eigvalsh of its symmetric part, and
-    their ratio_delta = max |eig - 1|. Both are None when lam = 0, where H
-    has the rank of M, or when H's smallest computed eigenvalue is not
-    positive. d is the draw's; lam, r, n and the gates' coherence and rank
-    come from the instance's spec."""
+    nonincreasing, Q), the pair's only one, as sin theta reads H_hat's
+    top-r basis as the draw's U_hat; the eigenvalues `eigs` of the
+    whitened ratio H^{-1/2} H_hat H^{-1/2}, from one eigvalsh of its
+    symmetric part, and their ratio_delta = max |eig - 1|. Both are None
+    when lam = 0, where H has the rank of M, or when H's smallest computed
+    eigenvalue is not positive. d is the draw's, the rest the spec's."""
 
     def __init__(self, H: np.ndarray, H_hat: np.ndarray, spec: Spectrum,
                  d: int):
@@ -435,22 +436,20 @@ def check_mu_hat_bound(spec: Spectrum, mu_hat: float, d: int,
     return make_report("basis_coherence", mu_hat, rhs, premises, params)
 
 
-def check_sin_theta_perturbation(pair: HPair) -> BoundReport:
+def check_sin_theta_perturbation(pair: HPair, U_hat: np.ndarray) -> BoundReport:
     """Perturbation bound on the top-r eigenspace rotation from H to H_hat,
     at the spectrum's r, in terms of the relative eigen-gap
     D_lam = min(sqrt(2)(1 - lam_{r+1}/lam_r), 1/sqrt(2)) and the relative
     perturbation D_H = eta/sqrt(1 - eta) with eta = ||H^{-1}|| ||H - H_hat||.
+    U_hat spans H_hat's top-r eigenspace; a draw passes its own basis U_hat.
 
     Gate: eta < 1 and D_lam >= D_H/2; at r = n there is no lam_{r+1}, so
     no eigen-gap, and the premises are not met. The params record the
     specialized 3*sqrt(2)*delta form, delta the pair's `ratio_delta`.
     """
     r, n = pair.spec.r, pair.spec.n
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
     w, Q = pair.w, pair.Q
-    _, Qt = eigh_descending(pair.H_hat)
-    lhs = sin_theta(Q[:, :r], Qt[:, :r])
+    lhs = sin_theta(Q[:, :r], U_hat)
     if r >= n:
         return make_report("subspace_perturbation", lhs, float("inf"), False,
                            {"reason": "no eigenvalue past r: no eigen-gap"})

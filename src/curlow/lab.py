@@ -315,7 +315,7 @@ CHECKS = {
     "mu_hat": lambda ctx: [bounds.check_mu_hat_bound(
         ctx.spectrum(), ctx.mu_hat(), ctx.d, ctx.cfg.t)],
     "sin_theta": lambda ctx: [bounds.check_sin_theta_perturbation(
-        ctx.h_pair())],
+        ctx.h_pair(), ctx.bases().U_hat)],
     "full_rank_recovery": lambda ctx: [ctx.recovery_bound()],
 }
 

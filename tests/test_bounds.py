@@ -35,6 +35,7 @@ from curlow.bounds import (
 from curlow.coherence import mu_hat, mu_r, numerical_rank
 from curlow.linalg import (
     SANDWICH_ULPS,
+    eigh_descending,
     frobenius_norm,
     settle_by_frobenius,
     spectral_norm,
@@ -469,6 +470,25 @@ def pair_of(H, H_hat, r=1):
     return HPair(H, H_hat, Spectrum(np.eye(n), r, 1e-3), d=3)
 
 
+def sin_theta_of(H, H_hat, r=1):
+    """The sin theta report of `pair_of(H, H_hat, r)`, with H_hat's top-r
+    eigenvectors as the basis."""
+    return check_sin_theta_perturbation(pair_of(H, H_hat, r),
+                                        eigh_descending(H_hat)[1][:, :r])
+
+
+def test_a_spectrum_refuses_a_rank_outside_its_shape():
+    # r = 0 read sigma[-1] as sigma_r and sigma[0] as sigma_{r+1}, and
+    # r = 5 indexed past sigma
+    M = np.diag([3.0, 2.0, 1.0, 0.5])
+    for r in (-1, 0, 5):
+        with pytest.raises(ValueError) as err:
+            Spectrum(M, r)
+        assert str(err.value) == f"r must be in [1, 4], got {r}"
+    spec = Spectrum(M, 4)
+    assert spec.sigma_r == 0.5 and spec.sigma_r_plus_1 == 0.0
+
+
 def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
     # more readers than cores, switching threads as often as the
     # interpreter allows: the first read of factors, mu_r or rank factors
@@ -606,7 +626,7 @@ def givens(n, i, j, theta):
 
 def test_sin_theta_identity_perturbation():
     H = np.diag([3.0, 2.0, 1.0, 0.5])
-    rep = check_sin_theta_perturbation(pair_of(H, H.copy(), 2))
+    rep = sin_theta_of(H, H.copy(), 2)
     assert rep.lhs <= 1e-7
     assert rep.params["eta"] == 0.0
     assert rep.params["d_h"] == 0.0
@@ -618,7 +638,7 @@ def test_sin_theta_planted_rotation():
     theta = 0.05
     G = givens(4, 1, 2, theta)  # mixes the r=2 boundary pair
     H_tilde = G @ H @ G.T
-    rep = check_sin_theta_perturbation(pair_of(H, H_tilde, 2))
+    rep = sin_theta_of(H, H_tilde, 2)
     assert rep.premises_met
     assert rep.lhs == pytest.approx(math.sin(theta), abs=1e-6)
     assert rep.holds
@@ -634,7 +654,7 @@ def test_sin_theta_large_perturbation_rejected():
     g = rng(32)
     E = g.standard_normal((3, 3))
     H_tilde = H + 10.0 * (E + E.T)
-    rep = check_sin_theta_perturbation(pair_of(H, H_tilde))
+    rep = sin_theta_of(H, H_tilde)
     assert not rep.premises_met
     assert rep.rhs == float("inf")
     assert rep.params["eta"] >= 1.0
@@ -642,19 +662,19 @@ def test_sin_theta_large_perturbation_rejected():
 
 def test_sin_theta_degenerate_h():
     H = np.diag([3.0, 2.0, 0.0])
-    rep = check_sin_theta_perturbation(pair_of(H, np.eye(3)))
+    rep = sin_theta_of(H, np.eye(3))
     assert not rep.premises_met
     assert rep.rhs == float("inf")
-    neg = check_sin_theta_perturbation(pair_of(-np.eye(3), np.eye(3)))
+    neg = sin_theta_of(-np.eye(3), np.eye(3))
     assert not neg.premises_met
 
 
 def test_sin_theta_validation():
     with pytest.raises(ValueError):
-        check_sin_theta_perturbation(pair_of(np.eye(3), np.eye(3), 0))
+        sin_theta_of(np.eye(3), np.eye(3), 0)
     # r = n leaves no eigenvalue past r, so no eigen-gap: a report whose
     # premises are not met, not an error
-    rep = check_sin_theta_perturbation(pair_of(np.eye(3), np.eye(3), 3))
+    rep = sin_theta_of(np.eye(3), np.eye(3), 3)
     assert not rep.premises_met and rep.rhs == float("inf")
     assert rep.params["reason"] == "no eigenvalue past r: no eigen-gap"
 
@@ -671,7 +691,7 @@ def test_sin_theta_bound_on_gram_pairs():
         lam = svd(M).sigma[1] ** 2 / 1600
         _, A = sample_columns(M, 30, RngStream(seed=6000 + seed))
         pair = build_h_pair(Spectrum(M, 2, lam), A)
-        rep = check_sin_theta_perturbation(pair)
+        rep = check_sin_theta_perturbation(pair, svd(A).U[:, :2])
         if rep.premises_met:
             applied += 1
             if not rep.holds:

@@ -199,9 +199,10 @@ def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
 
 def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     # H's eigh and the whitened ratio's eigvalsh are taken once for both
-    # checks; sin theta adds H_hat's eigh and the eigvalsh of the n x n
-    # Gram of H - H_hat for its norm, and reads its ratio_delta from the
-    # sandwich's eigenvalues. No n x n SVD is left.
+    # checks; sin theta adds the eigvalsh of the n x n Gram of H - H_hat
+    # for its norm, reads H_hat's top-r basis as the draw's U_hat, and
+    # reads its ratio_delta from the sandwich's eigenvalues. H_hat is
+    # never factored, and no n x n SVD is left.
     # The reports are those of the dense expressions below, bit for bit.
     n, m, r = 30, 24, 2
     cfg = ExperimentConfig(n=n, m=m, kind="geometric-spectrum", synth_r=2,
@@ -217,7 +218,7 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     sandwich, sin = run_trial(cfg, 0)["reports"]
     monkeypatch.undo()
     assert {name: calls.count(True) for name, calls in square.items()} == {
-        "eigh": 2, "eigvalsh": 2, "svd": 0}
+        "eigh": 1, "eigvalsh": 2, "svd": 0}
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
     draw = Draw(inst, inst.budget()["d"], stream)
@@ -238,8 +239,7 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
         "side": "A", "d": d, "d_gate": d_gate, "t": t, "lam": lam,
         "mu_lambda": rank.mu_lambda, "numerical_rank": rank.value,
         "eig_min": float(eigs.min()), "eig_max": float(eigs.max())}
-    _, Qt = linalg.eigh_descending(H_hat)
-    assert sin["lhs"] == sin_theta(Q[:, :r], Qt[:, :r])
+    assert sin["lhs"] == sin_theta(Q[:, :r], draw.bases().U_hat)
     eta = float(1.0 / np.abs(w).min()) * linalg.spectral_norm(H - H_hat)
     d_lam = min(np.sqrt(2.0) * (1.0 - w[r] / w[r - 1]), 1.0 / np.sqrt(2.0))
     d_h = eta / np.sqrt(1.0 - eta)
