@@ -188,28 +188,32 @@ def _read_csv_matrix(header: str, lines: _Lines, path) -> np.ndarray:
     m = _parse_int(fields["cols"], path, 1, "cols")
     if n < 1 or m < 1:
         raise ParseError(path, 1, f"dimensions must be positive, got {n} {m}")
-    chunks = []
+    chunks, found = [], 0
     for start, block in lines.blocks():
-        # one pass over a block of m-cell rows; a block with blank lines,
-        # a ragged row or a fault is scanned line by line
-        chunk = None
-        if all(ln.count(",") == m - 1 for ln in block):
+        # one pass over the m-cell rows of the block's first n - found + 1
+        # lines; blank lines, a ragged row or a fault: line by line
+        head, chunk = block[:n - found + 1], None
+        if all(ln.count(",") == m - 1 for ln in head):
             try:
-                chunk = np.fromiter(map(float, ",".join(block).split(",")),
-                                    np.float64, len(block) * m)
+                chunk = np.fromiter(map(float, ",".join(head).split(",")),
+                                    np.float64, len(head) * m)
             except ValueError:
                 pass
-        chunks.append(_scan_rows(block, start, m, path) if chunk is None else chunk)
-    found = sum(map(len, chunks)) // m
+        if chunk is not None and len(head) > n - found:
+            raise ParseError(path, start + n - found, f"more than {n} rows")
+        chunks.append(_scan_rows(block, start, m, n - found, n, path)
+                      if chunk is None else chunk)
+        found += len(chunks[-1]) // m
     if found != n:
         raise ParseError(path, lines.line_no, f"expected {n} rows, found {found}")
     return np.concatenate(chunks).reshape((n, m))
 
 
-def _scan_rows(block: list[str], start: int, m: int, path) -> np.ndarray:
+def _scan_rows(block: list[str], start: int, m: int, room: int, n: int,
+               path) -> np.ndarray:
     """The cells of the rows in `block`, whose first line is line `start`,
-    skipping blank lines; a fault raises its ParseError with its 1-based
-    line number."""
+    skipping blank lines; a fault, or a row past the first `room`, raises
+    its ParseError with its 1-based line number."""
     values = []
     for line_no, ln in enumerate(block, start):
         _check_ascii(ln, path, line_no)
@@ -220,6 +224,8 @@ def _scan_rows(block: list[str], start: int, m: int, path) -> np.ndarray:
         if len(cells) != m:
             raise ParseError(path, line_no, f"expected {m} columns, found {len(cells)}")
         values += [_parse_float(c, path, line_no) for c in cells]
+        if len(values) > room * m:
+            raise ParseError(path, line_no, f"more than {n} rows")
     return np.array(values, dtype=np.float64)
 
 

@@ -243,6 +243,8 @@ def _whole_file_csv(lines, path):
         if len(cells) != m:
             raise ParseError(path, k, f"expected {m} columns, found {len(cells)}")
         rows.append([io._parse_float(c, path, k) for c in cells])
+        if len(rows) > n:
+            raise ParseError(path, k, f"more than {n} rows")
     if len(rows) != n:
         raise ParseError(path, len(lines), f"expected {n} rows, found {len(rows)}")
     return np.asarray(rows, dtype=np.float64)
@@ -312,6 +314,9 @@ def _outcome(read, path):
 @example(raw=f"{DENSE_BANNER}\n1 1\n-1.2500".encode(), block_chars=2,
          chunk_bytes=3)
 @example(raw=b"# rows=1 cols=3\n1,2.5,-3.75", block_chars=4, chunk_bytes=2)
+# a row past the header's count, parsed in one pass and line by line
+@example(raw=b"# rows=1 cols=2\n1,2\n3,4\n5,x\n", block_chars=8, chunk_bytes=3)
+@example(raw=b"# rows=2 cols=1\n1\n\n2\n3\n", block_chars=8, chunk_bytes=3)
 def test_streamed_reader_matches_the_whole_file_reader(tmp_path_factory, raw,
                                                        block_chars,
                                                        chunk_bytes):
@@ -365,3 +370,19 @@ def test_reader_buffers_what_it_reads_not_what_the_header_says(tmp_path):
         tracemalloc.stop()
     assert str(err.value) == f"{path}:4: expected 1000000000000000000 entries, found 2"
     assert peak < 4 * io.BLOCK_CHARS, peak
+
+
+def test_csv_reader_stops_at_the_first_row_past_the_header(tmp_path):
+    # a million rows under a one-row header: refused at the second row,
+    # after one block, not after parsing the body's 32 MB of cells
+    path = tmp_path / "long.csv"
+    path.write_text("# rows=1 cols=4\n" + "1,2,3,4\n" * 1_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}:3: more than 1 rows"
+    assert peak < 16 * io.BLOCK_CHARS, peak
