@@ -61,8 +61,7 @@ def _orth_signs(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     return Q
 
 
-def _plant_spike(U: np.ndarray, index: int, weight: float,
-                 rng: np.random.Generator) -> np.ndarray:
+def _plant_spike(U: np.ndarray, index: int, weight: float) -> np.ndarray:
     """Replace the first column with weight*e_index plus an orthogonal
     remainder, then re-orthonormalize the rest against it."""
     n = U.shape[0]
@@ -71,12 +70,9 @@ def _plant_spike(U: np.ndarray, index: int, weight: float,
     if weight >= 1.0:
         first = e
     else:
+        # every entry of U[:, 0] is +-1/sqrt(n): nrm = sqrt((n - 1)/n) > 0
         rem = U[:, 0] - e * U[index, 0]
         nrm = np.linalg.norm(rem)
-        if nrm < 1e-12:
-            rem = rng.standard_normal(n)
-            rem -= e * rem[index]
-            nrm = np.linalg.norm(rem)
         first = weight * e + np.sqrt(1.0 - weight**2) * rem / nrm
     stacked = np.column_stack([first, U[:, 1:]])
     Q, _ = np.linalg.qr(stacked)
@@ -105,7 +101,7 @@ def generate(spec: SynthSpec) -> tuple[DenseMatrix, SvdFactors]:
     U = _orth_signs(rng, spec.n, spec.m)
     V = _orth_signs(rng, spec.m, spec.m)
     if spec.coherence == "spiky":
-        U = _plant_spike(U, spec.spike_index, spec.spike_weight, rng)
+        U = _plant_spike(U, spec.spike_index, spec.spike_weight)
     M = (U * sig) @ V.T
     return M, SvdFactors(U=U, sigma=sig, V=V)
 

@@ -299,6 +299,13 @@ def test_exit_code_parse_error(tmp_path):
     assert run("verify", "--config", str(cfg), "--out", str(tmp_path)) == 1
 
 
+def test_exit_code_set_without_a_value(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("recover", "--set", "r", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: --set expects key=value, got 'r'\n"
+    assert not out.exists()
+
+
 def test_exit_code_unknown_config_key(tmp_path):
     assert run("verify", "--set", "bogus=1", "--out", str(tmp_path)) == 1
 
