@@ -4,7 +4,8 @@ Subcommands: gen (synthesize an instance), recover (sample and solve),
 verify (Monte-Carlo inequality checks), sweep (budget grid), cur
 (column/row baseline). Every command is deterministic given its config:
 reruns produce byte-identical files. Exit codes: 0 success, 1 argument or
-parse errors, 2 ill-posed solve, 3 I/O errors.
+parse errors, 2 ill-posed solve or an SVD that did not converge, 3 I/O
+errors.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .config import (
 )
 from .cur import cur_decompose, cur_error_ratio
 from .io import ParseError, ensure_dir, read_matrix, write_matrix
+from .linalg import SvdConvergenceError
 from .recovery import IllPosedError
 from .synth import generate, measured_properties
 
@@ -301,7 +303,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except IllPosedError as exc:
+    except (IllPosedError, SvdConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

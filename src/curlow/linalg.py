@@ -146,8 +146,13 @@ def pseudo_inverse(M) -> DenseMatrix:
 
 def singular_values(M) -> np.ndarray:
     """Singular values, nonincreasing, without the singular vectors: for a
-    caller that reads only sigma this skips forming U and V."""
-    return np.linalg.svd(as_matrix(M), compute_uv=False)
+    caller that reads only sigma this skips forming U and V. Where that
+    fails to converge, `svd`'s fallback and error take over."""
+    A = as_matrix(M)
+    try:
+        return np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return svd(A).sigma
 
 
 def spectral_norm(M) -> float:

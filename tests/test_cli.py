@@ -12,7 +12,7 @@ import pytest
 from curlow import cli, cur
 from curlow.cli import load_experiment_config, main, write_csv, write_json
 from curlow.config import ExperimentConfig
-from curlow.io import read_matrix, write_matrix
+from curlow.io import DENSE_BANNER, read_matrix, write_matrix
 from curlow.linalg import frobenius_norm
 
 
@@ -458,6 +458,58 @@ def test_exit_code_non_ascii_matrix_file(tmp_path, capsys):
     path.write_bytes(b"%%MatrixMarket matrix array real general\n2 1\n1.0\n2.\xc3\n")
     assert run("recover", "--matrix", str(path), "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err == f"error: {path}:4: non-ASCII byte 0xc3\n"
+
+
+@pytest.mark.parametrize("name, text, line, message", [
+    ("banner.mtx", "%%Matrix array\n2 1\n1\n2\n", 1,
+     "missing MatrixMarket banner"),
+    ("no-size.mtx", f"{DENSE_BANNER}\n% only a comment\n", 2,
+     "missing size line"),
+    ("zero.mtx", f"{DENSE_BANNER}\n0 3\n", 2,
+     "dimensions must be positive, got 0 3"),
+    # the comment sends the block down the line-by-line scan
+    ("long.mtx", f"{DENSE_BANNER}\n2 1\n1\n% note\n2\n3\n", 6,
+     "more than 2 entries"),
+    ("header.csv", "# rows=2\n1,2\n3,4\n", 1,
+     "header must be '# rows=R cols=C'"),
+    ("plain.txt", "1 2 3\n", 1, "unrecognized matrix header"),
+])
+def test_exit_code_malformed_matrix_file(tmp_path, capsys, name, text, line,
+                                         message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run("recover", "--matrix", str(path), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
+
+def test_exit_code_checks_that_are_not_a_string(tmp_path, capsys):
+    # values are checked once the file and every --set are merged, so the
+    # message names the key, not a line of the file
+    cfg = tmp_path / "checks.cfg"
+    cfg.write_text("checks = 3\n")
+    assert run("verify", "--config", str(cfg), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: checks must be a string, got 3\n"
+
+
+def test_exit_code_svd_that_does_not_converge(tmp_path, capsys, monkeypatch):
+    import scipy.linalg
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def fail_gesvd(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(scipy.linalg, "svd", fail_gesvd)
+    path = tmp_path / "ones.mtx"
+    write_matrix(np.ones((3, 2)), path)
+    out = tmp_path / "out"
+    assert run("recover", "--matrix", str(path), "--set", "r=1",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: SVD did not converge for 3x2 input "
+        "(frobenius norm 2.449490e+00)\n")
 
 
 def test_exit_code_bad_sweep_grid(tmp_path):

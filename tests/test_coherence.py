@@ -276,3 +276,12 @@ def test_mu_r_bounded_by_weighted_coherence():
         assert lhs <= rhs + 1e-9 * rhs
         hits += 1
     assert hits == 20
+
+
+@pytest.mark.parametrize("Q, message", [
+    (np.ones(3), "Q must be 2-d with at least one column"),
+    (np.eye(3)[:2], r"Q has more columns than rows: \(2, 3\)"),
+])
+def test_basis_incoherence_refuses_a_malformed_basis(Q, message):
+    with pytest.raises(ValueError, match=message):
+        basis_incoherence(Q)

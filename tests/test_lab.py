@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlow import bounds, lab, linalg, recovery
 from curlow.bounds import sample_size_low_rank, total_observations
@@ -30,8 +33,9 @@ from curlow.lab import (
 )
 from curlow.linalg import blas_threads, frobenius_norm, svd
 from curlow.recovery import RecoveryInputs, recover
-from curlow.sampling import sample_columns, sample_entries, sample_rows
-from curlow.synth import generate
+from curlow.sampling import (RngStream, sample_columns, sample_entries,
+                             sample_rows)
+from curlow.synth import SynthSpec, generate
 
 
 def test_thread_count_env(monkeypatch):
@@ -1054,3 +1058,38 @@ def test_recover_bytes_do_not_depend_on_blas_threads(tmp_path):
     one = _golden_outputs("recover", "1", tmp_path / "1")
     assert list(one) == ["M_hat.mtx", "recovery.json"]
     assert one == _golden_outputs("recover", "2", tmp_path / "2")
+
+
+# a 160 x 150 geometric-0.5 M at r = 1: d = 20 samples take the thin SVD,
+# d = 144 = 16 (r + 8) samples the subspace iteration
+SCALED_M, _ = generate(SynthSpec(n=160, m=150, kind="geometric-spectrum",
+                                 r=150, stream=RngStream(seed=70), decay=0.5))
+
+
+def scaled_config(d: int) -> ExperimentConfig:
+    return ExperimentConfig(n=160, m=150, r=1, d=d, omega_count=3000, seed=71)
+
+
+@functools.cache
+def unscaled_recovery(d: int) -> dict:
+    return run_recovery(scaled_config(d), SCALED_M)
+
+
+@pytest.mark.parametrize("d", [20, 144], ids=["thin-svd", "iteration"])
+@settings(deadline=None, derandomize=True, database=None, max_examples=15)
+@given(k=st.integers(-60, 60))
+def test_run_recovery_is_exact_in_the_units_of_m(d, k):
+    base = unscaled_recovery(d)
+    out = run_recovery(scaled_config(d), np.ldexp(SCALED_M, k))
+    assert np.array_equal(out["_M_hat"], np.ldexp(base["_M_hat"], k))
+    for key in ("col_indices", "row_indices", "omega_size", "lambda_min_gram",
+                "gamma"):
+        assert out[key] == base[key]
+    assert out["metrics"]["rel_frobenius"] == base["metrics"]["rel_frobenius"]
+    assert out["bases"]["degenerate_gap"] == base["bases"]["degenerate_gap"]
+    for side in ("left_sigma", "right_sigma"):
+        assert out["bases"][side] == np.ldexp(base["bases"][side], k).tolist()
+    lam = out["budget"].pop("lam")
+    assert lam == math.ldexp(base["budget"]["lam"], 2 * k)
+    assert out["budget"] == {key: v for key, v in base["budget"].items()
+                             if key != "lam"}

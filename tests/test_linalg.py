@@ -14,6 +14,7 @@ from curlow.linalg import (
     eigh_descending,
     frobenius_norm,
     pseudo_inverse,
+    settle_by_frobenius,
     singular_values,
     spectral_norm,
     svd,
@@ -324,3 +325,13 @@ def test_top_singular_value_is_within_its_measured_ulps_of_the_truth():
             full = abs(mpmath.mpf(float(singular_values(D)[0])) - truth) / ulp
         assert gram <= GRAM_ULPS[name], name
         assert full <= SVD_ULPS[name], name
+
+
+def test_eigh_descending_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"G must be square, got shape \(2, 3\)"):
+        eigh_descending(np.ones((2, 3)))
+
+
+def test_settle_by_frobenius_leaves_an_overflowing_square_to_the_spectral_norm():
+    # ||D||_F^2 overflows, so neither end of the sandwich is a number
+    assert settle_by_frobenius(1e155, 3, lambda sq: True) is None

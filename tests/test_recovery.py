@@ -170,6 +170,137 @@ def test_build_bases_factors_only_the_thin_samples(monkeypatch):
     assert sorted(calls) == [("svd", (100, 9)), ("svd", (120, 9))]
 
 
+def spy_iteration(monkeypatch) -> list:
+    """What each `recovery._subspace_iteration` call returned after this
+    point: its (U, sigma head), or None where it gave the sample to the
+    thin SVD."""
+    results = []
+
+    def record(S, r, _fn=recovery._subspace_iteration):
+        results.append(_fn(S, r))
+        return results[-1]
+
+    monkeypatch.setattr(recovery, "_subspace_iteration", record)
+    return results
+
+
+def planted(n, d, sigma, seed):
+    """An n x d sample with singular values `sigma`, zero-padded to d."""
+    k = len(sigma)
+    return (random_orthonormal(n, k, seed=seed) * sigma) \
+        @ random_orthonormal(d, k, seed=seed + 1).T
+
+
+def test_build_bases_iterates_on_l_wide_blocks_only(monkeypatch):
+    # r = 2, l = 10: both samples reach 16 l = 160 on both sides, so only
+    # n x l and m x l QRs and d x l SVDs run, never a d x d or n x n one
+    M, _ = generate(SynthSpec(n=200, m=180, kind="geometric-spectrum", r=180,
+                              stream=RngStream(seed=55), decay=0.5))
+    _, A = sample_columns(M, 160, RngStream(seed=56))
+    _, B = sample_rows(M, 160, RngStream(seed=57))
+    calls = record_factorizations(monkeypatch)
+    build_bases(A, B, 2)
+    assert set(calls) == {("qr", (200, 10)), ("qr", (180, 10)),
+                          ("svd", (160, 10))}
+    # one sample side below 16 l takes the thin SVD
+    calls.clear()
+    build_bases(A[:159], B, 2)
+    assert ("svd", (159, 160)) in calls
+
+
+# (kind, decay, n, m): each sample is 200 wide, r = 4 and l = 12, so all
+# four samples take the iteration
+ITERATION_CASES = [
+    ("geometric-spectrum", 0.5, 300, 300),
+    ("geometric-spectrum", 0.9, 300, 300),
+    ("power-law-spectrum", 1.0, 300, 300),
+    ("exact-low-rank", 0.5, 300, 300),
+    ("geometric-spectrum", 0.7, 500, 260),
+]
+
+
+@pytest.mark.parametrize("kind, decay, n, m", ITERATION_CASES)
+def test_iterated_bases_match_the_thin_svd(monkeypatch, kind, decay, n, m):
+    # bounds from a measurement over seeds 0-5 of these cases: sin theta
+    # at most 276 eps, the sigma head within 9.1 eps sigma_1
+    r, eps = 4, np.finfo(float).eps
+    M, _ = generate(SynthSpec(n=n, m=m, kind=kind, decay=decay,
+                              stream=RngStream(seed=0),
+                              r=r if kind == "exact-low-rank" else min(n, m)))
+    _, A = sample_columns(M, 200, RngStream(seed=0, stream_id=1))
+    _, B = sample_rows(M, 200, RngStream(seed=0, stream_id=2))
+    found = spy_iteration(monkeypatch)
+    bases = build_bases(A, B, r)
+    assert len(found) == 2 and all(f is not None for f in found)
+    for S, U, head in ((A, bases.U_hat, bases.left_sigma),
+                       (B, bases.V_hat, bases.right_sigma)):
+        f = svd(S)
+        assert spectral_norm(U - f.U[:, :r] @ (f.U[:, :r].T @ U)) <= 512 * eps
+        assert np.max(np.abs(head - f.sigma[:r + 1])) <= 16 * eps * f.sigma[0]
+        # same sign convention as the thin SVD's columns
+        assert np.allclose(U, f.U[:, :r], atol=1e-12)
+    assert not bases.degenerate_gap
+
+
+def assert_thin_svd_bits(bases, A, B, r):
+    for S, U, head in ((A, bases.U_hat, bases.left_sigma),
+                       (B, bases.V_hat, bases.right_sigma)):
+        f = svd(S)
+        assert np.array_equal(U, f.U[:, :r])
+        assert np.array_equal(head, f.sigma[:r + 1])
+
+
+@pytest.mark.parametrize("sigma", [
+    [4.0, 2.0, 2.0, 1.0, 0.5, 0.25],  # sigma_2 = sigma_3: a closed gap
+    [3.0],                            # rank 1 below r = 2
+], ids=["closed-gap", "rank-deficient"])
+def test_iteration_hands_degenerate_samples_to_the_thin_svd(monkeypatch, sigma):
+    A = planted(200, 160, sigma, seed=60)
+    B = planted(170, 160, [5.0, 3.0, 1.0], seed=62)
+    found = spy_iteration(monkeypatch)
+    bases = build_bases(A, B, 2)
+    assert found[0] is None and found[1] is not None
+    f = svd(A)
+    assert np.array_equal(bases.U_hat, f.U[:, :2])
+    assert np.array_equal(bases.left_sigma, f.sigma[:3])
+    assert bases.degenerate_gap
+
+
+def test_iteration_gives_up_on_a_slow_spectrum(monkeypatch):
+    # sigma_{l+1} / sigma_r = 0.97^9: the Ritz values predict far more than
+    # Q_MAX steps, so it stops early and the thin SVD takes over
+    A = planted(200, 160, 0.97 ** np.arange(160), seed=64)
+    found = spy_iteration(monkeypatch)
+    bases = build_bases(A, A.copy(), 2)
+    assert found == [None, None]
+    assert_thin_svd_bits(bases, A, A, 2)
+
+
+def test_iteration_gives_up_after_q_max_steps(monkeypatch):
+    A = planted(200, 160, 0.5 ** np.arange(160), seed=66)
+    monkeypatch.setattr(recovery, "Q_MAX", 0)
+    found = spy_iteration(monkeypatch)
+    bases = build_bases(A, A.copy(), 2)
+    assert found == [None, None]
+    assert_thin_svd_bits(bases, A, A, 2)
+
+
+def test_iteration_hands_a_failed_small_svd_to_the_thin_svd(monkeypatch):
+    A = planted(200, 160, 0.5 ** np.arange(160), seed=68)
+    real = np.linalg.svd
+
+    def fail_on_blocks(a, *args, **kwargs):
+        if np.shape(a)[1] == 10:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_on_blocks)
+    found = spy_iteration(monkeypatch)
+    bases = build_bases(A, A.copy(), 2)
+    assert found == [None, None]
+    assert_thin_svd_bits(bases, A, A, 2)
+
+
 # --- assemble_design ----------------------------------------------------------
 
 
@@ -570,3 +701,27 @@ def test_solver_matches_pseudo_inverse_path(seed):
     system = assemble_design(result.bases, inputs.omega)
     z_oracle = pseudo_inverse(system.K) @ system.y
     assert np.allclose(result.Z_star.reshape(-1), z_oracle, atol=1e-8)
+
+
+def test_recovery_inputs_refuse_samples_of_the_wrong_height():
+    M = low_rank(8, 6, 2, seed=70)
+    omega = sample_entries(M, 20, RngStream(seed=71))
+    with pytest.raises(ValueError, match="A has 7 rows, expected 8"):
+        RecoveryInputs(A=M[:7, :3], B=M.T[:, :3], omega=omega, r=2)
+    with pytest.raises(ValueError, match="B has 5 rows, expected 6"):
+        RecoveryInputs(A=M[:, :3], B=M.T[:5, :3], omega=omega, r=2)
+
+
+def test_build_bases_refuses_r_beyond_the_samples():
+    M = low_rank(8, 6, 2, seed=72)
+    with pytest.raises(ValueError, match=r"r must be in \[1, 3\], got 4"):
+        build_bases(M[:, :3], M.T[:, :3], 4)
+
+
+def test_assemble_design_refuses_bases_of_another_grid():
+    M = low_rank(8, 6, 2, seed=73)
+    bases = build_bases(M.copy(), M.T.copy(), 2)
+    omega = sample_entries(M[:7], 20, RngStream(seed=74))
+    with pytest.raises(ValueError,
+                       match="bases sized for 8 x 6, observations for 7 x 6"):
+        assemble_design(bases, omega)

@@ -174,3 +174,14 @@ def test_disjoint_streams_uncorrelated():
         y[t] = 1.0 if 0 in idx2.indices else 0.0
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 0.05
+
+
+@pytest.mark.parametrize("rows, cols, values, message", [
+    ([0, 1], [0], [1.0], "rows, cols, values must have equal length"),
+    ([0, 3], [0, 1], [1.0, 2.0], "row index out of bounds"),
+    ([0, 1], [0, 2], [1.0, 2.0], "col index out of bounds"),
+])
+def test_omega_set_refuses_entries_off_its_grid(rows, cols, values, message):
+    with pytest.raises(ValueError, match=message):
+        OmegaSet(shape=(3, 2), rows=np.array(rows), cols=np.array(cols),
+                 values=np.array(values))

@@ -122,3 +122,9 @@ def test_measured_properties_cross_checks():
     assert abs(props["numerical_rank"] - rank_rep.value) < 1e-12
     assert props["gap_ok"] == (props["sigma_r"] >= np.sqrt(2) * props["sigma_r_plus_1"])
     assert props["gap_ok"]  # decay 0.5 has exactly a factor-2 gap
+
+
+def test_synth_spec_refuses_an_unknown_coherence():
+    with pytest.raises(ValueError, match="unknown coherence 'lumpy'"):
+        SynthSpec(n=4, m=4, kind="exact-low-rank", r=1,
+                  stream=RngStream(seed=0), coherence="lumpy")

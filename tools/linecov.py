@@ -11,6 +11,12 @@ curlow.cli`, are not seen. Standard library and pytest only:
 
     python tools/linecov.py                    # tier-1
     python tools/linecov.py tests/test_io.py   # other pytest arguments
+    python tools/linecov.py --expect tools/linecov_allowed.txt
+
+Each unrun line is listed with the function it belongs to. With `--expect
+FILE` it exits 1, once pytest has passed, when an unrun line is missing
+from FILE, a list of `path function: text` entries, one a line, `#`
+starting a comment; an entry that did run is reported but does not fail.
 
 Tier-1 under the tracer takes about 70 s on 2 vCPUs. Do not run it beside
 the benchmark (`perfbench/run.py`): each slows the other.
@@ -31,15 +37,16 @@ PACKAGE = os.path.join(SRC, "curlow") + os.sep
 TIER1 = ["-q", "--continue-on-collection-errors"]
 
 
-def executable_lines(path: str) -> set[int]:
+def executable_lines(path: str) -> dict[int, str]:
     """The lines that some code object compiled from `path` maps an
-    instruction to."""
+    instruction to, each with the qualified name of the innermost one."""
     with open(path, encoding="utf-8") as fh:
         todo = [compile(fh.read(), path, "exec")]
-    lines = set()
+    lines = {}
     while todo:
-        code = todo.pop()
-        lines.update(line for _, _, line in code.co_lines() if line)
+        code = todo.pop(0)
+        lines.update((line, code.co_qualname)
+                     for _, _, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return lines
 
@@ -67,34 +74,57 @@ def run_traced(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     return int(code), hits
 
 
-def report(hits: set[tuple[str, int]]) -> list[str]:
+def report(hits: set[tuple[str, int]]) -> tuple[list[str], list[str]]:
     """One block per package file: its path and count of lines never run,
-    then each such line's number and text."""
-    out = []
+    then each such line's number, function and text; and the `path
+    function: text` key of each such line."""
+    out, keys = [], []
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(PACKAGE, name)
-        missed = sorted(executable_lines(path)
-                        - {line for f, line in hits if f == path})
+        lines = executable_lines(path)
+        missed = sorted(set(lines) - {line for f, line in hits if f == path})
         if not missed:
             continue
         with open(path, encoding="utf-8") as fh:
             text = fh.read().splitlines()
-        out.append(f"{os.path.relpath(path, ROOT)}: {len(missed)} never ran")
-        out += [f"  {line}: {text[line - 1].strip()}" for line in missed]
-    return out
+        rel = os.path.relpath(path, ROOT)
+        out.append(f"{rel}: {len(missed)} never ran")
+        for line in missed:
+            entry = f"{lines[line]}: {text[line - 1].strip()}"
+            out.append(f"  {line} {entry}")
+            keys.append(f"{rel} {entry}")
+    return out, keys
+
+
+def read_expected(path: str) -> set[str]:
+    with open(path, encoding="utf-8") as fh:
+        return {ln.strip() for ln in fh
+                if ln.strip() and not ln.lstrip().startswith("#")}
 
 
 def main(argv: list[str]) -> int:
+    expected = None
+    if "--expect" in argv:
+        at = argv.index("--expect")
+        expected = read_expected(argv[at + 1])
+        argv = argv[:at] + argv[at + 2:]
     os.chdir(ROOT)
     sys.path.insert(0, SRC)
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     code, hits = run_traced(argv or TIER1)
-    lines = report(hits)
+    lines, keys = report(hits)
     print("\n".join(lines) if lines else "every executable line ran")
-    return code
+    if expected is None or code:
+        return code
+    for key in sorted(expected - set(keys)):
+        print(f"expected unrun, but ran: {key}")
+    unexpected = sorted(set(keys) - expected)
+    for key in unexpected:
+        print(f"unrun and not expected: {key}")
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
