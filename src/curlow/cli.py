@@ -28,7 +28,7 @@ from .config import (
     read_config,
 )
 from .cur import cur_decompose, cur_error_ratio
-from .io import ParseError, ensure_dir, read_matrix, write_matrix
+from .io import ParseError, read_matrix, write_matrix
 from .linalg import SvdConvergenceError
 from .recovery import IllPosedError
 from .synth import generate, measured_properties
@@ -78,16 +78,18 @@ def write_csv(rows: list[dict], columns: list[str], path) -> None:
 
 def load_experiment_config(args) -> ExperimentConfig:
     """The config file's keys, overridden by each --set and then by
-    --seed, read as one mapping."""
-    mapping = read_config(args.config) if args.config else {}
+    --seed, read as one mapping. A file key that neither overrides is
+    checked on its own line."""
+    overrides = {}
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        mapping[key.strip()] = parse_value(value)
+        overrides[key.strip()] = parse_value(value)
     if args.seed is not None:
-        mapping["seed"] = args.seed
-    return config_from_mapping(mapping)
+        overrides["seed"] = args.seed
+    mapping = read_config(args.config, overrides) if args.config else {}
+    return config_from_mapping({**mapping, **overrides})
 
 
 def _matrix_ext(fmt: str) -> tuple[str, str]:
@@ -97,7 +99,7 @@ def _matrix_ext(fmt: str) -> tuple[str, str]:
 def cmd_gen(args) -> int:
     cfg = load_experiment_config(args)
     inst = lab.load_instance(cfg, cfg.base_stream())
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     ext, mfmt = _matrix_ext(args.format)
     write_matrix(inst.M, os.path.join(args.out, f"M.{ext}"), format=mfmt)
     write_matrix(inst.sigma.reshape(-1, 1),
@@ -111,7 +113,7 @@ def cmd_gen(args) -> int:
 
 def cmd_recover(args) -> int:
     cfg = load_experiment_config(args)
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     M = read_matrix(args.matrix) if args.matrix else None
     if M is not None:
         n, m = M.shape
@@ -153,7 +155,7 @@ _AGG_COLUMNS = ["name", "count", "premises_met", "holds",
 
 def cmd_verify(args) -> int:
     cfg = load_experiment_config(args)
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     result = lab.run_verify(cfg)
     failed = [record for record in result["trials"] if "error" in record]
     if args.format == "csv":
@@ -191,7 +193,7 @@ _SWEEP_COLUMNS = ["d", "omega", "observed_total", "union", "analytic_total",
 
 def cmd_sweep(args) -> int:
     cfg = load_experiment_config(args)
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     try:
         grid = [int(tok) for tok in args.d_grid.split(",") if tok.strip()]
     except ValueError:
@@ -221,7 +223,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_cur(args) -> int:
     cfg = load_experiment_config(args)
-    ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     stream = cfg.base_stream()
     if args.matrix:
         M = read_matrix(args.matrix)

@@ -53,7 +53,9 @@ def parse_value(token: str):
     return text
 
 
-def parse_config_text(text: str, path: str = "<config>") -> dict:
+def parse_config_text(text: str, path: str = "<config>", overridden=()) -> dict:
+    """The file's keys and values. Each key not in `overridden` is checked
+    alone as it is read, so a bad value names its line."""
     out: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -68,12 +70,17 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
         if key in out:
             raise ParseError(path, line_no, f"duplicate key {key!r}")
         out[key] = parse_value(value)
+        if key not in overridden:
+            try:
+                config_from_mapping({key: out[key]})
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
     return out
 
 
-def read_config(path) -> dict:
+def read_config(path, overridden=()) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), path=str(path))
+        return parse_config_text(fh.read(), str(path), overridden)
 
 
 def _as_count(value, key: str) -> int:
@@ -125,10 +132,11 @@ class ExperimentConfig:
             raise ValueError(f"synth.kind must be one of {KINDS}, got {self.kind!r}")
         if self.coherence not in COHERENCE_KINDS:
             raise ValueError(f"synth.coherence must be one of {COHERENCE_KINDS}")
+        # r before synth.r, which copies r when it is not set
+        _as_count(self.r, "r")
         _as_count(self.synth_r, "synth.r")
         _as_real(self.decay, "synth.decay")
         _as_real(self.spike_weight, "synth.spike_weight")
-        _as_count(self.r, "r")
         _as_budget(self.d, "d")
         _as_budget(self.omega_count, "omega")
         if not _as_real(self.t, "t") > 0:

@@ -6,11 +6,11 @@ significant digits so a write/read round trip is bit-exact, and identical
 inputs always produce identical bytes. Neither side holds the text of a
 large matrix whole: the writer formats and writes about BLOCK_ENTRIES
 entries at a time, and the reader parses about BLOCK_CHARS characters of
-whole lines at a time into float64 blocks.
+whole lines at a time into float64 blocks. One body reader serves both
+formats: a dense-array body is n*m one-cell records, a CSV body n records
+of m cells, and either stops at the first record past the header's count.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -121,6 +121,53 @@ class _Lines:
             self.line_no += len(block)
 
 
+def _read_body(lines: _Lines, path, count: int, width: int, sep: str | None,
+               comment: str | None, unit: str) -> np.ndarray:
+    """The cells of the `count` records that make up the rest of the file,
+    flat. A record is a line of `width` cells split at `sep`, or with no
+    `sep` the line itself; blank lines and lines that start with `comment`
+    are skipped. A fault, a record past the first `count` or too few
+    records raises its ParseError with its 1-based line number."""
+
+    def scan(block: list[str], start: int, room: int) -> np.ndarray:
+        # line by line, from line `start`, taking at most `room` records
+        values = []
+        for line_no, ln in enumerate(block, start):
+            _check_ascii(ln, path, line_no)
+            text = ln.strip()
+            if not text or comment and text.startswith(comment):
+                continue
+            cells = [text] if sep is None else text.split(sep)
+            if len(cells) != width:
+                raise ParseError(path, line_no, f"expected {width} columns, found {len(cells)}")
+            values += [_parse_float(c, path, line_no) for c in cells]
+            if len(values) > room * width:
+                raise ParseError(path, line_no, f"more than {count} {unit}")
+        return np.array(values, dtype=np.float64)
+
+    chunks, found = [], 0
+    for start, block in lines.blocks():
+        # one pass over the block's first count - found + 1 lines; a block
+        # with a skipped line, a ragged record or a fault: line by line
+        room = count - found
+        head, chunk = block[:room + 1], None
+        if sep is None or all(ln.count(sep) == width - 1 for ln in head):
+            cells = head if sep is None else sep.join(head).split(sep)
+            try:
+                chunk = np.fromiter(map(float, cells), np.float64, len(head) * width)
+            except ValueError:
+                pass
+        if chunk is None:
+            chunk = scan(block, start, room)
+        elif len(head) > room:
+            raise ParseError(path, start + room, f"more than {count} {unit}")
+        chunks.append(chunk)
+        found += len(chunk) // width
+    if found != count:
+        raise ParseError(path, lines.line_no, f"expected {count} {unit}, found {found}")
+    return np.concatenate(chunks)
+
+
 def _read_dense_array(first: str, lines: _Lines, path) -> np.ndarray:
     first = first.strip()
     if not first.startswith("%%MatrixMarket"):
@@ -142,40 +189,7 @@ def _read_dense_array(first: str, lines: _Lines, path) -> np.ndarray:
     if n < 1 or m < 1:
         raise ParseError(path, lines.line_no,
                          f"dimensions must be positive, got {n} {m}")
-    count = n * m
-    chunks, found = [], 0
-    for start, block in lines.blocks():
-        # one pass over a block of numbers; a block with comments, blank
-        # lines or a fault is scanned line by line
-        try:
-            chunk = np.fromiter(map(float, block), np.float64, len(block))
-        except ValueError:
-            chunk = _scan_entries(block, start, count - found, count, path)
-        if found + len(chunk) > count:
-            # a block parsed in one pass has an entry on every line
-            raise ParseError(path, start + count - found, f"more than {count} entries")
-        chunks.append(chunk)
-        found += len(chunk)
-    if found != count:
-        raise ParseError(path, lines.line_no, f"expected {count} entries, found {found}")
-    return np.concatenate(chunks).reshape((m, n)).T
-
-
-def _scan_entries(block: list[str], start: int, room: int, count: int,
-                  path) -> np.ndarray:
-    """The numbers in `block`, whose first line is line `start`, skipping
-    blank and `%` lines; a fault, or a number past the first `room`,
-    raises its ParseError with its 1-based line number."""
-    values = []
-    for line_no, ln in enumerate(block, start):
-        _check_ascii(ln, path, line_no)
-        text = ln.strip()
-        if not text or text.startswith("%"):
-            continue
-        values.append(_parse_float(text, path, line_no))
-        if len(values) > room:
-            raise ParseError(path, line_no, f"more than {count} entries")
-    return np.array(values, dtype=np.float64)
+    return _read_body(lines, path, n * m, 1, None, "%", "entries").reshape((m, n)).T
 
 
 def _read_csv_matrix(header: str, lines: _Lines, path) -> np.ndarray:
@@ -188,45 +202,7 @@ def _read_csv_matrix(header: str, lines: _Lines, path) -> np.ndarray:
     m = _parse_int(fields["cols"], path, 1, "cols")
     if n < 1 or m < 1:
         raise ParseError(path, 1, f"dimensions must be positive, got {n} {m}")
-    chunks, found = [], 0
-    for start, block in lines.blocks():
-        # one pass over the m-cell rows of the block's first n - found + 1
-        # lines; blank lines, a ragged row or a fault: line by line
-        head, chunk = block[:n - found + 1], None
-        if all(ln.count(",") == m - 1 for ln in head):
-            try:
-                chunk = np.fromiter(map(float, ",".join(head).split(",")),
-                                    np.float64, len(head) * m)
-            except ValueError:
-                pass
-        if chunk is not None and len(head) > n - found:
-            raise ParseError(path, start + n - found, f"more than {n} rows")
-        chunks.append(_scan_rows(block, start, m, n - found, n, path)
-                      if chunk is None else chunk)
-        found += len(chunks[-1]) // m
-    if found != n:
-        raise ParseError(path, lines.line_no, f"expected {n} rows, found {found}")
-    return np.concatenate(chunks).reshape((n, m))
-
-
-def _scan_rows(block: list[str], start: int, m: int, room: int, n: int,
-               path) -> np.ndarray:
-    """The cells of the rows in `block`, whose first line is line `start`,
-    skipping blank lines; a fault, or a row past the first `room`, raises
-    its ParseError with its 1-based line number."""
-    values = []
-    for line_no, ln in enumerate(block, start):
-        _check_ascii(ln, path, line_no)
-        text = ln.strip()
-        if not text:
-            continue
-        cells = text.split(",")
-        if len(cells) != m:
-            raise ParseError(path, line_no, f"expected {m} columns, found {len(cells)}")
-        values += [_parse_float(c, path, line_no) for c in cells]
-        if len(values) > room * m:
-            raise ParseError(path, line_no, f"more than {n} rows")
-    return np.array(values, dtype=np.float64)
+    return _read_body(lines, path, n, m, ",", None, "rows").reshape((n, m))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -241,6 +217,3 @@ def read_matrix(path) -> np.ndarray:
             return _read_csv_matrix(first, lines, path)
     raise ParseError(path, 1, "unrecognized matrix header")
 
-
-def ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)

@@ -483,12 +483,26 @@ def test_exit_code_malformed_matrix_file(tmp_path, capsys, name, text, line,
 
 
 def test_exit_code_checks_that_are_not_a_string(tmp_path, capsys):
-    # values are checked once the file and every --set are merged, so the
-    # message names the key, not a line of the file
+    # a file value that no --set overrides is checked on its own line
     cfg = tmp_path / "checks.cfg"
     cfg.write_text("checks = 3\n")
     assert run("verify", "--config", str(cfg), "--out", str(tmp_path)) == 1
-    assert capsys.readouterr().err == "error: checks must be a string, got 3\n"
+    assert capsys.readouterr().err == f"error: {cfg}:1: checks must be a string, got 3\n"
+
+
+def test_config_file_value_that_set_overrides_is_not_checked(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 7\nr = 0\nchecks = 3\n")
+    out = tmp_path / "out"
+    assert run("gen", "--config", str(cfg), "--set", "r=2",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: checks must be a string, got 3\n"
+    assert run("gen", "--config", str(cfg), "--set", "r=2",
+               "--set", "checks=delta", "--out", str(out)) == 0
+    # a bad --set value is checked after the merge and names only its key
+    assert run("gen", "--config", str(cfg), "--set", "r=0",
+               "--set", "checks=delta", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: r must be an integer >= 1, got 0\n"
 
 
 def test_exit_code_svd_that_does_not_converge(tmp_path, capsys, monkeypatch):

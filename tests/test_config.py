@@ -52,6 +52,17 @@ def test_parse_config_empty_key():
         parse_config_text("= 3\n")
 
 
+def test_parse_config_checks_each_value_on_its_line():
+    with pytest.raises(ParseError) as err:
+        parse_config_text("synth.n = 9\n\nr = 0\n", path="x.cfg")
+    assert str(err.value) == "x.cfg:3: r must be an integer >= 1, got 0"
+    with pytest.raises(ParseError) as err:
+        parse_config_text("seed = 1\nsynth.m = 4\nsplines = 2\n", path="x.cfg")
+    assert str(err.value) == "x.cfg:3: unknown config key 'splines'"
+    # an overridden key's value is replaced before the config is built
+    assert parse_config_text("r = 0\n", overridden={"r": 2}) == {"r": 0}
+
+
 def test_read_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("seed = 99\nchecks = \"delta,halko\"\n")
