@@ -271,13 +271,15 @@ def _selection_blocks(f: SvdFactors, col_idx: IndexSet, r: int):
     return f.V[idx, :r].T, f.V[idx, r:].T
 
 
-def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
+def check_halko(M, col_idx: IndexSet, r: int,
+                factors: SvdFactors | None = None) -> BoundReport:
     """Deterministic column-space capture bound: the squared spectral error
     of projecting M onto its selected columns is at most
     ||Sigma2||^2 + ||Sigma2 Omega2 pinv(Omega1)||^2.
 
-    Premise: Omega1 has full row rank. Takes M and factors it itself, not
-    a `Spectrum`, because it also serves bare matrices outside any instance.
+    Premise: Omega1 has full row rank. Reads M's SVD from factors, such as
+    an instance's `Spectrum.factors`, and takes `svd(M)` itself when none
+    is given, as for a bare matrix outside any instance.
     """
     A = as_matrix(M)
     n, m = A.shape
@@ -285,7 +287,7 @@ def check_halko(M, col_idx: IndexSet, r: int) -> BoundReport:
         raise ValueError(f"selection bound {col_idx.bound} does not match m={m}")
     if not 1 <= r <= min(n, m):
         raise ValueError(f"r must be in [1, {min(n, m)}], got {r}")
-    f = svd(A)
+    f = svd(A) if factors is None else factors
     omega1, omega2 = _selection_blocks(f, col_idx, r)
     sigma2 = f.sigma[r:]
     d = len(col_idx.indices)

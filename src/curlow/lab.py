@@ -6,8 +6,8 @@ refuses by `checked_frobenius` an M whose squared entries overflow, as
 sigma of a generated instance or M's own sigma of a supplied one, and
 builds, on first use, its one `bounds.Spectrum` at that lam and its
 "auto" sample budgets, one dict resolved from measured coherence. Every
-check but `check_halko` reads sigma, the singular vectors, mu_r, lam and
-the regularized rank of M from that spectrum. A `Draw` samples the
+check reads sigma, the singular vectors, mu_r, lam and the regularized
+rank of M from that spectrum. A `Draw` samples the
 instance from derive(1), (2) and (3) of its own stream and builds the
 bases, the design, the core fitted on it, the residual M - M_hat, each
 residual norm of M, the coherence mu_hat of the bases and the
@@ -305,7 +305,8 @@ CHECKS = {
         ctx.delta(), ctx.side_cols(), ctx.side_rows())],
     "combine": lambda ctx: [bounds.check_combine(
         ctx.error(), ctx.delta(), ctx.gamma())],
-    "halko": lambda ctx: [bounds.check_halko(ctx.M, ctx.cols()[0], ctx.cfg.r)],
+    "halko": lambda ctx: [bounds.check_halko(
+        ctx.M, ctx.cols()[0], ctx.cfg.r, ctx.spectrum().factors)],
     "omega1_spectrum": lambda ctx: [bounds.check_omega1_spectrum(
         ctx.spectrum(), ctx.cols()[0], ctx.cfg.t)],
     "strong_convexity": lambda ctx: [bounds.check_strong_convexity(

@@ -102,7 +102,6 @@ def svd(M) -> SvdFactors:
         except scipy.linalg.LinAlgError:
             raise SvdConvergenceError(A.shape, float(np.linalg.norm(A))) from None
     V = Vt.T.copy()
-    U = U.copy()
     _apply_sign_convention(U, V)
     return SvdFactors(U=U, sigma=s, V=V)
 

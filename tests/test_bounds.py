@@ -324,6 +324,16 @@ def test_halko_spanning_selection_is_tight():
     assert rep.lhs <= 1e-12 and rep.rhs <= 1e-12
 
 
+def test_halko_reads_given_factors_as_its_own_svd():
+    # the lab passes the instance's svd(M); the report is the one the
+    # check gives when it factors M itself, bit for bit
+    M = low_rank(30, 20, 3, seed=10) + 1e-3 * rng(19).standard_normal((30, 20))
+    idx, _ = sample_columns(M, 8, RngStream(seed=11))
+    given_f = check_halko(M, idx, 3, svd(M))
+    assert given_f == check_halko(M, idx, 3)
+    assert given_f.premises_met and given_f.holds and given_f.rhs > 0
+
+
 def test_halko_all_columns_zero_tail():
     g = rng(12)
     M = g.standard_normal((10, 6))

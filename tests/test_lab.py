@@ -144,9 +144,9 @@ def test_trial_builds_each_stage_once(monkeypatch):
     assert ctx.recovery()[0].bases is ctx.bases()
 
 
-def test_verify_trial_factors_M_four_times(monkeypatch):
-    # every check reads the instance's spectrum (a values-only sigma and one
-    # svd of M); only resolve_budgets and check_halko factor M themselves
+def test_verify_trial_factors_M_three_times(monkeypatch):
+    # every check, halko too, reads the instance's spectrum (a values-only
+    # sigma and one svd of M); only resolve_budgets factors M itself
     cfg = ExperimentConfig(n=40, m=40, kind="geometric-spectrum", synth_r=2,
                            r=2, d=16, omega_count=600, checks=CHECK_NAMES)
     M, _ = generate(cfg.synth_spec(cfg.base_stream().derive(0).derive(0)))
@@ -158,7 +158,7 @@ def test_verify_trial_factors_M_four_times(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     record = run_trial(cfg, 0)
     assert len(record["reports"]) == 12
-    assert sum(of_M) == 4
+    assert sum(of_M) == 3
 
 
 def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
