@@ -9,7 +9,8 @@ its `Spectrum`, computed once per instance at the instance's lam, and a
 number taken once per draw: a residual norm of M, such as Delta, or the
 coherence mu_hat of the draw's bases. n, m, r and d come from the
 objects that own them. The two Gram checks read one `HPair` per draw,
-which factors H and takes the whitened ratio's eigenvalues once for both.
+which reads H's eigenpairs from the spectrum's SVD and takes the whitened
+ratio's eigenvalues once for both.
 Natural logarithms throughout.
 """
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .linalg import (
     PINV_RTOL,
     SvdFactors,
     as_matrix,
-    eigh_descending,
     pseudo_inverse,
     singular_values,
     spectral_norm,
@@ -35,6 +35,8 @@ from .recovery import DesignSystem
 from .sampling import IndexSet
 
 HOLDS_SLACK = 1e-9
+# the Gram checks' reason where an `HPair` has no ratio and no ||H^{-1}||
+SINGULAR_H = "H singular to working precision"
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,12 @@ class Spectrum:
     per instance, shared by every check of every draw from it. sigma, the
     values-only `singular_values(M)`, gives sigma_r and sigma_{r+1} and is
     taken when the spectrum is built. factors is one `svd(M)`, which gives
-    mu_r, the right singular vectors the selection checks read, and the
-    regularized rank and weighted coherence at lam (`rank`); these three are
-    computed together on the first read of any of them, once, under the
-    spectrum's own lock, so a reader of sigma alone, such as a settled sweep
-    draw, never forms U and V. The two kernels' sigma differ in the last
+    mu_r, the right singular vectors the selection checks read, H's
+    eigenpairs an `HPair` reads, and the regularized rank and weighted
+    coherence at lam (`rank`); factors, mu_r and rank are computed together
+    on the first read of any of them, once, under the spectrum's own lock,
+    so a reader of sigma alone, such as a settled sweep draw, never forms U
+    and V. The two kernels' sigma differ in the last
     bits, so reading sigma from factors would change the outputs."""
 
     def __init__(self, M, r: int, lam: float | None = None):
@@ -353,38 +356,46 @@ def check_strong_convexity(system: DesignSystem, mu_hat: float,
 
 
 class HPair:
-    """H = lam*I + M M^T/(mn), its column-sampled counterpart H_hat, and
-    what both Gram checks read of them: H's eigendecomposition (w
-    nonincreasing, Q), the pair's only one, as sin theta reads H_hat's
-    top-r basis as the draw's U_hat; the eigenvalues `eigs` of the
-    whitened ratio H^{-1/2} H_hat H^{-1/2}, from one eigvalsh of its
-    symmetric part, and their ratio_delta = max |eig - 1|. Both are None
-    when lam = 0, where H has the rank of M, or when H's smallest computed
-    eigenvalue is not positive. d is the draw's, the rest the spec's."""
+    """H = lam*I + M M^T/(mn) of the spectrum's n x m M and H_hat = lam*I +
+    S S^T/(dn) of a draw's n x d column sample S, and what both Gram
+    checks read of them; neither is formed. H's eigenpairs are those of
+    the spectrum's svd(M) = U diag(sigma) V^T: w = lam + sigma^2/(mn),
+    padded with lam to length n, nonincreasing, on U's columns and, for
+    the padding, on U's complement. `eigs` are the eigenvalues of the
+    whitened ratio H^{-1/2} H_hat H^{-1/2}, from one eigvalsh, with
+    H^{-1/2} = lam^{-1/2} I + U diag(w_k^{-1/2} - lam^{-1/2}) U^T, and
+    ratio_delta = max |eig - 1|, whose rounding error is of order eps
+    sqrt(w_0 / lam). H is singular to working precision where lam <= n eps
+    w_0, lam = 0 among them: a rounding-size change of M's entries can
+    move H's eigenvalues by about n eps w_0, more than lam, so the ratio
+    and ||H^{-1}|| are not determined by M, and eigs and ratio_delta are
+    None."""
 
-    def __init__(self, H: np.ndarray, H_hat: np.ndarray, spec: Spectrum,
-                 d: int):
-        self.H, self.H_hat, self.spec, self.d = H, H_hat, spec, d
-        self.w, self.Q = eigh_descending(H)
+    def __init__(self, spec: Spectrum, S: np.ndarray):
+        self.spec, self.S, self.d = spec, S, S.shape[1]
+        n, lam, f = spec.n, spec.lam, spec.factors
+        k = f.sigma.size
+        self.w = np.full(n, lam)
+        self.w[:k] += f.sigma**2 / (spec.m * n)
+        self.singular = not lam > n * np.finfo(float).eps * self.w[0]
         self.eigs = self.ratio_delta = None
-        if spec.lam > 0 and self.w[-1] > 0:
-            inv_sqrt = (self.Q * (self.w**-0.5)) @ self.Q.T
-            ratio = inv_sqrt @ H_hat @ inv_sqrt
+        if not self.singular:
+            U, w_k = f.U, self.w[:k]
+            WS = S / math.sqrt(lam) + U @ ((w_k**-0.5 - lam**-0.5)[:, None]
+                                           * (U.T @ S))
+            # lam H^{-1} + (H^{-1/2} S)(H^{-1/2} S)^T / (dn)
+            ratio = (U * (lam / w_k - 1.0)) @ U.T + WS @ WS.T / (self.d * n)
+            ratio[np.diag_indices(n)] += 1.0
             self.eigs = np.linalg.eigvalsh((ratio + ratio.T) / 2.0)
             self.ratio_delta = float(np.max(np.abs(self.eigs - 1.0)))
 
 
 def build_h_pair(spec: Spectrum, sample) -> HPair:
     """The `HPair` of spec.M and its n x d column sample at spec.lam."""
-    A, n, m = spec.M, spec.n, spec.m
     S = as_matrix(sample, "sample")
-    d = S.shape[1]
-    if S.shape[0] != n:
-        raise ValueError(f"sample must have {n} rows, got {S.shape[0]}")
-    lam = spec.lam
-    H = lam * np.eye(n) + A @ A.T / (m * n)
-    H_hat = lam * np.eye(n) + S @ S.T / (d * n)
-    return HPair(H, H_hat, spec, d)
+    if S.shape[0] != spec.n:
+        raise ValueError(f"sample must have {spec.n} rows, got {S.shape[0]}")
+    return HPair(spec, S)
 
 
 def check_h_sandwich(pair: HPair, delta_target: float,
@@ -393,8 +404,8 @@ def check_h_sandwich(pair: HPair, delta_target: float,
     [1 - delta, 1 + delta]; reported as max |eig - 1| <= delta.
 
     Gate: d >= (4/delta^2)(mu(lam) r(M, lam) + 1)(t + ln n). A pair
-    with no ratio, where H is singular at lam = 0 or lam lies below the
-    rounding error of ||H||, reports lhs inf and premises not met.
+    whose H is singular to working precision has no ratio and reports lhs
+    inf and premises not met.
     """
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta_target}")
@@ -405,7 +416,7 @@ def check_h_sandwich(pair: HPair, delta_target: float,
               "lam": spec.lam, "mu_lambda": rep.mu_lambda,
               "numerical_rank": rep.value}
     if pair.eigs is None:
-        params["reason"] = "H not positive definite"
+        params["reason"] = SINGULAR_H
         return make_report("gram_sandwich", float("inf"), delta_target,
                            False, params)
     params.update({"eig_min": float(pair.eigs.min()),
@@ -442,25 +453,29 @@ def check_sin_theta_perturbation(pair: HPair, U_hat: np.ndarray) -> BoundReport:
     """Perturbation bound on the top-r eigenspace rotation from H to H_hat,
     at the spectrum's r, in terms of the relative eigen-gap
     D_lam = min(sqrt(2)(1 - lam_{r+1}/lam_r), 1/sqrt(2)) and the relative
-    perturbation D_H = eta/sqrt(1 - eta) with eta = ||H^{-1}|| ||H - H_hat||.
-    U_hat spans H_hat's top-r eigenspace; a draw passes its own basis U_hat.
+    perturbation D_H = eta/sqrt(1 - eta) with eta = ||H^{-1}|| ||H - H_hat||
+    and H - H_hat = M M^T/(mn) - S S^T/(dn). H's top-r eigenvectors are
+    M's top-r left singular vectors; U_hat spans H_hat's top-r eigenspace,
+    and a draw passes its own basis U_hat.
 
     Gate: eta < 1 and D_lam >= D_H/2; at r = n there is no lam_{r+1}, so
-    no eigen-gap, and the premises are not met. The params record the
+    no eigen-gap, and where H is singular to working precision no
+    ||H^{-1}||: in both the premises are not met. The params record the
     specialized 3*sqrt(2)*delta form, delta the pair's `ratio_delta`.
     """
-    r, n = pair.spec.r, pair.spec.n
-    w, Q = pair.w, pair.Q
-    lhs = sin_theta(Q[:, :r], U_hat)
+    spec, w = pair.spec, pair.w
+    r, n = spec.r, spec.n
+    lhs = sin_theta(spec.factors.U[:, :r], U_hat)
     if r >= n:
         return make_report("subspace_perturbation", lhs, float("inf"), False,
                            {"reason": "no eigenvalue past r: no eigen-gap"})
-    abs_w = np.abs(w)
-    if abs_w.min() == 0.0 or w[r - 1] <= 0.0:
+    if pair.singular:
         return make_report("subspace_perturbation", lhs, float("inf"), False,
-                           {"reason": "H singular or top eigenvalue nonpositive"})
+                           {"reason": SINGULAR_H})
     d_lam = min(math.sqrt(2.0) * (1.0 - w[r] / w[r - 1]), 1.0 / math.sqrt(2.0))
-    eta = float(1.0 / abs_w.min()) * spectral_norm(pair.H - pair.H_hat)
+    M, S = spec.M, pair.S
+    eta = float(1.0 / w[-1]) * spectral_norm(M @ M.T / (spec.m * n)
+                                             - S @ S.T / (pair.d * n))
     params = {"r": r, "eta": eta, "d_lambda": d_lam,
               "lam_r": float(w[r - 1]), "lam_r_plus_1": float(w[r])}
     if eta >= 1.0:

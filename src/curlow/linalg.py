@@ -1,5 +1,5 @@
-"""Dense linear algebra kernels: SVD, singular values, eigenbases,
-pseudo-inverses, and norms, and the BLAS thread count they run under.
+"""Dense linear algebra kernels: SVD, singular values, pseudo-inverses,
+and norms, and the BLAS thread count they run under.
 
 Matrices are plain 2-d float64 numpy arrays throughout (row-major). All
 factorizations apply a deterministic sign convention so repeated runs on
@@ -23,8 +23,6 @@ DenseMatrix = np.ndarray
 
 # Frobenius tolerance on Q^T Q - I for "orthonormal input"
 ORTHONORMAL_TOL = 1e-8
-# asymmetry gate relative to ||G||_F before symmetric eigendecomposition
-SYMMETRY_TOL = 1e-10
 # relative cutoff for treating singular values as zero
 PINV_RTOL = 1e-12
 # widening of each end of the Frobenius sandwich, relative, in units of
@@ -104,29 +102,6 @@ def svd(M) -> SvdFactors:
     V = Vt.T.copy()
     _apply_sign_convention(U, V)
     return SvdFactors(U=U, sigma=s, V=V)
-
-
-def eigh_descending(G) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues nonincreasing.
-
-    The input is symmetrized as (G + G.T)/2 after an asymmetry gate of
-    SYMMETRY_TOL * ||G||_F on the largest entry of G - G.T.
-    """
-    A = as_matrix(G, "G")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"G must be square, got shape {A.shape}")
-    fro = float(np.linalg.norm(A))
-    asym = float(np.max(np.abs(A - A.T)))
-    if asym > SYMMETRY_TOL * fro:
-        raise ValueError(
-            f"G is not symmetric: max|G - G^T| = {asym:.3e} "
-            f"exceeds {SYMMETRY_TOL:.0e} * ||G||_F"
-        )
-    w, V = np.linalg.eigh((A + A.T) / 2.0)
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
-    _apply_sign_convention(V)
-    return w, V
 
 
 def pseudo_inverse(M) -> DenseMatrix:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from curlow import bounds
 from curlow.bounds import (
-    HPair,
+    SINGULAR_H,
     Spectrum,
     build_h_pair,
     check_combine,
@@ -35,7 +35,6 @@ from curlow.bounds import (
 from curlow.coherence import mu_hat, mu_r, numerical_rank
 from curlow.linalg import (
     SANDWICH_ULPS,
-    eigh_descending,
     frobenius_norm,
     settle_by_frobenius,
     spectral_norm,
@@ -451,14 +450,41 @@ def test_h_pair_full_sample_sides_agree():
     M, _ = generate(spec)
     lam = svd(M).sigma[1] ** 2 / 400
     pair_a = build_h_pair(Spectrum(M, 2, lam), M.copy())
-    assert pair_a.H.shape == (20, 20)
-    assert np.allclose(pair_a.H, pair_a.H_hat, atol=1e-12)
+    assert pair_a.w.shape == (20,) and not pair_a.singular
     assert np.allclose(pair_a.eigs, 1.0, atol=1e-10)
     rep = check_h_sandwich(pair_a, 0.5)
     assert rep.lhs <= 1e-10
     assert rep.holds
     assert abs(max(abs(rep.params["eig_min"] - 1), abs(rep.params["eig_max"] - 1))
                - rep.lhs) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(30, 18), (18, 30), (20, 20)])
+def test_h_pair_reads_h_from_the_spectrum_and_holds_no_dense_h(shape):
+    # w and M's left singular vectors U are H's eigenpairs, with w padded
+    # by lam on U's complement where n > m; the ratio's eigenvalues are
+    # those of the dense H^{-1/2} H_hat H^{-1/2}; the pair holds no n x n
+    # array, and d < n, so its sample is not one either
+    n, m = shape
+    M, _ = generate(SynthSpec(n=max(shape), m=min(shape), r=3,
+                              kind="geometric-spectrum",
+                              stream=RngStream(seed=40), decay=0.6))
+    M = M if n >= m else M.T.copy()
+    spec = Spectrum(M, 3)
+    _, A = sample_columns(M, 9, RngStream(seed=41))
+    pair = build_h_pair(spec, A)
+    assert not any(np.shape(v) == (n, n) for v in vars(pair).values())
+    U, lam = spec.factors.U, spec.lam
+    H = lam * np.eye(n) + M @ M.T / (m * n)
+    H_hat = lam * np.eye(n) + A @ A.T / (9 * n)
+    assert np.all(np.diff(pair.w) <= 0) and np.all(pair.w[min(n, m):] == lam)
+    assert np.allclose(np.linalg.eigvalsh(H)[::-1], pair.w, rtol=1e-12)
+    assert np.allclose(H @ U, U * pair.w[:U.shape[1]], atol=1e-14)
+    w, Q = np.linalg.eigh(H)
+    inv_sqrt = (Q * w**-0.5) @ Q.T
+    dense = np.linalg.eigvalsh(inv_sqrt @ H_hat @ inv_sqrt)
+    assert np.allclose(pair.eigs, dense, rtol=0, atol=1e-12)
+    assert pair.ratio_delta == float(np.max(np.abs(pair.eigs - 1.0)))
 
 
 def test_h_pair_validation():
@@ -473,18 +499,28 @@ def test_h_pair_validation():
         check_h_sandwich(pair, 1.0)
 
 
-def pair_of(H, H_hat, r=1):
-    """The `HPair` of two given symmetric n x n matrices, on the spectrum
-    of the n x n identity at rank r and lam 1e-3."""
+def gram_root(H, lam):
+    """An n x n M with lam I + M M^T / n^2 = H, for a symmetric H whose
+    H - lam I is positive semidefinite."""
     n = H.shape[0]
-    return HPair(H, H_hat, Spectrum(np.eye(n), r, 1e-3), d=3)
+    w, Q = np.linalg.eigh(H - lam * np.eye(n))
+    return (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T * n
 
 
-def sin_theta_of(H, H_hat, r=1):
-    """The sin theta report of `pair_of(H, H_hat, r)`, with H_hat's top-r
-    eigenvectors as the basis."""
-    return check_sin_theta_perturbation(pair_of(H, H_hat, r),
-                                        eigh_descending(H_hat)[1][:, :r])
+def pair_of(H, H_hat, r=1, lam=1e-3):
+    """The `HPair` whose H and H_hat are two given symmetric n x n
+    matrices, at rank r and lam, of the M and the n x n sample S that
+    `gram_root` gives them."""
+    spec = Spectrum(gram_root(H, lam), r, lam)
+    return build_h_pair(spec, gram_root(H_hat, lam))
+
+
+def sin_theta_of(H, H_hat, r=1, lam=1e-3):
+    """The sin theta report of `pair_of(H, H_hat, r, lam)`, with H_hat's
+    top-r eigenvectors, its sample's top-r left singular vectors, as the
+    basis."""
+    pair = pair_of(H, H_hat, r, lam)
+    return check_sin_theta_perturbation(pair, svd(pair.S).U[:, :r])
 
 
 def test_a_spectrum_refuses_a_rank_outside_its_shape():
@@ -538,30 +574,83 @@ def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
 
 
 def test_h_sandwich_reports_singular_h():
-    rep = check_h_sandwich(pair_of(np.zeros((3, 3)), np.eye(3)), 0.5)
+    H = np.diag([3.0, 2.0, 0.0])
+    rep = check_h_sandwich(pair_of(H, np.eye(3), lam=0.0), 0.5)
     assert rep.lhs == float("inf")
     assert not rep.premises_met and not rep.holds
-    assert rep.params["reason"] == "H not positive definite"
+    assert rep.params["reason"] == SINGULAR_H
     # at lam = 0, H = M M^T/(mn) has the rank of M, whatever its computed
     # eigenvalues read
     M = low_rank(8, 6, 2, seed=36)
     pair = build_h_pair(Spectrum(M, 3, 0.0), M[:, :4])
-    assert pair.spec.lam == 0.0 and pair.eigs is None
+    assert pair.spec.lam == 0.0 and pair.singular and pair.eigs is None
     rep = check_h_sandwich(pair, 0.5)
     assert rep.lhs == float("inf") and not rep.premises_met
     assert rep.params["numerical_rank"] == 2.0
-    # lam = sigma_9^2 / (nm) is positive but below the rounding error of
-    # ||H||, so the computed H has a nonpositive eigenvalue
+    # lam = sigma_9^2 / (nm) is positive but at most n eps ||H||, so H is
+    # singular to working precision
     spec = SynthSpec(n=60, m=60, kind="geometric-spectrum", r=9,
                      stream=RngStream(seed=34), decay=0.1)
     M, _ = generate(spec)
     spec_m = Spectrum(M, 9)
     _, A = sample_columns(M, 60, RngStream(seed=35))
     pair = build_h_pair(spec_m, A)
-    assert spec_m.lam > 0 and pair.w[-1] <= 0 and pair.eigs is None
+    eps = np.finfo(float).eps
+    assert 0 < spec_m.lam <= 60 * eps * pair.w[0]
+    assert pair.singular and pair.eigs is None and pair.ratio_delta is None
     rep = check_h_sandwich(pair, 0.5)
     assert rep.lhs == float("inf") and not rep.premises_met
     assert rep.params["side"] == "A" and "eig_min" not in rep.params
+
+
+def test_h_pair_is_singular_at_and_below_n_eps_w0():
+    # H is singular to working precision where lam <= n eps w_0, w_0 =
+    # lam + sigma_1^2/(mn): at lam = t = n eps sigma_1^2/(mn) and at t/2,
+    # but not at 2t, where the ratio and both Gram checks go ahead
+    M, _ = generate(SynthSpec(n=24, m=20, kind="geometric-spectrum", r=2,
+                              stream=RngStream(seed=42), decay=0.5))
+    _, A = sample_columns(M, 20, RngStream(seed=43))
+    t = 24 * np.finfo(float).eps * svd(M).sigma[0] ** 2 / (24 * 20)
+    for lam, singular in ((t / 2, True), (t, True), (2 * t, False)):
+        pair = build_h_pair(Spectrum(M, 2, lam), A)
+        assert pair.singular == singular and (pair.eigs is None) == singular
+        sin = check_sin_theta_perturbation(pair, svd(A).U[:, :2])
+        assert (sin.params.get("reason") == SINGULAR_H) == singular
+        assert sin.premises_met == (not singular)
+        assert (check_h_sandwich(pair, 0.5).lhs == float("inf")) == singular
+
+
+# (n, m, decay, r, d) of four geometric instances and the ulps of 1 by
+# which the pair's whitened-ratio eigenvalues missed a 40-digit reference
+# on each when this test was written, rounded up: 5.0, 183.2, 65.8 and
+# 18.0, where a dense eigh of H missed by 10.5, 3597.0, 3244.4 and 14.0.
+# lam / w_0 is 0.2, 1e-4, 7.3e-4 and 0.5. A later kernel may not miss by
+# more.
+RATIO_ULPS = {(24, 20, 0.5, 2, 8): 5, (24, 24, 0.1, 3, 10): 184,
+              (30, 20, 0.3, 4, 12): 66, (24, 24, 0.5, 1, 24): 18}
+
+
+def test_h_pair_ratio_is_within_its_measured_ulps_of_the_truth():
+    # the reference: the eigenvalues of L^{-1} H_hat L^{-T}, L = chol(H),
+    # with H and H_hat formed exactly from M, the sample and lam
+    mpmath = pytest.importorskip("mpmath")
+    for k, (case, ulps) in enumerate(RATIO_ULPS.items()):
+        n, m, decay, r, d = case
+        M, _ = generate(SynthSpec(n=n, m=m, kind="geometric-spectrum", r=r,
+                                  stream=RngStream(seed=50 + k), decay=decay))
+        _, A = sample_columns(M, d, RngStream(seed=60 + k))
+        spec = Spectrum(M, r)
+        pair = build_h_pair(spec, A)
+        with mpmath.workdps(40):
+            Mm, Am = mpmath.matrix(M.tolist()), mpmath.matrix(A.tolist())
+            lam = mpmath.mpf(spec.lam) * mpmath.eye(n)
+            L_inv = mpmath.inverse(mpmath.cholesky(lam + Mm * Mm.T / (m * n)))
+            ratio = L_inv * (lam + Am * Am.T / (d * n)) * L_inv.T
+            truth = sorted(mpmath.eigsy((ratio + ratio.T) / 2,
+                                        eigvals_only=True))
+            miss = max(abs(mpmath.mpf(float(e)) - t)
+                       for e, t in zip(np.sort(pair.eigs), truth))
+        assert miss <= ulps * np.finfo(float).eps, case
 
 
 def test_h_sandwich_gate_arithmetic():
@@ -663,7 +752,7 @@ def test_sin_theta_large_perturbation_rejected():
     H = np.diag([3.0, 2.0, 1.0])
     g = rng(32)
     E = g.standard_normal((3, 3))
-    H_tilde = H + 10.0 * (E + E.T)
+    H_tilde = H + 10.0 * E @ E.T
     rep = sin_theta_of(H, H_tilde)
     assert not rep.premises_met
     assert rep.rhs == float("inf")
@@ -672,11 +761,10 @@ def test_sin_theta_large_perturbation_rejected():
 
 def test_sin_theta_degenerate_h():
     H = np.diag([3.0, 2.0, 0.0])
-    rep = sin_theta_of(H, np.eye(3))
+    rep = sin_theta_of(H, np.eye(3), lam=0.0)
     assert not rep.premises_met
     assert rep.rhs == float("inf")
-    neg = sin_theta_of(-np.eye(3), np.eye(3))
-    assert not neg.premises_met
+    assert rep.params["reason"] == SINGULAR_H
 
 
 def test_sin_theta_validation():

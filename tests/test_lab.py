@@ -202,12 +202,14 @@ def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
 
 
 def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
-    # H's eigh and the whitened ratio's eigvalsh are taken once for both
-    # checks; sin theta adds the eigvalsh of the n x n Gram of H - H_hat
-    # for its norm, reads H_hat's top-r basis as the draw's U_hat, and
-    # reads its ratio_delta from the sandwich's eigenvalues. H_hat is
-    # never factored, and no n x n SVD is left.
-    # The reports are those of the dense expressions below, bit for bit.
+    # H's eigenpairs are read from the instance's svd(M), so no n x n
+    # matrix is eigendecomposed; the whitened ratio's eigvalsh is taken
+    # once for both checks, and sin theta adds the eigvalsh of the n x n
+    # Gram of H - H_hat for its norm, reads H's top-r basis as M's top-r
+    # left singular vectors and H_hat's as the draw's U_hat, and reads its
+    # ratio_delta from the sandwich's eigenvalues. No n x n SVD is taken.
+    # The reports are those of the expressions below, bit for bit, and
+    # agree with a dense eigh of H to round-off.
     n, m, r = 30, 24, 2
     cfg = ExperimentConfig(n=n, m=m, kind="geometric-spectrum", synth_r=2,
                            r=r, d=12, omega_count=300,
@@ -222,18 +224,27 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     sandwich, sin = run_trial(cfg, 0)["reports"]
     monkeypatch.undo()
     assert {name: calls.count(True) for name, calls in square.items()} == {
-        "eigh": 1, "eigvalsh": 2, "svd": 0}
+        "eigh": 0, "eigvalsh": 2, "svd": 0}
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
     draw = Draw(inst, inst.budget()["d"], stream)
     M, A, lam, d = draw.M, draw.cols()[1], inst.lam, draw.d
+    f = inst.spectrum().factors
+    U, k = f.U, m
+    w = np.full(n, lam)
+    w[:k] += f.sigma**2 / (m * n)
+    WA = A / np.sqrt(lam) + U @ ((w[:k]**-0.5 - lam**-0.5)[:, None] * (U.T @ A))
+    ratio = (U * (lam / w[:k] - 1.0)) @ U.T + WA @ WA.T / (d * n)
+    ratio[np.diag_indices(n)] += 1.0
+    eigs = np.linalg.eigvalsh((ratio + ratio.T) / 2.0)
     H = lam * np.eye(n) + M @ M.T / (m * n)
     H_hat = lam * np.eye(n) + A @ A.T / (d * n)
-    w, Q = linalg.eigh_descending(H)
-    inv_sqrt = (Q * (w**-0.5)) @ Q.T
-    ratio = inv_sqrt @ H_hat @ inv_sqrt
-    eigs = np.linalg.eigvalsh((ratio + ratio.T) / 2.0)
-    rank = numerical_rank(inst.spectrum().factors, lam)
+    w_dense, Q = np.linalg.eigh(H)
+    inv_sqrt = (Q * (w_dense**-0.5)) @ Q.T
+    assert np.allclose(np.linalg.eigvalsh(inv_sqrt @ H_hat @ inv_sqrt), eigs,
+                       rtol=0, atol=1e-12)
+    assert np.allclose(w_dense[::-1], w, rtol=1e-12)
+    rank = numerical_rank(f, lam)
     t = cfg.t
     d_gate = bounds._ceil(4.0 / cfg.sandwich_delta**2
                           * (rank.mu_lambda * rank.value + 1.0)
@@ -243,8 +254,9 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
         "side": "A", "d": d, "d_gate": d_gate, "t": t, "lam": lam,
         "mu_lambda": rank.mu_lambda, "numerical_rank": rank.value,
         "eig_min": float(eigs.min()), "eig_max": float(eigs.max())}
-    assert sin["lhs"] == sin_theta(Q[:, :r], draw.bases().U_hat)
-    eta = float(1.0 / np.abs(w).min()) * linalg.spectral_norm(H - H_hat)
+    assert sin["lhs"] == sin_theta(U[:, :r], draw.bases().U_hat)
+    eta = float(1.0 / w[-1]) * linalg.spectral_norm(M @ M.T / (m * n)
+                                                    - A @ A.T / (d * n))
     d_lam = min(np.sqrt(2.0) * (1.0 - w[r] / w[r - 1]), 1.0 / np.sqrt(2.0))
     d_h = eta / np.sqrt(1.0 - eta)
     delta_ratio = float(np.max(np.abs(eigs - 1.0)))

@@ -11,7 +11,6 @@ from curlow.linalg import (
     SANDWICH_ULPS,
     _apply_sign_convention,
     as_matrix,
-    eigh_descending,
     frobenius_norm,
     pseudo_inverse,
     settle_by_frobenius,
@@ -81,8 +80,10 @@ def test_svd_sign_convention_and_determinism():
 
 
 def test_eigvec_sign_convention():
+    # the left singular vectors of a symmetric positive definite G are its
+    # eigenvectors, under svd's sign convention
     G0 = rng(21).standard_normal((5, 5))
-    _, Q = eigh_descending(G0 @ G0.T)
+    Q = svd(G0 @ G0.T).U
     for j in range(Q.shape[1]):
         col = Q[:, j]
         assert col[np.argmax(np.abs(col))] > 0
@@ -118,12 +119,11 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.zeros((0, 3)))
 
 
-# --- top eigenvectors ----------------------------------------------------
+# --- top eigenvectors, from the SVD of a positive semidefinite matrix ------
 
 
 def test_top_eigvecs_diagonal():
-    _, Q = eigh_descending(np.diag([3.0, 2.0, 1.0]))
-    Q = Q[:, :2]
+    Q = svd(np.diag([3.0, 2.0, 1.0])).U[:, :2]
     assert np.allclose(np.abs(Q), np.eye(3)[:, :2], atol=1e-12)
 
 
@@ -132,30 +132,20 @@ def test_top_eigvecs_recovers_planted_subspace():
     Q0 = random_orthonormal(n, n, seed=7)
     lam = np.concatenate([[9.0, 8.0, 7.0], np.linspace(1.0, 0.1, n - r)])
     G = (Q0 * lam) @ Q0.T
-    Q = eigh_descending(G)[1][:, :r]
+    Q = svd(G).U[:, :r]
     # sin-theta distance via projector difference
     gap = np.linalg.norm(Q0[:, :r] @ Q0[:, :r].T - Q @ Q.T, 2)
     assert gap < 1e-10
 
 
 def test_top_eigvecs_full_rank_reconstructs():
+    # sigma holds G's eigenvalues, nonincreasing, and U its eigenvectors
     G0 = rng(8).standard_normal((5, 5))
     G = G0 @ G0.T
-    w, Q = eigh_descending(G)
-    assert np.allclose((Q * w) @ Q.T, G, atol=1e-10)
-
-
-def test_top_eigvecs_rejects_asymmetric():
-    G = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        eigh_descending(G)
-
-
-def test_eigh_descending_order():
-    G0 = rng(9).standard_normal((6, 6))
-    w, Q = eigh_descending(G0 @ G0.T)
-    assert np.all(np.diff(w) <= 1e-15)
-    assert np.linalg.norm(Q.T @ Q - np.eye(6)) < 1e-10
+    f = svd(G)
+    assert np.all(np.diff(f.sigma) <= 0)
+    assert np.allclose((f.U * f.sigma) @ f.U.T, G, atol=1e-10)
+    assert np.allclose(f.sigma, np.linalg.eigvalsh(G)[::-1], rtol=1e-12)
 
 
 # --- pseudo_inverse -----------------------------------------------------
@@ -325,11 +315,6 @@ def test_top_singular_value_is_within_its_measured_ulps_of_the_truth():
             full = abs(mpmath.mpf(float(singular_values(D)[0])) - truth) / ulp
         assert gram <= GRAM_ULPS[name], name
         assert full <= SVD_ULPS[name], name
-
-
-def test_eigh_descending_refuses_a_non_square_matrix():
-    with pytest.raises(ValueError, match=r"G must be square, got shape \(2, 3\)"):
-        eigh_descending(np.ones((2, 3)))
 
 
 def test_settle_by_frobenius_leaves_an_overflowing_square_to_the_spectral_norm():
