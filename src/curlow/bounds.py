@@ -98,8 +98,8 @@ class Spectrum:
     coherence at lam (`rank`); factors, mu_r and rank are computed together
     on the first read of any of them, once, under the spectrum's own lock,
     so a reader of sigma alone, such as a settled sweep draw, never forms U
-    and V. The two kernels' sigma differ in the last
-    bits, so reading sigma from factors would change the outputs."""
+    and V. The two kernels' sigma differ in the last bits, so reading sigma
+    from factors would change the outputs."""
 
     def __init__(self, M, r: int, lam: float | None = None):
         self.M, self.r = as_matrix(M), r

@@ -7,13 +7,13 @@ sigma of a generated instance or M's own sigma of a supplied one, and
 builds, on first use, its one `bounds.Spectrum` at that lam and its
 "auto" sample budgets, one dict resolved from measured coherence. Every
 check reads sigma, the singular vectors, mu_r, lam and the regularized
-rank of M from that spectrum. A `Draw` samples the
-instance from derive(1), (2) and (3) of its own stream and builds the
-bases, the design, the core fitted on it, the residual M - M_hat, each
-residual norm of M, the coherence mu_hat of the bases and the
-`bounds.HPair` of the Gram checks once, for every check in `CHECKS` that
-reads them; lambda_min(K^T K) and the data-fit residual are the
-design's, and only `recover` reads the latter. A sweep draw settles its
+rank of M from that spectrum. A `Draw` samples the instance from
+derive(1), (2) and (3) of its own stream and builds the bases, the
+design, the core fitted on it, the residual M - M_hat, each residual
+norm of M, the coherence mu_hat of the bases and the `bounds.HPair` of
+the Gram checks once, for every check in `CHECKS` that reads them;
+lambda_min(K^T K) and the data-fit residual are the design's, and only
+`recover` reads the latter. A sweep draw settles its
 recovery bound from ||M - M_hat||_F, which its relative error reads, and
 takes the spectral norm only where the Frobenius sandwich leaves the
 bound open; `recover` and `verify` report the exact norm. `recover`
