@@ -119,7 +119,7 @@ class Spectrum:
         with self._lock:
             if self._vectors is None:
                 f = svd(self.M)
-                self._vectors = (f, mu_r(f, self.r),
+                self._vectors = (f, mu_r(f.U[:, :self.r], f.V[:, :self.r]),
                                  numerical_rank(f, self.lam))
             return self._vectors
 

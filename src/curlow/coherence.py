@@ -59,17 +59,14 @@ def basis_incoherence(Q, name: str = "Q") -> float:
     return min(max(mu, 1.0), N / r)
 
 
-def mu_r(f: SvdFactors, r: int) -> float:
-    """Coherence of the top-r singular bases of the matrix with SVD f."""
-    return max(basis_incoherence(f.U[:, :r]), basis_incoherence(f.V[:, :r]))
-
-
-def mu_hat(U_hat, V_hat) -> float:
-    """Coherence of an estimated basis pair."""
-    mu_u = basis_incoherence(U_hat, "U_hat")
-    mu_v = basis_incoherence(V_hat, "V_hat")
-    if np.shape(U_hat)[1] != np.shape(V_hat)[1]:
-        raise ValueError("U_hat and V_hat must have the same column count")
+def mu_r(U, V) -> float:
+    """Coherence of a left and right basis pair of r columns each: mu_r of
+    a matrix from its top-r singular bases, mu_hat of a draw from its
+    estimated bases."""
+    mu_u = basis_incoherence(U, "U")
+    mu_v = basis_incoherence(V, "V")
+    if np.shape(U)[1] != np.shape(V)[1]:
+        raise ValueError("U and V must have the same column count")
     return max(mu_u, mu_v)
 
 

@@ -21,12 +21,15 @@ draws from the base stream, each `verify` trial from base.derive(trial),
 and `sweep` loads each trial's instance once and draws from
 base.derive(trial).derive(1 + d) per grid point d. The spectrum takes
 M's singular values when it is built and M's singular vectors on first
-read, so where every draw settles, a sweep forms them only in
-`resolve_budgets`. `verify` runs one task per trial, and `sweep` three
-per instance (load, then `_sweep_build` of its budget and of its
-spectrum) and one per (trial, d) draw, in one thread pool with BLAS on
-one thread per task; results are put together in trial order, so they
-are independent of both thread counts.
+read, and an exact-low-rank budget reads only M's top-r singular bases,
+by subspace iteration above `recovery.top_singular_bases`' size rule; so
+where every draw settles, a sweep above that rule forms no singular
+vectors of M, and below it forms them only in `resolve_budgets`.
+`verify` runs one task per trial, and `sweep` three per instance (load,
+then `_sweep_build` of its budget and of its spectrum) and one per
+(trial, d) draw, in one thread pool with BLAS on one thread per task;
+results are put together in trial order, so they are independent of
+both thread counts.
 """
 from __future__ import annotations
 
@@ -40,10 +43,11 @@ import numpy as np
 from . import bounds
 from .bounds import BoundReport
 from .config import ExperimentConfig
-from .coherence import mu_hat, mu_r, numerical_rank
+from .coherence import mu_r, numerical_rank
 from .linalg import (blas_threads, frobenius_norm, settle_by_frobenius,
                      spectral_norm, svd)
-from .recovery import IllPosedError, assemble_design, build_bases, fit
+from .recovery import (IllPosedError, assemble_design, build_bases, fit,
+                       top_singular_bases)
 from .sampling import RngStream, sample_columns, sample_entries, sample_rows
 from .synth import generate
 
@@ -93,8 +97,12 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
     cannot hold it. The dict holds both, the formula values and the
     coherence they read, and says which of the three each budget is.
 
-    Reads its own svd(M), not the instance's `bounds.Spectrum`: sharing
-    that one would take run_recovery from 9 traced factorizations to 8,
+    The low-rank regime reads mu_r from M's top-r singular bases alone, by
+    `recovery.top_singular_bases`, which forms no singular vectors of M
+    above its size rule. The full-rank regime needs every sigma and
+    singular vector, and reads its own svd(M), not the instance's
+    `bounds.Spectrum`; so does a low-rank M below the rule. Sharing the
+    spectrum's would take run_recovery from 9 traced factorizations to 8,
     and perfbench/test_checks.py pins the count at exactly 9. Same kernel,
     same M and the instance's lam, so the full-rank rank and mu_lambda
     equal the spectrum's `rank` bit for bit."""
@@ -105,13 +113,12 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
     if isinstance(cfg.omega_count, int):
         check_range("omega", cfg.omega_count, 1, n * m, "[1, n*m]")
     details: dict = {}
-    f = svd(M)
     if cfg.kind == "exact-low-rank":
-        mu = mu_r(f, r)
+        mu = mu_r(*top_singular_bases(M, r))
         d_formula, omega_formula = bounds.sample_size_low_rank(mu, r, cfg.t)
         details.update({"mu_r": mu, "regime": "low-rank"})
     else:
-        rep = numerical_rank(f, lam)
+        rep = numerical_rank(svd(M), lam)
         d_formula = bounds.d_full_rank(rep.mu_lambda, rep.value, cfg.t, n)
         details.update({"lam": lam, "mu_lambda": rep.mu_lambda,
                         "numerical_rank": rep.value, "regime": "full-rank"})
@@ -260,7 +267,7 @@ class Draw:
 
     def mu_hat(self) -> float:
         """Coherence of the estimated bases."""
-        return self._get("mu_hat", lambda: mu_hat(
+        return self._get("mu_hat", lambda: mu_r(
             self.bases().U_hat, self.bases().V_hat))
 
     def h_pair(self) -> bounds.HPair:

@@ -16,7 +16,10 @@ rounding units, and hands S to the thin SVD when the Ritz gap at r is
 within sqrt(eps) of closing (a closed gap or a sample of rank below r),
 when the Ritz values predict more than Q_MAX steps, or when Q_MAX steps
 did not converge. A smaller sample goes to the thin SVD directly, which
-is faster there.
+is faster there. `top_singular_bases` applies the same rule to a whole
+matrix M, iterating on M and on M^T for its top-r left and right bases,
+so the lab reads an exact-low-rank budget's coherence without a full SVD
+of M above that size.
 
 The design K has one row per observed entry (a, b) and
 one column per core coefficient (i, j): row k is the Kronecker product
@@ -281,10 +284,27 @@ def _subspace_iteration(S: np.ndarray, r: int):
     return None
 
 
+def _iterates(S: np.ndarray, r: int) -> bool:
+    """Whether S is large enough for the subspace iteration to beat its
+    thin SVD: both sides at least ITERATION_MIN_SIDE * (r + OVERSAMPLE)."""
+    return min(S.shape) >= ITERATION_MIN_SIDE * (r + OVERSAMPLE)
+
+
+def top_singular_bases(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-r left and right singular bases of M: by the subspace
+    iteration on M and on M^T where M passes `_iterates`, else, or where
+    either side goes to the thin SVD, from one svd(M)."""
+    if _iterates(M, r):
+        left = _subspace_iteration(M, r)
+        right = None if left is None else _subspace_iteration(M.T, r)
+        if right is not None:
+            return left[0], right[0]
+    f = svd(M)
+    return f.U[:, :r], f.V[:, :r]
+
+
 def _top_basis(S: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    found = None
-    if min(S.shape) >= ITERATION_MIN_SIDE * (r + OVERSAMPLE):
-        found = _subspace_iteration(S, r)
+    found = _subspace_iteration(S, r) if _iterates(S, r) else None
     if found is None:
         f = svd(S)
         head = np.zeros(r + 1)

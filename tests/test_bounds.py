@@ -32,7 +32,7 @@ from curlow.bounds import (
     sample_size_low_rank,
     total_observations,
 )
-from curlow.coherence import mu_hat, mu_r, numerical_rank
+from curlow.coherence import mu_r, numerical_rank
 from curlow.linalg import (
     SANDWICH_ULPS,
     frobenius_norm,
@@ -421,7 +421,7 @@ def test_strong_convexity_full_grid():
     M = hadamard_rank2(16)
     bases = build_bases(M.copy(), M.T.copy(), 2)
     system = assemble_design(bases, full_grid(M))
-    rep = check_strong_convexity(system, mu_hat(bases.U_hat, bases.V_hat))
+    rep = check_strong_convexity(system, mu_r(bases.U_hat, bases.V_hat))
     assert rep.sense == "ge"
     assert rep.lhs == pytest.approx(1.0, abs=1e-10)
     assert rep.rhs == pytest.approx(256 / (2 * 256 * 256) * 256)  # |Omega|/(2mn)
@@ -435,7 +435,7 @@ def test_strong_convexity_starved_sample_fails_honestly():
     bases = build_bases(M.copy(), M.T.copy(), 2)
     omega = sample_entries(M, 2, RngStream(seed=23))
     system = assemble_design(bases, omega)
-    rep = check_strong_convexity(system, mu_hat(bases.U_hat, bases.V_hat))
+    rep = check_strong_convexity(system, mu_r(bases.U_hat, bases.V_hat))
     assert not rep.premises_met
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert not rep.holds
@@ -567,7 +567,7 @@ def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
     assert not any(t.is_alive() for t in readers)
     assert len(calls) == 1 and len(seen) == len(names)
     f = spec.factors
-    assert spec.mu_r == mu_r(f, 3)
+    assert spec.mu_r == mu_r(f.U[:, :3], f.V[:, :3])
     assert spec.rank == numerical_rank(f, spec.lam)
     for name, value in seen:
         assert value is getattr(spec, name)
@@ -680,7 +680,7 @@ def test_mu_hat_bound_premises_and_arithmetic():
     lam = sig[0] ** 2 / (250 * 250)
     bases = build_bases(M.copy(), M.T.copy(), 1)
     rep = check_mu_hat_bound(Spectrum(M, 1, lam),
-                             mu_hat(bases.U_hat, bases.V_hat), d=250)
+                             mu_r(bases.U_hat, bases.V_hat), d=250)
     assert rep.premises_met  # gap is 10x, d = n clears the gate
     assert rep.holds
     rank_rep = numerical_rank(svd(M), lam)
@@ -698,7 +698,7 @@ def test_mu_hat_bound_gates():
     M, _ = generate(spec)
     lam = svd(M).sigma[0] ** 2 / (250 * 250)
     bases = build_bases(M.copy(), M.T.copy(), 1)
-    muh = mu_hat(bases.U_hat, bases.V_hat)
+    muh = mu_r(bases.U_hat, bases.V_hat)
     assert not check_mu_hat_bound(Spectrum(M, 1, lam), muh,
                                   d=20).premises_met
     # a slow spectrum breaks the sqrt(2) gap requirement
@@ -708,7 +708,7 @@ def test_mu_hat_bound_gates():
     lam_f = svd(Mf).sigma[0] ** 2 / (250 * 250)
     bases_f = build_bases(Mf.copy(), Mf.T.copy(), 1)
     assert not check_mu_hat_bound(Spectrum(Mf, 1, lam_f),
-                                  mu_hat(bases_f.U_hat, bases_f.V_hat),
+                                  mu_r(bases_f.U_hat, bases_f.V_hat),
                                   d=250).premises_met
 
 

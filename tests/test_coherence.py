@@ -4,12 +4,12 @@ import pytest
 from curlow import coherence
 from curlow.coherence import (
     basis_incoherence,
-    mu_hat,
     mu_r,
     numerical_rank,
     sin_theta,
 )
 from curlow.linalg import svd
+from curlow.recovery import top_singular_bases
 from curlow.sampling import RngStream
 from curlow.synth import SynthSpec, generate
 
@@ -85,7 +85,7 @@ def flat_low_rank(n, m, r):
 
 def test_mu_r_flat_factors():
     M = flat_low_rank(64, 32, 4)
-    assert mu_r(svd(M), 4) <= 1.0 + 1e-8
+    assert mu_r(*top_singular_bases(M, 4)) <= 1.0 + 1e-8
 
 
 def test_mu_r_planted_spike():
@@ -96,7 +96,7 @@ def test_mu_r_planted_spike():
     U[1:, 1:] = random_orthonormal(n - 1, r - 1, seed=4)
     V = hadamard_cols(m, r)
     M = (U * np.array([3.0, 2.0, 1.0])) @ V.T
-    mu = mu_r(svd(M), r)
+    mu = mu_r(*top_singular_bases(M, r))
     assert abs(mu - n / r) < 1e-10
 
 
@@ -105,16 +105,16 @@ def test_mu_r_matches_factor_scan():
     f = svd(M)
     U1, V1 = f.U[:, :2], f.V[:, :2]
     expect = max(basis_incoherence(U1), basis_incoherence(V1))
-    assert abs(mu_r(svd(M), 2) - expect) < 1e-12
+    assert abs(mu_r(*top_singular_bases(M, 2)) - expect) < 1e-12
 
 
 def test_mu_hat_patterns():
-    assert abs(mu_hat(np.eye(10)[:, :2], hadamard_cols(16, 2)) - 5.0) < 1e-12
-    assert abs(mu_hat(hadamard_cols(16, 2), hadamard_cols(16, 2)) - 1.0) < 1e-12
+    assert abs(mu_r(np.eye(10)[:, :2], hadamard_cols(16, 2)) - 5.0) < 1e-12
+    assert abs(mu_r(hadamard_cols(16, 2), hadamard_cols(16, 2)) - 1.0) < 1e-12
     U = random_orthonormal(20, 3, seed=5)
     V = random_orthonormal(30, 3, seed=6)
     expect = max(basis_incoherence(U), basis_incoherence(V))
-    assert abs(mu_hat(U, V) - expect) < 1e-12
+    assert abs(mu_r(U, V) - expect) < 1e-12
 
 
 def test_mu_hat_checks_each_basis_once(monkeypatch):
@@ -125,10 +125,10 @@ def test_mu_hat_checks_each_basis_once(monkeypatch):
         return _fn(Q, name)
     monkeypatch.setattr(coherence, "_check_orthonormal", counted)
     U = random_orthonormal(20, 3, seed=5)
-    mu_hat(U, random_orthonormal(30, 3, seed=6))
-    assert names == ["U_hat", "V_hat"]
+    mu_r(U, random_orthonormal(30, 3, seed=6))
+    assert names == ["U", "V"]
     with pytest.raises(ValueError, match="same column count"):
-        mu_hat(U, random_orthonormal(30, 2, seed=6))
+        mu_r(U, random_orthonormal(30, 2, seed=6))
 
 
 # --- numerical rank ---------------------------------------------------------
@@ -176,11 +176,13 @@ def test_numerical_rank_rejects_negative_lambda():
 
 def test_mu_lambda_zero_matches_mu_r():
     f = svd(flat_low_rank(32, 16, 4))
-    assert abs(numerical_rank(f, 0.0).mu_lambda - mu_r(f, 4)) < 1e-10
+    assert abs(numerical_rank(f, 0.0).mu_lambda
+               - mu_r(f.U[:, :4], f.V[:, :4])) < 1e-10
     M2 = (random_orthonormal(20, 3, seed=10) * np.array([5.0, 2.0, 1.0])) \
         @ random_orthonormal(15, 3, seed=11).T
     f2 = svd(M2)
-    assert abs(numerical_rank(f2, 0.0).mu_lambda - mu_r(f2, 3)) < 1e-10
+    assert abs(numerical_rank(f2, 0.0).mu_lambda
+               - mu_r(f2.U[:, :3], f2.V[:, :3])) < 1e-10
 
 
 def test_mu_lambda_flat_equal_spectrum_is_one():
@@ -271,7 +273,7 @@ def test_mu_r_bounded_by_weighted_coherence():
         assert f.sigma[r - 1] >= np.sqrt(2.0) * f.sigma[r]
         lam = float(f.sigma[r - 1]) ** 2 / (48 * 40)
         rep = numerical_rank(svd(M), lam)
-        lhs = mu_r(svd(M), r)
+        lhs = mu_r(*top_singular_bases(M, r))
         rhs = 2.0 * rep.value / r * rep.mu_lambda
         assert lhs <= rhs + 1e-9 * rhs
         hits += 1

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from curlow import bounds, lab, linalg, recovery
 from curlow.bounds import sample_size_low_rank, total_observations
 from curlow.cli import main
-from curlow.coherence import mu_hat, mu_r, numerical_rank, sin_theta
+from curlow.coherence import mu_r, numerical_rank, sin_theta
 from curlow.config import CHECK_NAMES, ExperimentConfig
 from curlow.lab import (
     Draw,
@@ -32,7 +32,7 @@ from curlow.lab import (
     thread_count,
 )
 from curlow.linalg import blas_threads, frobenius_norm, svd
-from curlow.recovery import RecoveryInputs, recover
+from curlow.recovery import RecoveryInputs, recover, top_singular_bases
 from curlow.sampling import (RngStream, sample_columns, sample_entries,
                              sample_rows)
 from curlow.synth import SynthSpec, generate
@@ -72,7 +72,7 @@ def test_resolve_budgets_low_rank_formula():
     cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=2, r=2)
     M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
     budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
-    mu = mu_r(svd(M), 2)
+    mu = mu_r(*top_singular_bases(M, 2))
     d_formula, omega_formula = sample_size_low_rank(mu, 2, 3.0)
     assert budget["regime"] == "low-rank"
     assert budget["d_formula"] == d_formula
@@ -81,6 +81,55 @@ def test_resolve_budgets_low_rank_formula():
     assert (budget["d"], budget["omega"]) == (d_formula, omega_formula)
     assert budget["d_source"] == "formula"
     assert budget["omega_source"] == "formula"
+
+
+def test_a_low_rank_budget_iterates_on_l_wide_blocks_only(monkeypatch):
+    # r = 2, l = 10: both sides of M reach 16 l = 160, so mu_r comes from
+    # n x l and m x l QRs and l-wide SVDs on M and M^T, never from svd(M)
+    cfg = ExperimentConfig(n=200, m=180, kind="exact-low-rank", synth_r=2, r=2)
+    M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
+    assert budget["regime"] == "low-rank"
+    assert set(calls) == {("qr", (200, 10)), ("qr", (180, 10)),
+                          ("svd", (180, 10)), ("svd", (200, 10))}
+
+
+# (n, m, r, coherence) above the iteration's size rule, and the most units
+# in the last place by which the budget's mu_r missed that of the planted
+# top-r factors over seeds 0-5; svd(M) missed by up to 8 / 7 / 12 / 5
+ITERATED_BUDGET_ULPS = [
+    ((200, 200, 2, "flat"), 86),
+    ((200, 200, 2, "spiky"), 8),
+    ((260, 180, 3, "flat"), 18),
+    ((260, 180, 3, "spiky"), 4),
+]
+
+
+@pytest.mark.parametrize("shape, ulps", ITERATED_BUDGET_ULPS)
+def test_a_low_rank_budget_reads_mu_r_within_its_ulps_of_the_truth(
+        monkeypatch, shape, ulps):
+    n, m, r, coherence = shape
+    found = []
+
+    def spied(S, k, _fn=recovery._subspace_iteration):
+        found.append(_fn(S, k))
+        return found[-1]
+    monkeypatch.setattr(recovery, "_subspace_iteration", spied)
+    for seed in range(6):
+        cfg = ExperimentConfig(n=n, m=m, kind="exact-low-rank", synth_r=r,
+                               r=r, coherence=coherence, seed=seed)
+        _, f = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
+        truth = mu_r(f.U[:, :r], f.V[:, :r])
+        mu = load_instance(cfg, cfg.base_stream()).budget()["mu_r"]
+        assert abs(mu - truth) <= ulps * np.spacing(truth)
+    assert len(found) == 12 and all(x is not None for x in found)
 
 
 def test_resolve_budgets_explicit_and_floor():
@@ -315,10 +364,10 @@ def test_a_draw_takes_mu_hat_once(monkeypatch):
                            checks=("strong_convexity", "mu_hat"))
     calls = []
 
-    def counted(U, V, _fn=mu_hat):
+    def counted(U, V, _fn=mu_r):
         calls.append(1)
         return _fn(U, V)
-    monkeypatch.setattr(lab, "mu_hat", counted)
+    monkeypatch.setattr(lab, "mu_r", counted)
     convexity, coherence = run_trial(cfg, 0)["reports"]
     monkeypatch.undo()
     assert len(calls) == 1
@@ -327,7 +376,7 @@ def test_a_draw_takes_mu_hat_once(monkeypatch):
     draw = Draw(inst, inst.budget()["d"], stream)
     n, m, r, d, t = draw.n, draw.m, cfg.r, draw.d, cfg.t
     system, bases = draw.design(), draw.bases()
-    muh = mu_hat(bases.U_hat, bases.V_hat)
+    muh = mu_r(bases.U_hat, bases.V_hat)
     size = len(system.y)
     gate = bounds._ceil(7.0 * muh**2 * r**2 * (t + 2.0 * math.log(r)))
     assert convexity == bounds.make_report(
@@ -941,6 +990,28 @@ def test_a_settled_sweep_factors_m_with_vectors_only_for_its_budget(
     assert all("failed" not in row for row in rows)
     assert sorted(calls) == [(k, vectors) for k in range(cfg.trials)
                              for vectors in (False, True)]
+
+
+def test_a_settled_sweep_above_the_rule_forms_no_singular_vectors_of_m(
+        monkeypatch):
+    # at n = 176, r = 2 the budget reads M's top-r bases by subspace
+    # iteration (176 >= 16 (r + 8)), and every draw settles its bound: each
+    # trial's M gets only its spectrum's values-only SVD
+    cfg = ExperimentConfig(n=176, m=176, kind="exact-low-rank", synth_r=2,
+                           r=2, trials=3)
+    Ms = [generate(cfg.synth_spec(cfg.base_stream().derive(k).derive(0)))[0]
+          for k in range(cfg.trials)]
+    calls = []
+
+    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
+        for k, M in enumerate(Ms):
+            if np.shape(a) == M.shape and np.array_equal(a, M):
+                calls.append((k, kwargs.get("compute_uv", True)))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rows = run_sweep(cfg, [2, 4, 8, 16], threads=2)
+    assert all("failed" not in row for row in rows)
+    assert sorted(calls) == [(k, False) for k in range(cfg.trials)]
 
 
 def test_an_unsettled_sweep_factors_each_spectrum_once(monkeypatch):

@@ -23,6 +23,7 @@ from curlow.recovery import (
     build_bases,
     recover,
     solve_core,
+    top_singular_bases,
 )
 from curlow.sampling import (
     OmegaSet,
@@ -207,6 +208,22 @@ def test_build_bases_iterates_on_l_wide_blocks_only(monkeypatch):
     calls.clear()
     build_bases(A[:159], B, 2)
     assert ("svd", (159, 160)) in calls
+
+
+@pytest.mark.parametrize("n, m, sigma", [
+    (150, 120, [5.0, 3.0, 1.0]),  # 120 below 16 l = 160
+    (200, 180, [5.0]),            # rank 1 below r = 2: the iteration gives up
+], ids=["below-the-rule", "rank-below-r"])
+def test_top_singular_bases_factor_m_once_off_the_iteration(monkeypatch, n, m,
+                                                            sigma):
+    # both bases come from one svd(M), not one per side, bit for bit
+    M = planted(n, m, sigma, seed=64)
+    calls = record_factorizations(monkeypatch)
+    U, V = top_singular_bases(M, 2)
+    assert [c for c in calls if min(c[1]) > 10] == [("svd", (n, m))]
+    monkeypatch.undo()
+    f = svd(M)
+    assert np.array_equal(U, f.U[:, :2]) and np.array_equal(V, f.V[:, :2])
 
 
 # (kind, decay, n, m): each sample is 200 wide, r = 4 and l = 12, so all
