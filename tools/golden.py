@@ -88,6 +88,11 @@ def commands(root: str) -> list[tuple[str, list[str], int]]:
     exits_0 = [
         ("recover", ["recover", "--save-matrix", *sets(
             "synth.n=200", "synth.m=200", "synth.kind=exact-low-rank", "r=5")]),
+        # both sides reach 16 (r + 8), so recovery.json pins the mu_r the
+        # budget reads from M's top-r bases by subspace iteration
+        ("recover-iterated-budget", ["recover", *sets(
+            "synth.n=240", "synth.m=240", "synth.kind=exact-low-rank",
+            "r=2")]),
         ("gen", ["gen", *sets("synth.n=120", "synth.m=120", "r=4")]),
         ("recover-matrix", ["recover", "--save-matrix", "--matrix",
                             os.path.join(root, "gen", "M.mtx"), *sets("r=4")]),
