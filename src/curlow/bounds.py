@@ -90,38 +90,59 @@ def make_report(name: str, lhs: float, rhs: float, premises_met: bool,
 class Spectrum:
     """What the checks read of an n x m instance M at rank r and
     regularization lam, by default sigma_r^2 / (mn) of M's own sigma; one
-    per instance, shared by every check of every draw from it. sigma, the
-    values-only `singular_values(M)`, gives sigma_r and sigma_{r+1} and is
-    taken when the spectrum is built. factors is one `svd(M)`, which gives
-    mu_r, the right singular vectors the selection checks read, H's
-    eigenpairs an `HPair` reads, and the regularized rank and weighted
-    coherence at lam (`rank`); factors, mu_r and rank are computed together
-    on the first read of any of them, once, under the spectrum's own lock,
-    so a reader of sigma alone, such as a settled sweep draw, never forms U
-    and V. The two kernels' sigma differ in the last bits, so reading sigma
-    from factors would change the outputs."""
+    per instance, the only producer of M's spectral data, shared by the
+    budget and every check of every draw from it. It runs no kernel when it
+    is built. sigma, the values-only `singular_values(M)`, gives sigma_r
+    and sigma_{r+1}. factors is one `svd(M)`, which gives mu_r, the right
+    singular vectors the selection checks read, H's eigenpairs an `HPair`
+    reads, and the regularized rank and weighted coherence at lam (`rank`).
+    Each kernel runs on the first read of what it gives, once, under the
+    spectrum's lock, so a reader of sigma alone, such as a settled sweep
+    draw, never forms U and V. The two kernels' sigma differ in the last
+    bits, so reading sigma from factors would change the outputs."""
 
     def __init__(self, M, r: int, lam: float | None = None):
         self.M, self.r = as_matrix(M), r
         self.n, self.m = n, m = self.M.shape
         if not 1 <= r <= min(n, m):
             raise ValueError(f"r must be in [1, {min(n, m)}], got {r}")
-        self.sigma = sigma = singular_values(self.M)
-        self.sigma_r = float(sigma[r - 1])
-        self.sigma_r_plus_1 = float(sigma[r]) if r < sigma.size else 0.0
-        self.lam = self.sigma_r**2 / (self.m * self.n) if lam is None else lam
+        self._lam = lam
         # a plain lock: functools.cached_property serializes pool threads
         # on one lock per attribute, across all spectra, before Python 3.12
         self._lock = threading.Lock()
-        self._vectors = None  # (factors, mu_r, rank)
+        self._cache: dict = {}  # "sigma"; "vectors": (factors, mu_r, rank)
+
+    def _once(self, key, build):
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self._once("sigma", lambda: singular_values(self.M))
+
+    @property
+    def sigma_r(self) -> float:
+        return float(self.sigma[self.r - 1])
+
+    @property
+    def sigma_r_plus_1(self) -> float:
+        return float(self.sigma[self.r]) if self.r < self.sigma.size else 0.0
+
+    @property
+    def lam(self) -> float:
+        return self.sigma_r**2 / (self.m * self.n) if self._lam is None \
+            else self._lam
 
     def _read_vectors(self) -> tuple[SvdFactors, float, NumericalRankReport]:
-        with self._lock:
-            if self._vectors is None:
-                f = svd(self.M)
-                self._vectors = (f, mu_r(f.U[:, :self.r], f.V[:, :self.r]),
-                                 numerical_rank(f, self.lam))
-            return self._vectors
+        lam = self.lam  # before the lock: a default lam reads sigma
+
+        def build():
+            f = svd(self.M)
+            return (f, mu_r(f.U[:, :self.r], f.V[:, :self.r]),
+                    numerical_rank(f, lam))
+        return self._once("vectors", build)
 
     @property
     def factors(self) -> SvdFactors:

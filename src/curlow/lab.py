@@ -4,38 +4,38 @@ stream.derive(0) (or takes a supplied matrix) as an `Instance`, which
 refuses by `checked_frobenius` an M whose squared entries overflow, as
 `cur` does, fixes its one lam = sigma_r^2 / (n m), from the planted
 sigma of a generated instance or M's own sigma of a supplied one, and
-builds, on first use, its one `bounds.Spectrum` at that lam and its
-"auto" sample budgets, one dict resolved from measured coherence. Every
-check reads sigma, the singular vectors, mu_r, lam and the regularized
-rank of M from that spectrum. A `Draw` samples the instance from
-derive(1), (2) and (3) of its own stream and builds the bases, the
-design, the core fitted on it, the residual M - M_hat, each residual
-norm of M, the coherence mu_hat of the bases and the `bounds.HPair` of
-the Gram checks once, for every check in `CHECKS` that reads them;
-lambda_min(K^T K) and the data-fit residual are the design's, and only
-`recover` reads the latter. A sweep draw settles its
+holds its one `bounds.Spectrum` at that lam and, built on first use, its
+"auto" sample budgets, one dict resolved from measured coherence. The
+full-rank budget and every check read sigma, the singular vectors, mu_r,
+lam and the regularized rank of M from that spectrum. A `Draw` samples
+the instance from derive(1), (2) and (3) of its own stream and builds
+the bases, the design, the core fitted on it, the residual M - M_hat,
+each residual norm of M, the coherence mu_hat of the bases and the
+`bounds.HPair` of the Gram checks once, for every check in `CHECKS` that
+reads them; lambda_min(K^T K) and the data-fit residual are the
+design's, and only `recover` reads the latter. A sweep draw settles its
 recovery bound from ||M - M_hat||_F, which its relative error reads, and
 takes the spectral norm only where the Frobenius sandwich leaves the
 bound open; `recover` and `verify` report the exact norm. `recover`
 draws from the base stream, each `verify` trial from base.derive(trial),
 and `sweep` loads each trial's instance once and draws from
 base.derive(trial).derive(1 + d) per grid point d. The spectrum takes
-M's singular values when it is built and M's singular vectors on first
-read, and an exact-low-rank budget reads only M's top-r singular bases,
-by subspace iteration above `recovery.top_singular_bases`' size rule; so
-where every draw settles, a sweep above that rule forms no singular
-vectors of M, and below it forms them only in `resolve_budgets`.
-`verify` runs one task per trial, and `sweep` three per instance (load,
-then `_sweep_build` of its budget and of its spectrum) and one per
-(trial, d) draw, in one thread pool with BLAS on one thread per task;
-results are put together in trial order, so they are independent of
-both thread counts.
+M's singular values and M's singular vectors each on its first read, and
+an exact-low-rank budget reads only M's top-r singular bases, by
+subspace iteration above `recovery.top_singular_bases`' size rule; so
+where every draw settles, an exact-low-rank sweep above that rule forms
+no singular vectors of M, and below it forms them only in
+`resolve_budgets`. `verify` runs one task per trial, and `sweep` two per
+instance (`_sweep_load`, which also resolves its budget, and a read of
+its sigma) and one per (trial, d) draw, in one thread pool with BLAS on
+one thread per task; results are put together in trial order, so they
+are independent of both thread counts.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -43,9 +43,9 @@ import numpy as np
 from . import bounds
 from .bounds import BoundReport
 from .config import ExperimentConfig
-from .coherence import mu_r, numerical_rank
+from .coherence import mu_r
 from .linalg import (blas_threads, frobenius_norm, settle_by_frobenius,
-                     spectral_norm, svd)
+                     spectral_norm)
 from .recovery import (IllPosedError, assemble_design, build_bases, fit,
                        top_singular_bases)
 from .sampling import RngStream, sample_columns, sample_entries, sample_rows
@@ -90,24 +90,20 @@ def _source(setting, value: int, formula: int) -> str:
     return "formula" if value == formula else "capped"
 
 
-def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
-                    lam: float) -> dict:
-    """Budgets d and omega from the formulas, capped at the instance; a
-    budget set in the config is used as given, or refused if the instance
-    cannot hold it. The dict holds both, the formula values and the
-    coherence they read, and says which of the three each budget is.
+def resolve_budgets(inst: Instance) -> dict:
+    """An instance's budgets d and omega from the formulas, capped at the
+    instance; a budget set in the config is used as given, or refused if
+    the instance cannot hold it. The dict holds both, the formula values
+    and the coherence they read, and says which of the three each budget is.
 
-    The low-rank regime reads mu_r from M's top-r singular bases alone, by
-    `recovery.top_singular_bases`, which forms no singular vectors of M
-    above its size rule. The full-rank regime needs every sigma and
-    singular vector, and reads its own svd(M), not the instance's
-    `bounds.Spectrum`; so does a low-rank M below the rule. Sharing the
-    spectrum's would take run_recovery from 9 traced factorizations to 8,
-    and perfbench/test_checks.py pins the count at exactly 9. Same kernel,
-    same M and the instance's lam, so the full-rank rank and mu_lambda
-    equal the spectrum's `rank` bit for bit."""
+    The full-rank regime reads mu_lambda and the regularized rank from the
+    instance's spectrum. The low-rank regime reads mu_r from M's top-r
+    singular bases alone, by `recovery.top_singular_bases`, which forms no
+    singular vectors of M above its size rule and takes its own svd(M)
+    below it: sharing the spectrum's would take run_recovery from 9 traced
+    factorizations to 8, and perfbench/test_checks.py pins exactly 9."""
+    cfg, M, r = inst.cfg, inst.M, inst.cfg.r
     n, m = M.shape
-    r = cfg.r
     if isinstance(cfg.d, int):
         check_range("d", cfg.d, r, min(n, m), "[r, min(n, m)]")
     if isinstance(cfg.omega_count, int):
@@ -118,9 +114,9 @@ def resolve_budgets(cfg: ExperimentConfig, M: np.ndarray,
         d_formula, omega_formula = bounds.sample_size_low_rank(mu, r, cfg.t)
         details.update({"mu_r": mu, "regime": "low-rank"})
     else:
-        rep = numerical_rank(svd(M), lam)
+        rep = inst.spectrum.rank
         d_formula = bounds.d_full_rank(rep.mu_lambda, rep.value, cfg.t, n)
-        details.update({"lam": lam, "mu_lambda": rep.mu_lambda,
+        details.update({"lam": inst.lam, "mu_lambda": rep.mu_lambda,
                         "numerical_rank": rep.value, "regime": "full-rank"})
     d = cfg.d if isinstance(cfg.d, int) else max(min(d_formula, n, m), r)
     if cfg.kind != "exact-low-rank":
@@ -148,32 +144,24 @@ def checked_frobenius(M: np.ndarray) -> float:
 class Instance:
     """One instance: M and its `checked_frobenius` norm; sigma, its planted
     singular values or, for a supplied matrix, the sigma its spectrum takes
-    of M at once; the instance's one lam = sigma_r^2 / (n m); and, each
-    computed on first use, its `bounds.Spectrum` at lam, the one
-    decomposition of M that every check and every draw from M read, and its
-    resolved budget. A sweep trial's grid points share one instance from
-    several pool threads; `run_sweep` builds both, in one `_sweep_build`
-    task each, before a point reads them."""
+    of M at once; the instance's one lam = sigma_r^2 / (n m); its
+    `bounds.Spectrum` at lam, the one decomposition of M that the budget,
+    every check and every draw from M read; and its resolved budget,
+    computed on first use, before a sweep's draws share it."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
         self.cfg, self.M, self.fro = cfg, M, checked_frobenius(M)
         self._budget: dict | None = None
-        self._spectrum = (bounds.Spectrum(M, cfg.r) if planted_sigma is None
-                          else None)
-        self.sigma = (self._spectrum.sigma if planted_sigma is None
-                      else planted_sigma)
-        n, m = M.shape
-        self.lam = float(self.sigma[cfg.r - 1]) ** 2 / (n * m)
-
-    def spectrum(self) -> bounds.Spectrum:
-        if self._spectrum is None:
-            self._spectrum = bounds.Spectrum(self.M, self.cfg.r, self.lam)
-        return self._spectrum
+        lam = None if planted_sigma is None \
+            else float(planted_sigma[cfg.r - 1]) ** 2 / M.size
+        self.spectrum = bounds.Spectrum(M, cfg.r, lam)
+        self.sigma = self.spectrum.sigma if lam is None else planted_sigma
+        self.lam = self.spectrum.lam
 
     def budget(self) -> dict:
         if self._budget is None:
-            self._budget = resolve_budgets(self.cfg, self.M, self.lam)
+            self._budget = resolve_budgets(self)
         return self._budget
 
 
@@ -272,7 +260,7 @@ class Draw:
 
     def h_pair(self) -> bounds.HPair:
         return self._get("h_pair", lambda: bounds.build_h_pair(
-            self.spectrum(), self.cols()[1]))
+            self.spectrum, self.cols()[1]))
 
     def fro_error(self) -> float:
         """||M - M_hat||_F."""
@@ -281,7 +269,7 @@ class Draw:
 
     def recovery_bound(self) -> BoundReport:
         return self._get("bound", lambda: bounds.check_full_rank_recovery(
-            self.spectrum(), self.error(), self.d, self.entries().size,
+            self.spectrum, self.error(), self.d, self.entries().size,
             self.cfg.t))
 
     def bound_holds(self) -> bool:
@@ -289,7 +277,7 @@ class Draw:
         ||D||_F^2 / min(n, m) <= ||D||_2^2 <= ||D||_F^2 puts D = M - M_hat
         on one side of the bound; only where the bound falls inside that
         window does it take the spectral norm."""
-        rhs = bounds.recovery_rhs(self.spectrum(), self.d)
+        rhs = bounds.recovery_rhs(self.spectrum, self.d)
         settled = settle_by_frobenius(self.fro_error(), min(self.n, self.m),
                                       lambda lhs: bounds.holds_le(lhs, rhs))
         if settled is None:
@@ -304,24 +292,24 @@ class Draw:
 # each verify check's reports from one draw, in config.CHECK_NAMES order
 CHECKS = {
     "projection": lambda ctx: list(bounds.check_projection(
-        ctx.spectrum(), ctx.side_cols(), ctx.side_rows(), ctx.d, ctx.cfg.t)),
+        ctx.spectrum, ctx.side_cols(), ctx.side_rows(), ctx.d, ctx.cfg.t)),
     "delta": lambda ctx: [bounds.check_delta(
-        ctx.spectrum(), ctx.delta(), ctx.d, ctx.cfg.t,
+        ctx.spectrum, ctx.delta(), ctx.d, ctx.cfg.t,
         full_rank=ctx.cfg.kind != "exact-low-rank")],
     "delta_triangle": lambda ctx: [bounds.check_delta_triangle(
         ctx.delta(), ctx.side_cols(), ctx.side_rows())],
     "combine": lambda ctx: [bounds.check_combine(
         ctx.error(), ctx.delta(), ctx.gamma())],
     "halko": lambda ctx: [bounds.check_halko(
-        ctx.M, ctx.cols()[0], ctx.cfg.r, ctx.spectrum().factors)],
+        ctx.M, ctx.cols()[0], ctx.cfg.r, ctx.spectrum.factors)],
     "omega1_spectrum": lambda ctx: [bounds.check_omega1_spectrum(
-        ctx.spectrum(), ctx.cols()[0], ctx.cfg.t)],
+        ctx.spectrum, ctx.cols()[0], ctx.cfg.t)],
     "strong_convexity": lambda ctx: [bounds.check_strong_convexity(
         ctx.design(), ctx.mu_hat(), ctx.cfg.t)],
     "h_sandwich": lambda ctx: [bounds.check_h_sandwich(
         ctx.h_pair(), ctx.cfg.sandwich_delta, ctx.cfg.t)],
     "mu_hat": lambda ctx: [bounds.check_mu_hat_bound(
-        ctx.spectrum(), ctx.mu_hat(), ctx.d, ctx.cfg.t)],
+        ctx.spectrum, ctx.mu_hat(), ctx.d, ctx.cfg.t)],
     "sin_theta": lambda ctx: [bounds.check_sin_theta_perturbation(
         ctx.h_pair(), ctx.bases().U_hat)],
     "full_rank_recovery": lambda ctx: [ctx.recovery_bound()],
@@ -423,23 +411,12 @@ def _union_count(draw: Draw) -> int:
 
 
 def _sweep_load(cfg: ExperimentConfig, trial: int) -> Instance:
-    """A sweep trial's instance, from base.derive(trial)."""
-    return load_instance(cfg, cfg.base_stream().derive(trial))
-
-
-def _sweep_build(loaded: Future, step) -> None:
-    """Run `step`, a build method of `Instance`, on `loaded`'s instance."""
-    step(loaded.result())
-
-
-def _sweep_draw(loaded: Future, builds: tuple[Future, Future], trial: int,
-                d: int) -> dict:
-    """`_sweep_point` once the instance's load, budget and spectrum tasks
-    are done, so the draws of one instance, on several pool threads, only
-    read them."""
-    for build in builds:
-        build.result()
-    return _sweep_point(loaded.result(), trial, d)
+    """A sweep trial's instance, from base.derive(trial), with its budget
+    resolved, so the draws of one instance, on several pool threads, only
+    read it."""
+    inst = load_instance(cfg, cfg.base_stream().derive(trial))
+    inst.budget()
+    return inst
 
 
 def _sweep_point(inst: Instance, trial: int, d: int) -> dict:
@@ -500,25 +477,26 @@ def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
         raise ValueError(f"grid entries must be >= 1, got {grid[0]}")
     live = [d for d in grid if cfg.r <= d <= min(cfg.m, cfg.n)]
     outs: dict = {}
-    # even windows of at most workers + 1 trials. A window queues its
-    # loads, then each trial's budget and spectrum, each waiting on its
-    # load, then the draws, each waiting on its trial's three. Every task
-    # waits only on tasks queued before it, so a FIFO pool cannot deadlock.
+    # even windows of at most workers + 1 trials. A window queues one
+    # `_sweep_load` per trial, then a read of each trial's sigma, beside
+    # the later trials' loads, then the draws, each waiting on its trial's
+    # load. Every task waits only on tasks queued before it, so a FIFO pool
+    # cannot deadlock.
     windows = -(-cfg.trials // (workers + 1)) if live else 0
     with _trial_pool(workers) as pool:
         for w in range(windows):
             block = range(w * cfg.trials // windows,
                           (w + 1) * cfg.trials // windows)
             loaded = {k: pool.submit(_sweep_load, cfg, k) for k in block}
-            builds = {k: tuple(pool.submit(_sweep_build, loaded[k], step)
-                               for step in (Instance.budget, Instance.spectrum))
-                      for k in block}
+            read = [pool.submit(lambda f: f.result().spectrum.sigma, f)
+                    for f in loaded.values()]
             tasks = [(k, d) for k in block for d in live]
             outs.update(zip(tasks, pool.map(
-                lambda t: _sweep_draw(loaded[t[0]], builds[t[0]], *t),
-                tasks)))
+                lambda t: _sweep_point(loaded[t[0]].result(), *t), tasks)))
+            for f in read:
+                f.result()
             # the window's instances go before the next's are built
-            del loaded, builds
+            del loaded
     rows = []
     for d in grid:
         row = {"d": d, "analytic_total": bounds.total_observations(cfg.n, d),

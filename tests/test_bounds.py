@@ -535,19 +535,29 @@ def test_a_spectrum_refuses_a_rank_outside_its_shape():
     assert spec.sigma_r == 0.5 and spec.sigma_r_plus_1 == 0.0
 
 
-def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
-    # more readers than cores, switching threads as often as the
-    # interpreter allows: the first read of factors, mu_r or rank factors
-    # M, once, and every reader sees that one result
+def test_a_spectrum_runs_no_kernel_until_it_is_read(monkeypatch):
+    # each read below is the first of a fresh spectrum: sigma and its two
+    # entries take the values-only SVD, factors, mu_r and rank the svd
     M = low_rank(40, 30, 3, seed=37)
-    spec = Spectrum(M, 3)
     calls = []
 
-    def counted(a, _fn=bounds.svd):
-        calls.append(1)  # list.append is atomic across threads
-        return _fn(a)
-    monkeypatch.setattr(bounds, "svd", counted)
-    names = ["factors", "mu_r", "rank"] * 3
+    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for name, vectors in (("sigma", False), ("sigma_r", False),
+                          ("sigma_r_plus_1", False), ("factors", True),
+                          ("mu_r", True), ("rank", True)):
+        spec = Spectrum(M, 3, 1e-3)
+        assert calls == [] and spec.lam == 1e-3
+        getattr(spec, name)
+        assert calls == [vectors], name
+        calls.clear()
+
+
+def _race(spec, names) -> list:
+    """(name, value) of each name read by its own thread, with more readers
+    than cores, switching threads as often as the interpreter allows."""
     barrier = threading.Barrier(len(names), timeout=30)
     seen = []
 
@@ -565,7 +575,37 @@ def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in readers)
-    assert len(calls) == 1 and len(seen) == len(names)
+    assert len(seen) == len(names)
+    return seen
+
+
+def test_a_spectrum_takes_sigma_once_for_racing_readers(monkeypatch):
+    M = low_rank(40, 30, 3, seed=37)
+    spec = Spectrum(M, 3)
+    calls = []
+
+    def counted(a, _fn=bounds.singular_values):
+        calls.append(1)  # list.append is atomic across threads
+        return _fn(a)
+    monkeypatch.setattr(bounds, "singular_values", counted)
+    seen = _race(spec, ["sigma"] * 9)
+    assert len(calls) == 1
+    assert all(value is spec.sigma for _, value in seen)
+
+
+def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
+    # the first read of factors, mu_r or rank factors M, once, and every
+    # reader sees that one result
+    M = low_rank(40, 30, 3, seed=37)
+    spec = Spectrum(M, 3)
+    calls = []
+
+    def counted(a, _fn=bounds.svd):
+        calls.append(1)  # list.append is atomic across threads
+        return _fn(a)
+    monkeypatch.setattr(bounds, "svd", counted)
+    seen = _race(spec, ["factors", "mu_r", "rank"] * 3)
+    assert len(calls) == 1
     f = spec.factors
     assert spec.mu_r == mu_r(f.U[:, :3], f.V[:, :3])
     assert spec.rank == numerical_rank(f, spec.lam)

@@ -64,15 +64,11 @@ def test_thread_count_follows_cpu_affinity(monkeypatch):
     assert thread_count() == 1
 
 
-def _lam(cfg, sigma):
-    return float(sigma[cfg.r - 1]) ** 2 / (cfg.n * cfg.m)
-
-
 def test_resolve_budgets_low_rank_formula():
     cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=2, r=2)
-    M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
-    budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
-    mu = mu_r(*top_singular_bases(M, 2))
+    inst = load_instance(cfg, cfg.base_stream())
+    budget = resolve_budgets(inst)
+    mu = mu_r(*top_singular_bases(inst.M, 2))
     d_formula, omega_formula = sample_size_low_rank(mu, 2, 3.0)
     assert budget["regime"] == "low-rank"
     assert budget["d_formula"] == d_formula
@@ -87,7 +83,7 @@ def test_a_low_rank_budget_iterates_on_l_wide_blocks_only(monkeypatch):
     # r = 2, l = 10: both sides of M reach 16 l = 160, so mu_r comes from
     # n x l and m x l QRs and l-wide SVDs on M and M^T, never from svd(M)
     cfg = ExperimentConfig(n=200, m=180, kind="exact-low-rank", synth_r=2, r=2)
-    M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
+    inst = load_instance(cfg, cfg.base_stream())
     calls = []
     for name in ("svd", "eigh", "eigvalsh", "qr"):
         def counted(a, *args, _fn=getattr(np.linalg, name), _name=name,
@@ -95,7 +91,7 @@ def test_a_low_rank_budget_iterates_on_l_wide_blocks_only(monkeypatch):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
+    budget = resolve_budgets(inst)
     assert budget["regime"] == "low-rank"
     assert set(calls) == {("qr", (200, 10)), ("qr", (180, 10)),
                           ("svd", (180, 10)), ("svd", (200, 10))}
@@ -135,27 +131,30 @@ def test_a_low_rank_budget_reads_mu_r_within_its_ulps_of_the_truth(
 def test_resolve_budgets_explicit_and_floor():
     cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=3, r=3,
                            d=10, omega_count=500)
-    M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
-    lam = _lam(cfg, factors.sigma)
-    budget = resolve_budgets(cfg, M, lam)
+    budget = resolve_budgets(load_instance(cfg, cfg.base_stream()))
     assert budget["d"] == 10 and budget["omega"] == 500
     assert budget["d_source"] == budget["omega_source"] == "user"
     floor_cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank",
                                  synth_r=3, r=3, d=1)
+    floor = load_instance(floor_cfg, floor_cfg.base_stream())
     with pytest.raises(ValueError):
-        resolve_budgets(floor_cfg, M, lam)  # never rewritten up to r
+        resolve_budgets(floor)  # never rewritten up to r
 
 
 def test_resolve_budgets_full_rank_regime():
     cfg = ExperimentConfig(n=48, m=48, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2)
-    M, factors = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
-    budget = resolve_budgets(cfg, M, _lam(cfg, factors.sigma))
+    inst = load_instance(cfg, cfg.base_stream())
+    budget = resolve_budgets(inst)
     assert budget["regime"] == "full-rank"
     assert budget["d"] <= 48
     assert budget["omega"] <= 48 * 48
     assert budget["omega_formula"] >= budget["omega"]
     assert "lam" in budget and "numerical_rank" in budget
+    # read from the instance's spectrum, the same as from a fresh svd(M)
+    rank = numerical_rank(svd(inst.M), inst.lam)
+    assert (budget["mu_lambda"], budget["numerical_rank"]) == (
+        rank.mu_lambda, rank.value)
 
 
 def test_trial_context_caches_samples():
@@ -193,9 +192,9 @@ def test_trial_builds_each_stage_once(monkeypatch):
     assert ctx.recovery()[0].bases is ctx.bases()
 
 
-def test_verify_trial_factors_M_three_times(monkeypatch):
-    # every check, halko too, reads the instance's spectrum (a values-only
-    # sigma and one svd of M); only resolve_budgets factors M itself
+def test_verify_trial_factors_M_twice(monkeypatch):
+    # the full-rank budget and every check, halko too, read the instance's
+    # spectrum: a values-only sigma and one svd of M
     cfg = ExperimentConfig(n=40, m=40, kind="geometric-spectrum", synth_r=2,
                            r=2, d=16, omega_count=600, checks=CHECK_NAMES)
     M, _ = generate(cfg.synth_spec(cfg.base_stream().derive(0).derive(0)))
@@ -207,7 +206,7 @@ def test_verify_trial_factors_M_three_times(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     record = run_trial(cfg, 0)
     assert len(record["reports"]) == 12
-    assert sum(of_M) == 3
+    assert sum(of_M) == 2
 
 
 def test_a_trial_takes_each_residual_norm_of_M_once(monkeypatch):
@@ -278,7 +277,7 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     inst = load_instance(cfg, stream)
     draw = Draw(inst, inst.budget()["d"], stream)
     M, A, lam, d = draw.M, draw.cols()[1], inst.lam, draw.d
-    f = inst.spectrum().factors
+    f = inst.spectrum.factors
     U, k = f.U, m
     w = np.full(n, lam)
     w[:k] += f.sigma**2 / (m * n)
@@ -384,7 +383,7 @@ def test_a_draw_takes_mu_hat_once(monkeypatch):
         size / (2.0 * m * n), size >= gate,
         {"omega_size": size, "n": n, "m": m, "r": r, "t": t, "mu_hat": muh,
          "omega_gate": gate}, sense="ge").to_dict()
-    spec = inst.spectrum()
+    spec = inst.spectrum
     rank = numerical_rank(spec.factors, inst.lam)
     delta_sq = 4.0 / d * (rank.mu_lambda * rank.value + 1.0) \
         * (t + math.log(n))
@@ -421,18 +420,21 @@ def test_one_lam_per_instance():
     assert error["params"]["numerical_rank"] == 2.0
 
 
-def test_a_combine_trial_builds_no_spectrum(monkeypatch):
-    calls = []
-
-    def counted(*args, _fn=bounds.Spectrum, **kwargs):
-        calls.append(args[1])
-        return _fn(*args, **kwargs)
-    monkeypatch.setattr(bounds, "Spectrum", counted)
-    cfg = ExperimentConfig(n=40, m=32, kind="geometric-spectrum", synth_r=2,
-                           r=2, d=16, omega_count=600, checks=("combine",))
-    record = run_trial(cfg, 0)
-    assert [rep["name"] for rep in record["reports"]] == ["error_combine"]
-    assert calls == []
+def test_a_spectrum_free_trial_factors_m_once_with_vectors(monkeypatch):
+    # no check here reads sigma, so M gets no values-only SVD; its one svd
+    # with vectors is the budget's, through the spectrum's rank in the
+    # full-rank regime and through top_singular_bases below the size rule
+    for kind, check in itertools.product(
+            ("geometric-spectrum", "exact-low-rank"),
+            ("combine", "strong_convexity")):
+        cfg = ExperimentConfig(n=40, m=32, kind=kind, synth_r=2, r=2, d=16,
+                               omega_count=600, checks=(check,))
+        M, _ = generate(cfg.synth_spec(cfg.base_stream().derive(0).derive(0)))
+        with monkeypatch.context() as patch:
+            calls = _svds_of(patch, [M])
+            record = run_trial(cfg, 0)
+        assert len(record["reports"]) == 1
+        assert calls == [(0, True)], (kind, check)
 
 
 def test_run_trial_report_names():
@@ -744,7 +746,7 @@ def test_run_sweep_shares_an_instance_across_more_workers_than_trials(
     expected = run_sweep(cfg, grid, threads=1)
     calls.clear()
     # 4 workers on 2 trials, switching threads as often as the interpreter
-    # allows, so the points race for each trial's instance, budget and
+    # allows, so the points race to read each trial's instance, budget and
     # spectrum
     rows = []
     runner = threading.Thread(
@@ -819,9 +821,9 @@ def test_run_sweep_drops_each_instance_after_its_last_point(monkeypatch):
     assert seen["live"] == 0
 
 
-def _compose(cfg, M, lam, stream, d=None):
+def _compose(inst, stream, d=None):
     # the draw layout spelled out by hand: samples from stream.derive(1..3)
-    budget = resolve_budgets(cfg, M, lam)
+    cfg, M, budget = inst.cfg, inst.M, resolve_budgets(inst)
     d = budget["d"] if d is None else d
     col_idx, A = sample_columns(M, d, stream.derive(1))
     row_idx, B = sample_rows(M, d, stream.derive(2))
@@ -835,9 +837,10 @@ def test_run_recovery_stream_layout():
     cfg = ExperimentConfig(n=40, m=40, kind="geometric-spectrum", decay=0.5,
                            synth_r=3, r=3, d=14, omega_count=700)
     base = cfg.base_stream()
-    M, factors = generate(cfg.synth_spec(base.derive(0)))
-    col_idx, row_idx, omega, M_hat = _compose(
-        cfg, M, _lam(cfg, factors.sigma), base)
+    inst = load_instance(cfg, base)
+    M, _ = generate(cfg.synth_spec(base.derive(0)))
+    assert np.array_equal(inst.M, M)
+    col_idx, row_idx, omega, M_hat = _compose(inst, base)
     out = run_recovery(cfg)
     assert out["col_indices"] == col_idx.indices.tolist()
     assert out["row_indices"] == row_idx.indices.tolist()
@@ -852,9 +855,10 @@ def test_run_sweep_stream_layout():
     errors = []
     for trial in range(cfg.trials):
         stream = cfg.base_stream().derive(trial)
-        M, factors = generate(cfg.synth_spec(stream.derive(0)))
-        *_, M_hat = _compose(cfg, M, _lam(cfg, factors.sigma),
-                             stream.derive(1 + d), d)
+        inst = load_instance(cfg, stream)
+        M, _ = generate(cfg.synth_spec(stream.derive(0)))
+        assert np.array_equal(inst.M, M)
+        *_, M_hat = _compose(inst, stream.derive(1 + d), d)
         errors.append(frobenius_norm(M - M_hat) / frobenius_norm(M))
     row, = run_sweep(cfg, [d])
     assert row["rel_error"] == float(np.mean(errors))
@@ -969,6 +973,19 @@ def test_a_sweep_draw_takes_one_frobenius_norm_and_no_spectral_norm(
     assert normed["spectral"] == [(40, 40)] * 2
 
 
+def _svds_of(monkeypatch, Ms) -> list:
+    """Spy on np.linalg.svd: (k, with vectors) for each call on Ms[k]."""
+    calls = []
+
+    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
+        for k, M in enumerate(Ms):
+            if np.shape(a) == M.shape and np.array_equal(a, M):
+                calls.append((k, kwargs.get("compute_uv", True)))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls  # list.append is atomic across pool threads
+
+
 def test_a_settled_sweep_factors_m_with_vectors_only_for_its_budget(
         monkeypatch):
     # AC7's shape at n = 64, where every draw settles its bound from the
@@ -978,14 +995,7 @@ def test_a_settled_sweep_factors_m_with_vectors_only_for_its_budget(
                            trials=3)
     Ms = [generate(cfg.synth_spec(cfg.base_stream().derive(k).derive(0)))[0]
           for k in range(cfg.trials)]
-    calls = []
-
-    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
-        for k, M in enumerate(Ms):
-            if np.shape(a) == M.shape and np.array_equal(a, M):
-                calls.append((k, kwargs.get("compute_uv", True)))
-        return _fn(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    calls = _svds_of(monkeypatch, Ms)
     rows = run_sweep(cfg, [2, 4, 8, 16], threads=2)
     assert all("failed" not in row for row in rows)
     assert sorted(calls) == [(k, vectors) for k in range(cfg.trials)
@@ -1001,14 +1011,7 @@ def test_a_settled_sweep_above_the_rule_forms_no_singular_vectors_of_m(
                            r=2, trials=3)
     Ms = [generate(cfg.synth_spec(cfg.base_stream().derive(k).derive(0)))[0]
           for k in range(cfg.trials)]
-    calls = []
-
-    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
-        for k, M in enumerate(Ms):
-            if np.shape(a) == M.shape and np.array_equal(a, M):
-                calls.append((k, kwargs.get("compute_uv", True)))
-        return _fn(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    calls = _svds_of(monkeypatch, Ms)
     rows = run_sweep(cfg, [2, 4, 8, 16], threads=2)
     assert all("failed" not in row for row in rows)
     assert sorted(calls) == [(k, False) for k in range(cfg.trials)]
@@ -1040,6 +1043,38 @@ def test_an_unsettled_sweep_factors_each_spectrum_once(monkeypatch):
     assert len({id(spec) for spec in read}) == cfg.trials
     assert len(factored) == cfg.trials
     assert len({id(M) for M in factored}) == cfg.trials
+
+
+def test_an_unsettled_full_rank_sweep_factors_each_m_once(monkeypatch):
+    # the full-rank budget reads the instance's spectrum, so with a
+    # sandwich that never settles, each trial's M is factored once with
+    # its vectors, for the budget and every draw, and once without them
+    cfg = ExperimentConfig(n=48, m=40, kind="geometric-spectrum", decay=0.4,
+                           synth_r=2, r=2, omega_count=250, trials=3)
+    grid = [2, 4, 8, 16]
+    expected = run_sweep(cfg, grid, threads=2)
+    Ms = [generate(cfg.synth_spec(cfg.base_stream().derive(k).derive(0)))[0]
+          for k in range(cfg.trials)]
+    calls = _svds_of(monkeypatch, Ms)
+    monkeypatch.setattr(lab, "settle_by_frobenius", lambda *args: None)
+    assert run_sweep(cfg, grid, threads=2) == expected
+    assert sorted(calls) == [(k, vectors) for k in range(cfg.trials)
+                             for vectors in (False, True)]
+
+
+def test_recovery_on_a_supplied_full_rank_matrix_factors_it_once(
+        monkeypatch):
+    # the budget and the recovery bound read one svd of M, and its sigma
+    # is the spectrum's values-only one
+    cfg = ExperimentConfig(n=40, m=40, kind="geometric-spectrum", decay=0.5,
+                           synth_r=3, r=3)
+    M, _ = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
+    expected = run_recovery(cfg, M)
+    calls = _svds_of(monkeypatch, [M])
+    out = run_recovery(cfg, M)
+    assert sorted(calls) == [(0, False), (0, True)]
+    assert np.array_equal(out.pop("_M_hat"), expected.pop("_M_hat"))
+    assert out == expected
 
 
 def test_run_sweep_validation():
