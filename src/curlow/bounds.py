@@ -92,14 +92,14 @@ class Spectrum:
     regularization lam, by default sigma_r^2 / (mn) of M's own sigma; one
     per instance, the only producer of M's spectral data, shared by the
     budget and every check of every draw from it. It runs no kernel when it
-    is built. sigma, the values-only `singular_values(M)`, gives sigma_r
-    and sigma_{r+1}. factors is one `svd(M)`, which gives mu_r, the right
-    singular vectors the selection checks read, H's eigenpairs an `HPair`
-    reads, and the regularized rank and weighted coherence at lam (`rank`).
-    Each kernel runs on the first read of what it gives, once, under the
-    spectrum's lock, so a reader of sigma alone, such as a settled sweep
-    draw, never forms U and V. The two kernels' sigma differ in the last
-    bits, so reading sigma from factors would change the outputs."""
+    is built, and takes each value on its first read, once, under its one
+    reentrant lock: sigma, the values-only `singular_values(M)`; factors,
+    one `svd(M)`, with the right singular vectors the selection checks and
+    H's eigenpairs an `HPair` read; mu_r and rank, the regularized rank
+    and weighted coherence at lam, from factors. So a reader of sigma
+    alone, such as a settled sweep draw, never forms U and V. The two
+    kernels' sigma differ in the last bits, so reading sigma from factors
+    would change the outputs."""
 
     def __init__(self, M, r: int, lam: float | None = None):
         self.M, self.r = as_matrix(M), r
@@ -107,10 +107,11 @@ class Spectrum:
         if not 1 <= r <= min(n, m):
             raise ValueError(f"r must be in [1, {min(n, m)}], got {r}")
         self._lam = lam
-        # a plain lock: functools.cached_property serializes pool threads
-        # on one lock per attribute, across all spectra, before Python 3.12
-        self._lock = threading.Lock()
-        self._cache: dict = {}  # "sigma"; "vectors": (factors, mu_r, rank)
+        # reentrant, as rank's build reads factors and lam; not
+        # functools.cached_property, which serializes pool threads on one
+        # lock per attribute, across all spectra, before Python 3.12
+        self._lock = threading.RLock()
+        self._cache: dict = {}
 
     def _once(self, key, build):
         with self._lock:
@@ -131,30 +132,28 @@ class Spectrum:
         return float(self.sigma[self.r]) if self.r < self.sigma.size else 0.0
 
     @property
+    def gap_ok(self) -> bool:
+        """The spectral-gap premise sigma_r >= sqrt(2) sigma_{r+1}."""
+        return self.sigma_r >= math.sqrt(2.0) * self.sigma_r_plus_1
+
+    @property
     def lam(self) -> float:
         return self.sigma_r**2 / (self.m * self.n) if self._lam is None \
             else self._lam
 
-    def _read_vectors(self) -> tuple[SvdFactors, float, NumericalRankReport]:
-        lam = self.lam  # before the lock: a default lam reads sigma
-
-        def build():
-            f = svd(self.M)
-            return (f, mu_r(f.U[:, :self.r], f.V[:, :self.r]),
-                    numerical_rank(f, lam))
-        return self._once("vectors", build)
-
     @property
     def factors(self) -> SvdFactors:
-        return self._read_vectors()[0]
+        return self._once("factors", lambda: svd(self.M))
 
     @property
     def mu_r(self) -> float:
-        return self._read_vectors()[1]
+        f, r = self.factors, self.r
+        return self._once("mu_r", lambda: mu_r(f.U[:, :r], f.V[:, :r]))
 
     @property
     def rank(self) -> NumericalRankReport:
-        return self._read_vectors()[2]
+        return self._once("rank",
+                          lambda: numerical_rank(self.factors, self.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +164,10 @@ def _ceil(value: float) -> int:
     """A sample-size formula's value rounded up, refused if not finite."""
     if not math.isfinite(value):
         raise ValueError(f"sample-size formula is not finite: {value}")
-    return math.ceil(value)
+    # shrunk by c = 1024 eps first, so an integer value keeps its ceiling
+    # whatever the last bits of the mu it reads: mu_r from svd(M) missed the
+    # planted factors' by up to 216 ulps, and omega's mu^2 doubles that
+    return math.ceil(value * (1.0 - 1024 * np.finfo(float).eps))
 
 
 def sample_size_low_rank(mu: float, r: int, t: float) -> tuple[int, int]:
@@ -462,7 +464,7 @@ def check_mu_hat_bound(spec: Spectrum, mu_hat: float, d: int,
     delta_sq = 4.0 / d * (core + 1.0) * (t + math.log(n))
     rhs = 2.0 * rep.value / r * rep.mu_lambda + 18.0 * n * delta_sq / r
     d_gate = d_full_rank(rep.mu_lambda, rep.value, t, n)
-    premises = s_r >= math.sqrt(2.0) * s_next and d >= d_gate
+    premises = spec.gap_ok and d >= d_gate
     params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": spec.lam,
               "mu_lambda": rep.mu_lambda, "numerical_rank": rep.value,
               "delta_sq": delta_sq, "d_gate": d_gate, "sigma_r": s_r,
@@ -542,7 +544,7 @@ def check_full_rank_recovery(spec: Spectrum, error: float, d: int,
                                                   t, n, d, r)
     omega_gate = min(omega_formula, n * m)
     rhs = recovery_rhs(spec, d)
-    premises = (s_r >= math.sqrt(2.0) * s_next and d >= min(d_gate, n, m)
+    premises = (spec.gap_ok and d >= min(d_gate, n, m)
                 and omega_size >= omega_gate)
     params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": spec.lam,
               "omega_size": omega_size, "mu_lambda": rep.mu_lambda,

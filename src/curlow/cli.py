@@ -102,7 +102,7 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ext, mfmt = _matrix_ext(args.format)
     write_matrix(inst.M, os.path.join(args.out, f"M.{ext}"), format=mfmt)
-    write_matrix(inst.sigma.reshape(-1, 1),
+    write_matrix(inst.planted_sigma.reshape(-1, 1),
                  os.path.join(args.out, "spectrum.csv"), format="csv")
     props = measured_properties(inst.spectrum)
     props["config"] = cfg.to_flat()

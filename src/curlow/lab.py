@@ -2,32 +2,30 @@
 sample-and-recover path: `load_instance` generates an instance from
 stream.derive(0) (or takes a supplied matrix) as an `Instance`, which
 refuses by `checked_frobenius` an M whose squared entries overflow, as
-`cur` does, fixes its one lam = sigma_r^2 / (n m), from the planted
-sigma of a generated instance or M's own sigma of a supplied one, and
-holds its one `bounds.Spectrum` at that lam and, built on first use, its
-"auto" sample budgets, one dict resolved from measured coherence. The
-full-rank budget and every check read sigma, the singular vectors, mu_r,
-lam and the regularized rank of M from that spectrum. A `Draw` samples
-the instance from derive(1), (2) and (3) of its own stream and builds
-the bases, the design, the core fitted on it, the residual M - M_hat,
-each residual norm of M, the coherence mu_hat of the bases and the
-`bounds.HPair` of the Gram checks once, for every check in `CHECKS` that
-reads them; lambda_min(K^T K) and the data-fit residual are the
-design's, and only `recover` reads the latter. A sweep draw settles its
-recovery bound from ||M - M_hat||_F, which its relative error reads, and
-takes the spectral norm only where the Frobenius sandwich leaves the
-bound open; `recover` and `verify` report the exact norm. `recover`
-draws from the base stream, each `verify` trial from base.derive(trial),
-and `sweep` loads each trial's instance once and draws from
-base.derive(trial).derive(1 + d) per grid point d. The spectrum takes
-M's singular values and M's singular vectors each on its first read, and
-an exact-low-rank budget reads only M's top-r singular bases, by
-subspace iteration above `recovery.top_singular_bases`' size rule; so
-where every draw settles, an exact-low-rank sweep above that rule forms
-no singular vectors of M, and below it forms them only in
-`resolve_budgets`. `verify` runs one task per trial, and `sweep` two per
-instance (`_sweep_load`, which also resolves its budget, and a read of
-its sigma) and one per (trial, d) draw, in one thread pool with BLAS on
+`cur` does, runs no spectral kernel, and holds its one `bounds.Spectrum`
+at lam = sigma_r^2 / (n m), from the planted sigma of a generated M or
+the spectrum's own sigma of a supplied one, and, built on first use, its
+"auto" sample budgets. The full-rank budget and every check read sigma,
+the singular vectors, mu_r, lam and the regularized rank of M from that
+spectrum, which takes each on its first read; an exact-low-rank budget
+reads only M's top-r singular bases, by subspace iteration above
+`recovery.top_singular_bases`' size rule. A `Draw` samples the instance
+from derive(1), (2) and (3) of its own stream and builds the bases, the
+design, the core fitted on it, the residual M - M_hat, each residual
+norm of M, the coherence mu_hat of the bases and the `bounds.HPair` of
+the Gram checks once, for every check in `CHECKS` that reads them;
+lambda_min(K^T K) and the data-fit residual are the design's, and only
+`recover` reads the latter. A sweep draw settles its recovery bound from
+||M - M_hat||_F, which its relative error reads, and takes the spectral
+norm only where the Frobenius sandwich leaves the bound open, so where
+every draw settles, an exact-low-rank sweep above the size rule forms no
+singular vectors of M; `recover` and `verify` report the exact norm.
+`recover` draws from the base stream, each `verify` trial from
+base.derive(trial), and `sweep` loads each trial's instance once and
+draws from base.derive(trial).derive(1 + d) per grid point d. `verify`
+runs one task per trial, and `sweep` two per instance (`_sweep_load`,
+which also resolves its budget, and a read of its sigma) and one per
+(trial, d) draw, in one pool of `thread_count()` threads with BLAS on
 one thread per task; results are put together in trial order, so they
 are independent of both thread counts.
 """
@@ -53,8 +51,8 @@ from .synth import generate
 
 
 def thread_count() -> int:
-    """Trial-pool workers: CURLOW_THREADS, else the CPUs this process may
-    run on."""
+    """Trial-pool workers, read once per run: CURLOW_THREADS, the one
+    worker-count setting, else the CPUs this process may run on."""
     env = os.environ.get("CURLOW_THREADS", "").strip()
     if env:
         try:
@@ -68,9 +66,9 @@ def thread_count() -> int:
 
 @contextmanager
 def _trial_pool(workers: int):
-    """A pool of `workers` threads, with BLAS on one thread while it is
-    open: the pool is the parallelism, and BLAS threads on top of it would
-    oversubscribe the cores and change the summation order."""
+    """A pool of the run's `thread_count()` workers, with BLAS on one
+    thread while it is open: the pool is the parallelism, and BLAS threads
+    on top of it would oversubscribe the cores and reorder the sums."""
     with blas_threads(1), ThreadPoolExecutor(max_workers=workers) as pool:
         yield pool
 
@@ -116,7 +114,7 @@ def resolve_budgets(inst: Instance) -> dict:
     else:
         rep = inst.spectrum.rank
         d_formula = bounds.d_full_rank(rep.mu_lambda, rep.value, cfg.t, n)
-        details.update({"lam": inst.lam, "mu_lambda": rep.mu_lambda,
+        details.update({"lam": inst.spectrum.lam, "mu_lambda": rep.mu_lambda,
                         "numerical_rank": rep.value, "regime": "full-rank"})
     d = cfg.d if isinstance(cfg.d, int) else max(min(d_formula, n, m), r)
     if cfg.kind != "exact-low-rank":
@@ -142,22 +140,20 @@ def checked_frobenius(M: np.ndarray) -> float:
 
 
 class Instance:
-    """One instance: M and its `checked_frobenius` norm; sigma, its planted
-    singular values or, for a supplied matrix, the sigma its spectrum takes
-    of M at once; the instance's one lam = sigma_r^2 / (n m); its
-    `bounds.Spectrum` at lam, the one decomposition of M that the budget,
-    every check and every draw from M read; and its resolved budget,
-    computed on first use, before a sweep's draws share it."""
+    """One instance, built with no spectral kernel: M, its
+    `checked_frobenius` norm, the planted sigma of a generated M (None for
+    a supplied one), its `bounds.Spectrum` at lam = sigma_r^2 / (n m) of
+    the planted sigma or else of M's own, which the budget, every check and
+    every draw read, and its budget, resolved on first use."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
         self.cfg, self.M, self.fro = cfg, M, checked_frobenius(M)
+        self.planted_sigma = planted_sigma
         self._budget: dict | None = None
         lam = None if planted_sigma is None \
             else float(planted_sigma[cfg.r - 1]) ** 2 / M.size
         self.spectrum = bounds.Spectrum(M, cfg.r, lam)
-        self.sigma = self.spectrum.sigma if lam is None else planted_sigma
-        self.lam = self.spectrum.lam
 
     def budget(self) -> dict:
         if self._budget is None:
@@ -351,11 +347,11 @@ def aggregate_reports(trial_records: list[dict]) -> dict:
     return agg
 
 
-def run_verify(cfg: ExperimentConfig, threads: int | None = None) -> dict:
-    """Every trial's reports and their aggregate; "failed_trials" counts the
-    trials with an ill-posed fit and is present only when there are any."""
-    workers = threads if threads is not None else thread_count()
-    with _trial_pool(workers) as pool:
+def run_verify(cfg: ExperimentConfig) -> dict:
+    """Every trial's reports, run on `thread_count()` workers, and their
+    aggregate; "failed_trials" counts the trials with an ill-posed fit and
+    is present only when there are any."""
+    with _trial_pool(thread_count()) as pool:
         records = list(pool.map(lambda k: run_trial(cfg, k),
                                 range(cfg.trials) if cfg.checks else ()))
     result = {"config": cfg.to_flat(),
@@ -464,15 +460,15 @@ def _measured(cfg: ExperimentConfig, d: int, outs: list[dict]) -> dict:
     return row
 
 
-def run_sweep(cfg: ExperimentConfig, d_grid: list[int],
-              threads: int | None = None) -> list[dict]:
+def run_sweep(cfg: ExperimentConfig, d_grid: list[int]) -> list[dict]:
     """One table row per grid point: budgets, measured error, bound rate,
-    and the analytic observation-count curve; measured fields are None at a
-    skipped point or where every draw was ill-posed."""
+    and the analytic observation-count curve, the draws on `thread_count()`
+    pool workers; measured fields are None at a skipped point or where
+    every draw was ill-posed."""
     grid = sorted(set(d_grid))
     if not grid:
         raise ValueError("d grid is empty")
-    workers = threads if threads is not None else thread_count()
+    workers = thread_count()
     if grid[0] < 1:
         raise ValueError(f"grid entries must be >= 1, got {grid[0]}")
     live = [d for d in grid if cfg.r <= d <= min(cfg.m, cfg.n)]

@@ -110,7 +110,6 @@ def measured_properties(spectrum) -> dict:
     """Coherence, regularized rank at the instance's lam, and spectrum-gap
     summary of an instance, read from its `bounds.Spectrum`."""
     rank_rep = spectrum.rank
-    sigma_r, sigma_next = spectrum.sigma_r, spectrum.sigma_r_plus_1
     return {
         "n": spectrum.n,
         "m": spectrum.m,
@@ -119,7 +118,7 @@ def measured_properties(spectrum) -> dict:
         "mu_r": spectrum.mu_r,
         "mu_lambda": rank_rep.mu_lambda,
         "numerical_rank": rank_rep.value,
-        "sigma_r": sigma_r,
-        "sigma_r_plus_1": sigma_next,
-        "gap_ok": bool(sigma_r >= np.sqrt(2.0) * sigma_next),
+        "sigma_r": spectrum.sigma_r,
+        "sigma_r_plus_1": spectrum.sigma_r_plus_1,
+        "gap_ok": spectrum.gap_ok,
     }

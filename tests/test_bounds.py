@@ -555,6 +555,37 @@ def test_a_spectrum_runs_no_kernel_until_it_is_read(monkeypatch):
         calls.clear()
 
 
+@pytest.mark.parametrize("first", ["factors", "mu_r"])
+def test_a_default_lam_spectrum_read_for_its_vectors_takes_one_svd(
+        monkeypatch, first):
+    # factors and mu_r do not read lam, so a default-lam spectrum whose
+    # first read is either takes svd(M) alone, not the values-only SVD too
+    M = low_rank(40, 30, 3, seed=37)
+    calls = []
+
+    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    getattr(Spectrum(M, 3), first)
+    assert calls == [True]
+
+
+def test_a_spectrum_is_the_same_whichever_value_is_read_first():
+    # rank reads lam, so sigma, inside its own build: read in either
+    # order, two spectra of one M agree bit for bit
+    M = low_rank(40, 30, 3, seed=37) + 1e-3 * rng(38).standard_normal((40, 30))
+    rank_first, sigma_first = Spectrum(M, 3), Spectrum(M, 3)
+    for spec, order in ((rank_first, ("rank", "sigma")),
+                        (sigma_first, ("sigma", "rank"))):
+        for name in order:
+            getattr(spec, name)
+    assert np.array_equal(rank_first.sigma, sigma_first.sigma)
+    assert rank_first.lam == sigma_first.lam
+    assert rank_first.mu_r == sigma_first.mu_r
+    assert rank_first.rank == sigma_first.rank
+
+
 def _race(spec, names) -> list:
     """(name, value) of each name read by its own thread, with more readers
     than cores, switching threads as often as the interpreter allows."""
@@ -595,7 +626,8 @@ def test_a_spectrum_takes_sigma_once_for_racing_readers(monkeypatch):
 
 def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
     # the first read of factors, mu_r or rank factors M, once, and every
-    # reader sees that one result
+    # reader sees that one result; rank's build reads sigma for the default
+    # lam inside the lock while sigma's own readers race it
     M = low_rank(40, 30, 3, seed=37)
     spec = Spectrum(M, 3)
     calls = []
@@ -604,7 +636,7 @@ def test_a_spectrum_factors_m_once_for_racing_readers(monkeypatch):
         calls.append(1)  # list.append is atomic across threads
         return _fn(a)
     monkeypatch.setattr(bounds, "svd", counted)
-    seen = _race(spec, ["factors", "mu_r", "rank"] * 3)
+    seen = _race(spec, ["factors", "mu_r", "rank", "sigma"] * 3)
     assert len(calls) == 1
     f = spec.factors
     assert spec.mu_r == mu_r(f.U[:, :3], f.V[:, :3])

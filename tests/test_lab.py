@@ -141,6 +141,42 @@ def test_resolve_budgets_explicit_and_floor():
         resolve_budgets(floor)  # never rewritten up to r
 
 
+def test_a_supplied_instance_takes_no_svd_until_its_spectrum_is_read(
+        monkeypatch):
+    M, _ = generate(SynthSpec(n=40, m=30, kind="geometric-spectrum", r=30,
+                              stream=RngStream(seed=41), decay=0.5))
+    cfg = ExperimentConfig(n=40, m=30, r=3)
+    calls = []
+
+    def counted(a, *args, _fn=np.linalg.svd, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    inst = load_instance(cfg, cfg.base_stream(), M)
+    assert calls == [] and inst.planted_sigma is None
+    assert inst.spectrum.lam > 0 and calls == [False]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_rank_one_budget_and_its_gates_agree_where_mu_r_is_one(seed):
+    # flat exact rank 1: mu_r is 1 up to rounding, so every reader of it
+    # gives ceil(7 * 1 * 1 * 3) = 21, whichever last bits its mu_r has
+    cfg = ExperimentConfig(n=200, m=200, kind="exact-low-rank", synth_r=1,
+                           r=1, seed=seed)
+    stream = cfg.base_stream()
+    inst = load_instance(cfg, stream)
+    budget = inst.budget()
+    assert (budget["d"], budget["omega"]) == (21, 21)
+    draw = Draw(inst, budget["d"], stream)
+    gates = [rep.params["d_gate"] for name in
+             ("projection", "delta", "omega1_spectrum")
+             for rep in lab.CHECKS[name](draw)]
+    assert gates == [21] * 4
+    _, f = generate(cfg.synth_spec(stream.derive(0)))
+    planted = mu_r(f.U[:, :1], f.V[:, :1])
+    assert sample_size_low_rank(planted, 1, cfg.t) == (21, 21)
+
+
 def test_resolve_budgets_full_rank_regime():
     cfg = ExperimentConfig(n=48, m=48, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2)
@@ -152,7 +188,7 @@ def test_resolve_budgets_full_rank_regime():
     assert budget["omega_formula"] >= budget["omega"]
     assert "lam" in budget and "numerical_rank" in budget
     # read from the instance's spectrum, the same as from a fresh svd(M)
-    rank = numerical_rank(svd(inst.M), inst.lam)
+    rank = numerical_rank(svd(inst.M), inst.spectrum.lam)
     assert (budget["mu_lambda"], budget["numerical_rank"]) == (
         rank.mu_lambda, rank.value)
 
@@ -276,7 +312,7 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
     draw = Draw(inst, inst.budget()["d"], stream)
-    M, A, lam, d = draw.M, draw.cols()[1], inst.lam, draw.d
+    M, A, lam, d = draw.M, draw.cols()[1], inst.spectrum.lam, draw.d
     f = inst.spectrum.factors
     U, k = f.U, m
     w = np.full(n, lam)
@@ -384,7 +420,7 @@ def test_a_draw_takes_mu_hat_once(monkeypatch):
         {"omega_size": size, "n": n, "m": m, "r": r, "t": t, "mu_hat": muh,
          "omega_gate": gate}, sense="ge").to_dict()
     spec = inst.spectrum
-    rank = numerical_rank(spec.factors, inst.lam)
+    rank = numerical_rank(spec.factors, inst.spectrum.lam)
     delta_sq = 4.0 / d * (rank.mu_lambda * rank.value + 1.0) \
         * (t + math.log(n))
     d_gate = bounds.d_full_rank(rank.mu_lambda, rank.value, t, n)
@@ -392,7 +428,7 @@ def test_a_draw_takes_mu_hat_once(monkeypatch):
         "basis_coherence", muh,
         2.0 * rank.value / r * rank.mu_lambda + 18.0 * n * delta_sq / r,
         spec.sigma_r >= math.sqrt(2.0) * spec.sigma_r_plus_1 and d >= d_gate,
-        {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": inst.lam,
+        {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": inst.spectrum.lam,
          "mu_lambda": rank.mu_lambda, "numerical_rank": rank.value,
          "delta_sq": delta_sq, "d_gate": d_gate, "sigma_r": spec.sigma_r,
          "sigma_r_plus_1": spec.sigma_r_plus_1}).to_dict()
@@ -474,12 +510,14 @@ def test_aggregate_reports_counts():
     assert agg["b"]["count"] == 2
 
 
-def test_run_verify_thread_invariance():
+def test_run_verify_thread_invariance(monkeypatch):
     cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.5,
                            synth_r=2, r=2, d=12, omega_count=200, trials=4,
                            checks=("delta_triangle", "omega1_spectrum"))
-    one = run_verify(cfg, threads=1)
-    four = run_verify(cfg, threads=4)
+    monkeypatch.setenv("CURLOW_THREADS", "1")
+    one = run_verify(cfg)
+    monkeypatch.setenv("CURLOW_THREADS", "4")
+    four = run_verify(cfg)
     assert one == four
     assert len(one["trials"]) == 4
     assert set(one["aggregate"]) == {"delta_triangle", "selection_spectrum"}
@@ -493,9 +531,10 @@ def _ill_posed_cfg():
                             checks=("delta_triangle", "combine"))
 
 
-def test_run_verify_keeps_trials_around_an_ill_posed_one():
+def test_run_verify_keeps_trials_around_an_ill_posed_one(monkeypatch):
     cfg = _ill_posed_cfg()
-    out = run_verify(cfg, threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    out = run_verify(cfg)
     failed = [rec for rec in out["trials"] if "error" in rec]
     kept = [rec for rec in out["trials"] if "error" not in rec]
     assert len(out["trials"]) == 6 and failed and kept
@@ -508,7 +547,8 @@ def test_run_verify_keeps_trials_around_an_ill_posed_one():
         assert rec == run_trial(cfg, rec["trial"])
         assert len(rec["reports"]) == 2
     assert out["aggregate"]["delta_triangle"]["count"] == len(kept)
-    assert out == run_verify(cfg, threads=1)
+    monkeypatch.setenv("CURLOW_THREADS", "1")
+    assert out == run_verify(cfg)
 
 
 def test_run_verify_without_failures_has_no_failure_fields():
@@ -584,33 +624,35 @@ def test_run_recovery_bound_can_fail_on_real_draws(seed, holds):
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
-def test_verify_checks_can_fail_on_real_draws(seed):
+def test_verify_checks_can_fail_on_real_draws(monkeypatch, seed):
     # the same small budgets on a fresh 60 x 48 geometric instance per
     # seed: every draw misses the selection, Gram and convexity bounds,
     # and seeds 5-7 miss the column-space capture bound too
     cfg = ExperimentConfig(n=60, m=48, kind="geometric-spectrum", decay=0.5,
                            synth_r=3, r=3, d=3, omega_count=10, trials=1,
                            seed=seed, checks=CHECK_NAMES)
-    reports = run_verify(cfg, threads=1)["trials"][0]["reports"]
+    monkeypatch.setenv("CURLOW_THREADS", "1")
+    reports = run_verify(cfg)["trials"][0]["reports"]
     failed = {rep["name"] for rep in reports if not rep["holds"]}
     assert {"selection_spectrum", "gram_sandwich",
             "strong_convexity"} <= failed
     assert ("column_space_capture" in failed) is (5 <= seed <= 7)
 
 
-def _selection_reports(**kwargs):
+def _selection_reports(monkeypatch, **kwargs):
     cfg = ExperimentConfig(checks=("omega1_spectrum",), **kwargs)
-    return cfg, [rep for trial in run_verify(cfg, threads=1)["trials"]
+    monkeypatch.setenv("CURLOW_THREADS", "1")
+    return cfg, [rep for trial in run_verify(cfg)["trials"]
                  for rep in trial["reports"]]
 
 
-def test_selection_spectrum_premise_is_its_failure_probability():
+def test_selection_spectrum_premise_is_its_failure_probability(monkeypatch):
     # d = 3 on a 60 x 48 geometric instance: the bound's own failure
     # probability r exp(-d / (7 mu_r r)) exceeds 1, so the premise fails
     for seed in range(1, 9):
         cfg, [rep] = _selection_reports(
-            n=60, m=48, kind="geometric-spectrum", decay=0.5, synth_r=3,
-            r=3, d=3, omega_count=10, trials=1, seed=seed)
+            monkeypatch, n=60, m=48, kind="geometric-spectrum", decay=0.5,
+            synth_r=3, r=3, d=3, omega_count=10, trials=1, seed=seed)
         params = rep["params"]
         assert params["fail_prob"] > 1.0 and params["t"] == cfg.t
         assert params["d_gate"] == bounds.sample_size_low_rank(
@@ -618,12 +660,12 @@ def test_selection_spectrum_premise_is_its_failure_probability():
         assert not rep["premises_met"] and params["d"] < params["d_gate"]
 
 
-def test_selection_spectrum_premise_holds_on_ac4s_draws():
+def test_selection_spectrum_premise_holds_on_ac4s_draws(monkeypatch):
     # AC4's selection group: every draw's failure probability is below
     # e^-t, so every draw meets the premise
     cfg, reports = _selection_reports(
-        n=200, m=200, kind="geometric-spectrum", decay=0.5, synth_r=4, r=4,
-        trials=100, seed=9700)
+        monkeypatch, n=200, m=200, kind="geometric-spectrum", decay=0.5,
+        synth_r=4, r=4, trials=100, seed=9700)
     assert len(reports) == 100
     assert all(rep["premises_met"] for rep in reports)
     assert max(rep["params"]["fail_prob"] for rep in reports) <= math.exp(-cfg.t)
@@ -639,8 +681,10 @@ def test_the_fit_residual_has_one_reader(monkeypatch, tmp_path):
     monkeypatch.setattr(recovery.DesignSystem, "residual", counted)
     small = dict(n=24, m=24, kind="geometric-spectrum", decay=0.4, synth_r=2,
                  r=2, omega_count=250, trials=2)
-    run_sweep(ExperimentConfig(**small), [4, 8], threads=2)
-    run_verify(ExperimentConfig(**small, checks=("combine",)), threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    run_sweep(ExperimentConfig(**small), [4, 8])
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    run_verify(ExperimentConfig(**small, checks=("combine",)))
     assert values == []
     assert main(["recover", "--set", "synth.n=24", "--set", "synth.m=24",
                  "--set", "r=2", "--out", str(tmp_path)]) == 0
@@ -649,10 +693,11 @@ def test_the_fit_residual_has_one_reader(monkeypatch, tmp_path):
     assert report["residual"] == values[0]
 
 
-def test_run_sweep_rows_and_skips():
+def test_run_sweep_rows_and_skips(monkeypatch):
     cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
                            omega_count=250, trials=3)
-    rows = run_sweep(cfg, [32, 1, 8, 8], threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    rows = run_sweep(cfg, [32, 1, 8, 8])
     assert [row["d"] for row in rows] == [1, 8, 32]
     assert rows[0]["skipped"] and rows[0]["rel_error"] is None
     assert rows[2]["skipped"]  # d exceeds min(n, m)
@@ -664,12 +709,14 @@ def test_run_sweep_rows_and_skips():
     assert live["union"] <= live["observed_total"]
 
 
-def test_run_sweep_keeps_points_around_an_ill_posed_draw():
+def test_run_sweep_keeps_points_around_an_ill_posed_draw(monkeypatch):
     # 6 entries against a 2x2 core on 12x12: most draws are singular
     cfg = ExperimentConfig(n=12, m=12, kind="exact-low-rank", synth_r=2, r=2,
                            omega_count=6, trials=4)
-    rows = run_sweep(cfg, [4, 8], threads=2)
-    assert rows == run_sweep(cfg, [4, 8], threads=1)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    rows = run_sweep(cfg, [4, 8])
+    monkeypatch.setenv("CURLOW_THREADS", "1")
+    assert rows == run_sweep(cfg, [4, 8])
     insts = [lab._sweep_load(cfg, k) for k in range(cfg.trials)]
     points = [{d: lab._sweep_point(inst, k, d) for d in (4, 8)}
               for k, inst in enumerate(insts)]
@@ -697,7 +744,7 @@ def test_run_sweep_keeps_points_around_an_ill_posed_draw():
     assert rows[0]["degenerate"] and rows[0]["rel_error"] is not None
 
 
-def test_run_sweep_thread_invariance():
+def test_run_sweep_thread_invariance(monkeypatch):
     # several live points and a skipped one; 3 trials, the benchmark's
     # shape, and 7, more than one window at every worker count here
     grid = [1, 6, 8, 12]
@@ -705,9 +752,12 @@ def test_run_sweep_thread_invariance():
         cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum",
                                decay=0.4, synth_r=2, r=2, omega_count=250,
                                trials=trials)
-        one = run_sweep(cfg, grid, threads=1)
-        assert run_sweep(cfg, grid, threads=2) == one
-        assert run_sweep(cfg, grid, threads=3) == one
+        monkeypatch.setenv("CURLOW_THREADS", "1")
+        one = run_sweep(cfg, grid)
+        monkeypatch.setenv("CURLOW_THREADS", "2")
+        assert run_sweep(cfg, grid) == one
+        monkeypatch.setenv("CURLOW_THREADS", "3")
+        assert run_sweep(cfg, grid) == one
 
 
 def test_run_sweep_spreads_one_trial_over_the_workers(monkeypatch):
@@ -725,9 +775,11 @@ def test_run_sweep_spreads_one_trial_over_the_workers(monkeypatch):
     cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2, omega_count=250, trials=1)
     grid = [2, 4, 6, 8, 12, 16]
-    expected = run_sweep(cfg, grid, threads=1)
+    monkeypatch.setenv("CURLOW_THREADS", "1")
+    expected = run_sweep(cfg, grid)
     monkeypatch.setattr(lab, "_sweep_point", spy)
-    assert run_sweep(cfg, grid, threads=3) == expected
+    monkeypatch.setenv("CURLOW_THREADS", "3")
+    assert run_sweep(cfg, grid) == expected
     assert len(threads) > 1
 
 
@@ -743,14 +795,15 @@ def test_run_sweep_shares_an_instance_across_more_workers_than_trials(
     cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2, omega_count=250, trials=2)
     grid = [2, 4, 6, 8, 12, 16]
-    expected = run_sweep(cfg, grid, threads=1)
+    monkeypatch.setenv("CURLOW_THREADS", "1")
+    expected = run_sweep(cfg, grid)
     calls.clear()
     # 4 workers on 2 trials, switching threads as often as the interpreter
     # allows, so the points race to read each trial's instance, budget and
     # spectrum
     rows = []
-    runner = threading.Thread(
-        target=lambda: rows.append(run_sweep(cfg, grid, threads=4)))
+    monkeypatch.setenv("CURLOW_THREADS", "4")
+    runner = threading.Thread(target=lambda: rows.append(run_sweep(cfg, grid)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -790,7 +843,8 @@ def test_run_sweep_holds_one_window_of_instances(monkeypatch):
     cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
                            omega_count=250, trials=4)
     grid = [4, 8]
-    expected = run_sweep(cfg, grid, threads=1)
+    monkeypatch.setenv("CURLOW_THREADS", "1")
+    expected = run_sweep(cfg, grid)
     seen = _track_instances(monkeypatch)
     # trial 0's last draw is slow, so a worker that is done with trial 1
     # could go on to build the next window's trials while trial 0 is live
@@ -802,7 +856,8 @@ def test_run_sweep_holds_one_window_of_instances(monkeypatch):
         return _fn(M, d, stream)
     monkeypatch.setattr(lab, "sample_columns", sample)
     # 4 trials on 2 workers: two windows of 2 trials, each trial built once
-    assert run_sweep(cfg, grid, threads=2) == expected
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    assert run_sweep(cfg, grid) == expected
     assert seen["peak"] <= 2
     assert sorted(s.stream_id for s in seen["streams"]) == sorted(
         cfg.base_stream().derive(k).stream_id for k in range(cfg.trials))
@@ -812,10 +867,12 @@ def test_run_sweep_holds_one_window_of_instances(monkeypatch):
 def test_run_sweep_drops_each_instance_after_its_last_point(monkeypatch):
     cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
                            omega_count=250, trials=12)
-    expected = run_sweep(cfg, [4, 8, 12], threads=1)
+    monkeypatch.setenv("CURLOW_THREADS", "1")
+    expected = run_sweep(cfg, [4, 8, 12])
     seen = _track_instances(monkeypatch)
     workers = 2
-    assert run_sweep(cfg, [4, 8, 12], threads=workers) == expected
+    monkeypatch.setenv("CURLOW_THREADS", str(workers))
+    assert run_sweep(cfg, [4, 8, 12]) == expected
     # windows of 3 trials: one window's instances, not all twelve
     assert seen["peak"] <= workers + 1
     assert seen["live"] == 0
@@ -873,7 +930,8 @@ def test_run_sweep_loads_each_instance_once(monkeypatch):
         monkeypatch.setattr(lab, name, counted)
     cfg = ExperimentConfig(n=24, m=24, kind="exact-low-rank", synth_r=2, r=2,
                            omega_count=250, trials=2)
-    rows = run_sweep(cfg, [1, 4, 8, 12, 30], threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    rows = run_sweep(cfg, [1, 4, 8, 12, 30])
     assert sum("skipped" not in row for row in rows) == 3
     assert sorted(calls) == ["generate"] * 2 + ["resolve_budgets"] * 2
     calls.clear()
@@ -890,7 +948,8 @@ def test_run_sweep_computes_each_recovery_spectrum_once(monkeypatch):
     monkeypatch.setattr(bounds, "Spectrum", counted)
     cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2, omega_count=250, trials=3)
-    rows = run_sweep(cfg, [4, 6, 8, 12, 16], threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    rows = run_sweep(cfg, [4, 6, 8, 12, 16])
     assert all(row["rel_error"] is not None for row in rows)
     assert calls == [2, 2, 2]
 
@@ -914,7 +973,7 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
             draw = Draw(inst, d, stream.derive(1 + d))
             error = linalg.spectral_norm(draw.M - draw.recovery()[1]) ** 2
             oracles[trial, d] = check(
-                bounds.Spectrum(draw.M, cfg.r, inst.lam), error, d,
+                bounds.Spectrum(draw.M, cfg.r, inst.spectrum.lam), error, d,
                 draw.entries().size, cfg.t)
     for sandwich in (True, False):
         seen = []
@@ -963,7 +1022,8 @@ def test_a_sweep_draw_takes_one_frobenius_norm_and_no_spectral_norm(
         monkeypatch.setattr(lab, name, counted)
     cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=2, r=2,
                            trials=3)
-    rows = run_sweep(cfg, [2, 4, 8, 16], threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    rows = run_sweep(cfg, [2, 4, 8, 16])
     assert all("failed" not in row for row in rows)
     assert normed["spectral"] == []
     assert normed["frobenius"] == [(64, 64)] * (3 + 3 * 4)
@@ -996,7 +1056,8 @@ def test_a_settled_sweep_factors_m_with_vectors_only_for_its_budget(
     Ms = [generate(cfg.synth_spec(cfg.base_stream().derive(k).derive(0)))[0]
           for k in range(cfg.trials)]
     calls = _svds_of(monkeypatch, Ms)
-    rows = run_sweep(cfg, [2, 4, 8, 16], threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    rows = run_sweep(cfg, [2, 4, 8, 16])
     assert all("failed" not in row for row in rows)
     assert sorted(calls) == [(k, vectors) for k in range(cfg.trials)
                              for vectors in (False, True)]
@@ -1012,7 +1073,8 @@ def test_a_settled_sweep_above_the_rule_forms_no_singular_vectors_of_m(
     Ms = [generate(cfg.synth_spec(cfg.base_stream().derive(k).derive(0)))[0]
           for k in range(cfg.trials)]
     calls = _svds_of(monkeypatch, Ms)
-    rows = run_sweep(cfg, [2, 4, 8, 16], threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    rows = run_sweep(cfg, [2, 4, 8, 16])
     assert all("failed" not in row for row in rows)
     assert sorted(calls) == [(k, False) for k in range(cfg.trials)]
 
@@ -1025,7 +1087,8 @@ def test_an_unsettled_sweep_factors_each_spectrum_once(monkeypatch):
     cfg = ExperimentConfig(n=64, m=64, kind="exact-low-rank", synth_r=2, r=2,
                            trials=3)
     grid = [2, 4, 8, 16]
-    expected = run_sweep(cfg, grid, threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    expected = run_sweep(cfg, grid)
     factored, read = [], []
 
     def counted(a, _fn=bounds.svd):
@@ -1038,7 +1101,8 @@ def test_an_unsettled_sweep_factors_each_spectrum_once(monkeypatch):
     monkeypatch.setattr(bounds, "svd", counted)
     monkeypatch.setattr(bounds, "check_full_rank_recovery", recorded)
     monkeypatch.setattr(lab, "settle_by_frobenius", lambda *args: None)
-    assert run_sweep(cfg, grid, threads=2) == expected
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    assert run_sweep(cfg, grid) == expected
     assert len(read) == cfg.trials * len(grid)
     assert len({id(spec) for spec in read}) == cfg.trials
     assert len(factored) == cfg.trials
@@ -1052,12 +1116,14 @@ def test_an_unsettled_full_rank_sweep_factors_each_m_once(monkeypatch):
     cfg = ExperimentConfig(n=48, m=40, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2, omega_count=250, trials=3)
     grid = [2, 4, 8, 16]
-    expected = run_sweep(cfg, grid, threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    expected = run_sweep(cfg, grid)
     Ms = [generate(cfg.synth_spec(cfg.base_stream().derive(k).derive(0)))[0]
           for k in range(cfg.trials)]
     calls = _svds_of(monkeypatch, Ms)
     monkeypatch.setattr(lab, "settle_by_frobenius", lambda *args: None)
-    assert run_sweep(cfg, grid, threads=2) == expected
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    assert run_sweep(cfg, grid) == expected
     assert sorted(calls) == [(k, vectors) for k in range(cfg.trials)
                              for vectors in (False, True)]
 
@@ -1109,8 +1175,10 @@ def test_trial_pools_run_one_blas_thread_and_restore_the_count(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(lab, name, spy)
     with blas_threads(2):
-        run_verify(_SMALL_VERIFY, threads=2)
-        run_sweep(_SMALL_SWEEP, [4, 8], threads=2)
+        monkeypatch.setenv("CURLOW_THREADS", "2")
+        run_verify(_SMALL_VERIFY)
+        monkeypatch.setenv("CURLOW_THREADS", "2")
+        run_sweep(_SMALL_SWEEP, [4, 8])
         assert blas.get_threads() == 2
     # 3 verify trials, then 3 sweep trials of 2 grid points each
     assert seen == [1] * 9
@@ -1125,17 +1193,21 @@ def test_trial_pools_restore_blas_threads_when_a_trial_raises(monkeypatch):
     monkeypatch.setattr(lab, "run_trial", boom)
     monkeypatch.setattr(lab, "_sweep_point", boom)
     with pytest.raises(RuntimeError, match="trial failed"):
-        run_verify(_SMALL_VERIFY, threads=2)
+        monkeypatch.setenv("CURLOW_THREADS", "2")
+        run_verify(_SMALL_VERIFY)
     assert blas.get_threads() == before
     with pytest.raises(RuntimeError, match="trial failed"):
-        run_sweep(_SMALL_SWEEP, [4, 8], threads=2)
+        monkeypatch.setenv("CURLOW_THREADS", "2")
+        run_sweep(_SMALL_SWEEP, [4, 8])
     assert blas.get_threads() == before
 
 
 def test_run_verify_without_a_blas_library(monkeypatch):
-    expected = run_verify(_SMALL_VERIFY, threads=2)
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    expected = run_verify(_SMALL_VERIFY)
     monkeypatch.setattr(linalg, "openblas", lambda: None)
-    assert run_verify(_SMALL_VERIFY, threads=2) == expected
+    monkeypatch.setenv("CURLOW_THREADS", "2")
+    assert run_verify(_SMALL_VERIFY) == expected
 
 
 def _golden_argv(name):

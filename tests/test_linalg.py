@@ -9,6 +9,7 @@ from curlow.config import ExperimentConfig
 from curlow.lab import Draw, load_instance
 from curlow.linalg import (
     SANDWICH_ULPS,
+    SvdConvergenceError,
     _apply_sign_convention,
     as_matrix,
     frobenius_norm,
@@ -209,6 +210,26 @@ def test_singular_values_match_the_svd(shape):
     assert np.allclose(singular_values(M), svd(M).sigma, rtol=1e-12, atol=0)
     with pytest.raises(ValueError):
         singular_values(np.full(shape, np.nan))
+
+
+def test_singular_values_take_the_svds_fallback_and_its_error(monkeypatch):
+    # a values-only SVD that does not converge hands M to `svd`, whose
+    # gesvd gives sigma, or, where that fails too, the one-line error
+    import scipy.linalg
+
+    M = rng(16).standard_normal((6, 4))
+    gesvd = scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")[1]
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert np.array_equal(singular_values(M), gesvd)
+
+    def fail_gesvd(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(scipy.linalg, "svd", fail_gesvd)
+    with pytest.raises(SvdConvergenceError):
+        singular_values(M)
 
 
 @pytest.mark.parametrize("seed", range(5))

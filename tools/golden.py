@@ -31,13 +31,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from curlow.cli import main  # noqa: E402
+from curlow.config import CHECK_NAMES  # noqa: E402
 from curlow.io import DENSE_BANNER  # noqa: E402
 from curlow.lab import thread_count  # noqa: E402
 from curlow.linalg import openblas  # noqa: E402
 
-ALL_CHECKS = ("checks=projection,delta,delta_triangle,combine,halko,"
-              "omega1_spectrum,strong_convexity,h_sandwich,mu_hat,sin_theta,"
-              "full_rank_recovery")
+ALL_CHECKS = "checks=" + ",".join(CHECK_NAMES)
 
 
 CRLF_MATRIX = "crlf.mtx"
