@@ -15,15 +15,33 @@ running the copy in another checkout hashes that checkout's outputs:
 
 With --compare FILE it prints, in place of the table, the lines that
 differ from the saved table FILE ("-" saved, "+" this run) and one summary
-line, and exits 1 on any difference.
+line, and exits 1 on any difference. With --keep DIR the outputs are
+written under DIR, one directory per command, and left there; --fields
+OLD NEW then compares two kept trees field by field, without running
+anything:
+
+    python tools/golden.py --keep old > golden.txt     # at the parent
+    python tools/golden.py --keep new                  # at the change
+    python tools/golden.py --fields old new
+
+For each JSON or CSV file whose bytes differ it prints one line per moved
+float field, list positions and CSV rows folded into "[]", with the count
+of values moved and their largest relative change, then one "FLAG" line
+for each bool, int, string, null or shape change and for each other file
+that differs or is in one tree only, and a summary line; it exits 1 on
+any difference.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
 import os
+import re
 import sys
 import tempfile
 
@@ -135,6 +153,11 @@ def commands(root: str) -> list[tuple[str, list[str], int]]:
         ("verify-rank-above", ["verify", *sets(
             "synth.n=30", "synth.m=30", "synth.kind=exact-low-rank",
             "synth.r=2", "r=3", "trials=2", ALL_CHECKS)]),
+        # both sides reach 16 (r + 8), so every mu_r-gated report reads
+        # the mu_r of M's top-r bases by subspace iteration
+        ("verify-lowrank-iterated", ["verify", *sets(
+            "synth.n=200", "synth.m=200", "synth.kind=exact-low-rank", "r=2",
+            "trials=4", ALL_CHECKS)]),
         # a power-law spectrum and a spiky coherence, from a config file
         ("verify-config-file", ["verify", "--config",
                                 os.path.join(root, POWER_LAW_CONFIG)]),
@@ -172,13 +195,19 @@ def blas_line() -> str:
             f"workers={thread_count()}")
 
 
-def table() -> tuple[list[str], bool]:
+def table(keep: str | None = None) -> tuple[list[str], bool]:
     """The sorted `command file sha256` lines, and whether every command
-    gave its expected exit code."""
+    gave its expected exit code; the outputs are left under `keep` if it
+    is given."""
     print(blas_line(), file=sys.stderr)
     failed = False
     lines = []
-    with tempfile.TemporaryDirectory() as root:
+    with contextlib.ExitStack() as stack:
+        if keep is None:
+            root = stack.enter_context(tempfile.TemporaryDirectory())
+        else:
+            os.makedirs(keep)
+            root = keep
         write_crlf_matrix(root)
         write_blank_line_csv(root)
         write_power_law_config(root)
@@ -205,13 +234,100 @@ def compare(saved: list[str], lines: list[str]) -> list[str]:
                   key=lambda d: (d[2:].rsplit(" ", 1)[0], d[0] == "+"))
 
 
+def _cell(text: str):
+    """A CSV cell as the writer wrote it: "" None, "true"/"false" a bool,
+    an integer literal an int, else a float where it parses."""
+    if text in ("", "true", "false"):
+        return None if text == "" else text == "true"
+    if re.fullmatch(r"[+-]?\d+", text):
+        return int(text)
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _leaves(path: str) -> dict:
+    """A JSON file's scalars, or a CSV file's cells by row and column, by
+    their path in the file."""
+    out: dict = {}
+    if path.endswith(".csv"):
+        with open(path, encoding="ascii", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for k, row in enumerate(rows):
+            for col, text in zip(header, row):
+                out[f"[{k}].{col}"] = _cell(text)
+        return out
+
+    def walk(obj, at: str) -> None:
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(value, f"{at}.{key}" if at else key)
+        elif isinstance(obj, list):
+            for k, value in enumerate(obj):
+                walk(value, f"{at}[{k}]")
+        else:
+            out[at] = obj
+    with open(path, encoding="ascii") as fh:
+        walk(json.load(fh), "")
+    return out
+
+
+def field_diff(old_root: str, new_root: str) -> tuple[list[str], list[str]]:
+    """The moved float fields of two kept trees, as `file field: count
+    moved, max rel` lines, and the FLAG lines of every other difference."""
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root)
+                for d, _, names in os.walk(root) for f in names}
+    old_files, new_files = files(old_root), files(new_root)
+    moved, flags = [], []
+    for rel in sorted(old_files ^ new_files):
+        side = "old" if rel in old_files else "new"
+        flags.append(f"FLAG {rel}: in the {side} tree only")
+    for rel in sorted(old_files & new_files):
+        a, b = os.path.join(old_root, rel), os.path.join(new_root, rel)
+        if sha256(a) == sha256(b):
+            continue
+        if not rel.endswith((".json", ".csv")):
+            flags.append(f"FLAG {rel}: bytes differ")
+            continue
+        old, new = _leaves(a), _leaves(b)
+        worst: dict = {}
+        for key in sorted(old.keys() | new.keys()):
+            x, y = old.get(key, "<absent>"), new.get(key, "<absent>")
+            if type(x) is float and type(y) is float:
+                if x != y and not (math.isnan(x) and math.isnan(y)):
+                    scale = max(abs(x), abs(y))
+                    rel_change = abs(x - y) / scale if math.isfinite(scale) \
+                        else math.inf
+                    field = re.sub(r"\[\d+\]", "[]", key)
+                    count, top = worst.get(field, (0, 0.0))
+                    worst[field] = (count + 1, max(top, rel_change))
+            elif type(x) is not type(y) or x != y:
+                flags.append(f"FLAG {rel} {key}: {x!r} -> {y!r}")
+        moved += [f"{rel} {field}: {count} moved, max rel {top:.2g}"
+                  for field, (count, top) in sorted(worst.items())]
+    return moved, flags
+
+
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Hash the outputs of a fixed command set.")
     parser.add_argument("--compare", metavar="FILE",
                         help="diff this run against a saved table")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the outputs under DIR, a new directory, "
+                             "and keep them")
+    parser.add_argument("--fields", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two kept trees field by field")
     args = parser.parse_args(argv)
-    lines, ok = table()
+    if args.fields:
+        moved, flags = field_diff(*args.fields)
+        if moved or flags:
+            print("\n".join(moved + flags))
+        print(f"{len(moved)} fields moved, {len(flags)} flagged")
+        return 1 if moved or flags else 0
+    lines, ok = table(args.keep)
     if args.compare is None:
         print("\n".join(lines))
         return 0 if ok else 1
