@@ -31,7 +31,7 @@ from .linalg import (
     spectral_norm,
     svd,
 )
-from .recovery import DesignSystem
+from .recovery import DesignSystem, top_singular_bases
 from .sampling import IndexSet
 
 HOLDS_SLACK = 1e-9
@@ -89,20 +89,19 @@ def make_report(name: str, lhs: float, rhs: float, premises_met: bool,
 
 class Spectrum:
     """What the checks read of an n x m instance M at rank r and
-    regularization lam, by default sigma_r^2 / (mn) of M's own sigma; one
-    per instance, the only producer of M's spectral data, shared by the
-    budget and every check of every draw from it. It runs no kernel when it
-    is built, and takes each value on its first read, once, under its one
-    reentrant lock: sigma, the values-only `singular_values(M)`; factors,
-    one `svd(M)`, with the right singular vectors the selection checks and
-    H's eigenpairs an `HPair` read; mu_r and rank, the regularized rank
-    and weighted coherence at lam, from factors. So a reader of sigma
-    alone, such as a settled sweep draw, never forms U and V. The two
-    kernels' sigma differ in the last bits, so reading sigma from factors
-    would change the outputs."""
+    regularization lam, by default sigma_r^2 / (mn) of M's own sigma, in
+    its instance's regime: full_rank, else exact low rank. One per
+    instance, the only producer of M's spectral data, shared by the budget
+    and every check of every draw from it; it runs no kernel when built,
+    and takes each value on its first read, once, under one reentrant
+    lock. factors is one `svd(M)`; rank, the regularized rank and weighted
+    coherence at lam, reads it. At full rank sigma and mu_r read it too;
+    at low rank sigma is the values-only `singular_values(M)`, so a
+    settled sweep draw never forms U and V, and mu_r is as `mu_r` says."""
 
-    def __init__(self, M, r: int, lam: float | None = None):
-        self.M, self.r = as_matrix(M), r
+    def __init__(self, M, r: int, lam: float | None = None,
+                 full_rank: bool = False):
+        self.M, self.r, self.full_rank = as_matrix(M), r, full_rank
         self.n, self.m = n, m = self.M.shape
         if not 1 <= r <= min(n, m):
             raise ValueError(f"r must be in [1, {min(n, m)}], got {r}")
@@ -121,6 +120,8 @@ class Spectrum:
 
     @property
     def sigma(self) -> np.ndarray:
+        if self.full_rank:
+            return self.factors.sigma
         return self._once("sigma", lambda: singular_values(self.M))
 
     @property
@@ -147,8 +148,16 @@ class Spectrum:
 
     @property
     def mu_r(self) -> float:
-        f, r = self.factors, self.r
-        return self._once("mu_r", lambda: mu_r(f.U[:, :r], f.V[:, :r]))
+        """The coherence of M's top-r singular bases: factors' at full
+        rank, else `recovery.top_singular_bases`', which forms no singular
+        vectors of M above its size rule and below it takes its own svd(M):
+        reading factors would take run_recovery from 9 traced
+        factorizations to 8, and perfbench/test_checks.py pins exactly 9."""
+        if self.full_rank:
+            f, r = self.factors, self.r
+            return self._once("mu_r", lambda: mu_r(f.U[:, :r], f.V[:, :r]))
+        return self._once("mu_r", lambda: mu_r(*top_singular_bases(
+            self.M, self.r)))
 
     @property
     def rank(self) -> NumericalRankReport:
@@ -239,18 +248,18 @@ def check_projection(spec: Spectrum, side_cols: float, side_rows: float,
             make_report("projection_error_rows", side_rows, rhs_u, premises, params))
 
 
-def check_delta(spec: Spectrum, delta: float, d: int, t: float = 3.0,
-                full_rank: bool = False) -> BoundReport:
+def check_delta(spec: Spectrum, delta: float, d: int,
+                t: float = 3.0) -> BoundReport:
     """Two-sided projection error Delta = ||M - P_U M P_V||_2^2 against
     4 sigma_{r+1}^2 (1 + (m+n)/d).
 
-    The low-rank gate requires d >= 7 mu(r) r (t + ln r); with full_rank
-    the gate is d >= 14 mu(lam) r(M, lam) (t + ln r) at lam = sigma_r^2/mn.
+    The low-rank gate requires d >= 7 mu(r) r (t + ln r); on a full-rank
+    spectrum the gate is d >= 14 mu(lam) r(M, lam) (t + ln r) at its lam.
     """
     n, m, r, s_tail = spec.n, spec.m, spec.r, spec.sigma_r_plus_1
     params = {"n": n, "m": m, "r": r, "d": d, "t": t,
-              "sigma_r_plus_1": s_tail, "full_rank": full_rank}
-    if full_rank:
+              "sigma_r_plus_1": s_tail, "full_rank": spec.full_rank}
+    if spec.full_rank:
         rep = spec.rank
         d_gate = _ceil(14.0 * rep.mu_lambda * rep.value * (t + math.log(r)))
         params.update({"lam": spec.lam, "mu_lambda": rep.mu_lambda,

@@ -5,11 +5,10 @@ refuses by `checked_frobenius` an M whose squared entries overflow, as
 `cur` does, runs no spectral kernel, and holds its one `bounds.Spectrum`
 at lam = sigma_r^2 / (n m), from the planted sigma of a generated M or
 the spectrum's own sigma of a supplied one, and, built on first use, its
-"auto" sample budgets. The full-rank budget and every check read sigma,
-the singular vectors, mu_r, lam and the regularized rank of M from that
-spectrum, which takes each on its first read; an exact-low-rank budget
-reads only M's top-r singular bases, by subspace iteration above
-`recovery.top_singular_bases`' size rule. A `Draw` samples the instance
+"auto" sample budgets. Only `Instance` reads the config's kind, as the
+spectrum's regime; the budget and every check read the regime and M's
+spectral data from the spectrum, and lab runs no spectral kernel of M
+itself. A `Draw` samples the instance
 from derive(1), (2) and (3) of its own stream and builds the bases, the
 design, the core fitted on it, the residual M - M_hat, each residual
 norm of M, the coherence mu_hat of the bases and the `bounds.HPair` of
@@ -44,8 +43,7 @@ from .config import ExperimentConfig
 from .coherence import mu_r
 from .linalg import (blas_threads, frobenius_norm, settle_by_frobenius,
                      spectral_norm)
-from .recovery import (IllPosedError, assemble_design, build_bases, fit,
-                       top_singular_bases)
+from .recovery import IllPosedError, assemble_design, build_bases, fit
 from .sampling import RngStream, sample_columns, sample_entries, sample_rows
 from .synth import generate
 
@@ -93,33 +91,26 @@ def resolve_budgets(inst: Instance) -> dict:
     instance; a budget set in the config is used as given, or refused if
     the instance cannot hold it. The dict holds both, the formula values
     and the coherence they read, and says which of the three each budget is.
-
-    The full-rank regime reads mu_lambda and the regularized rank from the
-    instance's spectrum. The low-rank regime reads mu_r from M's top-r
-    singular bases alone, by `recovery.top_singular_bases`, which forms no
-    singular vectors of M above its size rule and takes its own svd(M)
-    below it: sharing the spectrum's would take run_recovery from 9 traced
-    factorizations to 8, and perfbench/test_checks.py pins exactly 9."""
-    cfg, M, r = inst.cfg, inst.M, inst.cfg.r
-    n, m = M.shape
+    The regime is the instance's spectrum's: the full-rank formulas read
+    its mu_lambda and regularized rank, the low-rank ones its mu_r."""
+    cfg, spec, r = inst.cfg, inst.spectrum, inst.cfg.r
+    n, m = inst.M.shape
     if isinstance(cfg.d, int):
         check_range("d", cfg.d, r, min(n, m), "[r, min(n, m)]")
     if isinstance(cfg.omega_count, int):
         check_range("omega", cfg.omega_count, 1, n * m, "[1, n*m]")
-    details: dict = {}
-    if cfg.kind == "exact-low-rank":
-        mu = mu_r(*top_singular_bases(M, r))
-        d_formula, omega_formula = bounds.sample_size_low_rank(mu, r, cfg.t)
-        details.update({"mu_r": mu, "regime": "low-rank"})
-    else:
-        rep = inst.spectrum.rank
+    if spec.full_rank:
+        rep = spec.rank
         d_formula = bounds.d_full_rank(rep.mu_lambda, rep.value, cfg.t, n)
-        details.update({"lam": inst.spectrum.lam, "mu_lambda": rep.mu_lambda,
-                        "numerical_rank": rep.value, "regime": "full-rank"})
+        details = {"lam": spec.lam, "mu_lambda": rep.mu_lambda,
+                   "numerical_rank": rep.value, "regime": "full-rank"}
+    else:
+        details = {"mu_r": spec.mu_r, "regime": "low-rank"}
+        d_formula, omega_formula = bounds.sample_size_low_rank(spec.mu_r, r, cfg.t)
     d = cfg.d if isinstance(cfg.d, int) else max(min(d_formula, n, m), r)
-    if cfg.kind != "exact-low-rank":
+    if spec.full_rank:
         _, omega_formula = bounds.sample_size_full_rank(
-            details["mu_lambda"], details["numerical_rank"], cfg.t, n, d, r)
+            rep.mu_lambda, rep.value, cfg.t, n, d, r)
     omega = cfg.omega_count if isinstance(cfg.omega_count, int) \
         else min(omega_formula, n * m)
     details.update({"d_formula": d_formula, "omega_formula": omega_formula,
@@ -153,7 +144,8 @@ class Instance:
         self._budget: dict | None = None
         lam = None if planted_sigma is None \
             else float(planted_sigma[cfg.r - 1]) ** 2 / M.size
-        self.spectrum = bounds.Spectrum(M, cfg.r, lam)
+        self.spectrum = bounds.Spectrum(
+            M, cfg.r, lam, full_rank=cfg.kind != "exact-low-rank")
 
     def budget(self) -> dict:
         if self._budget is None:
@@ -290,8 +282,7 @@ CHECKS = {
     "projection": lambda ctx: list(bounds.check_projection(
         ctx.spectrum, ctx.side_cols(), ctx.side_rows(), ctx.d, ctx.cfg.t)),
     "delta": lambda ctx: [bounds.check_delta(
-        ctx.spectrum, ctx.delta(), ctx.d, ctx.cfg.t,
-        full_rank=ctx.cfg.kind != "exact-low-rank")],
+        ctx.spectrum, ctx.delta(), ctx.d, ctx.cfg.t)],
     "delta_triangle": lambda ctx: [bounds.check_delta_triangle(
         ctx.delta(), ctx.side_cols(), ctx.side_rows())],
     "combine": lambda ctx: [bounds.check_combine(

@@ -255,8 +255,8 @@ def test_delta_full_rank_gate():
                      stream=RngStream(seed=7), decay=0.3)
     M, _ = generate(spec)
     bases = build_bases(M.copy(), M.T.copy(), 3)
-    rep = check_delta(Spectrum(M, 3), norms(M, bases)["delta"], 40,
-                      full_rank=True)
+    rep = check_delta(Spectrum(M, 3, full_rank=True),
+                      norms(M, bases)["delta"], 40)
     sig = svd(M).sigma
     lam = sig[2] ** 2 / (40 * 40)
     rank_rep = numerical_rank(svd(M), lam)
