@@ -37,6 +37,8 @@ from .sampling import IndexSet
 HOLDS_SLACK = 1e-9
 # the Gram checks' reason where an `HPair` has no ratio and no ||H^{-1}||
 SINGULAR_H = "H singular to working precision"
+# the low-rank gates' reason where the spectrum is `rank_deficient`
+RANK_BELOW_R = "M has rank below r to working precision: mu_r is arbitrary"
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,14 @@ class Spectrum:
     @property
     def sigma_r_plus_1(self) -> float:
         return float(self.sigma[self.r]) if self.r < self.sigma.size else 0.0
+
+    @property
+    def rank_deficient(self) -> bool:
+        """Whether M has rank below r to working precision, sigma_r <=
+        max(n, m) eps sigma_1: its top-r bases then hold a direction M
+        does not determine, and mu_r is that direction's coherence."""
+        eps = np.finfo(float).eps
+        return self.sigma_r <= max(self.n, self.m) * eps * self.sigma[0]
 
     @property
     def gap_ok(self) -> bool:
@@ -229,6 +239,19 @@ def total_observations(n: int, d: int) -> float:
 # projection-error family
 
 
+def _low_rank_gate(spec: Spectrum, t: float) -> dict:
+    """The params of the gate d >= 7 mu_r r (t + ln r), mu_r and d_gate;
+    where the spectrum is rank deficient, the reason it has no gate."""
+    if spec.rank_deficient:
+        return {"reason": RANK_BELOW_R}
+    return {"mu_r": spec.mu_r,
+            "d_gate": sample_size_low_rank(spec.mu_r, spec.r, t)[0]}
+
+
+def _gate_met(d: int, params: dict) -> bool:
+    return "d_gate" in params and d >= params["d_gate"]
+
+
 def check_projection(spec: Spectrum, side_cols: float, side_rows: float,
                      d: int, t: float = 3.0):
     """Projection errors of both estimated bases, side_cols =
@@ -237,11 +260,10 @@ def check_projection(spec: Spectrum, side_cols: float, side_rows: float,
 
     Returns (column-side report, row-side report).
     """
-    r, s_tail, mu = spec.r, spec.sigma_r_plus_1, spec.mu_r
-    d_gate, _ = sample_size_low_rank(mu, r, t)
-    premises = d >= d_gate
-    params = {"n": spec.n, "m": spec.m, "r": r, "d": d, "t": t, "mu_r": mu,
-              "d_gate": d_gate, "sigma_r_plus_1": s_tail}
+    r, s_tail = spec.r, spec.sigma_r_plus_1
+    params = {"n": spec.n, "m": spec.m, "r": r, "d": d, "t": t,
+              "sigma_r_plus_1": s_tail, **_low_rank_gate(spec, t)}
+    premises = _gate_met(d, params)
     rhs_v = s_tail**2 * (1.0 + 2.0 * spec.m / d)
     rhs_u = s_tail**2 * (1.0 + 2.0 * spec.n / d)
     return (make_report("projection_error_cols", side_cols, rhs_v, premises, params),
@@ -265,10 +287,9 @@ def check_delta(spec: Spectrum, delta: float, d: int,
         params.update({"lam": spec.lam, "mu_lambda": rep.mu_lambda,
                        "numerical_rank": rep.value, "d_gate": d_gate})
     else:
-        d_gate, _ = sample_size_low_rank(spec.mu_r, r, t)
-        params.update({"mu_r": spec.mu_r, "d_gate": d_gate})
+        params.update(_low_rank_gate(spec, t))
     rhs = 4.0 * s_tail**2 * (1.0 + (m + n) / d)
-    return make_report("delta_bound", delta, rhs, d >= d_gate, params)
+    return make_report("delta_bound", delta, rhs, _gate_met(d, params), params)
 
 
 def check_delta_triangle(delta: float, side_cols: float,
@@ -312,9 +333,10 @@ def check_halko(M, col_idx: IndexSet, r: int,
     of projecting M onto its selected columns is at most
     ||Sigma2||^2 + ||Sigma2 Omega2 pinv(Omega1)||^2.
 
-    Premise: Omega1 has full row rank. Reads M's SVD from factors, such as
-    an instance's `Spectrum.factors`, and takes `svd(M)` itself when none
-    is given, as for a bare matrix outside any instance.
+    Premise: Omega1 has full row rank, sigma_min(Omega1) > PINV_RTOL
+    sigma_max(Omega1), the cutoff of `pseudo_inverse`. Reads M's SVD from
+    factors, such as an instance's `Spectrum.factors`, and takes `svd(M)`
+    itself when none is given, as for a bare matrix outside any instance.
     """
     A = as_matrix(M)
     n, m = A.shape
@@ -327,10 +349,10 @@ def check_halko(M, col_idx: IndexSet, r: int,
     sigma2 = f.sigma[r:]
     d = len(col_idx.indices)
     sv1 = singular_values(omega1) if omega1.size else np.array([])
-    full_rank = sv1.size == r and float(sv1[-1]) > PINV_RTOL * max(float(sv1[0]), 1.0)
+    full_rank = sv1.size == r and sv1[-1] > PINV_RTOL * sv1[0]
     Y = A[:, np.asarray(col_idx.indices)]
     fy = svd(Y)
-    keep = fy.sigma > PINV_RTOL * (fy.sigma[0] if fy.sigma[0] > 0 else 1.0)
+    keep = fy.sigma > PINV_RTOL * fy.sigma[0]
     Q = fy.U[:, keep]
     lhs = spectral_norm(A - Q @ (Q.T @ A)) ** 2
     tail_norm = float(sigma2[0]) if sigma2.size else 0.0
@@ -352,16 +374,15 @@ def check_omega1_spectrum(spec: Spectrum, col_idx: IndexSet,
 
     Gate: d >= 7 mu_r r (t + ln r), the same as fail_prob <= e^-t.
     """
-    r, m, mu, d = spec.r, spec.m, spec.mu_r, len(col_idx.indices)
+    r, m, d = spec.r, spec.m, len(col_idx.indices)
     omega1, _ = _selection_blocks(spec.factors, col_idx, r)
     gram = omega1 @ omega1.T
     lhs = float(np.linalg.eigvalsh(gram)[0]) if gram.size else 0.0
-    fail_prob = r * math.exp(-d / (7.0 * mu * r))
-    d_gate, _ = sample_size_low_rank(mu, r, t)
-    params = {"r": r, "d": d, "m": m, "t": t, "mu_r": mu,
-              "fail_prob": fail_prob, "d_gate": d_gate}
-    return make_report("selection_spectrum", lhs, d / (2.0 * m), d >= d_gate,
-                       params, sense="ge")
+    params = {"r": r, "d": d, "m": m, "t": t, **_low_rank_gate(spec, t)}
+    if "mu_r" in params:
+        params["fail_prob"] = r * math.exp(-d / (7.0 * params["mu_r"] * r))
+    return make_report("selection_spectrum", lhs, d / (2.0 * m),
+                       _gate_met(d, params), params, sense="ge")
 
 
 # ---------------------------------------------------------------------------

@@ -74,16 +74,14 @@ def _weights(sigma: np.ndarray, n: int, m: int, lam: float):
     """Per-direction weights sigma_i / sqrt(sigma_i^2 + m*n*lam) and the
     rank contributions sigma_i^2 / (sigma_i^2 + m*n*lam).
 
-    At lam = 0 directions with sigma at or below the relative zero cutoff
-    carry zero weight, so rank-deficient inputs stay well defined.
+    At lam = 0 directions with sigma at or below PINV_RTOL sigma_1 carry
+    zero weight, so rank-deficient inputs stay well defined.
     """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     s_diag = sigma**2 + m * n * lam
     if lam == 0.0:
-        cut = PINV_RTOL * sigma[0] if sigma.size and sigma[0] > 0 else 0.0
-        live = sigma > cut
-        w = np.where(live, 1.0, 0.0)
+        w = np.where(sigma > PINV_RTOL * sigma[0], 1.0, 0.0)
         contrib = w.copy()
     else:
         w = sigma / np.sqrt(s_diag)

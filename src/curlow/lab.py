@@ -8,17 +8,17 @@ the spectrum's own sigma of a supplied one, and, built on first use, its
 "auto" sample budgets. Only `Instance` reads the config's kind, as the
 spectrum's regime; the budget and every check read the regime and M's
 spectral data from the spectrum, and lab runs no spectral kernel of M
-itself. A `Draw` samples the instance
-from derive(1), (2) and (3) of its own stream and builds the bases, the
-design, the core fitted on it, the residual M - M_hat, each residual
-norm of M, the coherence mu_hat of the bases and the `bounds.HPair` of
-the Gram checks once, for every check in `CHECKS` that reads them;
-lambda_min(K^T K) and the data-fit residual are the design's, and only
-`recover` reads the latter. A sweep draw settles its recovery bound from
-||M - M_hat||_F, which its relative error reads, and takes the spectral
-norm only where the Frobenius sandwich leaves the bound open, so where
-every draw settles, an exact-low-rank sweep above the size rule forms no
-singular vectors of M; `recover` and `verify` report the exact norm.
+itself. A `Draw` samples the instance from derive(1), (2) and (3) of
+its own stream and builds the bases, the design, the core fitted on it,
+the residual M - M_hat, each residual norm of M, the coherence mu_hat of
+the bases and the `bounds.HPair` of the Gram checks once, for every
+check in `CHECKS` that reads them; lambda_min(K^T K) and the data-fit
+residual are the design's, and only `recover` reads the latter. A sweep
+draw settles its recovery bound from ||M - M_hat||_F, which its relative
+error reads, and takes the spectral norm only where the Frobenius
+sandwich leaves the bound open, so where every draw settles, an
+exact-low-rank sweep above the size rule forms no singular vectors of M;
+`recover` and `verify` report the exact norm.
 `recover` draws from the base stream, each `verify` trial from
 base.derive(trial), and `sweep` loads each trial's instance once and
 draws from base.derive(trial).derive(1 + d) per grid point d. `verify`
@@ -134,8 +134,9 @@ class Instance:
     """One instance, built with no spectral kernel: M, its
     `checked_frobenius` norm, the planted sigma of a generated M (None for
     a supplied one), its `bounds.Spectrum` at lam = sigma_r^2 / (n m) of
-    the planted sigma or else of M's own, which the budget, every check and
-    every draw read, and its budget, resolved on first use."""
+    the planted sigma or else of M's own, full rank unless the config's
+    kind is exact low rank, which the budget, every check and every draw
+    read, and its budget, resolved on first use."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):

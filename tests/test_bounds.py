@@ -35,6 +35,7 @@ from curlow.bounds import (
 from curlow.coherence import mu_r, numerical_rank
 from curlow.linalg import (
     SANDWICH_ULPS,
+    SvdFactors,
     frobenius_norm,
     settle_by_frobenius,
     spectral_norm,
@@ -359,6 +360,52 @@ def test_halko_rank_deficient_selection_flagged():
     idx, _ = sample_columns(M, 2, RngStream(seed=15))
     rep = check_halko(M, idx, 3)
     assert not rep.premises_met  # 2 columns cannot carry a rank-3 row block
+
+
+def test_halko_full_row_rank_is_relative_to_omega1():
+    # Omega1 = diag(1e-3, 1e-14): sigma_min / sigma_max = 1e-11 lies above
+    # the relative cutoff 1e-12, so Omega1 has full row rank, though
+    # sigma_min lies below an absolute 1e-12
+    m, n, c = 8, 10, math.sqrt(1.0 - 1e-6)
+    V = np.eye(m)
+    V[:4, :4] = [[1e-3, 0.0, c, 0.0], [0.0, 1e-14, 0.0, 1.0],
+                 [c, 0.0, -1e-3, 0.0], [0.0, 1.0, 0.0, -1e-14]]
+    U = np.linalg.qr(rng(21).standard_normal((n, m)))[0]
+    sigma = np.array([4.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625])
+    f = SvdFactors(U=U, sigma=sigma, V=V)
+    M = (U * sigma) @ V.T
+    idx = IndexSet(indices=np.array([0, 1]), bound=m,
+                   draw_order=np.array([0, 1]))
+    rep = check_halko(M, idx, 2, f)
+    assert rep.params["sigma_min_omega1"] == 1e-14
+    assert rep.premises_met
+
+
+@pytest.mark.parametrize("r", [2, 3], ids=["r=rank", "r=rank+1"])
+def test_low_rank_gates_have_no_mu_r_above_the_rank(r):
+    # exact rank 2 with mu_r = 1: at r = 2 each gate reads mu_r, at r = 3
+    # the third singular pair is arbitrary, so each reports its reason and
+    # no gate
+    M = hadamard_rank2(64)
+    spec = Spectrum(M, r)
+    bases = build_bases(M.copy(), M.T.copy(), r)
+    res = norms(M, bases)
+    idx, _ = sample_columns(M, 60, RngStream(seed=33))
+    reports = [*check_projection(spec, res["side_cols"], res["side_rows"], 60),
+               check_delta(spec, res["delta"], 60),
+               check_omega1_spectrum(spec, idx)]
+    for rep in reports:
+        if r == 2:
+            d_gate = sample_size_low_rank(spec.mu_r, 2, 3.0)[0]
+            assert (rep.params["mu_r"], rep.params["d_gate"]) == (spec.mu_r,
+                                                                  d_gate)
+            assert d_gate == 52 and rep.premises_met
+            assert "reason" not in rep.params
+        else:
+            assert spec.rank_deficient
+            assert rep.params["reason"] == bounds.RANK_BELOW_R
+            assert not {"mu_r", "d_gate", "fail_prob"} & set(rep.params)
+            assert not rep.premises_met
 
 
 def test_halko_bound_requires_matching_selection():
