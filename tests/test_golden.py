@@ -2,10 +2,12 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import golden  # noqa: E402
-
-sys.path.pop(0)
+TOOLS = str(Path(__file__).resolve().parents[1] / "tools")
+sys.path.insert(0, TOOLS)
+try:
+    import golden
+finally:
+    sys.path.remove(TOOLS)
 
 
 def _tree(root: Path, report: dict, rows: list[str], matrix: str) -> Path:

@@ -202,12 +202,10 @@ def table(keep: str | None = None) -> tuple[list[str], bool]:
     print(blas_line(), file=sys.stderr)
     failed = False
     lines = []
-    with contextlib.ExitStack() as stack:
-        if keep is None:
-            root = stack.enter_context(tempfile.TemporaryDirectory())
-        else:
-            os.makedirs(keep)
-            root = keep
+    if keep is not None:
+        os.makedirs(keep)
+    with (tempfile.TemporaryDirectory() if keep is None
+          else contextlib.nullcontext(keep)) as root:
         write_crlf_matrix(root)
         write_blank_line_csv(root)
         write_power_law_config(root)
