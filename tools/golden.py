@@ -153,6 +153,11 @@ def commands(root: str) -> list[tuple[str, list[str], int]]:
         ("verify-rank-above", ["verify", *sets(
             "synth.n=30", "synth.m=30", "synth.kind=exact-low-rank",
             "synth.r=2", "r=3", "trials=2", ALL_CHECKS)]),
+        # the same instance's recovery: its low-rank budget reads the mu_r
+        # of an arbitrary direction, which recovery.json says
+        ("recover-rank-above", ["recover", *sets(
+            "synth.n=30", "synth.m=30", "synth.kind=exact-low-rank",
+            "synth.r=2", "r=3")]),
         # both sides reach 16 (r + 8), so every mu_r-gated report reads
         # the mu_r of M's top-r bases by subspace iteration
         ("verify-lowrank-iterated", ["verify", *sets(
