@@ -89,36 +89,46 @@ def make_report(name: str, lhs: float, rhs: float, premises_met: bool,
 # the instance's spectrum
 
 
-class Spectrum:
+class Lazy:
+    """Values built on their first read, once, under one reentrant lock
+    per object, as one build may read another; a value already built is
+    read without the lock. Not functools.cached_property, which serializes
+    pool threads on one lock per attribute, across all objects, before
+    Python 3.12."""
+
+    def __init__(self):
+        self._lock = threading.RLock()
+        self._cache: dict = {}
+
+    def _once(self, key, build):
+        if key in self._cache:
+            return self._cache[key]
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
+
+
+class Spectrum(Lazy):
     """What the checks read of an n x m instance M at rank r and
     regularization lam, by default sigma_r^2 / (mn) of M's own sigma, in
     its instance's regime: full_rank, else exact low rank. One per
     instance, the only producer of M's spectral data, shared by the budget
     and every check of every draw from it; it runs no kernel when built,
-    and takes each value on its first read, once, under one reentrant
-    lock. factors is one `svd(M)`; rank, the regularized rank and weighted
-    coherence at lam, reads it. At full rank sigma and mu_r read it too;
-    at low rank sigma is the values-only `singular_values(M)`, so a
-    settled sweep draw never forms U and V, and mu_r is as `mu_r` says."""
+    and takes each value on its first read, once. factors is one `svd(M)`;
+    rank, the regularized rank and weighted coherence at lam, reads it. At
+    full rank sigma and mu_r read it too; at low rank sigma is the
+    values-only `singular_values(M)`, so a settled sweep draw never forms
+    U and V, and mu_r is as `mu_r` says."""
 
     def __init__(self, M, r: int, lam: float | None = None,
                  full_rank: bool = False):
+        super().__init__()
         self.M, self.r, self.full_rank = as_matrix(M), r, full_rank
         self.n, self.m = n, m = self.M.shape
         if not 1 <= r <= min(n, m):
             raise ValueError(f"r must be in [1, {min(n, m)}], got {r}")
         self._lam = lam
-        # reentrant, as rank's build reads factors and lam; not
-        # functools.cached_property, which serializes pool threads on one
-        # lock per attribute, across all spectra, before Python 3.12
-        self._lock = threading.RLock()
-        self._cache: dict = {}
-
-    def _once(self, key, build):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
 
     @property
     def sigma(self) -> np.ndarray:

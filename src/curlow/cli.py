@@ -104,7 +104,7 @@ def cmd_gen(args) -> int:
     write_matrix(inst.M, os.path.join(args.out, f"M.{ext}"), format=mfmt)
     write_matrix(inst.planted_sigma.reshape(-1, 1),
                  os.path.join(args.out, "spectrum.csv"), format="csv")
-    props = measured_properties(inst.spectrum)
+    props = measured_properties(inst)
     props["config"] = cfg.to_flat()
     write_json(props, os.path.join(args.out, "properties.json"))
     print(f"wrote M.{ext}, spectrum.csv, properties.json to {args.out}")

@@ -2,13 +2,13 @@
 sample-and-recover path: `load_instance` generates an instance from
 stream.derive(0) (or takes a supplied matrix) as an `Instance`, which
 refuses by `checked_frobenius` an M whose squared entries overflow, as
-`cur` does, runs no spectral kernel, and holds its one `bounds.Spectrum`
-at lam = sigma_r^2 / (n m), from the planted sigma of a generated M or
-the spectrum's own sigma of a supplied one, and, built on first use, its
-"auto" sample budgets. Only `Instance` reads the config's kind, as the
-spectrum's regime; the budget and every check read the regime and M's
-spectral data from the spectrum, and lab runs no spectral kernel of M
-itself. A `Draw` samples the instance from derive(1), (2) and (3) of
+`cur` does, runs no spectral kernel, and is its own `bounds.Spectrum` at
+lam = sigma_r^2 / (n m), from the planted sigma of a generated M or the
+spectrum's own sigma of a supplied one; its "auto" sample budgets are
+one more value of the spectrum's cache, built on first read. Only
+`Instance` reads the config's kind, as the spectrum's regime; the budget
+and every check read the regime and M's spectral data from the
+instance, and lab runs no spectral kernel of M itself. A `Draw` samples the instance from derive(1), (2) and (3) of
 its own stream and builds the bases, the design, the core fitted on it,
 the residual M - M_hat, each residual norm of M, the coherence mu_hat of
 the bases and the `bounds.HPair` of the Gram checks once, for every
@@ -91,24 +91,23 @@ def resolve_budgets(inst: Instance) -> dict:
     instance; a budget set in the config is used as given, or refused if
     the instance cannot hold it. The dict holds both, the formula values
     and the coherence they read, and says which of the three each budget is.
-    The regime is the instance's spectrum's: the full-rank formulas read
-    its mu_lambda and regularized rank, the low-rank ones its mu_r."""
-    cfg, spec, r = inst.cfg, inst.spectrum, inst.cfg.r
-    n, m = inst.M.shape
+    The regime is the instance's: the full-rank formulas read its
+    mu_lambda and regularized rank, the low-rank ones its mu_r."""
+    cfg, r, n, m = inst.cfg, inst.r, inst.n, inst.m
     if isinstance(cfg.d, int):
         check_range("d", cfg.d, r, min(n, m), "[r, min(n, m)]")
     if isinstance(cfg.omega_count, int):
         check_range("omega", cfg.omega_count, 1, n * m, "[1, n*m]")
-    if spec.full_rank:
-        rep = spec.rank
+    if inst.full_rank:
+        rep = inst.rank
         d_formula = bounds.d_full_rank(rep.mu_lambda, rep.value, cfg.t, n)
-        details = {"lam": spec.lam, "mu_lambda": rep.mu_lambda,
+        details = {"lam": inst.lam, "mu_lambda": rep.mu_lambda,
                    "numerical_rank": rep.value, "regime": "full-rank"}
     else:
-        details = {"mu_r": spec.mu_r, "regime": "low-rank"}
-        d_formula, omega_formula = bounds.sample_size_low_rank(spec.mu_r, r, cfg.t)
+        details = {"mu_r": inst.mu_r, "regime": "low-rank"}
+        d_formula, omega_formula = bounds.sample_size_low_rank(inst.mu_r, r, cfg.t)
     d = cfg.d if isinstance(cfg.d, int) else max(min(d_formula, n, m), r)
-    if spec.full_rank:
+    if inst.full_rank:
         _, omega_formula = bounds.sample_size_full_rank(
             rep.mu_lambda, rep.value, cfg.t, n, d, r)
     omega = cfg.omega_count if isinstance(cfg.omega_count, int) \
@@ -130,28 +129,24 @@ def checked_frobenius(M: np.ndarray) -> float:
     return fro
 
 
-class Instance:
-    """One instance, built with no spectral kernel: M, its
+class Instance(bounds.Spectrum):
+    """One instance, built with no spectral kernel: the `bounds.Spectrum`
+    of M at rank cfg.r and lam = sigma_r^2 / (n m) of the planted sigma or
+    else of M's own, full rank unless the config's kind is exact low rank,
+    which the budget, every check and every draw read; and the config, M's
     `checked_frobenius` norm, the planted sigma of a generated M (None for
-    a supplied one), its `bounds.Spectrum` at lam = sigma_r^2 / (n m) of
-    the planted sigma or else of M's own, full rank unless the config's
-    kind is exact low rank, which the budget, every check and every draw
-    read, and its budget, resolved on first use."""
+    a supplied one) and its budget, resolved on first read."""
 
     def __init__(self, cfg: ExperimentConfig, M: np.ndarray,
                  planted_sigma: np.ndarray | None):
-        self.cfg, self.M, self.fro = cfg, M, checked_frobenius(M)
+        self.cfg, self.fro = cfg, checked_frobenius(M)
         self.planted_sigma = planted_sigma
-        self._budget: dict | None = None
         lam = None if planted_sigma is None \
             else float(planted_sigma[cfg.r - 1]) ** 2 / M.size
-        self.spectrum = bounds.Spectrum(
-            M, cfg.r, lam, full_rank=cfg.kind != "exact-low-rank")
+        super().__init__(M, cfg.r, lam, full_rank=cfg.kind != "exact-low-rank")
 
     def budget(self) -> dict:
-        if self._budget is None:
-            self._budget = resolve_budgets(self)
-        return self._budget
+        return self._once("budget", lambda: resolve_budgets(self))
 
 
 def load_instance(cfg: ExperimentConfig, stream: RngStream,
@@ -166,14 +161,15 @@ def load_instance(cfg: ExperimentConfig, stream: RngStream,
     return Instance(cfg, M, factors.sigma)
 
 
-class Draw:
+class Draw(bounds.Lazy):
     """d columns, d rows and the instance's budget of omega entries, drawn
     lazily from stream.derive(1), (2) and (3), and the bases, design, fit
     and residual norms of M built on them; each is computed once and shared
-    by all its readers. M's spectrum is the instance's."""
+    by all its readers. M's spectrum is the instance."""
 
     def __init__(self, inst: Instance, d: int, stream: RngStream):
-        self.spectrum = inst.spectrum
+        super().__init__()
+        self.spectrum = inst
         self.cfg = inst.cfg
         self.M = inst.M
         self.fro = inst.fro
@@ -181,37 +177,29 @@ class Draw:
         self.omega = inst.budget()["omega"]
         self.stream = stream
         self.n, self.m = inst.M.shape
-        # a plain dict: functools.cached_property serializes pool threads
-        # on one lock per attribute before Python 3.12
-        self._cache: dict = {}
-
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
 
     def cols(self):
-        return self._get("cols", lambda: sample_columns(
+        return self._once("cols", lambda: sample_columns(
             self.M, self.d, self.stream.derive(1)))
 
     def rows(self):
-        return self._get("rows", lambda: sample_rows(
+        return self._once("rows", lambda: sample_rows(
             self.M, self.d, self.stream.derive(2)))
 
     def entries(self):
-        return self._get("entries", lambda: sample_entries(
+        return self._once("entries", lambda: sample_entries(
             self.M, self.omega, self.stream.derive(3)))
 
     def bases(self):
-        return self._get("bases", lambda: build_bases(
+        return self._once("bases", lambda: build_bases(
             self.cols()[1], self.rows()[1], self.cfg.r))
 
     def design(self):
-        return self._get("design", lambda: assemble_design(
+        return self._once("design", lambda: assemble_design(
             self.bases(), self.entries()))
 
     def recovery(self):
-        return self._get("recovery", lambda: fit(
+        return self._once("recovery", lambda: fit(
             self.design(), self.cfg.ridge))
 
     def gamma(self) -> float:
@@ -221,43 +209,43 @@ class Draw:
 
     def side_cols(self) -> float:
         V = self.bases().V_hat
-        return self._get("side_cols", lambda: spectral_norm(
+        return self._once("side_cols", lambda: spectral_norm(
             self.M - (self.M @ V) @ V.T) ** 2)
 
     def side_rows(self) -> float:
         U = self.bases().U_hat
-        return self._get("side_rows", lambda: spectral_norm(
+        return self._once("side_rows", lambda: spectral_norm(
             self.M - U @ (U.T @ self.M)) ** 2)
 
     def delta(self) -> float:
         U, V = self.bases().U_hat, self.bases().V_hat
-        return self._get("delta", lambda: spectral_norm(
+        return self._once("delta", lambda: spectral_norm(
             self.M - U @ (U.T @ self.M @ V) @ V.T) ** 2)
 
     def residual(self) -> np.ndarray:
         """M - M_hat."""
-        return self._get("residual", lambda: self.M - self.recovery()[1])
+        return self._once("residual", lambda: self.M - self.recovery()[1])
 
     def error(self) -> float:
-        return self._get("error", lambda: spectral_norm(
+        return self._once("error", lambda: spectral_norm(
             self.residual()) ** 2)
 
     def mu_hat(self) -> float:
         """Coherence of the estimated bases."""
-        return self._get("mu_hat", lambda: mu_r(
+        return self._once("mu_hat", lambda: mu_r(
             self.bases().U_hat, self.bases().V_hat))
 
     def h_pair(self) -> bounds.HPair:
-        return self._get("h_pair", lambda: bounds.build_h_pair(
+        return self._once("h_pair", lambda: bounds.build_h_pair(
             self.spectrum, self.cols()[1]))
 
     def fro_error(self) -> float:
         """||M - M_hat||_F."""
-        return self._get("fro_error", lambda: frobenius_norm(
+        return self._once("fro_error", lambda: frobenius_norm(
             self.residual()))
 
     def recovery_bound(self) -> BoundReport:
-        return self._get("bound", lambda: bounds.check_full_rank_recovery(
+        return self._once("bound", lambda: bounds.check_full_rank_recovery(
             self.spectrum, self.error(), self.d, self.entries().size,
             self.cfg.t))
 
@@ -400,8 +388,8 @@ def _union_count(draw: Draw) -> int:
 
 def _sweep_load(cfg: ExperimentConfig, trial: int) -> Instance:
     """A sweep trial's instance, from base.derive(trial), with its budget
-    resolved, so the draws of one instance, on several pool threads, only
-    read it."""
+    resolved in the load task, so that its kernels run beside the other
+    trials' loads rather than in the first draw that reads it."""
     inst = load_instance(cfg, cfg.base_stream().derive(trial))
     inst.budget()
     return inst
@@ -476,7 +464,7 @@ def run_sweep(cfg: ExperimentConfig, d_grid: list[int]) -> list[dict]:
             block = range(w * cfg.trials // windows,
                           (w + 1) * cfg.trials // windows)
             loaded = {k: pool.submit(_sweep_load, cfg, k) for k in block}
-            read = [pool.submit(lambda f: f.result().spectrum.sigma, f)
+            read = [pool.submit(lambda f: f.result().sigma, f)
                     for f in loaded.values()]
             tasks = [(k, d) for k in block for d in live]
             outs.update(zip(tasks, pool.map(

@@ -167,7 +167,7 @@ def test_a_low_rank_spectrum_reads_mu_r_within_its_ulps_of_the_planted(
                                r=r, coherence=coherence, seed=seed)
         _, f = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
         truth = _planted_mu_r(f, r, mpmath)
-        mu = load_instance(cfg, cfg.base_stream()).spectrum.mu_r
+        mu = load_instance(cfg, cfg.base_stream()).mu_r
         assert abs(mu - truth) <= ulps * np.spacing(truth), seed
 
 
@@ -179,7 +179,7 @@ def test_a_full_rank_spectrum_reads_sigma_within_its_ulps_of_the_planted(
         cfg = ExperimentConfig(n=n, m=m, kind=kind, synth_r=r, r=r,
                                decay=decay, seed=seed)
         _, f = generate(cfg.synth_spec(cfg.base_stream().derive(0)))
-        spec = load_instance(cfg, cfg.base_stream()).spectrum
+        spec = load_instance(cfg, cfg.base_stream())
         for value, truth, most in zip((spec.sigma_r, spec.sigma_r_plus_1),
                                       f.sigma[r - 1:r + 1], ulps):
             assert abs(value - truth) <= most * np.spacing(truth), seed
@@ -245,8 +245,40 @@ def test_a_supplied_instance_takes_no_svd_until_its_spectrum_is_read(
     inst = load_instance(cfg, cfg.base_stream(), M)
     assert calls == [] and inst.planted_sigma is None
     # a full-rank lam reads sigma from the one svd(M) the budget forms
-    assert inst.spectrum.lam > 0 and calls == [True]
-    assert inst.budget()["lam"] == inst.spectrum.lam and calls == [True]
+    assert inst.lam > 0 and calls == [True]
+    assert inst.budget()["lam"] == inst.lam and calls == [True]
+
+
+def test_an_instance_resolves_its_budget_once_for_racing_readers(
+        monkeypatch):
+    calls = []
+
+    def counted(inst, _fn=lab.resolve_budgets):
+        calls.append(1)  # list.append is atomic across threads
+        return _fn(inst)
+    monkeypatch.setattr(lab, "resolve_budgets", counted)
+    cfg = ExperimentConfig(n=60, m=48, kind="geometric-spectrum", synth_r=3,
+                           r=3)
+    inst = load_instance(cfg, cfg.base_stream())
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def read():
+        barrier.wait()
+        seen.append(inst.budget())
+    readers = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert len(calls) == 1 and len(seen) == 8
+    assert all(budget is inst.budget() for budget in seen)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -280,7 +312,7 @@ def test_resolve_budgets_full_rank_regime():
     assert budget["omega_formula"] >= budget["omega"]
     assert "lam" in budget and "numerical_rank" in budget
     # read from the instance's spectrum, the same as from a fresh svd(M)
-    rank = numerical_rank(svd(inst.M), inst.spectrum.lam)
+    rank = numerical_rank(svd(inst.M), inst.lam)
     assert (budget["mu_lambda"], budget["numerical_rank"]) == (
         rank.mu_lambda, rank.value)
 
@@ -405,8 +437,8 @@ def test_the_gram_checks_share_one_eigendecomposition_of_h(monkeypatch):
     stream = cfg.base_stream().derive(0)
     inst = load_instance(cfg, stream)
     draw = Draw(inst, inst.budget()["d"], stream)
-    M, A, lam, d = draw.M, draw.cols()[1], inst.spectrum.lam, draw.d
-    f = inst.spectrum.factors
+    M, A, lam, d = draw.M, draw.cols()[1], inst.lam, draw.d
+    f = inst.factors
     U, k = f.U, m
     w = np.full(n, lam)
     w[:k] += f.sigma**2 / (m * n)
@@ -512,8 +544,8 @@ def test_a_draw_takes_mu_hat_once(monkeypatch):
         size / (2.0 * m * n), size >= gate,
         {"omega_size": size, "n": n, "m": m, "r": r, "t": t, "mu_hat": muh,
          "omega_gate": gate}, sense="ge").to_dict()
-    spec = inst.spectrum
-    rank = numerical_rank(spec.factors, inst.spectrum.lam)
+    spec = inst
+    rank = numerical_rank(spec.factors, inst.lam)
     delta_sq = 4.0 / d * (rank.mu_lambda * rank.value + 1.0) \
         * (t + math.log(n))
     d_gate = bounds.d_full_rank(rank.mu_lambda, rank.value, t, n)
@@ -521,7 +553,7 @@ def test_a_draw_takes_mu_hat_once(monkeypatch):
         "basis_coherence", muh,
         2.0 * rank.value / r * rank.mu_lambda + 18.0 * n * delta_sq / r,
         spec.sigma_r >= math.sqrt(2.0) * spec.sigma_r_plus_1 and d >= d_gate,
-        {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": inst.spectrum.lam,
+        {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": inst.lam,
          "mu_lambda": rank.mu_lambda, "numerical_rank": rank.value,
          "delta_sq": delta_sq, "d_gate": d_gate, "sigma_r": spec.sigma_r,
          "sigma_r_plus_1": spec.sigma_r_plus_1}).to_dict()
@@ -880,7 +912,7 @@ def test_run_sweep_shares_an_instance_across_more_workers_than_trials(
         monkeypatch):
     calls = []
     for ns, name in ((lab, "generate"), (lab, "resolve_budgets"),
-                     (bounds, "Spectrum")):
+                     (lab, "Instance")):
         def counted(*args, _fn=getattr(ns, name), _name=name, **kwargs):
             calls.append(_name)  # list.append is atomic across pool threads
             return _fn(*args, **kwargs)
@@ -906,7 +938,7 @@ def test_run_sweep_shares_an_instance_across_more_workers_than_trials(
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
     assert rows == [expected]
-    assert sorted(calls) == (["Spectrum"] * 2 + ["generate"] * 2
+    assert sorted(calls) == (["Instance"] * 2 + ["generate"] * 2
                              + ["resolve_budgets"] * 2)
 
 
@@ -1035,10 +1067,10 @@ def test_run_sweep_loads_each_instance_once(monkeypatch):
 def test_run_sweep_computes_each_recovery_spectrum_once(monkeypatch):
     calls = []
 
-    def counted(*args, _fn=bounds.Spectrum, **kwargs):
-        calls.append(args[1])  # list.append is atomic across pool threads
+    def counted(*args, _fn=lab.Instance, **kwargs):
+        calls.append(args[0].r)  # list.append is atomic across pool threads
         return _fn(*args, **kwargs)
-    monkeypatch.setattr(bounds, "Spectrum", counted)
+    monkeypatch.setattr(lab, "Instance", counted)
     cfg = ExperimentConfig(n=24, m=24, kind="geometric-spectrum", decay=0.4,
                            synth_r=2, r=2, omega_count=250, trials=3)
     monkeypatch.setenv("CURLOW_THREADS", "2")
@@ -1066,8 +1098,8 @@ def test_sweep_recovery_bounds_match_a_fresh_draw(monkeypatch):
             draw = Draw(inst, d, stream.derive(1 + d))
             error = linalg.spectral_norm(draw.M - draw.recovery()[1]) ** 2
             oracles[trial, d] = check(
-                bounds.Spectrum(draw.M, cfg.r, inst.spectrum.lam,
-                                inst.spectrum.full_rank), error, d,
+                bounds.Spectrum(draw.M, cfg.r, inst.lam,
+                                inst.full_rank), error, d,
                 draw.entries().size, cfg.t)
     for sandwich in (True, False):
         seen = []
