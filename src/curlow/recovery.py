@@ -40,13 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseMatrix, _apply_sign_convention, as_matrix, svd
+from .linalg import (PINV_RTOL, DenseMatrix, _apply_sign_convention,
+                     as_matrix, svd)
 from .sampling import OmegaSet, RngStream
-
-# sigma_r - sigma_{r+1} at or below this times sigma_1 marks a degenerate
-# basis split, the scale at which an SVD resolves singular values;
-# recovery proceeds but flags it
-GAP_TOL = 1e-12
 
 # columns the subspace iteration carries beyond r
 OVERSAMPLE = 8
@@ -312,7 +308,10 @@ def _top_basis(S: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, bool]:
         head[:k] = f.sigma[:k]
         found = f.U[:, :r], head
     U, head = found
-    return U, head, bool(head[r - 1] - head[r] <= GAP_TOL * head[0])
+    # a gap sigma_r - sigma_{r+1} at or below PINV_RTOL sigma_1, the scale
+    # at which an SVD resolves singular values, marks a degenerate split;
+    # recovery proceeds but flags it
+    return U, head, bool(head[r - 1] - head[r] <= PINV_RTOL * head[0])
 
 
 def build_bases(A, B, r: int) -> Bases:
