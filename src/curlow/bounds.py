@@ -184,6 +184,13 @@ class Spectrum(Lazy):
         return self._once("rank",
                           lambda: numerical_rank(self.factors, self.lam))
 
+    @property
+    def rank_params(self) -> dict:
+        """lam and the regularized rank at it, as the full-rank params read."""
+        rep = self.rank
+        return {"lam": self.lam, "mu_lambda": rep.mu_lambda,
+                "numerical_rank": rep.value}
+
 
 # ---------------------------------------------------------------------------
 # sample-size calculators
@@ -209,10 +216,12 @@ def sample_size_low_rank(mu: float, r: int, t: float) -> tuple[int, int]:
     return d_min, omega_min
 
 
-def d_full_rank(mu_l: float, r_num: float, t: float, n: int) -> int:
-    """Column budget 16 (mu_l r_num + 1)(t + ln n) for numerically low-rank
-    inputs with weighted coherence mu_l and regularized rank r_num."""
-    return _ceil(16.0 * (mu_l * r_num + 1.0) * (t + math.log(n)))
+def d_full_rank(mu_l: float, r_num: float, t: float, n: int,
+                delta: float = 0.5) -> int:
+    """Column budget (4/delta^2)(mu_l r_num + 1)(t + ln n), 16 (...) at the
+    default delta, for numerically low-rank inputs with weighted coherence
+    mu_l and regularized rank r_num."""
+    return _ceil(4.0 / delta**2 * (mu_l * r_num + 1.0) * (t + math.log(n)))
 
 
 def sample_size_full_rank(mu_l: float, r_num: float, t: float, n: int,
@@ -294,8 +303,7 @@ def check_delta(spec: Spectrum, delta: float, d: int,
     if spec.full_rank:
         rep = spec.rank
         d_gate = _ceil(14.0 * rep.mu_lambda * rep.value * (t + math.log(r)))
-        params.update({"lam": spec.lam, "mu_lambda": rep.mu_lambda,
-                       "numerical_rank": rep.value, "d_gate": d_gate})
+        params.update({**spec.rank_params, "d_gate": d_gate})
     else:
         params.update(_low_rank_gate(spec, t))
     rhs = 4.0 * s_tail**2 * (1.0 + (m + n) / d)
@@ -473,11 +481,9 @@ def check_h_sandwich(pair: HPair, delta_target: float,
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta_target}")
     spec, rep = pair.spec, pair.spec.rank
-    d_gate = _ceil(4.0 / delta_target**2 * (rep.mu_lambda * rep.value + 1.0)
-                   * (t + math.log(spec.n)))
+    d_gate = d_full_rank(rep.mu_lambda, rep.value, t, spec.n, delta_target)
     params = {"side": "A", "d": pair.d, "d_gate": d_gate, "t": t,
-              "lam": spec.lam, "mu_lambda": rep.mu_lambda,
-              "numerical_rank": rep.value}
+              **spec.rank_params}
     if pair.eigs is None:
         params["reason"] = SINGULAR_H
         return make_report("gram_sandwich", float("inf"), delta_target,
@@ -505,8 +511,7 @@ def check_mu_hat_bound(spec: Spectrum, mu_hat: float, d: int,
     rhs = 2.0 * rep.value / r * rep.mu_lambda + 18.0 * n * delta_sq / r
     d_gate = d_full_rank(rep.mu_lambda, rep.value, t, n)
     premises = spec.gap_ok and d >= d_gate
-    params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": spec.lam,
-              "mu_lambda": rep.mu_lambda, "numerical_rank": rep.value,
+    params = {"n": n, "m": m, "r": r, "d": d, "t": t, **spec.rank_params,
               "delta_sq": delta_sq, "d_gate": d_gate, "sigma_r": s_r,
               "sigma_r_plus_1": s_next}
     return make_report("basis_coherence", mu_hat, rhs, premises, params)
@@ -586,9 +591,8 @@ def check_full_rank_recovery(spec: Spectrum, error: float, d: int,
     rhs = recovery_rhs(spec, d)
     premises = (spec.gap_ok and d >= min(d_gate, n, m)
                 and omega_size >= omega_gate)
-    params = {"n": n, "m": m, "r": r, "d": d, "t": t, "lam": spec.lam,
-              "omega_size": omega_size, "mu_lambda": rep.mu_lambda,
-              "numerical_rank": rep.value, "d_gate": d_gate,
+    params = {"n": n, "m": m, "r": r, "d": d, "t": t,
+              "omega_size": omega_size, **spec.rank_params, "d_gate": d_gate,
               "omega_formula": omega_formula, "omega_gate": omega_gate,
               "sigma_r": s_r, "sigma_r_plus_1": s_next}
     return make_report("recovery_error", error, rhs, premises, params)

@@ -101,8 +101,7 @@ def resolve_budgets(inst: Instance) -> dict:
     if inst.full_rank:
         rep = inst.rank
         d_formula = bounds.d_full_rank(rep.mu_lambda, rep.value, cfg.t, n)
-        details = {"lam": inst.lam, "mu_lambda": rep.mu_lambda,
-                   "numerical_rank": rep.value, "regime": "full-rank"}
+        details = {**inst.rank_params, "regime": "full-rank"}
     else:
         details = {"mu_r": inst.mu_r, "regime": "low-rank"}
         d_formula, omega_formula = bounds.sample_size_low_rank(inst.mu_r, r, cfg.t)

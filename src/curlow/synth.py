@@ -109,15 +109,12 @@ def generate(spec: SynthSpec) -> tuple[DenseMatrix, SvdFactors]:
 def measured_properties(spectrum) -> dict:
     """Coherence, regularized rank at the instance's lam, and spectrum-gap
     summary of an instance, read from its `bounds.Spectrum`."""
-    rank_rep = spectrum.rank
     return {
+        **spectrum.rank_params,
         "n": spectrum.n,
         "m": spectrum.m,
         "r": spectrum.r,
-        "lam": spectrum.lam,
         "mu_r": spectrum.mu_r,
-        "mu_lambda": rank_rep.mu_lambda,
-        "numerical_rank": rank_rep.value,
         "sigma_r": spectrum.sigma_r,
         "sigma_r_plus_1": spectrum.sigma_r_plus_1,
         "gap_ok": spectrum.gap_ok,
