@@ -144,6 +144,8 @@ def cmd_recover(args) -> int:
               for key in ("d", "omega") if budget[key + "_source"] == "capped"]
     if capped:
         print(f"capped auto budgets at the instance: {', '.join(capped)}")
+    if "reason" in budget:
+        print(f"budget formulas: {budget['reason']}")
     return 0
 
 

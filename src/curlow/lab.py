@@ -350,13 +350,15 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
     """One full sample-and-recover pass; returns the report dict and the
     recovered matrix under key "_M_hat" (stripped before serialization).
     "spectral_sq" and the recovery bound each take the spectral norm of
-    M - M_hat: perfbench/test_checks.py pins its factorizations at 9."""
+    M - M_hat: perfbench/test_checks.py pins its factorizations at 9. The
+    budget of a low-rank M of rank below r, whose mu_r is arbitrary, says so
+    in its "reason", read from the sigma the recovery bound has taken."""
     stream = cfg.base_stream()
     inst = load_instance(cfg, stream, M)
     draw = Draw(inst, inst.budget()["d"], stream)
     result, M_hat = draw.recovery()
     omega_size = draw.entries().size
-    return {
+    report = {
         "config": cfg.to_flat(),
         "budget": inst.budget(),
         "col_indices": [int(i) for i in draw.cols()[0].indices],
@@ -375,6 +377,9 @@ def run_recovery(cfg: ExperimentConfig, M: np.ndarray | None = None) -> dict:
         },
         "_M_hat": M_hat,
     }
+    if not inst.full_rank and inst.rank_deficient:
+        report["budget"] = {**report["budget"], "reason": bounds.RANK_BELOW_R}
+    return report
 
 
 def _union_count(draw: Draw) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curlow import cli, cur
+from curlow import bounds, cli, cur
 from curlow.cli import load_experiment_config, main, write_csv, write_json
 from curlow.config import ExperimentConfig
 from curlow.io import DENSE_BANNER, read_matrix, write_matrix
@@ -109,6 +109,26 @@ def test_recover_says_when_it_capped_an_auto_budget(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "recovered: rel_frobenius=8.041e-01, omega=10000"]
     assert sources() == ("user", "user")
+
+
+@pytest.mark.parametrize("r", [2, 3], ids=["r=rank", "r=rank+1"])
+def test_recover_says_when_its_low_rank_budget_read_an_arbitrary_mu_r(
+        tmp_path, capsys, r):
+    # exact rank 2: at r = 3 the third singular direction is arbitrary, so
+    # the mu_r the budget formulas read is too
+    out = tmp_path / "rec"
+    assert run("recover", "--out", str(out), "--set", "synth.n=30",
+               "--set", "synth.m=30", "--set", "synth.kind=exact-low-rank",
+               "--set", "synth.r=2", "--set", f"r={r}") == 0
+    budget = json.loads((out / "recovery.json").read_text())["budget"]
+    said = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("budget formulas:")]
+    if r == 2:
+        assert "reason" not in budget and said == []
+    else:
+        assert budget["reason"] == bounds.RANK_BELOW_R
+        assert budget["d_formula"] == 861
+        assert said == [f"budget formulas: {bounds.RANK_BELOW_R}"]
 
 
 def test_recover_csv_output(tmp_path):
