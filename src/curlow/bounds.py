@@ -186,7 +186,7 @@ class Spectrum(Lazy):
 
     @property
     def rank_params(self) -> dict:
-        """lam and the regularized rank at it, as the full-rank params read."""
+        """lam, mu_lambda and the regularized rank, as full-rank params."""
         rep = self.rank
         return {"lam": self.lam, "mu_lambda": rep.mu_lambda,
                 "numerical_rank": rep.value}

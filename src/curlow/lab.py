@@ -7,18 +7,19 @@ lam = sigma_r^2 / (n m), from the planted sigma of a generated M or the
 spectrum's own sigma of a supplied one; its "auto" sample budgets are
 one more value of the spectrum's cache, built on first read. Only
 `Instance` reads the config's kind, as the spectrum's regime; the budget
-and every check read the regime and M's spectral data from the
-instance, and lab runs no spectral kernel of M itself. A `Draw` samples the instance from derive(1), (2) and (3) of
-its own stream and builds the bases, the design, the core fitted on it,
-the residual M - M_hat, each residual norm of M, the coherence mu_hat of
-the bases and the `bounds.HPair` of the Gram checks once, for every
-check in `CHECKS` that reads them; lambda_min(K^T K) and the data-fit
-residual are the design's, and only `recover` reads the latter. A sweep
-draw settles its recovery bound from ||M - M_hat||_F, which its relative
-error reads, and takes the spectral norm only where the Frobenius
-sandwich leaves the bound open, so where every draw settles, an
-exact-low-rank sweep above the size rule forms no singular vectors of M;
-`recover` and `verify` report the exact norm.
+and every check read the regime and M's spectral data from the instance,
+and lab runs no spectral kernel of M itself. A `Draw` samples the
+instance from derive(1), (2) and (3) of its own stream and builds the
+bases, the design, the core fitted on it, the residual M - M_hat, each
+residual norm of M, the coherence mu_hat of the bases and the
+`bounds.HPair` of the Gram checks once, for every check in `CHECKS` that
+reads them; lambda_min(K^T K) and the data-fit residual are the
+design's, and only `recover` reads the latter. A sweep draw settles its
+recovery bound from ||M - M_hat||_F, which its relative error reads, and
+takes the spectral norm only where the Frobenius sandwich leaves the
+bound open, so where every draw settles, an exact-low-rank sweep above
+the size rule forms no singular vectors of M; `recover` and `verify`
+report the exact norm.
 `recover` draws from the base stream, each `verify` trial from
 base.derive(trial), and `sweep` loads each trial's instance once and
 draws from base.derive(trial).derive(1 + d) per grid point d. `verify`
@@ -175,7 +176,7 @@ class Draw(bounds.Lazy):
         self.d = d
         self.omega = inst.budget()["omega"]
         self.stream = stream
-        self.n, self.m = inst.M.shape
+        self.n, self.m = inst.n, inst.m
 
     def cols(self):
         return self._once("cols", lambda: sample_columns(

@@ -281,6 +281,20 @@ def test_an_instance_resolves_its_budget_once_for_racing_readers(
     assert all(budget is inst.budget() for budget in seen)
 
 
+def test_a_resolved_budget_is_read_while_the_instance_builds_another_value():
+    # a sweep draw reads its instance's budget while another pool thread
+    # takes the instance's sigma under the instance's lock
+    cfg = ExperimentConfig(n=60, m=48, kind="exact-low-rank", synth_r=3, r=3)
+    inst = load_instance(cfg, cfg.base_stream())
+    budget, seen = inst.budget(), []
+    reader = threading.Thread(target=lambda: seen.append(inst.budget()))
+    with inst._lock:
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+    assert seen == [budget] and seen[0] is budget
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_a_rank_one_budget_and_its_gates_agree_where_mu_r_is_one(seed):
     # flat exact rank 1: mu_r is 1 up to rounding, so every reader of it
